@@ -11,14 +11,30 @@ Truncated comparison: alpha x = beta x "as truncated paths" means the two
 composites agree up to their common (meet) degree; when x is maximal
 (its source supports no further edges) the composites are genuine boundary
 paths and different degrees already separate them.
+
+Residual pairs: the pairs checked at v are the comparable pairs, distinct
+paths with source v and a common range, of different degrees and total
+degree at most the depth. Write such a pair as alpha = h tau and
+beta = h' tau' with d(h) = d(h') = meet(d(alpha), d(beta)). If h != h',
+the composites alpha x and beta x already differ at that degree, so every
+x separates the pair. If h = h', left cancellation in the unique
+factorization (h p = h q only when p = q) gives separates(alpha, beta, x)
+== separates(tau, tau', x) for every x, the degree difference being the
+same. The residual pair (tau, tau') is itself a comparable pair at v, one
+whose degrees have meet 0. So a path separates all comparable pairs
+exactly when it separates those of meet 0, and only these are tested: the
+finite-path form of aperiodicity (Lewin-Sims, Math. Proc. Camb. Phil. Soc.
+149, 2010). Separator candidates are generated lazily in path_sort_key
+order, so the first one found is the one a scan of the whole sorted box
+reports; ``pairs_checked`` still counts every comparable pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .degrees import meet
+from .degrees import Degree, meet
 from .kgraph import KGraph, Path, path_sort_key
 from .paths import _degrees_with_total
 
@@ -77,10 +93,9 @@ def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
     return ax.degree != bx.degree and _is_maximal(g, x)
 
 
-def _pairs_at(g: KGraph, v: str, depth: int) -> List[Tuple[Path, Path]]:
-    # pairs of distinct paths with source v and a common range; pairs of
-    # equal degree are skipped since unique factorization separates them
-    # under any extension
+def _paths_by_range(g: KGraph, v: str, depth: int) -> List[List[Path]]:
+    # paths with source v and total degree <= depth, grouped by range (in
+    # vertex order) and sorted by path_sort_key within a group
     by_range: Dict[str, List[Path]] = {}
     for u in g.vertices:
         for t in range(0, depth + 1):
@@ -88,14 +103,59 @@ def _pairs_at(g: KGraph, v: str, depth: int) -> List[Tuple[Path, Path]]:
                 for p in g.paths(u, n):
                     if p.source == v:
                         by_range.setdefault(u, []).append(p)
-    pairs: List[Tuple[Path, Path]] = []
-    for u in sorted(by_range):
-        ps = sorted(by_range[u], key=path_sort_key)
+    return [sorted(by_range[u], key=path_sort_key) for u in sorted(by_range)]
+
+
+def _pairs_at(groups: List[List[Path]]) -> Iterator[Tuple[Path, Path]]:
+    # pairs of distinct paths with source v and a common range; pairs of
+    # equal degree are skipped since unique factorization separates them
+    # under any extension
+    for ps in groups:
         for i, a in enumerate(ps):
             for b in ps[i + 1 :]:
                 if a.degree != b.degree:
-                    pairs.append((a, b))
-    return pairs
+                    yield a, b
+
+
+def _choose2(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def _count_and_residual_pairs(
+    groups: List[List[Path]],
+) -> Tuple[int, List[Tuple[Path, Path]]]:
+    """The number of pairs ``_pairs_at`` yields, and those of its pairs
+    whose degrees have meet 0 (the residual pairs), oriented as there."""
+    count = 0
+    residual: List[Tuple[Path, Path]] = []
+    for ps in groups:
+        by_degree: Dict[Degree, List[Path]] = {}
+        for p in ps:
+            by_degree.setdefault(p.degree, []).append(p)
+        same_degree = sum(_choose2(len(q)) for q in by_degree.values())
+        count += _choose2(len(ps)) - same_degree
+        degrees = list(by_degree)
+        for i, m in enumerate(degrees):
+            for n in degrees[i + 1 :]:
+                if not any(meet(m, n)):
+                    residual += [(a, b) for a in by_degree[m] for b in by_degree[n]]
+    return count, residual
+
+
+def _first_separator(
+    g: KGraph, pairs: List[Tuple[Path, Path]], candidates: Iterable[Path]
+) -> Optional[Path]:
+    # the first candidate separating every pair; the pair that defeats one
+    # candidate is tried first on the next, so losing candidates fail fast
+    pairs = list(pairs)
+    for x in candidates:
+        for i, (a, b) in enumerate(pairs):
+            if not separates(g, a, b, x):
+                pairs[0], pairs[i] = pairs[i], pairs[0]
+                break
+        else:
+            return x
+    return None
 
 
 def _strip(g: KGraph, p: Path, q: Path) -> Optional[Tuple[Path, Path]]:
@@ -152,35 +212,55 @@ def certify_never_separated(
     return len(seen)
 
 
+def _periodic_certificate(
+    g: KGraph,
+    v: str,
+    groups: List[List[Path]],
+    residual: List[Tuple[Path, Path]],
+    candidates: List[Path],
+) -> Optional[PeriodicCertificate]:
+    """The first pair in ``_pairs_at`` order whose residual pair no
+    candidate separates and the machine certifies, or None. The machine's
+    answer depends on the residual pair only, in either order, so it runs
+    once per residual pair."""
+    stubborn = set()
+    for a, b in residual:
+        if not any(separates(g, a, b, x) for x in candidates):
+            stubborn.update(((a, b), (b, a)))
+    if not stubborn:
+        return None
+    states: Dict[FrozenSet[Path], Optional[int]] = {}
+    for a, b in _pairs_at(groups):
+        res = _strip(g, a, b)
+        if res not in stubborn:
+            continue
+        key = frozenset(res)
+        if key not in states:
+            states[key] = certify_never_separated(g, a, b)
+        if states[key] is not None:
+            return PeriodicCertificate(a, b, v, len(candidates), states[key])
+    return None
+
+
 def aperiodicity_check(g: KGraph, depth: int = 6) -> AperiodicityVerdict:
     """Three-valued aperiodicity check with explicit certificates."""
     evidence: List[SeparationEvidence] = []
     for v in g.vertices:
         cap = (depth + 1,) * g.k
-        candidates = sorted(g.boundary_paths(v, cap), key=path_sort_key)
-        pairs = _pairs_at(g, v, depth)
-        if not pairs:
-            x = candidates[0] if candidates else g.trivial_path(v)
+        groups = _paths_by_range(g, v, depth)
+        pairs_checked, residual = _count_and_residual_pairs(groups)
+        if not residual:
+            x = next(g.iter_boundary_paths(v, cap), None) or g.trivial_path(v)
             evidence.append(SeparationEvidence(v, x, 0))
             continue
-        winner = None
-        for x in candidates:
-            if all(separates(g, a, b, x) for a, b in pairs):
-                winner = x
-                break
+        winner = _first_separator(g, residual, g.iter_boundary_paths(v, cap))
         if winner is not None:
-            evidence.append(SeparationEvidence(v, winner, len(pairs)))
+            evidence.append(SeparationEvidence(v, winner, pairs_checked))
             continue
-        stubborn = [
-            (a, b)
-            for a, b in pairs
-            if not any(separates(g, a, b, x) for x in candidates)
-        ]
-        for a, b in stubborn:
-            states = certify_never_separated(g, a, b)
-            if states is not None:
-                cert = PeriodicCertificate(a, b, v, len(candidates), states)
-                return AperiodicityVerdict("periodic", depth, (), cert)
+        candidates = sorted(g.boundary_paths(v, cap), key=path_sort_key)
+        cert = _periodic_certificate(g, v, groups, residual, candidates)
+        if cert is not None:
+            return AperiodicityVerdict("periodic", depth, (), cert)
         return AperiodicityVerdict(
             "unknown",
             depth,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .degrees import Degree, add, below, is_zero, join, leq, sub, total, unit, zero
 
@@ -121,6 +121,7 @@ class KGraph:
                 raise KGraphError("duplicate vertex id %r" % v)
             seen.add(v)
         self.vertices: Tuple[str, ...] = tuple(sorted(seen))
+        self._vertex_set = frozenset(seen)
 
         self.edges: Dict[str, Edge] = {}
         for e in edges:
@@ -175,7 +176,7 @@ class KGraph:
     # -- basic accessors -------------------------------------------------
 
     def has_vertex(self, v: str) -> bool:
-        return v in set(self.vertices)
+        return v in self._vertex_set
 
     def edges_by_range(self, v: str, color: Optional[int] = None) -> Tuple[Edge, ...]:
         """Edges e with r(e) = v, i.e. the set vLambda^{e_color}."""
@@ -347,6 +348,45 @@ class KGraph:
             if ok:
                 out.append(p)
         return tuple(out)
+
+    def iter_boundary_paths(self, v: str, n: Degree) -> Iterator[Path]:
+        """``boundary_paths(v, n)`` lazily, in ``path_sort_key`` order.
+
+        Degrees are visited by (total, degree); a degree is skipped when
+        some slack color is received by every vertex, since no path of it
+        can be a boundary path. Within a degree, canonical words are walked
+        depth first in sorted edge-id order, the order ``_paths`` lists
+        them, so the paths come out sorted without building or caching the
+        whole box.
+        """
+        if not self.has_vertex(v):
+            raise KGraphError("unknown vertex %r" % v)
+        n = tuple(n)
+        if len(n) != self.k:
+            raise KGraphError("degree %r has wrong rank" % (n,))
+        immortal = [
+            all(self._by_range.get((w, c)) for w in self.vertices)
+            for c in range(1, self.k + 1)
+        ]
+        for m in sorted(below(n), key=lambda m: (total(m), m)):
+            slack = [c for c in range(1, self.k + 1) if m[c - 1] < n[c - 1]]
+            if any(immortal[c - 1] for c in slack):
+                continue
+            colors = [c for c in range(1, self.k + 1) for _ in range(m[c - 1])]
+            for word in self._iter_words(v, colors):
+                src = self.edges[word[-1]].source if word else v
+                if not any(self._by_range.get((src, c)) for c in slack):
+                    yield Path(self, v, word)
+
+    def _iter_words(self, v: str, colors: List[int]) -> Iterator[Tuple[str, ...]]:
+        # canonical words with range v and the given color sequence, depth
+        # first with edges in sorted-id order
+        if not colors:
+            yield ()
+            return
+        for eid in self._by_range.get((v, colors[0]), ()):
+            for tail in self._iter_words(self.edges[eid].source, colors[1:]):
+                yield (eid,) + tail
 
     # -- common extensions -------------------------------------------------
 

@@ -7,8 +7,18 @@ meant for the small corpus graphs.
 
 from itertools import combinations
 
-from kpalg import CylinderBisection, KGraph, Path
-from kpalg.degrees import join, leq, zero
+from kpalg import (
+    AperiodicityVerdict,
+    CylinderBisection,
+    KGraph,
+    Path,
+    PeriodicCertificate,
+    SeparationEvidence,
+    certify_never_separated,
+    path_sort_key,
+    separates,
+)
+from kpalg.degrees import below, join, leq, total, zero
 
 
 def brute_path_words(g, v, n):
@@ -125,3 +135,58 @@ def boundary_test_points(g, b, extra):
     the action on them is exact.
     """
     return [g.compose(b.mu, tau) for tau in g.boundary_paths(b.mu.source, extra)]
+
+
+def aperiodicity_exhaustive(g, depth):
+    """Aperiodicity by exhaustive search, the verdict aperiodicity_check
+    must reproduce exactly.
+
+    Builds every boundary path of degree <= (depth+1, ..., depth+1),
+    sorts them, and tries each against every comparable pair: distinct
+    paths with source v, a common range and different degrees, of total
+    degree <= depth. With no separator, the pairs no candidate separates
+    are offered to certify_never_separated in pair order.
+    """
+    cap = (depth + 1,) * g.k
+    evidence = []
+    for v in g.vertices:
+        candidates = sorted(g.boundary_paths(v, cap), key=path_sort_key)
+        pairs = []
+        for u in g.vertices:
+            ps = sorted(
+                (
+                    p
+                    for n in below((depth,) * g.k)
+                    if total(n) <= depth
+                    for p in g.paths(u, n)
+                    if p.source == v
+                ),
+                key=path_sort_key,
+            )
+            pairs += [
+                (a, b) for a, b in combinations(ps, 2) if a.degree != b.degree
+            ]
+        if not pairs:
+            evidence.append(SeparationEvidence(v, candidates[0], 0))
+            continue
+        winner = next(
+            (x for x in candidates if all(separates(g, a, b, x) for a, b in pairs)),
+            None,
+        )
+        if winner is not None:
+            evidence.append(SeparationEvidence(v, winner, len(pairs)))
+            continue
+        for a, b in pairs:
+            if any(separates(g, a, b, x) for x in candidates):
+                continue
+            states = certify_never_separated(g, a, b)
+            if states is not None:
+                cert = PeriodicCertificate(a, b, v, len(candidates), states)
+                return AperiodicityVerdict("periodic", depth, (), cert)
+        return AperiodicityVerdict(
+            "unknown",
+            depth,
+            note="vertex %s: no single separating boundary path within depth %d"
+            % (v, depth),
+        )
+    return AperiodicityVerdict("aperiodic", depth, tuple(evidence))

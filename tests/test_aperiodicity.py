@@ -1,17 +1,28 @@
 """Aperiodicity verdicts on known graphs, plus certificate re-verification."""
 
-from corpus import build, entered_loop
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import CORPUS, build, entered_loop
+from oracles import aperiodicity_exhaustive, brute_path_words, word_to_path
 from kpalg import (
     aperiodicity_check,
     bouquet,
     certify_never_separated,
     chain,
+    cycle_graph,
     flip_loop_pair,
     grid,
+    product,
+    random_square_graph,
     separates,
     torus,
     two_loops_plus_exit,
 )
+from kpalg.classify import aperiodicity_json
+from kpalg.degrees import below, total
 
 # depth 2 keeps the separator search cheap on the product graphs while
 # still exercising nontrivial pair sets
@@ -117,3 +128,73 @@ def test_certify_refuses_mortal_colors():
 def test_depth_is_recorded():
     verdict = aperiodicity_check(chain(3), depth=5)
     assert verdict.depth == 5
+
+
+# -- agreement with the exhaustive search ---------------------------------------
+
+
+def test_matches_exhaustive_oracle_on_corpus():
+    for name, mk in CORPUS:
+        for depth in (1, 2, 3):
+            g = mk()
+            fast = aperiodicity_json(aperiodicity_check(g, depth))
+            slow = aperiodicity_json(aperiodicity_exhaustive(g, depth))
+            assert fast == slow, (name, depth)
+
+
+def test_matches_exhaustive_oracle_without_verdict():
+    # one color-1 loop against two color-2 loops: no separator within
+    # depth 1 and no certified pair, so the check answers unknown
+    g = random_square_graph(1, 1, 2)
+    verdict = aperiodicity_check(g, 1)
+    assert verdict.status == "unknown"
+    assert aperiodicity_json(verdict) == aperiodicity_json(
+        aperiodicity_exhaustive(g, 1)
+    )
+
+
+def _small_graph(kind, a, b, seed):
+    if kind == "square":
+        return random_square_graph(seed, a, b)
+    if kind == "bouquets":
+        return product(bouquet(a), bouquet(b, "u"))
+    if kind == "bouquet_cycle":
+        return product(bouquet(a), cycle_graph(b))
+    return product(cycle_graph(a), bouquet(b, "u"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["square", "bouquets", "bouquet_cycle", "cycle_bouquet"]),
+    a=st.integers(1, 3),
+    b=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+    depth=st.integers(1, 2),
+)
+def test_matches_exhaustive_oracle_on_random_graphs(kind, a, b, seed, depth):
+    g = _small_graph(kind, a, b, seed)
+    fast = aperiodicity_json(aperiodicity_check(g, depth))
+    assert fast == aperiodicity_json(aperiodicity_exhaustive(g, depth))
+
+
+def test_pairs_checked_counts_every_comparable_pair():
+    # brute force over canonical words: distinct paths with source v and a
+    # common range, of different degrees and total degree <= depth
+    for name, mk in CORPUS:
+        for depth in (1, 2, 3):
+            g = mk()
+            verdict = aperiodicity_check(g, depth)
+            for ev in verdict.evidence:
+                count = 0
+                for u in g.vertices:
+                    ps = [
+                        word_to_path(g, u, w)
+                        for n in below((depth,) * g.k)
+                        if total(n) <= depth
+                        for w in brute_path_words(g, u, n)
+                    ]
+                    ps = [p for p in ps if p.source == ev.vertex]
+                    count += sum(
+                        1 for p, q in combinations(ps, 2) if p.degree != q.degree
+                    )
+                assert ev.pairs_checked == count, (name, depth, ev.vertex)

@@ -13,9 +13,11 @@ from kpalg import (
     grid,
     parse_kgraph,
     path_sort_key,
+    product,
     torus,
     validate,
 )
+from kpalg.degrees import below
 
 
 # -- construction guards -----------------------------------------------------
@@ -151,6 +153,55 @@ def test_boundary_paths_stop_at_dead_sources():
     # the far corner has no extensions at all
     bps = g.boundary_paths("p11", (1, 1))
     assert len(bps) == 1 and bps[0].is_trivial
+
+
+def _branches(lengths, root):
+    # a 1-graph in which root receives one chain of each given length, so
+    # its boundary paths have exactly those lengths
+    vs, edges = [root], []
+    for i, n in enumerate(lengths):
+        at = root
+        for j in range(n):
+            src = "%s%d_%d" % (root, i, j)
+            vs.append(src)
+            edges.append(Edge("e%s%d_%d" % (root, i, j), 1, src, at))
+            at = src
+    return KGraph(1, vs, edges)
+
+
+def test_iter_boundary_paths_matches_sorted_boundary_paths():
+    # in the product, (1, 3) precedes (2, 1) as a tuple but not by total
+    # degree, so the degrees must be visited by total first
+    branches = product(_branches((1, 2), "x"), _branches((1, 3), "y"))
+    graphs = [(name, mk()) for name, mk in CORPUS] + [("branches", branches)]
+    for name, g in graphs:
+        for n in below((3,) * g.k):
+            for v in g.vertices:
+                lazy = list(g.iter_boundary_paths(v, n))
+                assert lazy == sorted(g.boundary_paths(v, n), key=path_sort_key), (
+                    name,
+                    v,
+                    n,
+                )
+
+
+def test_iter_boundary_paths_rejects_bad_arguments():
+    g = grid((1, 1))
+    with pytest.raises(KGraphError):
+        next(g.iter_boundary_paths("nowhere", (1, 1)))
+    with pytest.raises(KGraphError):
+        next(g.iter_boundary_paths("p00", (1,)))
+
+
+def test_iter_boundary_paths_builds_no_box():
+    g = product(bouquet(3), bouquet(3, "u"))
+    (v,) = g.vertices
+    # every vertex receives both colors, so only the cap degree has
+    # boundary paths; the first comes from a depth-first walk
+    first = next(g.iter_boundary_paths(v, (6, 6)))
+    assert first.degree == (6, 6)
+    assert first.edges == ("a_u",) * 6 + ("v_a",) * 6
+    assert not [n for _, n in g._paths_cache if n == (6, 6)]
 
 
 def test_mce_fast_path_comparable_degrees():
