@@ -19,7 +19,7 @@ from .classify import (
     strong_aperiodicity_sweep,
     vertex_conditions,
 )
-from .degrees import Degree, format_degree, parse_degree
+from .degrees import Degree, parse_degree
 from .expr import ExprError, format_element, parse_expression
 from .field import Field, FieldError, PrimeField, QQ, RationalField, parse_field
 from .ideals import (
@@ -52,15 +52,12 @@ from .kpelement import (
     as_matrix,
     column,
     equals,
-    equivalent_verify,
     generator,
     is_idempotent,
     kp_mul,
-    local_unit,
     matrix_equals,
     normal_form,
     oplus,
-    precsim_verify,
     row,
     spanning_term,
     star_generator,
@@ -87,7 +84,6 @@ from .paths import (
     NotFoundUpTo,
     ReachingCycle,
     cylinder_contains,
-    enumerate_paths,
     find_cycle_reaching,
     find_entrance,
     find_reaching_gen_cycle,
@@ -100,10 +96,8 @@ from .steinberg import (
     SteinbergElement,
     compose_bisections,
     convolve,
-    equals_with_trust,
     from_steinberg,
     locally_contracting_on,
-    steinberg_equals,
     steinberg_from_terms,
     to_steinberg,
 )

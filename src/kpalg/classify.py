@@ -98,8 +98,7 @@ def strong_aperiodicity_sweep(
     saturated set, the empty quotient included (vacuously aperiodic)."""
     out: List[Tuple[SatHerSet, AperiodicityVerdict]] = []
     for h in enumerate_sat_her(g).sets:
-        gq = g if len(h) == 0 else quotient(g, h)
-        out.append((h, aperiodicity_check(gq, depth)))
+        out.append((h, aperiodicity_check(quotient(g, h), depth)))
     return tuple(out)
 
 

@@ -23,10 +23,6 @@ def unit(k: int, color: int) -> Degree:
     return tuple(1 if i == color - 1 else 0 for i in range(k))
 
 
-def add(m: Degree, n: Degree) -> Degree:
-    return tuple(a + b for a, b in zip(m, n))
-
-
 def sub(m: Degree, n: Degree) -> Degree:
     """Componentwise difference; raises if any component would go negative."""
     out = tuple(a - b for a, b in zip(m, n))
@@ -60,11 +56,6 @@ def below(n: Degree) -> Iterator[Degree]:
     return itertools.product(*(range(c + 1) for c in n))
 
 
-def support(m: Degree) -> Tuple[int, ...]:
-    """1-based colors with a nonzero component."""
-    return tuple(i + 1 for i, c in enumerate(m) if c)
-
-
 def parse_degree(text: str, k: int) -> Degree:
     """Parse a comma-separated degree like "2,1" and check its length."""
     parts = [p.strip() for p in text.split(",")]
@@ -77,7 +68,3 @@ def parse_degree(text: str, k: int) -> Degree:
     if any(c < 0 for c in vec):
         raise ValueError("degree %r has a negative component" % text)
     return vec
-
-
-def format_degree(m: Degree) -> str:
-    return ",".join(str(c) for c in m)

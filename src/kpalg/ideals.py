@@ -7,7 +7,7 @@ graph realizes the quotient algebra on the k-graph side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from .kgraph import KGraph, KGraphError
 
@@ -57,18 +57,7 @@ def _close(g: KGraph, start: Set[str]) -> Set[str]:
 
 def is_sat_her(g: KGraph, vertices: Iterable[str]) -> bool:
     h = set(vertices)
-    for eid in g.edges:
-        e = g.edges[eid]
-        if e.range in h and e.source not in h:
-            return False
-    for v in g.vertices:
-        if v in h:
-            continue
-        for c in range(1, g.k + 1):
-            ins = g.edges_by_range(v, c)
-            if ins and all(e.source in h for e in ins):
-                return False
-    return True
+    return _close(g, h) == h
 
 
 def sat_her_closure(g: KGraph, vertices: Iterable[str]) -> SatHerSet:
@@ -98,31 +87,31 @@ class IdealLattice:
 
 
 def enumerate_sat_her(g: KGraph) -> IdealLattice:
-    """Materialize the lattice by closing single-vertex augmentations."""
-    found = {frozenset()}
+    """Materialize the lattice by closing single-vertex augmentations.
+
+    Every saturated hereditary set above h contains close(h + v) for each
+    of its vertices v outside h, so the sets covering h are the minimal
+    ones among those closures.
+    """
+    above: Dict[FrozenSet[str], Set[FrozenSet[str]]] = {}
     work = [frozenset()]
     while work:
         h = work.pop()
-        for v in g.vertices:
-            if v in h:
-                continue
-            bigger = frozenset(_close(g, set(h) | {v}))
-            if bigger not in found:
-                found.add(bigger)
-                work.append(bigger)
-    sets = tuple(
-        SatHerSet(tuple(sorted(h)))
-        for h in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+        if h in above:
+            continue
+        above[h] = {
+            frozenset(_close(g, set(h) | {v})) for v in g.vertices if v not in h
+        }
+        work.extend(above[h])
+    order = sorted(above, key=lambda s: (len(s), tuple(sorted(s))))
+    index = {h: i for i, h in enumerate(order)}
+    covers = sorted(
+        (index[h], index[c])
+        for h, bigger in above.items()
+        for c in bigger
+        if not any(b < c for b in bigger)
     )
-    covers: List[Tuple[int, int]] = []
-    for i, a in enumerate(sets):
-        sa = a.as_set()
-        for j, b in enumerate(sets):
-            sb = b.as_set()
-            if sa < sb and not any(
-                sa < c.as_set() < sb for c in sets
-            ):
-                covers.append((i, j))
+    sets = tuple(SatHerSet(tuple(sorted(h))) for h in order)
     return IdealLattice(sets, tuple(covers))
 
 
@@ -131,8 +120,10 @@ def quotient(g: KGraph, h: SatHerSet) -> KGraph:
 
     Only edges whose source survives are kept; heredity guarantees their
     ranges survive too, and every square either survives whole or loses its
-    shared source.
+    shared source. The quotient by the empty set is g itself.
     """
+    if len(h) == 0:
+        return g
     hs = set(h)
     for v in hs:
         if not g.has_vertex(v):

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .degrees import Degree, add, below, is_zero, join, leq, sub, total, unit, zero
+from .degrees import Degree, below, is_zero, join, leq, sub, total, unit, zero
 
 
 class KGraphError(Exception):
@@ -154,16 +154,13 @@ class KGraph:
             self.square_fwd[(e, f)] = (fp, ep)
             self.square_rev[(fp, ep)] = (e, f)
 
-        self._by_range: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-        self._by_source: Dict[Tuple[str, int], Tuple[str, ...]] = {}
         by_r: Dict[Tuple[str, int], List[str]] = {}
-        by_s: Dict[Tuple[str, int], List[str]] = {}
         for eid in sorted(self.edges):
             e = self.edges[eid]
             by_r.setdefault((e.range, e.color), []).append(eid)
-            by_s.setdefault((e.source, e.color), []).append(eid)
-        self._by_range = {key: tuple(ids) for key, ids in by_r.items()}
-        self._by_source = {key: tuple(ids) for key, ids in by_s.items()}
+        self._by_range: Dict[Tuple[str, int], Tuple[str, ...]] = {
+            key: tuple(ids) for key, ids in by_r.items()
+        }
         self._paths_cache: Dict[Tuple[str, Degree], Tuple[Path, ...]] = {}
 
     def __repr__(self) -> str:
@@ -186,16 +183,6 @@ class KGraph:
         out: List[Edge] = []
         for c in range(1, self.k + 1):
             out.extend(self.edges[i] for i in self._by_range.get((v, c), ()))
-        return tuple(out)
-
-    def edges_by_source(self, v: str, color: Optional[int] = None) -> Tuple[Edge, ...]:
-        """Edges e with s(e) = v."""
-        if color is not None:
-            ids = self._by_source.get((v, color), ())
-            return tuple(self.edges[i] for i in ids)
-        out: List[Edge] = []
-        for c in range(1, self.k + 1):
-            out.extend(self.edges[i] for i in self._by_source.get((v, c), ()))
         return tuple(out)
 
     def color_of(self, eid: str) -> int:
@@ -408,24 +395,6 @@ class KGraph:
             if head == nu:
                 out.append(lam)
         return tuple(out)
-
-    def mce_disjoint(self, mu: Path, nu: Path) -> bool:
-        return not self.mce(mu, nu)
-
-
-# module-level conveniences delegating to the path's graph
-
-
-def compose(p: Path, q: Path) -> Path:
-    return p.graph.compose(p, q)
-
-
-def factorize(p: Path, m: Degree) -> Tuple[Path, Path]:
-    return p.graph.factorize(p, m)
-
-
-def mce(mu: Path, nu: Path) -> Tuple[Path, ...]:
-    return mu.graph.mce(mu, nu)
 
 
 # -- validation -----------------------------------------------------------

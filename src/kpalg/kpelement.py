@@ -14,7 +14,7 @@ Structural equality (==) compares term maps; algebraic equality is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .degrees import Degree, join, sub
 from .field import Field, Scalar
@@ -147,23 +147,6 @@ def star_generator(g: KGraph, field: Field, p: Path) -> KPElement:
 def vertex_unit(g: KGraph, field: Field, v: str) -> KPElement:
     t = g.trivial_path(v)
     return spanning_term(g, field, t, t)
-
-
-def local_unit(*elements: KPElement) -> KPElement:
-    """Sum of vertex idempotents covering every term of the inputs."""
-    if not elements:
-        raise AlgebraError("local_unit needs at least one element")
-    g, field = elements[0].graph, elements[0].field
-    vs = set()
-    for a in elements:
-        _check_compatible(elements[0], a)
-        for (lam, mu), _ in a.terms:
-            vs.add(lam.range)
-            vs.add(mu.range)
-    out = zero(g, field)
-    for v in sorted(vs):
-        out = out + vertex_unit(g, field, v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -347,36 +330,6 @@ def matrix_equals(a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]) 
 
 
 # -- relation verifiers ----------------------------------------------------------
-
-
-def precsim_verify(
-    a: Union[KPElement, KPMatrix],
-    b: Union[KPElement, KPMatrix],
-    x: Union[KPElement, KPMatrix],
-    y: Union[KPElement, KPMatrix],
-) -> bool:
-    """Check a = x b y, the explicit subequivalence witness equation."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    mx, my = as_matrix(x), as_matrix(y)
-    try:
-        prod = mx @ mb @ my
-    except AlgebraError:
-        return False
-    return matrix_equals(ma, prod)
-
-
-def equivalent_verify(
-    p: Union[KPElement, KPMatrix],
-    q: Union[KPElement, KPMatrix],
-    r: Union[KPElement, KPMatrix],
-    s: Union[KPElement, KPMatrix],
-) -> bool:
-    """Check rs = p and sr = q."""
-    mr, ms = as_matrix(r), as_matrix(s)
-    try:
-        return matrix_equals(mr @ ms, p) and matrix_equals(ms @ mr, q)
-    except AlgebraError:
-        return False
 
 
 def subidempotent_verify(

@@ -1,4 +1,4 @@
-"""Path-set enumeration, cylinder containment, generalized cycles, entrances.
+"""Cylinder containment, generalized cycles, entrances.
 
 A generalized cycle is a pair (mu, nu) of distinct paths with common source
 and range such that every extension of mu stays compatible with nu; an
@@ -15,36 +15,6 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .degrees import Degree, join, sub
 from .kgraph import KGraph, KGraphError, Path, path_sort_key
-
-
-@dataclass(frozen=True)
-class PathSet:
-    """Deterministically ordered, duplicate-free result of a path query."""
-
-    paths: Tuple[Path, ...]
-    vertex: str
-    bound: Degree
-    mode: str
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __contains__(self, p: Path) -> bool:
-        return p in self.paths
-
-
-def enumerate_paths(g: KGraph, v: str, n: Degree, mode: str = "exact") -> PathSet:
-    """vLambda^n (mode=exact) or the boundary set vLambda^{<=n} (mode=boundary)."""
-    if mode == "exact":
-        found = g.paths(v, n)
-    elif mode == "boundary":
-        found = g.boundary_paths(v, n)
-    else:
-        raise KGraphError("mode must be 'exact' or 'boundary', got %r" % mode)
-    return PathSet(tuple(sorted(found, key=path_sort_key)), v, tuple(n), mode)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,7 @@ tests. Elements here are kept over a mutually disjoint refinement of
 their support: within a fixed shift class, expanding every pair to a
 common degree cap along boundary extensions makes distinct pairs label
 disjoint bisections, so a function is zero exactly when all coefficients
-vanish. That exactness argument needs aperiodicity to identify functions
-with algebra elements, hence the trust flag on equality for graphs that
-fail the aperiodicity check.
+vanish.
 """
 
 from __future__ import annotations
@@ -211,26 +209,6 @@ def from_steinberg(f: SteinbergElement) -> KPElement:
     from .kpelement import _make
 
     return _make(f.graph, f.fld, dict(f.terms))
-
-
-def steinberg_equals(f: SteinbergElement, h: SteinbergElement) -> bool:
-    return (f - h).is_zero()
-
-
-def equals_with_trust(
-    f: SteinbergElement, h: SteinbergElement, depth: int = 6
-) -> Tuple[bool, bool]:
-    """Equality in the function model plus a trust flag.
-
-    The flag is False when the aperiodicity check certifies the graph
-    periodic: there the function model can identify elements that the
-    algebra distinguishes, so only the kp-algebra route is authoritative.
-    """
-    from .aperiodicity import aperiodicity_check
-
-    equal = steinberg_equals(f, h)
-    verdict = aperiodicity_check(f.graph, depth)
-    return equal, verdict.status != "periodic"
 
 
 @dataclass(frozen=True)

@@ -434,7 +434,6 @@ class IdealCase:
     ideal: SatHerSet
     route: str  # "orthogonal-pair" or "generalized-cycle"
     certificate: WitnessCertificate
-    quotient_graph: KGraph
 
 
 @dataclass(frozen=True)
@@ -553,21 +552,21 @@ def prove_vertex_properly_infinite(
     for h in enumerate_sat_her(g).sets:
         if v in h:
             continue
-        gq = g if len(h) == 0 else quotient(g, h)
+        gq = quotient(g, h)
         pair = _disjoint_cycle_pair(gq, v, depth)
         if pair is not None:
             w, mu1, mu2, gamma = pair
             cert_v, proper_w = _vertex_cert_via_orthogonal(
                 gq, v, w, mu1, mu2, gamma, fld
             )
-            cases.append(IdealCase(h, "orthogonal-pair", cert_v, gq))
+            cases.append(IdealCase(h, "orthogonal-pair", cert_v))
             if len(h) == 0 and w == v and proper is None:
                 proper = proper_w
             continue
         rc = find_reaching_gen_cycle(gq, v, depth)
         if isinstance(rc, ReachingCycle):
             cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
-            cases.append(IdealCase(h, "generalized-cycle", cert_v, gq))
+            cases.append(IdealCase(h, "generalized-cycle", cert_v))
             continue
         if find_cycle_reaching(gq, v) is None:
             return VertexInfinitenessReport(

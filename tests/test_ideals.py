@@ -4,6 +4,8 @@ import pytest
 
 from corpus import CORPUS, entered_loop
 from kpalg import (
+    Edge,
+    KGraph,
     KGraphError,
     SatHerSet,
     chain,
@@ -78,15 +80,37 @@ def test_lattice_matches_brute_force_on_corpus():
         assert got == expected, name
 
 
+def three_components() -> KGraph:
+    """An edge, an entered loop and an edge side by side: the lattice is
+    the product of chains of lengths 2, 3 and 2, so not itself a chain."""
+    return KGraph(
+        1,
+        ["p", "q", "v", "w", "x", "y"],
+        [
+            Edge("e", 1, "p", "q"),
+            Edge("a", 1, "v", "v"),
+            Edge("c", 1, "w", "v"),
+            Edge("d", 1, "w", "w"),
+            Edge("f", 1, "x", "y"),
+        ],
+    )
+
+
 def test_lattice_covers_are_inclusions_without_middle():
-    g = grid((2, 1))
-    lat = enumerate_sat_her(g)
-    sets = [h.as_set() for h in lat.sets]
-    for i, j in lat.covers:
-        assert sets[i] < sets[j]
-        assert not any(
-            sets[i] < sets[m] < sets[j] for m in range(len(sets))
-        )
+    # covers by definition: every i < j with nothing in between, in (i, j)
+    # order
+    assert len(enumerate_sat_her(three_components())) == 12
+    for name, mk in CORPUS + [("three_components", three_components)]:
+        lat = enumerate_sat_her(mk())
+        sets = [h.as_set() for h in lat.sets]
+        expected = [
+            (i, j)
+            for i in range(len(sets))
+            for j in range(len(sets))
+            if sets[i] < sets[j]
+            and not any(sets[i] < m < sets[j] for m in sets)
+        ]
+        assert list(lat.covers) == expected, name
 
 
 def test_quotient_removes_ideal_and_validates():

@@ -212,7 +212,6 @@ def test_mce_fast_path_comparable_degrees():
     assert g.mce(a, aa) == (aa,)
     assert g.mce(aa, a) == (aa,)
     assert g.mce(a, b) == ()
-    assert g.mce_disjoint(a, b)
 
 
 def test_mce_on_grid_square():

@@ -1,4 +1,4 @@
-"""Path queries: enumeration sets, containment, generalized cycles, reach."""
+"""Path queries: enumeration, containment, generalized cycles, reach."""
 
 import pytest
 
@@ -11,13 +11,13 @@ from kpalg import (
     bouquet,
     chain,
     cylinder_contains,
-    enumerate_paths,
     find_cycle_reaching,
     find_entrance,
     find_reaching_gen_cycle,
     grid,
     is_generalized_cycle,
     loop_with_exit,
+    path_sort_key,
     reachable_to,
     torus,
 )
@@ -25,18 +25,18 @@ from kpalg import (
 
 def test_enumerate_paths_exact_is_sorted_and_complete():
     g = bouquet(2)
-    ps = enumerate_paths(g, "v", (2,))
+    ps = g.paths("v", (2,))
     assert [str(p) for p in ps] == ["a.a", "a.b", "b.a", "b.b"]
-    assert len(ps) == 4
+    assert list(ps) == sorted(ps, key=path_sort_key)
     assert g.path_from_edges(["a", "b"]) in ps
 
 
 def test_enumerate_paths_boundary_mode():
     g = grid((1, 1))
-    ps = enumerate_paths(g, "p00", (1, 1), mode="boundary")
-    assert len(ps) == 1 and ps.mode == "boundary"
+    ps = g.boundary_paths("p00", (1, 1))
+    assert len(ps) == 1 and ps[0].degree == (1, 1)
     with pytest.raises(KGraphError):
-        enumerate_paths(g, "p00", (1, 1), mode="all")
+        g.boundary_paths("p00", (1,))
 
 
 def test_not_found_is_falsy():

@@ -309,6 +309,50 @@ def test_transport_witness_guards(e2):
         transport_witness(q, q, q, q, proper)
 
 
+@pytest.mark.parametrize(
+    "build_input, construct",
+    [
+        (
+            lambda g, kp: witness_from_gen_cycle(g, strict_cycle(kp)),
+            lambda kp, c: transport_infinite(c, kp.s(kp.path("a")), kp.star(kp.path("a"))),
+        ),
+        (
+            lambda g, kp: witness_from_gen_cycle(g, strict_cycle(kp)),
+            lambda kp, c: lift_infinite(c, kp.s("v")),
+        ),
+        (
+            lambda g, kp: canonical_splitting(kp),
+            lambda kp, c: properly_infinite_to_infinite(c),
+        ),
+        (
+            lambda g, kp: canonical_splitting(kp),
+            lambda kp, c: transport_witness(
+                kp.s("v"),
+                kp.term(kp.path("a"), kp.path("a")),
+                kp.star(kp.path("a")),
+                kp.s(kp.path("a")),
+                c,
+            ),
+        ),
+    ],
+    ids=[
+        "transport_infinite",
+        "lift_infinite",
+        "properly_infinite_to_infinite",
+        "transport_witness",
+    ],
+)
+def test_constructors_refuse_unverified_input(e2, build_input, construct):
+    g, kp = e2
+    cert = build_input(g, kp)
+    (name, val), rest = cert.parts[0], cert.parts[1:]
+    doubled = WitnessCertificate(
+        cert.kind, cert.target, ((name, val + val),) + rest, cert.derivation
+    )
+    with pytest.raises(WitnessError, match="input certificate does not verify"):
+        construct(kp, doubled)
+
+
 def test_cylinder_properly_infinite(e2):
     g, kp = e2
     proper = canonical_splitting(kp)
