@@ -27,6 +27,16 @@ finite-path form of aperiodicity (Lewin-Sims, Math. Proc. Camb. Phil. Soc.
 149, 2010). Separator candidates are generated lazily in path_sort_key
 order, so the first one found is the one a scan of the whole sorted box
 reports; ``pairs_checked`` still counts every comparable pair.
+
+Sharing within a candidate: the residual pairs at v share their paths, so
+the searches test them candidate by candidate and give ``separates`` one
+``seen`` dict per candidate x. It holds alpha x for each path alpha and
+the prefix of alpha x at each meet degree, so each path is composed with
+x, and factorized, once per candidate rather than once per pair. The dict
+is dropped with its candidate, so memory stays bounded by the paths at
+one vertex. ``separates`` is still called once for each (pair,
+candidate) tested, and the same pairs meet the same candidates as without
+sharing.
 """
 
 from __future__ import annotations
@@ -74,21 +84,40 @@ class AperiodicityVerdict:
     note: str = ""
 
 
-def _prefix(g: KGraph, p: Path, m) -> Path:
-    return g.factorize(p, m)[0]
-
-
 def _is_maximal(g: KGraph, x: Path) -> bool:
     return not g.edges_by_range(x.source)
 
 
-def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
+def separates(
+    g: KGraph,
+    alpha: Path,
+    beta: Path,
+    x: Path,
+    seen: Optional[Dict[object, Path]] = None,
+) -> bool:
     """True when composing with x tells alpha and beta apart (truncated
-    comparison as described in the module docstring)."""
-    ax = g.compose(alpha, x)
-    bx = g.compose(beta, x)
+    comparison as described in the module docstring).
+
+    ``seen`` holds composites and prefixes already built with this same x:
+    a path p maps to p x, and (p, m) to the prefix of p x at degree m.
+    Callers testing many pairs against one candidate pass one dict for
+    that candidate."""
+    if seen is None:
+        seen = {}
+    ax = seen.get(alpha)
+    if ax is None:
+        ax = seen[alpha] = g.compose(alpha, x)
+    bx = seen.get(beta)
+    if bx is None:
+        bx = seen[beta] = g.compose(beta, x)
     m = meet(ax.degree, bx.degree)
-    if _prefix(g, ax, m) != _prefix(g, bx, m):
+    ha = seen.get((alpha, m))
+    if ha is None:
+        ha = seen[(alpha, m)] = g.factorize(ax, m)[0]
+    hb = seen.get((beta, m))
+    if hb is None:
+        hb = seen[(beta, m)] = g.factorize(bx, m)[0]
+    if ha != hb:
         return True
     return ax.degree != bx.degree and _is_maximal(g, x)
 
@@ -149,8 +178,9 @@ def _first_separator(
     # candidate is tried first on the next, so losing candidates fail fast
     pairs = list(pairs)
     for x in candidates:
+        seen: Dict[object, Path] = {}
         for i, (a, b) in enumerate(pairs):
-            if not separates(g, a, b, x):
+            if not separates(g, a, b, x, seen):
                 pairs[0], pairs[i] = pairs[i], pairs[0]
                 break
         else:
@@ -223,12 +253,17 @@ def _periodic_certificate(
     candidate separates and the machine certifies, or None. The machine's
     answer depends on the residual pair only, in either order, so it runs
     once per residual pair."""
-    stubborn = set()
-    for a, b in residual:
-        if not any(separates(g, a, b, x) for x in candidates):
-            stubborn.update(((a, b), (b, a)))
-    if not stubborn:
+    # a pair meets each candidate until one separates it, as a scan per
+    # pair would, but candidate by candidate, so one dict serves a candidate
+    left = residual
+    for x in candidates:
+        if not left:
+            break
+        seen: Dict[object, Path] = {}
+        left = [(a, b) for a, b in left if not separates(g, a, b, x, seen)]
+    if not left:
         return None
+    stubborn = set(left) | {(b, a) for a, b in left}
     states: Dict[FrozenSet[Path], Optional[int]] = {}
     for a, b in _pairs_at(groups):
         res = _strip(g, a, b)
@@ -242,8 +277,16 @@ def _periodic_certificate(
     return None
 
 
+def check_depth(depth: int) -> None:
+    """Refuse a depth bound below 1: with no pairs to check, the search
+    would call every graph aperiodic."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1, got %d" % depth)
+
+
 def aperiodicity_check(g: KGraph, depth: int = 6) -> AperiodicityVerdict:
     """Three-valued aperiodicity check with explicit certificates."""
+    check_depth(depth)
     evidence: List[SeparationEvidence] = []
     for v in g.vertices:
         cap = (depth + 1,) * g.k

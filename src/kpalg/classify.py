@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .aperiodicity import AperiodicityVerdict, aperiodicity_check
+from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .field import Field, QQ
 from .ideals import SatHerSet, enumerate_sat_her, quotient
 from .kgraph import KGraph, KGraphError, Path, validate
@@ -122,8 +122,10 @@ def classify_pure_infiniteness(
     is a definitive obstruction (it generates a finite dimensional
     ideal), as is a quotient where no cycle reaches some vertex. A
     certified periodic quotient makes the result Inconclusive even under
-    assume_aperiodic: an assumption cannot override a counterexample.
+    assume_aperiodic: an assumption cannot override a counterexample. A
+    depth below 1 raises ValueError.
     """
+    check_depth(depth)
     rep = validate(g)
     if not rep.ok:
         raise KGraphError("invalid presentation:\n%s" % rep)

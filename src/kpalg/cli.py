@@ -45,6 +45,18 @@ def _vertex_list(text: str) -> List[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
 
+def _depth(text: str) -> int:
+    # argparse type for --depth: a bound below 1 would make every search
+    # vacuous; other text fails with the message type=int gives
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if depth < 1:
+        raise argparse.ArgumentTypeError("depth must be >= 1, got %d" % depth)
+    return depth
+
+
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -256,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("graph", help="presentation file in kgraph v1 format")
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument(
-        "--depth", type=int, default=6, help="search depth bound (default 6)"
+        "--depth", type=_depth, default=6, help="search depth bound, >= 1 (default 6)"
     )
     common.add_argument(
         "--field", default="Q", help="coefficient field, Q or F<prime> (default Q)"

@@ -12,6 +12,7 @@ range of the composite is r(p) and the source is s(q).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -52,8 +53,13 @@ class Path:
     graph: "KGraph"
     range: str
     edges: Tuple[str, ...]
+    # computed from the word unless the caller already knows them
+    degree: Degree = field(default=None, compare=False)
+    source: str = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.degree is not None:
+            return
         g = self.graph
         if self.edges:
             d = list(zero(g.k))
@@ -65,9 +71,6 @@ class Path:
         else:
             object.__setattr__(self, "degree", zero(g.k))
             object.__setattr__(self, "source", self.range)
-
-    degree: Degree = field(init=False, compare=False)
-    source: str = field(init=False, compare=False)
 
     @property
     def is_trivial(self) -> bool:
@@ -185,9 +188,6 @@ class KGraph:
             out.extend(self.edges[i] for i in self._by_range.get((v, c), ()))
         return tuple(out)
 
-    def color_of(self, eid: str) -> int:
-        return self.edges[eid].color
-
     # -- words and canonical form ----------------------------------------
 
     def _swap_rev(self, g: str, h: str) -> Tuple[str, str]:
@@ -210,11 +210,14 @@ class KGraph:
                 % (e, f)
             )
 
-    def _sort_word(self, word: List[str]) -> List[str]:
-        # insertion sort by color; adjacent transpositions use the squares
-        for i in range(1, len(word)):
+    def _sort_word(self, word: List[str], start: int) -> List[str]:
+        # insertion sort by color of word[start:] into word[:start], which
+        # is already canonical; adjacent transpositions use the squares
+        edges = self.edges
+        for i in range(start, len(word)):
+            c = edges[word[i]].color
             j = i
-            while j > 0 and self.color_of(word[j - 1]) > self.color_of(word[j]):
+            while j > 0 and edges[word[j - 1]].color > c:
                 word[j - 1], word[j] = self._swap_rev(word[j - 1], word[j])
                 j -= 1
         return word
@@ -238,7 +241,7 @@ class KGraph:
                     % (a, b, a, self.edges[a].source, b, self.edges[b].range)
                 )
         rng = self.edges[edge_ids[0]].range
-        word = self._sort_word(list(edge_ids))
+        word = self._sort_word(list(edge_ids), 1)
         return Path(self, rng, tuple(word))
 
     def compose(self, p: Path, q: Path) -> Path:
@@ -251,8 +254,9 @@ class KGraph:
             return q
         if not q.edges:
             return p
-        word = self._sort_word(list(p.edges + q.edges))
-        return Path(self, p.range, tuple(word))
+        word = self._sort_word(list(p.edges + q.edges), len(p.edges))
+        degree = tuple(map(operator.add, p.degree, q.degree))
+        return Path(self, p.range, tuple(word), degree, q.source)
 
     def factorize(self, p: Path, m: Degree) -> Tuple[Path, Path]:
         """Split p = head tail with d(head) = m. Unique by the square rules."""
@@ -263,25 +267,29 @@ class KGraph:
                 "cannot factorize %s at degree %r (path degree %r)"
                 % (p, m, p.degree)
             )
-        rest = list(p.edges)
-        head: List[str] = []
-        for c in range(1, self.k + 1):
-            for _ in range(m[c - 1]):
-                pos = next(
-                    i for i, eid in enumerate(rest) if self.color_of(eid) == c
-                )
-                # bubble the color-c edge to the front of the remainder;
-                # the square map returns the transposed pair directly
-                while pos > 0:
-                    rest[pos - 1], rest[pos] = self._swap_fwd(
-                        rest[pos - 1], rest[pos]
-                    )
-                    pos -= 1
-                head.append(rest.pop(0))
-        head_rng = p.range
-        head_path = Path(self, head_rng, tuple(head))
-        tail_rng = head_path.source
-        return head_path, Path(self, tail_rng, tuple(rest))
+        m = tuple(m)
+        d = p.degree
+        if m == d:
+            return p, Path(self, p.source, ())
+        # word[:h] is the head so far, word[h:] the canonical rest; before
+        # color c joins the head, the rest starts with the `skip` left-over
+        # edges of colors below c, so its next color-c edge sits after them
+        word = list(p.edges)
+        h = 0
+        skip = 0
+        for c in range(self.k):
+            for _ in range(m[c]):
+                # bubble the color-c edge down to the head boundary; the
+                # square map returns the transposed pair directly
+                for pos in range(h + skip, h, -1):
+                    word[pos - 1], word[pos] = self._swap_fwd(word[pos - 1], word[pos])
+                h += 1
+            skip += d[c] - m[c]
+        split = self.edges[word[h]].range
+        return (
+            Path(self, p.range, tuple(word[:h]), m, split),
+            Path(self, split, tuple(word[h:]), tuple(map(operator.sub, d, m)), p.source),
+        )
 
     # -- path enumeration -------------------------------------------------
 
@@ -307,7 +315,7 @@ class KGraph:
             for eid in self._by_range.get((v, c), ()):
                 e = self.edges[eid]
                 for tail in self._paths(e.source, rest_deg):
-                    acc.append(Path(self, v, (eid,) + tail.edges))
+                    acc.append(Path(self, v, (eid,) + tail.edges, n, tail.source))
             out = tuple(acc)
         self._paths_cache[key] = out
         return out
@@ -363,7 +371,7 @@ class KGraph:
             for word in self._iter_words(v, colors):
                 src = self.edges[word[-1]].source if word else v
                 if not any(self._by_range.get((src, c)) for c in slack):
-                    yield Path(self, v, word)
+                    yield Path(self, v, word, m, src)
 
     def _iter_words(self, v: str, colors: List[int]) -> Iterator[Tuple[str, ...]]:
         # canonical words with range v and the given color sequence, depth

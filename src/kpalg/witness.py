@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .aperiodicity import AperiodicityVerdict, aperiodicity_check
+from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .degrees import total
 from .field import Field, QQ
 from .ideals import SatHerSet, enumerate_sat_her, quotient
@@ -524,8 +524,10 @@ def prove_vertex_properly_infinite(
     extension; route two falls back to a generalized cycle with an
     entrance. A quotient in which no cycle reaches v at all is a
     definitive negative: the corner there is finite dimensional. A
-    depth-bounded miss is merely inconclusive.
+    depth-bounded miss is merely inconclusive. A depth below 1 raises
+    ValueError.
     """
+    check_depth(depth)
     if not g.has_vertex(v):
         raise KGraphError("unknown vertex %r" % v)
     if aperiodicity is None:

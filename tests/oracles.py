@@ -51,6 +51,43 @@ def brute_path_words(g, v, n):
     return out
 
 
+def canonical_word(g, word):
+    """The canonical form of a composable edge word, by bubble sort.
+
+    Adjacent edges of descending colors are rewritten through the square
+    relations (``g.square_rev``) until no descent is left; unique
+    factorization makes the result independent of the order of the swaps.
+    Shares no code with the library's insertion sort.
+    """
+    w = list(word)
+    done = False
+    while not done:
+        done = True
+        for i in range(len(w) - 1):
+            if g.edges[w[i]].color > g.edges[w[i + 1]].color:
+                w[i], w[i + 1] = g.square_rev[(w[i], w[i + 1])]
+                done = False
+    return tuple(w)
+
+
+def brute_factorize(g, p, m):
+    """The pair (head, tail) with d(head) = m and head tail = p.
+
+    Tries every path of degree m at r(p) against every path of degree
+    d(p) - m at its source, and keeps the pairs whose joined word has p's
+    canonical word; unique factorization says there is exactly one.
+    """
+    rest = tuple(a - b for a, b in zip(p.degree, m))
+    found = [
+        (head, tail)
+        for head in g.paths(p.range, tuple(m))
+        for tail in g.paths(head.source, rest)
+        if canonical_word(g, head.edges + tail.edges) == p.edges
+    ]
+    assert len(found) == 1, "%s has %d factorizations at %r" % (p, len(found), m)
+    return found[0]
+
+
 def word_to_path(g, v, word):
     if not word:
         return g.trivial_path(v)

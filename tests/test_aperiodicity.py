@@ -1,7 +1,9 @@
 """Aperiodicity verdicts on known graphs, plus certificate re-verification."""
 
+from collections import Counter
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +132,13 @@ def test_depth_is_recorded():
     assert verdict.depth == 5
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_depth_below_one_is_refused(depth):
+    # with no pairs to check the periodic torus would pass as aperiodic
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        aperiodicity_check(torus(2), depth)
+
+
 # -- agreement with the exhaustive search ---------------------------------------
 
 
@@ -177,24 +186,60 @@ def test_matches_exhaustive_oracle_on_random_graphs(kind, a, b, seed, depth):
     assert fast == aperiodicity_json(aperiodicity_exhaustive(g, depth))
 
 
-def test_pairs_checked_counts_every_comparable_pair():
+def _comparable_pairs(g, v, depth):
     # brute force over canonical words: distinct paths with source v and a
     # common range, of different degrees and total degree <= depth
+    pairs = []
+    for u in g.vertices:
+        ps = [
+            word_to_path(g, u, w)
+            for n in below((depth,) * g.k)
+            if total(n) <= depth
+            for w in brute_path_words(g, u, n)
+        ]
+        ps = [p for p in ps if p.source == v]
+        pairs += [(p, q) for p, q in combinations(ps, 2) if p.degree != q.degree]
+    return pairs
+
+
+def test_pairs_checked_counts_every_comparable_pair():
     for name, mk in CORPUS:
         for depth in (1, 2, 3):
             g = mk()
             verdict = aperiodicity_check(g, depth)
             for ev in verdict.evidence:
-                count = 0
-                for u in g.vertices:
-                    ps = [
-                        word_to_path(g, u, w)
-                        for n in below((depth,) * g.k)
-                        if total(n) <= depth
-                        for w in brute_path_words(g, u, n)
-                    ]
-                    ps = [p for p in ps if p.source == ev.vertex]
-                    count += sum(
-                        1 for p, q in combinations(ps, 2) if p.degree != q.degree
-                    )
+                count = len(_comparable_pairs(g, ev.vertex, depth))
                 assert ev.pairs_checked == count, (name, depth, ev.vertex)
+
+
+# -- sharing composites within a candidate --------------------------------------
+
+
+def test_shared_seen_matches_fresh_calls():
+    # every comparable pair, not only the residual ones, so prefixes at
+    # nonzero meet degrees go through the dict as well
+    for name, mk in CORPUS:
+        g = mk()
+        for v in g.vertices:
+            pairs = _comparable_pairs(g, v, 2)
+            for x in g.boundary_paths(v, (3,) * g.k):
+                seen = {}
+                shared = [separates(g, a, b, x, seen) for a, b in pairs]
+                fresh = [separates(g, a, b, x) for a, b in pairs]
+                assert shared == fresh, (name, v, x)
+
+
+def test_each_path_is_composed_once_per_candidate():
+    graphs = [build(name) for name in APERIODIC]
+    graphs.append(product(bouquet(3), bouquet(3, "u")))
+    for g in graphs:
+        calls = Counter()
+        compose = g.compose
+
+        def counting(p, q):
+            calls[(p, q)] += 1
+            return compose(p, q)
+
+        g.compose = counting
+        assert aperiodicity_check(g, 3).status == "aperiodic"
+        assert calls and max(calls.values()) == 1, (g, calls.most_common(1))

@@ -99,11 +99,10 @@ def test_disjoint_periodic_component_detected():
     assert "certified periodic" in rep.notes[0]
 
 
-def test_zero_depth_search_is_inconclusive_not_negative():
-    rep = classify_pure_infiniteness(build("two_loops_plus_exit"), depth=0)
-    assert rep.verdict == "Inconclusive"
-    assert "no witness found" in rep.notes[0]
-    assert "within depth 0" in rep.notes[0]
+@pytest.mark.parametrize("depth", [0, -3])
+def test_depth_below_one_is_refused(depth):
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        classify_pure_infiniteness(build("two_loops_plus_exit"), depth=depth)
 
 
 def test_classify_rejects_invalid_presentation():

@@ -168,6 +168,18 @@ def test_aperiodic_unknown_exits_one(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("unknown at depth 2")
 
 
+@pytest.mark.parametrize("command", ["aperiodic", "classify", "witness"])
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_depth_below_one_is_a_usage_error(tmp_path, capsys, command, depth):
+    args = [command, write_graph(tmp_path, "t2"), "--depth=" + depth]
+    if command == "witness":
+        args.insert(2, "v")
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
+
+
 def test_aperiodic_json(tmp_path, capsys):
     assert main(["aperiodic", write_graph(tmp_path, "t2"), "--depth", "3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -1,23 +1,28 @@
 """Presentation core: construction, canonical words, validation, file format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import CORPUS
+from oracles import brute_factorize, brute_path_words, canonical_word
 from kpalg import (
     Edge,
     KGraph,
     KGraphError,
     ParseError,
+    Path,
     bouquet,
     format_kgraph,
     grid,
     parse_kgraph,
     path_sort_key,
     product,
+    random_square_graph,
     torus,
     validate,
 )
-from kpalg.degrees import below
+from kpalg.degrees import below, total
 
 
 # -- construction guards -----------------------------------------------------
@@ -111,6 +116,70 @@ def test_factorize_round_trips_on_grid():
                     assert g.compose(head, tail) == p
 
 
+# -- compose and factorize against the oracles --------------------------------------
+
+
+def _paths_upto_total(g, t):
+    # every path of total degree <= t, built from the oracle's words
+    return [
+        Path(g, v, tuple(w))
+        for v in g.vertices
+        for n in below((t,) * g.k)
+        if total(n) <= t
+        for w in brute_path_words(g, v, n)
+    ]
+
+
+def _assert_fields_from_word(g, p):
+    # compose and factorize hand Path the degree and source they know;
+    # both must be what Path computes from the word
+    rebuilt = Path(g, p.range, p.edges)
+    assert (p.degree, p.source) == (rebuilt.degree, rebuilt.source), p
+
+
+def _check_compose(g, p, q):
+    pq = g.compose(p, q)
+    assert pq.range == p.range
+    assert pq.edges == canonical_word(g, p.edges + q.edges), (p, q)
+    _assert_fields_from_word(g, pq)
+
+
+def _check_factorize(g, p, m):
+    parts = g.factorize(p, m)
+    assert parts == brute_factorize(g, p, m), (p, m)
+    for part in parts:
+        _assert_fields_from_word(g, part)
+
+
+def test_compose_and_factorize_match_oracles_on_corpus():
+    for name, mk in CORPUS:
+        g = mk()
+        ps = _paths_upto_total(g, 3)
+        for p in ps:
+            for m in below(p.degree):
+                _check_factorize(g, p, m)
+            for q in ps:
+                if q.range == p.source and total(p.degree) + total(q.degree) <= 3:
+                    _check_compose(g, p, q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n1=st.integers(1, 3),
+    n2=st.integers(1, 3),
+    data=st.data(),
+)
+def test_compose_and_factorize_match_oracles_on_random_squares(seed, n1, n2, data):
+    g = random_square_graph(seed, n1, n2)
+    ps = _paths_upto_total(g, 2)
+    # one vertex, so every pair composes
+    p, q = data.draw(st.sampled_from(ps)), data.draw(st.sampled_from(ps))
+    _check_compose(g, p, q)
+    pq = g.compose(p, q)
+    _check_factorize(g, pq, data.draw(st.sampled_from(list(below(pq.degree)))))
+
+
 def test_incomplete_presentation_raises_on_sort():
     g = KGraph(
         2, ["v"], [Edge("a", 1, "v", "v"), Edge("f", 2, "v", "v")], []
@@ -183,6 +252,8 @@ def test_iter_boundary_paths_matches_sorted_boundary_paths():
                     v,
                     n,
                 )
+                for p in lazy:
+                    _assert_fields_from_word(g, p)
 
 
 def test_iter_boundary_paths_rejects_bad_arguments():

@@ -469,14 +469,13 @@ def test_prove_vertex_negative_on_acyclic_graph():
     assert "finite dimensional" in rep.failure
 
 
-def test_prove_vertex_inconclusive_at_zero_depth(e2):
+@pytest.mark.parametrize("depth", [0, -3])
+def test_prove_vertex_refuses_depth_below_one(e2, depth):
+    # also when an aperiodicity verdict is supplied, so no check runs
     g, kp = e2
     ap = aperiodicity_check(g, 2)
-    assert ap.status == "aperiodic"
-    rep = prove_vertex_properly_infinite(g, "v", depth=0, aperiodicity=ap)
-    assert rep.status == "Inconclusive"
-    assert "within depth 0" in rep.failure
-    assert rep.failed_ideal is not None and len(rep.failed_ideal) == 0
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        prove_vertex_properly_infinite(g, "v", depth=depth, aperiodicity=ap)
 
 
 def test_prove_vertex_unknown_vertex(e2):
