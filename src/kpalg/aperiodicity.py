@@ -247,7 +247,7 @@ def _periodic_certificate(
     v: str,
     groups: List[List[Path]],
     residual: List[Tuple[Path, Path]],
-    candidates: List[Path],
+    candidates: Tuple[Path, ...],
 ) -> Optional[PeriodicCertificate]:
     """The first pair in ``_pairs_at`` order whose residual pair no
     candidate separates and the machine certifies, or None. The machine's
@@ -292,15 +292,11 @@ def aperiodicity_check(g: KGraph, depth: int = 6) -> AperiodicityVerdict:
         cap = (depth + 1,) * g.k
         groups = _paths_by_range(g, v, depth)
         pairs_checked, residual = _count_and_residual_pairs(groups)
-        if not residual:
-            x = next(g.iter_boundary_paths(v, cap), None) or g.trivial_path(v)
-            evidence.append(SeparationEvidence(v, x, 0))
-            continue
         winner = _first_separator(g, residual, g.iter_boundary_paths(v, cap))
         if winner is not None:
             evidence.append(SeparationEvidence(v, winner, pairs_checked))
             continue
-        candidates = sorted(g.boundary_paths(v, cap), key=path_sort_key)
+        candidates = g.boundary_paths(v, cap)
         cert = _periodic_certificate(g, v, groups, residual, candidates)
         if cert is not None:
             return AperiodicityVerdict("periodic", depth, (), cert)

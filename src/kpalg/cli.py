@@ -82,7 +82,11 @@ def cmd_paths(g: KGraph, args) -> int:
     if not g.has_vertex(args.vertex):
         raise KGraphError("unknown vertex %r" % args.vertex)
     n = parse_degree(args.degree, g.k)
-    ps = g.boundary_paths(args.vertex, n) if args.boundary else g.paths(args.vertex, n)
+    if args.boundary:
+        # listed by degree in lexicographic order, then by word
+        ps = sorted(g.boundary_paths(args.vertex, n), key=lambda p: p.degree)
+    else:
+        ps = g.paths(args.vertex, n)
     if args.json:
         _print_json(
             {
@@ -352,16 +356,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        g = load_kgraph(args.graph)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except KGraphError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    try:
-        return args.func(g, args)
-    except (KGraphError, FieldError, ValueError) as exc:
+        return args.func(load_kgraph(args.graph), args)
+    except (OSError, KGraphError, FieldError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -16,13 +16,6 @@ def zero(k: int) -> Degree:
     return (0,) * k
 
 
-def unit(k: int, color: int) -> Degree:
-    """Standard basis vector e_color (color is 1-based)."""
-    if not 1 <= color <= k:
-        raise ValueError("color %d out of range for k=%d" % (color, k))
-    return tuple(1 if i == color - 1 else 0 for i in range(k))
-
-
 def sub(m: Degree, n: Degree) -> Degree:
     """Componentwise difference; raises if any component would go negative."""
     out = tuple(a - b for a, b in zip(m, n))
@@ -45,10 +38,6 @@ def leq(m: Degree, n: Degree) -> bool:
 
 def total(m: Degree) -> int:
     return sum(m)
-
-
-def is_zero(m: Degree) -> bool:
-    return all(c == 0 for c in m)
 
 
 def below(n: Degree) -> Iterator[Degree]:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .degrees import Degree, below, is_zero, join, leq, sub, total, unit, zero
+from .degrees import Degree, below, join, leq, sub, total, zero
 
 
 class KGraphError(Exception):
@@ -101,8 +101,8 @@ _SQUARE_RE = re.compile(
 class KGraph:
     """A finite k-graph presentation.
 
-    Treated as immutable after construction; path enumeration results are
-    cached on the instance.
+    Treated as immutable after construction; the paths of each exact degree
+    at each vertex are cached on the instance once ``paths`` has listed them.
     """
 
     def __init__(
@@ -164,6 +164,10 @@ class KGraph:
         self._by_range: Dict[Tuple[str, int], Tuple[str, ...]] = {
             key: tuple(ids) for key, ids in by_r.items()
         }
+        # colors every vertex receives: no boundary path has slack in them
+        self._immortal: Tuple[bool, ...] = tuple(
+            all((w, c) in by_r for w in self.vertices) for c in range(1, k + 1)
+        )
         self._paths_cache: Dict[Tuple[str, Degree], Tuple[Path, ...]] = {}
 
     def __repr__(self) -> str:
@@ -299,89 +303,63 @@ class KGraph:
             raise KGraphError("unknown vertex %r" % v)
         if len(n) != self.k:
             raise KGraphError("degree %r has wrong rank" % (n,))
-        return self._paths(v, tuple(n))
-
-    def _paths(self, v: str, n: Degree) -> Tuple[Path, ...]:
-        key = (v, n)
-        cached = self._paths_cache.get(key)
-        if cached is not None:
-            return cached
-        if is_zero(n):
-            out: Tuple[Path, ...] = (Path(self, v, ()),)
-        else:
-            c = next(i + 1 for i, ci in enumerate(n) if ci)
-            rest_deg = sub(n, unit(self.k, c))
-            acc: List[Path] = []
-            for eid in self._by_range.get((v, c), ()):
-                e = self.edges[eid]
-                for tail in self._paths(e.source, rest_deg):
-                    acc.append(Path(self, v, (eid,) + tail.edges, n, tail.source))
-            out = tuple(acc)
-        self._paths_cache[key] = out
-        return out
-
-    def paths_upto(self, v: str, n: Degree) -> Tuple[Path, ...]:
-        """All paths of degree <= n with range v."""
-        out: List[Path] = []
-        for m in below(tuple(n)):
-            out.extend(self.paths(v, m))
-        return tuple(out)
+        n = tuple(n)
+        cached = self._paths_cache.get((v, n))
+        if cached is None:
+            cached = self._paths_cache[(v, n)] = tuple(
+                Path(self, v, word, n, src) for word, src in self._iter_words(v, n)
+            )
+        return cached
 
     def boundary_paths(self, v: str, n: Degree) -> Tuple[Path, ...]:
         """Paths of degree <= n from v that cannot extend in any slack color.
 
         A path counts when for every color i with d(p)_i < n_i its source
-        receives no color-i edge.
+        receives no color-i edge. The tuple is in ``path_sort_key`` order,
+        as ``iter_boundary_paths`` yields it.
         """
-        out: List[Path] = []
-        for p in self.paths_upto(v, n):
-            ok = True
-            for i in range(self.k):
-                if p.degree[i] < n[i] and self._by_range.get((p.source, i + 1)):
-                    ok = False
-                    break
-            if ok:
-                out.append(p)
-        return tuple(out)
+        return tuple(self.iter_boundary_paths(v, n))
 
     def iter_boundary_paths(self, v: str, n: Degree) -> Iterator[Path]:
         """``boundary_paths(v, n)`` lazily, in ``path_sort_key`` order.
 
         Degrees are visited by (total, degree); a degree is skipped when
         some slack color is received by every vertex, since no path of it
-        can be a boundary path. Within a degree, canonical words are walked
-        depth first in sorted edge-id order, the order ``_paths`` lists
-        them, so the paths come out sorted without building or caching the
-        whole box.
+        can be a boundary path. Within a degree the words come from
+        ``_iter_words`` in sorted order, and only boundary paths are built,
+        so nothing of the box is kept or cached.
         """
         if not self.has_vertex(v):
             raise KGraphError("unknown vertex %r" % v)
         n = tuple(n)
         if len(n) != self.k:
             raise KGraphError("degree %r has wrong rank" % (n,))
-        immortal = [
-            all(self._by_range.get((w, c)) for w in self.vertices)
-            for c in range(1, self.k + 1)
-        ]
         for m in sorted(below(n), key=lambda m: (total(m), m)):
             slack = [c for c in range(1, self.k + 1) if m[c - 1] < n[c - 1]]
-            if any(immortal[c - 1] for c in slack):
+            if any(self._immortal[c - 1] for c in slack):
                 continue
-            colors = [c for c in range(1, self.k + 1) for _ in range(m[c - 1])]
-            for word in self._iter_words(v, colors):
-                src = self.edges[word[-1]].source if word else v
+            for word, src in self._iter_words(v, m):
                 if not any(self._by_range.get((src, c)) for c in slack):
                     yield Path(self, v, word, m, src)
 
-    def _iter_words(self, v: str, colors: List[int]) -> Iterator[Tuple[str, ...]]:
-        # canonical words with range v and the given color sequence, depth
-        # first with edges in sorted-id order
-        if not colors:
-            yield ()
-            return
-        for eid in self._by_range.get((v, colors[0]), ()):
-            for tail in self._iter_words(self.edges[eid].source, colors[1:]):
-                yield (eid,) + tail
+    def _iter_words(self, v: str, m: Degree) -> Iterator[Tuple[Tuple[str, ...], str]]:
+        """The canonical words of degree m with range v, each with its source.
+
+        The one walk over canonical words: colors in nondecreasing order,
+        edges depth first in sorted-id order, so the words come out sorted.
+        """
+        colors = [c for c in range(1, self.k + 1) for _ in range(m[c - 1])]
+        by_range, edges = self._by_range, self.edges
+        # a stack of (source, word) to extend; an edge list is pushed in
+        # reverse so the smallest id is popped first
+        stack = [(v, ())]
+        while stack:
+            at, word = stack.pop()
+            if len(word) == len(colors):
+                yield word, at
+                continue
+            for eid in reversed(by_range.get((at, colors[len(word)]), ())):
+                stack.append((edges[eid].source, word + (eid,)))
 
     # -- common extensions -------------------------------------------------
 

@@ -41,6 +41,20 @@ def entered_loop() -> KGraph:
     )
 
 
+def branches(lengths, root: str) -> KGraph:
+    """A 1-graph in which root receives one chain of each given length, so
+    its boundary paths have exactly those lengths."""
+    vs, edges = [root], []
+    for i, n in enumerate(lengths):
+        at = root
+        for j in range(n):
+            src = "%s%d_%d" % (root, i, j)
+            vs.append(src)
+            edges.append(Edge("e%s%d_%d" % (root, i, j), 1, src, at))
+            at = src
+    return KGraph(1, vs, edges)
+
+
 CORPUS = [
     ("e1", lambda: bouquet(1)),
     ("e2", lambda: bouquet(2)),

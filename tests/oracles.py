@@ -143,6 +143,32 @@ def brute_sat_her(g):
     return out
 
 
+def paths_upto(g, v, n):
+    """Every path of degree <= n with range v, degree by degree in
+    lexicographic order, from the exact-degree lists of ``g.paths``."""
+    return [p for m in below(tuple(n)) for p in g.paths(v, m)]
+
+
+def brute_boundary_paths(g, v, n):
+    """vLambda^{<=n} by its definition, in ``path_sort_key`` order.
+
+    Filters the whole box ``paths_upto(g, v, n)``: a path counts when its
+    source receives no edge in any color i with d(p)_i < n_i. Unlike
+    ``g.boundary_paths`` it skips no degree and walks no words itself.
+    """
+    return sorted(
+        (
+            p
+            for p in paths_upto(g, v, n)
+            if not any(
+                p.degree[i] < n[i] and g.edges_by_range(p.source, i + 1)
+                for i in range(g.k)
+            )
+        ),
+        key=path_sort_key,
+    )
+
+
 def apply_bisection(g, b, x):
     """Point action of Z(lam*mu) on a path x, or None off the source set.
 
@@ -178,16 +204,17 @@ def aperiodicity_exhaustive(g, depth):
     """Aperiodicity by exhaustive search, the verdict aperiodicity_check
     must reproduce exactly.
 
-    Builds every boundary path of degree <= (depth+1, ..., depth+1),
-    sorts them, and tries each against every comparable pair: distinct
-    paths with source v, a common range and different degrees, of total
-    degree <= depth. With no separator, the pairs no candidate separates
-    are offered to certify_never_separated in pair order.
+    Takes every boundary path of degree <= (depth+1, ..., depth+1) from
+    ``brute_boundary_paths``, in order, and tries each against every
+    comparable pair: distinct paths with source v, a common range and
+    different degrees, of total degree <= depth. With no separator, the
+    pairs no candidate separates are offered to certify_never_separated
+    in pair order.
     """
     cap = (depth + 1,) * g.k
     evidence = []
     for v in g.vertices:
-        candidates = sorted(g.boundary_paths(v, cap), key=path_sort_key)
+        candidates = brute_boundary_paths(g, v, cap)
         pairs = []
         for u in g.vertices:
             ps = sorted(
@@ -203,9 +230,6 @@ def aperiodicity_exhaustive(g, depth):
             pairs += [
                 (a, b) for a, b in combinations(ps, 2) if a.degree != b.degree
             ]
-        if not pairs:
-            evidence.append(SeparationEvidence(v, candidates[0], 0))
-            continue
         winner = next(
             (x for x in candidates if all(separates(g, a, b, x) for a, b in pairs)),
             None,

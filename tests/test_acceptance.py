@@ -11,7 +11,7 @@ import random
 import time
 
 from corpus import CORPUS, NAMES, build
-from oracles import brute_mce, brute_sat_her
+from oracles import brute_mce, brute_sat_her, paths_upto
 from kpalg import (
     KP,
     QQ,
@@ -60,7 +60,7 @@ def _paths_box(g, top=2):
     box = (top,) * g.k
     out = []
     for v in g.vertices:
-        out.extend(g.paths_upto(v, box))
+        out.extend(paths_upto(g, v, box))
     return out
 
 

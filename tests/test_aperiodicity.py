@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from corpus import CORPUS, build, entered_loop
 from oracles import aperiodicity_exhaustive, brute_path_words, word_to_path
 from kpalg import (
+    Edge,
+    KGraph,
     aperiodicity_check,
     bouquet,
     certify_never_separated,
@@ -22,6 +24,7 @@ from kpalg import (
     separates,
     torus,
     two_loops_plus_exit,
+    validate,
 )
 from kpalg.classify import aperiodicity_json
 from kpalg.degrees import below, total
@@ -139,11 +142,37 @@ def test_depth_below_one_is_refused(depth):
         aperiodicity_check(torus(2), depth)
 
 
+def test_vertex_without_boundary_paths_is_unknown():
+    # the descending pair (f, b) is the image of no square, so f.b has no
+    # canonical form: v receives color 2 only from u, which receives color
+    # 1, and no path from v is a boundary path at any cap. A presentation
+    # that validates always has one; here v gets no evidence.
+    g = KGraph(2, ["u", "v", "w"], [Edge("b", 1, "w", "u"), Edge("f", 2, "u", "v")])
+    assert not validate(g).ok
+    assert g.boundary_paths("v", (4, 4)) == ()
+    verdict = aperiodicity_check(g, 3)
+    assert verdict.status == "unknown"
+    assert verdict.note.startswith("vertex v: ")
+
+
 # -- agreement with the exhaustive search ---------------------------------------
 
 
+def _fork():
+    # v reaches u directly (e) and through w (f.g): the comparable pair
+    # (e, f.g) has meet degree 1, so v has no residual pair
+    return KGraph(
+        1,
+        ["u", "v", "w"],
+        [Edge("e", 1, "v", "u"), Edge("f", 1, "w", "u"), Edge("g", 1, "v", "w")],
+    )
+
+
+GRAPHS = CORPUS + [("fork", _fork)]
+
+
 def test_matches_exhaustive_oracle_on_corpus():
-    for name, mk in CORPUS:
+    for name, mk in GRAPHS:
         for depth in (1, 2, 3):
             g = mk()
             fast = aperiodicity_json(aperiodicity_check(g, depth))
@@ -172,16 +201,32 @@ def _small_graph(kind, a, b, seed):
     return product(cycle_graph(a), bouquet(b, "u"))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    kind=st.sampled_from(["square", "bouquets", "bouquet_cycle", "cycle_bouquet"]),
-    a=st.integers(1, 3),
-    b=st.integers(1, 3),
-    seed=st.integers(0, 10**6),
-    depth=st.integers(1, 2),
+@st.composite
+def _one_graphs(draw):
+    # small 1-graphs, acyclic (every edge runs to a lower vertex) or mixed
+    # (loops and cycles allowed); unlike the square graphs and products,
+    # these have vertices without residual pairs
+    n = draw(st.integers(2, 4))
+    end = st.integers(0, n - 1)
+    ends = draw(st.lists(st.tuples(end, end), min_size=2, max_size=6))
+    if draw(st.booleans()):
+        ends = [(max(s, r), min(s, r)) for s, r in ends if s != r]
+    edges = [Edge("e%d" % i, 1, "v%d" % s, "v%d" % r) for i, (s, r) in enumerate(ends)]
+    return KGraph(1, ["v%d" % i for i in range(n)], edges)
+
+
+_PRODUCTS = st.builds(
+    _small_graph,
+    st.sampled_from(["square", "bouquets", "bouquet_cycle", "cycle_bouquet"]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
 )
-def test_matches_exhaustive_oracle_on_random_graphs(kind, a, b, seed, depth):
-    g = _small_graph(kind, a, b, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.one_of(_PRODUCTS, _one_graphs()), depth=st.integers(1, 2))
+def test_matches_exhaustive_oracle_on_random_graphs(g, depth):
     fast = aperiodicity_json(aperiodicity_check(g, depth))
     assert fast == aperiodicity_json(aperiodicity_exhaustive(g, depth))
 
@@ -203,7 +248,7 @@ def _comparable_pairs(g, v, depth):
 
 
 def test_pairs_checked_counts_every_comparable_pair():
-    for name, mk in CORPUS:
+    for name, mk in GRAPHS:
         for depth in (1, 2, 3):
             g = mk()
             verdict = aperiodicity_check(g, depth)

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from corpus import build
-from kpalg import Edge, KGraph, format_kgraph
+from corpus import branches, build
+from kpalg import Edge, KGraph, format_kgraph, product
 from kpalg.cli import main
 
 BAD_SQUARES = """\
@@ -67,6 +67,13 @@ def test_missing_file_is_a_load_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_non_utf8_file_is_a_load_error(tmp_path, capsys):
+    f = tmp_path / "latin1.kg"
+    f.write_bytes(b"kgraph v1\n# caf\xe9\nk: 1\n")
+    assert main(["validate", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_malformed_file_is_a_load_error(tmp_path, capsys):
     f = tmp_path / "junk.kg"
     f.write_text("not a header\n")
@@ -91,6 +98,20 @@ def test_paths_boundary_json(tmp_path, capsys):
     assert data["degree"] == [1, 1]
     assert data["boundary"] is True
     assert len(data["paths"]) == 1
+
+
+def test_paths_boundary_lists_by_degree(tmp_path, capsys):
+    # degrees (1,1), (1,3), (2,1), (2,3): listed in lexicographic degree
+    # order, which is not the order by total degree
+    f = tmp_path / "branches.kg"
+    f.write_text(format_kgraph(product(branches((1, 2), "x"), branches((1, 3), "y"))))
+    assert main(["paths", str(f), "x_y", "2,3", "--boundary"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "ex0_0_y.x0_0_ey0_0",
+        "ex0_0_y.x0_0_ey1_0.x0_0_ey1_1.x0_0_ey1_2",
+        "ex1_0_y.ex1_1_y.x1_1_ey0_0",
+        "ex1_0_y.ex1_1_y.x1_1_ey1_0.x1_1_ey1_1.x1_1_ey1_2",
+    ]
 
 
 def test_paths_unknown_vertex(tmp_path, capsys):
@@ -288,6 +309,14 @@ def test_eval_parse_error(tmp_path, capsys):
     expr.write_text("a +")
     assert main(["eval", g, str(expr)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.expr", "."])
+def test_eval_unreadable_file(tmp_path, capsys, name):
+    # a missing file and a directory
+    g = write_graph(tmp_path, "e2")
+    assert main(["eval", g, str(tmp_path / name)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_contract_finds_bisection(tmp_path, capsys):

@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS
-from oracles import brute_factorize, brute_path_words, canonical_word
+from corpus import CORPUS, branches
+from oracles import (
+    brute_boundary_paths,
+    brute_factorize,
+    brute_path_words,
+    canonical_word,
+    paths_upto,
+)
 from kpalg import (
     Edge,
     KGraph,
@@ -109,7 +115,7 @@ def test_factorize_splits_at_degree():
 def test_factorize_round_trips_on_grid():
     g = grid((2, 1))
     for v in g.vertices:
-        for p in g.paths_upto(v, (2, 1)):
+        for p in paths_upto(g, v, (2, 1)):
             for m in [(1, 0), (0, 1), (1, 1), (2, 0)]:
                 if all(a <= b for a, b in zip(m, p.degree)):
                     head, tail = g.factorize(p, m)
@@ -211,7 +217,7 @@ def test_paths_exact_degree_on_bouquet():
 def test_paths_upto_counts_on_square_graph():
     g = grid((1, 1))
     # 4 trivial + 2 color-1 + 2 color-2 + 1 full square
-    assert sum(len(g.paths_upto(v, (1, 1))) for v in g.vertices) == 9
+    assert sum(len(paths_upto(g, v, (1, 1))) for v in g.vertices) == 9
 
 
 def test_boundary_paths_stop_at_dead_sources():
@@ -224,34 +230,21 @@ def test_boundary_paths_stop_at_dead_sources():
     assert len(bps) == 1 and bps[0].is_trivial
 
 
-def _branches(lengths, root):
-    # a 1-graph in which root receives one chain of each given length, so
-    # its boundary paths have exactly those lengths
-    vs, edges = [root], []
-    for i, n in enumerate(lengths):
-        at = root
-        for j in range(n):
-            src = "%s%d_%d" % (root, i, j)
-            vs.append(src)
-            edges.append(Edge("e%s%d_%d" % (root, i, j), 1, src, at))
-            at = src
-    return KGraph(1, vs, edges)
-
-
-def test_iter_boundary_paths_matches_sorted_boundary_paths():
+def test_boundary_paths_match_brute_oracle():
     # in the product, (1, 3) precedes (2, 1) as a tuple but not by total
     # degree, so the degrees must be visited by total first
-    branches = product(_branches((1, 2), "x"), _branches((1, 3), "y"))
-    graphs = [(name, mk()) for name, mk in CORPUS] + [("branches", branches)]
+    branched = product(branches((1, 2), "x"), branches((1, 3), "y"))
+    graphs = [(name, mk()) for name, mk in CORPUS] + [("branches", branched)]
     for name, g in graphs:
         for n in below((3,) * g.k):
             for v in g.vertices:
+                # the exact-degree lists the oracle filters, in word order
+                words = [p.edges for p in g.paths(v, n)]
+                assert words == sorted(brute_path_words(g, v, n)), (name, v, n)
+                brute = brute_boundary_paths(g, v, n)
+                assert list(g.boundary_paths(v, n)) == brute, (name, v, n)
                 lazy = list(g.iter_boundary_paths(v, n))
-                assert lazy == sorted(g.boundary_paths(v, n), key=path_sort_key), (
-                    name,
-                    v,
-                    n,
-                )
+                assert lazy == brute, (name, v, n)
                 for p in lazy:
                     _assert_fields_from_word(g, p)
 

@@ -19,7 +19,7 @@ from kpalg import (
     locally_contracting_on,
     to_steinberg,
 )
-from oracles import apply_bisection, apply_family, boundary_test_points
+from oracles import apply_bisection, apply_family, boundary_test_points, paths_upto
 
 
 def test_bisection_needs_common_source():
@@ -43,8 +43,8 @@ def test_compose_bisections_matches_point_action():
         g = build(name)
         pool = []
         for v in g.vertices:
-            for lam in g.paths_upto(v, (1,) * g.k):
-                for mu in g.paths_upto(v, (1,) * g.k):
+            for lam in paths_upto(g, v, (1,) * g.k):
+                for mu in paths_upto(g, v, (1,) * g.k):
                     if lam.source == mu.source:
                         pool.append(CylinderBisection(g, lam, mu))
         pool = pool[:12]
