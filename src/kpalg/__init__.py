@@ -107,7 +107,6 @@ from .witness import (
     WitnessCertificate,
     WitnessError,
     certificate_json,
-    cylinder_properly_infinite,
     failing_checks,
     infinite_vertex_from_reaching_cycle,
     lift_infinite,

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .field import Field, QQ
-from .ideals import SatHerSet, enumerate_sat_her, quotient
+from .ideals import QuotientTable, SatHerSet, quotient_table
 from .kgraph import KGraph, KGraphError, Path, validate
 from .paths import find_cycle_reaching, reachable_to
 from .witness import (
@@ -92,14 +92,14 @@ def _assert_consistent(conds: Tuple[VertexConditions, ...]) -> None:
 
 
 def strong_aperiodicity_sweep(
-    g: KGraph, depth: int = 6
+    g: KGraph, depth: int = 6, quotients: Optional[QuotientTable] = None
 ) -> Tuple[Tuple[SatHerSet, AperiodicityVerdict], ...]:
     """Aperiodicity verdict for the quotient by every hereditary
-    saturated set, the empty quotient included (vacuously aperiodic)."""
-    out: List[Tuple[SatHerSet, AperiodicityVerdict]] = []
-    for h in enumerate_sat_her(g).sets:
-        out.append((h, aperiodicity_check(quotient(g, h), depth)))
-    return tuple(out)
+    saturated set, the empty quotient included (vacuously aperiodic).
+    ``quotients`` is the quotient table to read, built here when absent."""
+    if quotients is None:
+        quotients = quotient_table(g)
+    return tuple((h, aperiodicity_check(gq, depth)) for h, gq in quotients)
 
 
 def _describe(h: SatHerSet) -> str:
@@ -133,7 +133,8 @@ def classify_pure_infiniteness(
     notes: List[str] = []
     conds = vertex_conditions(g)
     _assert_consistent(conds)
-    sweep = strong_aperiodicity_sweep(g, depth)
+    quotients = quotient_table(g)
+    sweep = strong_aperiodicity_sweep(g, depth, quotients)
 
     starved = [c.vertex for c in conds if not c.receives]
     if starved:
@@ -186,7 +187,9 @@ def classify_pure_infiniteness(
 
     gate = next(verd for h, verd in sweep if len(h) == 0)
     witnesses = tuple(
-        prove_vertex_properly_infinite(g, c.vertex, depth, fld, aperiodicity=gate)
+        prove_vertex_properly_infinite(
+            g, c.vertex, depth, fld, aperiodicity=gate, quotients=quotients
+        )
         for c in conds
     )
 

@@ -356,7 +356,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(load_kgraph(args.graph), args)
+        g = load_kgraph(args.graph)
+        if args.func is not cmd_validate:
+            # every other command answers only about a valid presentation
+            rep = validate(g)
+            if not rep.ok:
+                raise KGraphError("invalid presentation:\n%s" % rep)
+        return args.func(g, args)
     except (OSError, KGraphError, FieldError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -141,3 +141,16 @@ def quotient(g: KGraph, h: SatHerSet) -> KGraph:
         if e in keep and f in keep and fp in keep and ep in keep
     ]
     return KGraph(g.k, vertices, edges, squares)
+
+
+QuotientTable = Tuple[Tuple[SatHerSet, KGraph], ...]
+
+
+def quotient_table(g: KGraph) -> QuotientTable:
+    """Every saturated hereditary set in lattice order, with its quotient.
+
+    One table serves a whole decision: the aperiodicity sweep and the
+    witness search of every vertex read the same quotient graphs, so each
+    is built once and its path caches are shared.
+    """
+    return tuple((h, quotient(g, h)) for h in enumerate_sat_her(g).sets)

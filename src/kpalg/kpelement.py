@@ -217,8 +217,15 @@ def normal_form(a: KPElement, target: Optional[Degree] = None) -> KPElement:
             m = join(m, tuple(target))
         for (lam, mu), c in comp.terms:
             slack = sub(m, lam.degree)
-            for tau in g.boundary_paths(lam.source, slack):
-                key = (g.compose(lam, tau), g.compose(mu, tau))
+            if any(slack):
+                keys = [
+                    (g.compose(lam, tau), g.compose(mu, tau))
+                    for tau in g.boundary_paths(lam.source, slack)
+                ]
+            else:
+                # the trivial path is the only boundary path of degree 0
+                keys = [(lam, mu)]
+            for key in keys:
                 acc[key] = acc.get(key, field.zero) + c
     return _make(g, field, acc)
 

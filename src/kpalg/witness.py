@@ -15,18 +15,35 @@ Transport and lifting first normalize the moving elements into the
 relevant corners (r -> p r q, x -> p x e, and so on). With that
 normalization, the transported relations follow from the verified inputs
 by pure ring identities, so the constructions stay sound on any verified
-input, not just the ones produced by the cycle search.
+input, not just the ones produced by the cycle search. Each constructor
+checks the final relations of its input and output plus the checks of
+the one step it adds, so every step is checked once, when it is made;
+``failing_checks`` without ``steps`` replays the whole derivation.
+
+Quotient images. The quotient map KP(Lambda) -> KP(Lambda/H), which
+sends s_lam to s_lam, or to 0 when s(lam) lies in H, is a ring
+homomorphism (Aranda Pino, Clark, an Huef and Raeburn, Trans. AMS 365,
+2013), and so is Lambda/H' -> Lambda/H for H' inside H. A certificate
+built in the quotient by H' therefore proves its image in the quotient by
+H: ``quotient_image`` drops the terms whose source lies in H and keeps the
+others term for term. The paths of Lambda/H are the paths of Lambda/H'
+with source outside H, and by saturation so are its boundary paths, so
+the image equals what a fresh build in Lambda/H would give. The
+derivation checks hold in the image by the homomorphism and are not
+replayed. The final relations are checked again in Lambda/H, as a guard
+on the image map itself, and so is strictness (q != p), which a
+homomorphism need not preserve: it can send q and p to the same element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .degrees import total
 from .field import Field, QQ
-from .ideals import SatHerSet, enumerate_sat_her, quotient
+from .ideals import QuotientTable, SatHerSet, quotient_table
 from .kgraph import KGraph, KGraphError, Path
 from .kpelement import (
     KPElement,
@@ -94,8 +111,15 @@ class WitnessCertificate:
         return self.target.graph
 
 
-def failing_checks(cert: WitnessCertificate) -> List[str]:
-    """Re-verify a certificate from scratch; list every failed relation."""
+def failing_checks(
+    cert: WitnessCertificate, steps: Optional[Sequence[DerivationStep]] = None
+) -> List[str]:
+    """Re-verify a certificate; list every failed relation.
+
+    The final relations are always checked. ``steps`` chooses the
+    derivation checks replayed with them: the whole derivation by default,
+    which is the from-scratch audit, or just the given steps.
+    """
     fails: List[str] = []
     p = cert.target
     if not is_idempotent(p):
@@ -125,7 +149,7 @@ def failing_checks(cert: WitnessCertificate) -> List[str]:
             fails.append("A p B = p (+) p")
     else:
         fails.append("unknown certificate kind %r" % cert.kind)
-    for step in cert.derivation:
+    for step in cert.derivation if steps is None else steps:
         for desc, lhs, rhs in step.checks:
             if not matrix_equals(as_matrix(lhs), as_matrix(rhs)):
                 fails.append("step %s: %s" % (step.rule, desc))
@@ -140,18 +164,21 @@ def _finish(
     kind: str,
     target: KPElement,
     parts,
-    derivation,
+    derivation: Tuple[DerivationStep, ...],
+    new: Tuple[DerivationStep, ...],
     context: str,
 ) -> WitnessCertificate:
-    cert = WitnessCertificate(kind, target, tuple(parts), tuple(derivation))
-    fails = failing_checks(cert)
+    # the input's steps were checked when they were made; check the new
+    # ones and the final relations
+    cert = WitnessCertificate(kind, target, tuple(parts), derivation + new)
+    fails = failing_checks(cert, new)
     if fails:
         raise WitnessError("%s: verification failed: %s" % (context, fails[0]))
     return cert
 
 
 def _require_verified(cert: WitnessCertificate, context: str) -> None:
-    fails = failing_checks(cert)
+    fails = failing_checks(cert, ())
     if fails:
         raise WitnessError("%s: input certificate does not verify: %s" % (context, fails[0]))
 
@@ -197,7 +224,7 @@ def witness_from_gen_cycle(
         (("mu", c.mu), ("nu", c.nu), ("entrance", tau)),
     )
     return _finish(
-        "Infinite", p, (("q", q), ("r", r), ("s", s)), (step,), "witness_from_gen_cycle"
+        "Infinite", p, (("q", q), ("r", r), ("s", s)), (), (step,), "witness_from_gen_cycle"
     )
 
 
@@ -232,7 +259,8 @@ def transport_infinite(
         "Infinite",
         e,
         (("q", q2), ("r", r2), ("s", s2)),
-        cert.derivation + (step,),
+        cert.derivation,
+        (step,),
         "transport_infinite",
     )
 
@@ -262,7 +290,8 @@ def lift_infinite(cert: WitnessCertificate, big: KPElement) -> WitnessCertificat
         "Infinite",
         big,
         (("q", q + d), ("r", rr + d), ("s", ss + d)),
-        cert.derivation + (step,),
+        cert.derivation,
+        (step,),
         "lift_infinite",
     )
 
@@ -323,6 +352,7 @@ def orthogonal_witness(
         "ProperlyInfinite",
         p,
         (("A", column(v1, v2)), ("B", row(w1, w2))),
+        (),
         steps,
         "orthogonal_witness",
     )
@@ -364,7 +394,8 @@ def properly_infinite_to_infinite(cert: WitnessCertificate) -> WitnessCertificat
         "Infinite",
         p,
         (("q", f1), ("r", c1), ("s", d1)),
-        cert.derivation + (step,),
+        cert.derivation,
+        (step,),
         "properly_infinite_to_infinite",
     )
 
@@ -401,27 +432,10 @@ def transport_witness(
         "ProperlyInfinite",
         q,
         (("A", a2), ("B", b2)),
-        w.derivation + (step,),
+        w.derivation,
+        (step,),
         "transport_witness",
     )
-
-
-def cylinder_properly_infinite(
-    g: KGraph, lam: Path, vertex_cert: WitnessCertificate
-) -> WitnessCertificate:
-    """ProperlyInfinite witness for s_lam s_{lam*} from one for the source
-    vertex, moved across s_{lam*} s_lam = s_{s(lam)}."""
-    fld = vertex_cert.target.field
-    p = vertex_unit(g, fld, lam.source)
-    if not equals(vertex_cert.target, p):
-        raise WitnessError(
-            "certificate is for %s, need the source vertex %s"
-            % (vertex_cert.target, lam.source)
-        )
-    q = spanning_term(g, fld, lam, lam)
-    x = star_generator(g, fld, lam)
-    y = generator(g, fld, lam)
-    return transport_witness(p, q, x, y, vertex_cert)
 
 
 # -- per-vertex procedure ---------------------------------------------------------
@@ -507,12 +521,83 @@ def _vertex_cert_via_orthogonal(
     return cert_v, proper
 
 
+def quotient_image(cert: WitnessCertificate, gq: KGraph) -> WitnessCertificate:
+    """The image of a certificate under the quotient map onto gq.
+
+    gq must be a quotient of the certificate's graph by a larger ideal H.
+    A spanning term s_lam s_{mu*} goes to zero when its common source lies
+    in H and to the same term over gq otherwise. The final relations and
+    strictness are checked in gq; the derivation checks hold there by the
+    homomorphism and are not replayed. A failure raises WitnessError.
+    """
+    paths: Dict[Tuple[str, Tuple[str, ...]], Path] = {}
+
+    def path(p: Path) -> Path:
+        key = (p.range, p.edges)
+        if key not in paths:
+            paths[key] = Path(gq, p.range, p.edges, p.degree, p.source)
+        return paths[key]
+
+    def image(x):
+        if isinstance(x, KPMatrix):
+            return KPMatrix(tuple(tuple(image(y) for y in r) for r in x.rows))
+        if isinstance(x, KPElement):
+            return KPElement(
+                gq,
+                x.field,
+                tuple(
+                    ((path(lam), path(mu)), c)
+                    for (lam, mu), c in x.terms
+                    if gq.has_vertex(lam.source)
+                ),
+            )
+        return path(x)
+
+    out = WitnessCertificate(
+        cert.kind,
+        image(cert.target),
+        tuple((nm, image(x)) for nm, x in cert.parts),
+        tuple(
+            DerivationStep(
+                st.rule,
+                st.note,
+                tuple((nm, image(x)) for nm, x in st.elements),
+                tuple((desc, image(a), image(b)) for desc, a, b in st.checks),
+            )
+            for st in cert.derivation
+        ),
+    )
+    fails = failing_checks(out, ())
+    if fails:
+        raise WitnessError("quotient image: verification failed: %s" % fails[0])
+    return out
+
+
+# certificates by route: the route name with the (range, word) of each
+# path that determines it, and every (ideal, certificate) built for it
+Built = Dict[Tuple, List[Tuple[SatHerSet, WitnessCertificate]]]
+
+
+def _route_key(route: str, *paths: Path) -> Tuple:
+    return (route,) + tuple((p.range, p.edges) for p in paths)
+
+
+def _pushed(built: Built, key: Tuple, h: SatHerSet, gq: KGraph):
+    # the image of a certificate for the same route built in the quotient
+    # by a smaller ideal, or None when there is none
+    for h0, cert in built.get(key, ()):
+        if h0.as_set() <= h.as_set():
+            return quotient_image(cert, gq)
+    return None
+
+
 def prove_vertex_properly_infinite(
     g: KGraph,
     v: str,
     depth: int = 6,
     fld: Field = QQ,
     aperiodicity: Optional[AperiodicityVerdict] = None,
+    quotients: Optional[QuotientTable] = None,
 ) -> VertexInfinitenessReport:
     """Certify the image of s_v infinite in the quotient by every ideal
     avoiding v.
@@ -526,6 +611,10 @@ def prove_vertex_properly_infinite(
     definitive negative: the corner there is finite dimensional. A
     depth-bounded miss is merely inconclusive. A depth below 1 raises
     ValueError.
+
+    ``quotients`` is the quotient table to read, built here when absent.
+    A route already certified in the quotient by a smaller ideal is not
+    built again: its certificate is pushed through the quotient map.
     """
     check_depth(depth)
     if not g.has_vertex(v):
@@ -551,24 +640,35 @@ def prove_vertex_properly_infinite(
         )
     cases: List[IdealCase] = []
     proper: Optional[WitnessCertificate] = None
-    for h in enumerate_sat_her(g).sets:
+    built: Built = {}
+    for h, gq in quotient_table(g) if quotients is None else quotients:
         if v in h:
             continue
-        gq = quotient(g, h)
         pair = _disjoint_cycle_pair(gq, v, depth)
         if pair is not None:
             w, mu1, mu2, gamma = pair
-            cert_v, proper_w = _vertex_cert_via_orthogonal(
-                gq, v, w, mu1, mu2, gamma, fld
-            )
-            cases.append(IdealCase(h, "orthogonal-pair", cert_v))
-            if len(h) == 0 and w == v and proper is None:
-                proper = proper_w
+            route = "orthogonal-pair"
+            key = _route_key(route, mu1, mu2, gamma)
+            cert_v = _pushed(built, key, h, gq)
+            if cert_v is None:
+                cert_v, proper_w = _vertex_cert_via_orthogonal(
+                    gq, v, w, mu1, mu2, gamma, fld
+                )
+                built.setdefault(key, []).append((h, cert_v))
+                if len(h) == 0 and w == v and proper is None:
+                    proper = proper_w
+            cases.append(IdealCase(h, route, cert_v))
             continue
         rc = find_reaching_gen_cycle(gq, v, depth)
         if isinstance(rc, ReachingCycle):
-            cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
-            cases.append(IdealCase(h, "generalized-cycle", cert_v))
+            route = "generalized-cycle"
+            c = rc.cycle
+            key = _route_key(route, c.mu, c.nu, c.entrance, rc.gamma)
+            cert_v = _pushed(built, key, h, gq)
+            if cert_v is None:
+                cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
+                built.setdefault(key, []).append((h, cert_v))
+            cases.append(IdealCase(h, route, cert_v))
             continue
         if find_cycle_reaching(gq, v) is None:
             return VertexInfinitenessReport(

@@ -55,6 +55,22 @@ def branches(lengths, root: str) -> KGraph:
     return KGraph(1, vs, edges)
 
 
+def three_components() -> KGraph:
+    """An edge, an entered loop and an edge side by side: the lattice is
+    the product of chains of lengths 2, 3 and 2, so not itself a chain."""
+    return KGraph(
+        1,
+        ["p", "q", "v", "w", "x", "y"],
+        [
+            Edge("e", 1, "p", "q"),
+            Edge("a", 1, "v", "v"),
+            Edge("c", 1, "w", "v"),
+            Edge("d", 1, "w", "w"),
+            Edge("f", 1, "x", "y"),
+        ],
+    )
+
+
 CORPUS = [
     ("e1", lambda: bouquet(1)),
     ("e2", lambda: bouquet(2)),

@@ -8,17 +8,27 @@ meant for the small corpus graphs.
 from itertools import combinations
 
 from kpalg import (
+    QQ,
     AperiodicityVerdict,
     CylinderBisection,
     KGraph,
+    NotFoundUpTo,
     Path,
     PeriodicCertificate,
+    ReachingCycle,
     SeparationEvidence,
+    VertexInfinitenessReport,
     certify_never_separated,
+    enumerate_sat_her,
+    find_cycle_reaching,
+    find_reaching_gen_cycle,
+    infinite_vertex_from_reaching_cycle,
     path_sort_key,
+    quotient,
     separates,
 )
 from kpalg.degrees import below, join, leq, total, zero
+from kpalg.witness import IdealCase, _disjoint_cycle_pair, _vertex_cert_via_orthogonal
 
 
 def brute_path_words(g, v, n):
@@ -251,3 +261,54 @@ def aperiodicity_exhaustive(g, depth):
             % (v, depth),
         )
     return AperiodicityVerdict("aperiodic", depth, tuple(evidence))
+
+
+def prove_vertex_from_scratch(g, v, depth, fld=QQ):
+    """``prove_vertex_properly_infinite`` without a shared quotient table
+    or pushed certificates, for a graph not certified periodic.
+
+    Enumerates the lattice afresh, builds a fresh quotient for every ideal
+    avoiding v, and builds every certificate from scratch in its quotient
+    by the same route search; the report must equal the library's.
+    """
+    cases = []
+    proper = None
+    for h in enumerate_sat_her(g).sets:
+        if v in h:
+            continue
+        gq = quotient(g, h)
+        pair = _disjoint_cycle_pair(gq, v, depth)
+        if pair is not None:
+            w, mu1, mu2, gamma = pair
+            cert_v, proper_w = _vertex_cert_via_orthogonal(gq, v, w, mu1, mu2, gamma, fld)
+            cases.append(IdealCase(h, "orthogonal-pair", cert_v))
+            if len(h) == 0 and w == v and proper is None:
+                proper = proper_w
+            continue
+        rc = find_reaching_gen_cycle(gq, v, depth)
+        if isinstance(rc, ReachingCycle):
+            cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
+            cases.append(IdealCase(h, "generalized-cycle", cert_v))
+            continue
+        if find_cycle_reaching(gq, v) is None:
+            return VertexInfinitenessReport(
+                v,
+                "Negative",
+                tuple(cases),
+                proper,
+                "no cycle reaches %s in the quotient by {%s}; that corner is "
+                "finite dimensional, so its vertex idempotent cannot be infinite"
+                % (v, ", ".join(h)),
+                h,
+            )
+        detail = rc.detail if isinstance(rc, NotFoundUpTo) else ""
+        return VertexInfinitenessReport(
+            v,
+            "Inconclusive",
+            tuple(cases),
+            proper,
+            "no witness found in the quotient by {%s} within depth %d%s"
+            % (", ".join(h), depth, ("; " + detail) if detail else ""),
+            h,
+        )
+    return VertexInfinitenessReport(v, "ProperlyInfinite", tuple(cases), proper)

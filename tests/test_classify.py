@@ -1,11 +1,15 @@
 """End-to-end classification: verdicts, consistency guards, serialization."""
 
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import build
+from corpus import CORPUS, build, three_components
 from kpalg import (
+    AperiodicityVerdict,
     Edge,
     InternalConsistencyError,
     KGraph,
@@ -16,9 +20,13 @@ from kpalg import (
     report_json,
     strong_aperiodicity_sweep,
     vertex_conditions,
+    prove_vertex_properly_infinite,
     verify_certificate,
+    vertex_report_json,
 )
 from kpalg.classify import _assert_consistent, aperiodicity_json, conditions_json
+from kpalg.ideals import quotient_table
+from oracles import prove_vertex_from_scratch
 
 
 def torus_with_deaf_cycle():
@@ -151,6 +159,102 @@ def test_strong_sweep_covers_every_ideal():
         (("w",), "periodic"),
         (("v", "w"), "aperiodic"),
     ]
+
+
+# -- one quotient table, certificates pushed through the quotient maps --------------
+
+
+def two_loop_lattice(n=5, feeders=((0, 1), (2, 3))):
+    """n vertices with two loops each, plus feeder edges joining disjoint
+    pairs: every down-set of the feeders is an ideal (here 3 * 3 * 2)."""
+    vs = ["x%d" % i for i in range(n)]
+    edges = [Edge(v + ab, 1, v, v) for v in vs for ab in "ab"]
+    edges += [
+        Edge("f%d" % i, 1, vs[s], vs[r]) for i, (s, r) in enumerate(feeders)
+    ]
+    return KGraph(1, vs, edges)
+
+
+def assert_witnesses_match_from_scratch(g, depth):
+    # the witnesses classify returns, and a witness search for every vertex
+    # over one shared table with the gate forced open, against fresh builds
+    for w in classify_pure_infiniteness(g, depth).witnesses:
+        expected = prove_vertex_from_scratch(g, w.vertex, depth)
+        assert vertex_report_json(w) == vertex_report_json(expected), w.vertex
+    table = quotient_table(g)
+    gate = AperiodicityVerdict("unknown", depth)
+    for v in g.vertices:
+        got = prove_vertex_properly_infinite(
+            g, v, depth, aperiodicity=gate, quotients=table
+        )
+        expected = prove_vertex_from_scratch(g, v, depth)
+        assert vertex_report_json(got) == vertex_report_json(expected), v
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+def test_witnesses_match_from_scratch_on_corpus(name):
+    for depth in (1, 2, 3):
+        assert_witnesses_match_from_scratch(build(name), depth)
+
+
+@pytest.mark.parametrize(
+    "mk", [three_components, two_loop_lattice], ids=lambda mk: mk.__name__
+)
+def test_witnesses_match_from_scratch_on_lattices(mk):
+    for depth in (1, 2):
+        assert_witnesses_match_from_scratch(mk(), depth)
+
+
+@st.composite
+def looped_one_graphs(draw):
+    # every vertex keeps one or two loops, so none is starved; feeders
+    # between distinct vertices give the lattice its shape
+    n = draw(st.integers(2, 4))
+    edges = [
+        Edge("l%d_%d" % (i, j), 1, "v%d" % i, "v%d" % i)
+        for i in range(n)
+        for j in range(draw(st.integers(1, 2)))
+    ]
+    end = st.integers(0, n - 1)
+    feeders = draw(st.lists(st.tuples(end, end).filter(lambda e: e[0] != e[1]), max_size=4))
+    edges += [
+        Edge("f%d" % i, 1, "v%d" % s, "v%d" % r) for i, (s, r) in enumerate(feeders)
+    ]
+    return KGraph(1, ["v%d" % i for i in range(n)], edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=looped_one_graphs(), depth=st.integers(1, 2))
+def test_witnesses_match_from_scratch_on_random_graphs(g, depth):
+    assert_witnesses_match_from_scratch(g, depth)
+
+
+def _count_calls(monkeypatch, name):
+    # wrap an ideals function in every kpalg module that holds it
+    from kpalg import ideals
+
+    orig = getattr(ideals, name)
+    seen = []
+
+    def counted(*args):
+        seen.append(tuple(args[1]) if len(args) > 1 else ())
+        return orig(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "kpalg" and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return seen
+
+
+def test_classify_builds_each_quotient_once(monkeypatch):
+    g = two_loop_lattice()
+    enumerated = _count_calls(monkeypatch, "enumerate_sat_her")
+    quotients = _count_calls(monkeypatch, "quotient")
+    rep = classify_pure_infiniteness(g, depth=2)
+    assert rep.verdict == "ProperlyPurelyInfinite"
+    assert len(rep.sweep) == 18
+    assert len(enumerated) == 1
+    assert quotients == [tuple(h) for h, _ in rep.sweep]
 
 
 # -- serialization ------------------------------------------------------------------

@@ -62,6 +62,36 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert any(v["kind"] == "missing-square" for v in data["violations"])
 
 
+# the descending pair (f, b) has no square
+NO_SQUARE = """\
+kgraph v1
+k: 2
+vertices: u v w
+edge b color=1 from=w to=u
+edge f color=2 from=u to=v
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["paths", "v", "2,2", "--boundary"],
+        ["aperiodic"],
+        ["witness", "v"],
+        ["ideals"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_invalid_presentation_is_refused_at_load(tmp_path, capsys, command):
+    f = tmp_path / "nosquare.kg"
+    f.write_text(NO_SQUARE)
+    assert main([command[0], str(f)] + command[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid presentation")
+    assert "(f, b)" in err
+
+
 def test_missing_file_is_a_load_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.kg")]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -2,10 +2,8 @@
 
 import pytest
 
-from corpus import CORPUS, entered_loop
+from corpus import CORPUS, entered_loop, three_components
 from kpalg import (
-    Edge,
-    KGraph,
     KGraphError,
     SatHerSet,
     chain,
@@ -78,22 +76,6 @@ def test_lattice_matches_brute_force_on_corpus():
         expected = brute_sat_her(g)
         got = {frozenset(h.as_set()) for h in enumerate_sat_her(g).sets}
         assert got == expected, name
-
-
-def three_components() -> KGraph:
-    """An edge, an entered loop and an edge side by side: the lattice is
-    the product of chains of lengths 2, 3 and 2, so not itself a chain."""
-    return KGraph(
-        1,
-        ["p", "q", "v", "w", "x", "y"],
-        [
-            Edge("e", 1, "p", "q"),
-            Edge("a", 1, "v", "v"),
-            Edge("c", 1, "w", "v"),
-            Edge("d", 1, "w", "w"),
-            Edge("f", 1, "x", "y"),
-        ],
-    )
 
 
 def test_lattice_covers_are_inclusions_without_middle():

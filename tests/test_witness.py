@@ -8,17 +8,19 @@ from corpus import build
 from kpalg import (
     KP,
     DerivationStep,
+    Edge,
     GeneralizedCycle,
+    KGraph,
     KGraphError,
     PrimeField,
     QQ,
     ReachingCycle,
+    SatHerSet,
     WitnessCertificate,
     WitnessError,
     aperiodicity_check,
     certificate_json,
     column,
-    cylinder_properly_infinite,
     equals,
     failing_checks,
     find_reaching_gen_cycle,
@@ -28,6 +30,7 @@ from kpalg import (
     orthogonal_witness,
     properly_infinite_to_infinite,
     prove_vertex_properly_infinite,
+    quotient,
     row,
     transport_infinite,
     transport_witness,
@@ -35,6 +38,7 @@ from kpalg import (
     vertex_report_json,
     witness_from_gen_cycle,
 )
+from kpalg.witness import _disjoint_cycle_pair, _pushed, quotient_image
 
 
 @pytest.fixture()
@@ -353,35 +357,23 @@ def test_constructors_refuse_unverified_input(e2, build_input, construct):
         construct(kp, doubled)
 
 
-def test_cylinder_properly_infinite(e2):
+def test_constructors_check_each_step_once(e2, monkeypatch):
+    # every derivation check runs once, when its step is made; inputs and
+    # outputs are otherwise checked by their final relations only
+    import kpalg.witness as witness_module
+
+    replayed = []
+    orig = witness_module.failing_checks
+
+    def spy(cert, steps=None):
+        replayed.extend(cert.derivation if steps is None else steps)
+        return orig(cert, steps)
+
+    monkeypatch.setattr(witness_module, "failing_checks", spy)
     g, kp = e2
-    proper = canonical_splitting(kp)
-    lam = kp.path("a", "a")
-    cert = cylinder_properly_infinite(g, lam, proper)
-    assert equals(cert.target, kp.term(lam, lam))
-    assert verify_certificate(cert)
-
-
-def test_cylinder_needs_matching_source_vertex():
-    g = build("two_loops_plus_exit")
-    kp = KP(g, QQ)
-    pa, pb = kp.path("a"), kp.path("b")
-    proper = orthogonal_witness(
-        kp.s("v"),
-        kp.term(pa, pa),
-        kp.term(pb, pb),
-        kp.star(pa),
-        kp.s(pa),
-        kp.star(pb),
-        kp.s(pb),
-    )
-    # c runs out of v, so its cylinder corner transports the v witness
-    lam = kp.path("c")
-    cert = cylinder_properly_infinite(g, lam, proper)
-    assert equals(cert.target, kp.term(lam, lam))
-    assert verify_certificate(cert)
-    with pytest.raises(WitnessError, match="need the source vertex"):
-        cylinder_properly_infinite(g, kp.vertex("w"), proper)
+    cert = prove_vertex_properly_infinite(g, "v", depth=3).cases[0].certificate
+    assert len(cert.derivation) == 6
+    assert sorted(map(id, replayed)) == sorted(map(id, cert.derivation))
 
 
 def test_transport_chain_round_trip(e2):
@@ -389,7 +381,9 @@ def test_transport_chain_round_trip(e2):
     g, kp = e2
     proper = canonical_splitting(kp)
     lam = kp.path("a", "a")
-    at_corner = cylinder_properly_infinite(g, lam, proper)
+    at_corner = transport_witness(
+        kp.s("v"), kp.term(lam, lam), kp.star(lam), kp.s(lam), proper
+    )
     inf = properly_infinite_to_infinite(at_corner)
     back = lift_infinite(inf, kp.s("v"))
     assert equals(back.target, kp.s("v"))
@@ -482,6 +476,64 @@ def test_prove_vertex_unknown_vertex(e2):
     g, kp = e2
     with pytest.raises(KGraphError, match="unknown vertex"):
         prove_vertex_properly_infinite(g, "nope")
+
+
+# -- images under quotient maps -----------------------------------------------------
+
+
+def fed_pair(fed_loops, feeder_loops):
+    # v with its own loops, fed by the edge c from z with its own loops;
+    # {z} is hereditary and saturated
+    edges = [Edge("v%d" % i, 1, "v", "v") for i in range(fed_loops)]
+    edges += [Edge("z%d" % i, 1, "z", "z") for i in range(feeder_loops)]
+    return KGraph(1, ["v", "z"], edges + [Edge("c", 1, "z", "v")])
+
+
+def test_quotient_image_drops_terms_at_the_ideal():
+    # a certificate for s_v + s_z goes to the one a fresh build in the
+    # quotient by {z} gives for s_v: the s_z terms vanish, the rest stays
+    g = fed_pair(2, 2)
+    cert = prove_vertex_properly_infinite(g, "v", 2).cases[0].certificate
+    both = lift_infinite(cert, KP(g, QQ).s("v") + KP(g, QQ).s("z"))
+    gq = quotient(g, SatHerSet(("z",)))
+    image = quotient_image(both, gq)
+    fresh = prove_vertex_properly_infinite(gq, "v", 2).cases[0].certificate
+    expected = lift_infinite(fresh, KP(gq, QQ).s("v"))
+    assert certificate_json(image) == certificate_json(expected)
+    assert image.graph is gq
+    assert all(lam.source == "v" for _, x in image.parts for (lam, _), _ in x.terms)
+    assert verify_certificate(image)
+
+
+def test_certificates_are_pushed_only_into_larger_ideals():
+    # a certificate built in the quotient by {x} has lost its terms at x,
+    # so it may serve the quotient by {x, z} but not the one by {z}
+    g = KGraph(
+        1,
+        ["v", "x", "z"],
+        [Edge("v0", 1, "v", "v"), Edge("v1", 1, "v", "v")]
+        + [Edge(u + i, 1, u, u) for u in "xz" for i in "01"]
+        + [Edge("c", 1, "x", "v"), Edge("d", 1, "z", "v")],
+    )
+    hx, hz, hxz = SatHerSet(("x",)), SatHerSet(("z",)), SatHerSet(("x", "z"))
+    gx = quotient(g, hx)
+    cert = prove_vertex_properly_infinite(gx, "v", 2).cases[0].certificate
+    built = {"route": [(hx, cert)]}
+    assert _pushed(built, "route", hz, quotient(g, hz)) is None
+    image = _pushed(built, "route", hxz, quotient(g, hxz))
+    assert certificate_json(image) == certificate_json(cert)
+
+
+def test_quotient_image_into_ideal_holding_the_cycle_raises():
+    # the route runs through the loops at z; in the quotient by {z} the
+    # image of q fills all of s_v, so the witness is no longer strict
+    g = fed_pair(1, 2)
+    assert _disjoint_cycle_pair(g, "v", 2)[0] == "z"
+    case = prove_vertex_properly_infinite(g, "v", 2).cases[0]
+    assert len(case.ideal) == 0 and case.route == "orthogonal-pair"
+    cert = case.certificate
+    with pytest.raises(WitnessError, match="quotient image: .*not strict"):
+        quotient_image(cert, quotient(g, SatHerSet(("z",))))
 
 
 # -- serialization ------------------------------------------------------------------
