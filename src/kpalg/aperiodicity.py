@@ -29,14 +29,11 @@ order, so the first one found is the one a scan of the whole sorted box
 reports; ``pairs_checked`` still counts every comparable pair.
 
 Sharing within a candidate: the residual pairs at v share their paths, so
-the searches test them candidate by candidate and give ``separates`` one
-``seen`` dict per candidate x. It holds alpha x for each path alpha and
-the prefix of alpha x at each meet degree, so each path is composed with
-x, and factorized, once per candidate rather than once per pair. The dict
-is dropped with its candidate, so memory stays bounded by the paths at
-one vertex. ``separates`` is still called once for each (pair,
-candidate) tested, and the same pairs meet the same candidates as without
-sharing.
+the searches test them candidate by candidate. The compose memo of the
+path kernel (``kgraph._memo``) then composes each path with a candidate x
+once rather than once per pair, and keeps the last prefix of each
+composite; it holds one candidate's composites at a time. ``separates``
+is still called once for each (pair, candidate) tested.
 """
 
 from __future__ import annotations
@@ -88,35 +85,15 @@ def _is_maximal(g: KGraph, x: Path) -> bool:
     return not g.edges_by_range(x.source)
 
 
-def separates(
-    g: KGraph,
-    alpha: Path,
-    beta: Path,
-    x: Path,
-    seen: Optional[Dict[object, Path]] = None,
-) -> bool:
+def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
     """True when composing with x tells alpha and beta apart (truncated
-    comparison as described in the module docstring).
-
-    ``seen`` holds composites and prefixes already built with this same x:
-    a path p maps to p x, and (p, m) to the prefix of p x at degree m.
-    Callers testing many pairs against one candidate pass one dict for
-    that candidate."""
-    if seen is None:
-        seen = {}
-    ax = seen.get(alpha)
-    if ax is None:
-        ax = seen[alpha] = g.compose(alpha, x)
-    bx = seen.get(beta)
-    if bx is None:
-        bx = seen[beta] = g.compose(beta, x)
+    comparison as described in the module docstring)."""
+    ax = g.compose(alpha, x)
+    bx = g.compose(beta, x)
     m = meet(ax.degree, bx.degree)
-    ha = seen.get((alpha, m))
-    if ha is None:
-        ha = seen[(alpha, m)] = g.factorize(ax, m)[0]
-    hb = seen.get((beta, m))
-    if hb is None:
-        hb = seen[(beta, m)] = g.factorize(bx, m)[0]
+    # the prefix at m; a composite of degree m is its own prefix
+    ha = ax if ax.degree == m else g.factorize(ax, m)[0]
+    hb = bx if bx.degree == m else g.factorize(bx, m)[0]
     if ha != hb:
         return True
     return ax.degree != bx.degree and _is_maximal(g, x)
@@ -178,9 +155,8 @@ def _first_separator(
     # candidate is tried first on the next, so losing candidates fail fast
     pairs = list(pairs)
     for x in candidates:
-        seen: Dict[object, Path] = {}
         for i, (a, b) in enumerate(pairs):
-            if not separates(g, a, b, x, seen):
+            if not separates(g, a, b, x):
                 pairs[0], pairs[i] = pairs[i], pairs[0]
                 break
         else:
@@ -222,6 +198,7 @@ def certify_never_separated(
         return None
     seen = {start}
     stack = [start]
+    steps: Dict[str, Path] = {}
     while stack:
         if len(seen) > max_states:
             return None
@@ -232,7 +209,9 @@ def certify_never_separated(
             # separates the pair, so it is not periodic
             return None
         for e in in_edges:
-            step = g.path_from_edges([e.id])
+            step = steps.get(e.id)
+            if step is None:
+                step = steps[e.id] = g.path_from_edges([e.id])
             nxt = _strip(g, g.compose(t1, step), g.compose(t2, step))
             if nxt is None:
                 return None
@@ -254,13 +233,13 @@ def _periodic_certificate(
     answer depends on the residual pair only, in either order, so it runs
     once per residual pair."""
     # a pair meets each candidate until one separates it, as a scan per
-    # pair would, but candidate by candidate, so one dict serves a candidate
+    # pair would, but candidate by candidate, so the kernel's compose memo
+    # serves a candidate
     left = residual
     for x in candidates:
         if not left:
             break
-        seen: Dict[object, Path] = {}
-        left = [(a, b) for a, b in left if not separates(g, a, b, x, seen)]
+        left = [(a, b) for a, b in left if not separates(g, a, b, x)]
     if not left:
         return None
     stubborn = set(left) | {(b, a) for a, b in left}

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .degrees import total
 from .field import Field, QQ
-from .ideals import QuotientTable, SatHerSet, quotient_table
+from .ideals import QuotientTable, SatHerSet, enumerate_sat_her, quotient
 from .kgraph import KGraph, KGraphError, Path
 from .kpelement import (
     KPElement,
@@ -612,9 +612,10 @@ def prove_vertex_properly_infinite(
     depth-bounded miss is merely inconclusive. A depth below 1 raises
     ValueError.
 
-    ``quotients`` is the quotient table to read, built here when absent.
-    A route already certified in the quotient by a smaller ideal is not
-    built again: its certificate is pushed through the quotient map.
+    ``quotients`` is the quotient table to read; when absent, the quotient
+    by each ideal avoiding v is built as the search reaches it. A route
+    already certified in the quotient by a smaller ideal is not built
+    again: its certificate is pushed through the quotient map.
     """
     check_depth(depth)
     if not g.has_vertex(v):
@@ -641,7 +642,12 @@ def prove_vertex_properly_infinite(
     cases: List[IdealCase] = []
     proper: Optional[WitnessCertificate] = None
     built: Built = {}
-    for h, gq in quotient_table(g) if quotients is None else quotients:
+    if quotients is None:
+        # only the quotients by ideals avoiding v, each when it is reached
+        quotients = (
+            (h, quotient(g, h)) for h in enumerate_sat_her(g).sets if v not in h
+        )
+    for h, gq in quotients:
         if v in h:
             continue
         pair = _disjoint_cycle_pair(gq, v, depth)

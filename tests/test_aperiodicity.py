@@ -26,6 +26,7 @@ from kpalg import (
     two_loops_plus_exit,
     validate,
 )
+from kpalg import kgraph
 from kpalg.classify import aperiodicity_json
 from kpalg.degrees import below, total
 
@@ -260,31 +261,35 @@ def test_pairs_checked_counts_every_comparable_pair():
 # -- sharing composites within a candidate --------------------------------------
 
 
-def test_shared_seen_matches_fresh_calls():
+def test_memoized_separates_matches_reset_memo(monkeypatch):
     # every comparable pair, not only the residual ones, so prefixes at
-    # nonzero meet degrees go through the dict as well
+    # nonzero meet degrees go through the kernel's compose memo as well
     for name, mk in CORPUS:
         g = mk()
         for v in g.vertices:
             pairs = _comparable_pairs(g, v, 2)
             for x in g.boundary_paths(v, (3,) * g.k):
-                seen = {}
-                shared = [separates(g, a, b, x, seen) for a, b in pairs]
-                fresh = [separates(g, a, b, x) for a, b in pairs]
-                assert shared == fresh, (name, v, x)
+                memoized = [separates(g, a, b, x) for a, b in pairs]
+                fresh = []
+                for a, b in pairs:
+                    monkeypatch.setattr(kgraph, "_memo", (None, None, {}, {}))
+                    fresh.append(separates(g, a, b, x))
+                assert memoized == fresh, (name, v, x)
 
 
 def test_each_path_is_composed_once_per_candidate():
+    # counts the compositions compose really makes, by the words it sorts;
+    # the calls it answers from its memo are not counted
     graphs = [build(name) for name in APERIODIC]
     graphs.append(product(bouquet(3), bouquet(3, "u")))
     for g in graphs:
         calls = Counter()
-        compose = g.compose
+        sort_word = g._sort_word
 
-        def counting(p, q):
-            calls[(p, q)] += 1
-            return compose(p, q)
+        def counting(word, start):
+            calls[(tuple(word[:start]), tuple(word[start:]))] += 1
+            return sort_word(word, start)
 
-        g.compose = counting
+        g._sort_word = counting
         assert aperiodicity_check(g, 3).status == "aperiodic"
         assert calls and max(calls.values()) == 1, (g, calls.most_common(1))

@@ -257,6 +257,17 @@ def test_classify_builds_each_quotient_once(monkeypatch):
     assert quotients == [tuple(h) for h, _ in rep.sweep]
 
 
+def test_standalone_witness_builds_only_quotients_avoiding_the_vertex(monkeypatch):
+    g = two_loop_lattice()
+    lattice = [tuple(h) for h, _ in quotient_table(g)]
+    quotients = _count_calls(monkeypatch, "quotient")
+    for v in g.vertices:
+        del quotients[:]
+        rep = prove_vertex_properly_infinite(g, v, depth=2)
+        assert rep.status == "ProperlyInfinite"
+        assert quotients == [h for h in lattice if v not in h], v
+
+
 # -- serialization ------------------------------------------------------------------
 
 

@@ -1,5 +1,9 @@
 """Presentation core: construction, canonical words, validation, file format."""
 
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +188,84 @@ def test_compose_and_factorize_match_oracles_on_random_squares(seed, n1, n2, dat
     _check_compose(g, p, q)
     pq = g.compose(p, q)
     _check_factorize(g, pq, data.draw(st.sampled_from(list(below(pq.degree)))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), data=st.data())
+def test_memoized_compose_and_factorize_match_oracles(seeds, data):
+    # two one-vertex graphs with the same edges and their own squares, so
+    # every sorted word is a path of both; the right factors come from a
+    # pool of at most four, used with either graph, so the calls repeat a
+    # right factor, alternate between right factors and switch graphs
+    graphs = [random_square_graph(s, 2, 2) for s in seeds]
+    paths = [_paths_upto_total(g, 2) for g in graphs]
+    rights = data.draw(st.lists(st.sampled_from(paths[0] + paths[1]), min_size=1, max_size=4))
+    for _ in range(data.draw(st.integers(1, 20))):
+        i = data.draw(st.integers(0, 1))
+        g = graphs[i]
+        p, q = data.draw(st.sampled_from(paths[i])), data.draw(st.sampled_from(rights))
+        _check_compose(g, p, q)
+        pq = g.compose(p, q)
+        # a result is built over the graph called, unless it is an input
+        assert pq.graph is g or pq is p or pq is q
+        degrees = st.sampled_from(list(below(pq.degree)))
+        for m in data.draw(st.lists(degrees, min_size=1, max_size=3)):
+            # split the composite in either graph
+            h = graphs[data.draw(st.integers(0, 1))]
+            parts = h.factorize(pq, m)
+            words = [(x.range, x.edges) for x in brute_factorize(h, pq, m)]
+            assert [(x.range, x.edges) for x in parts] == words, (pq, m)
+            assert all(x.graph is h or x is pq for x in parts)
+            for x in parts:
+                _assert_fields_from_word(h, x)
+
+
+def test_memo_frees_the_composites_of_the_old_right_factor():
+    g = bouquet(2)
+    a, b = g.path_from_edges(["a"]), g.path_from_edges(["b"])
+    ab = weakref.ref(g.compose(a, b))
+    g.factorize(ab(), (1,))
+    # the memo keeps the composite alive and answers from it
+    assert g.compose(a, b) is ab()
+    g.compose(b, a)
+    assert ab() is None
+
+
+def test_memo_is_safe_across_threads():
+    # threads composing with right factors in different orders on two
+    # graphs with the same edge ids: a memo read while another thread
+    # replaces it would hand out a composite built for another right
+    # factor or graph; by unique factorization, p q splits at d(p) into p, q
+    graphs = [random_square_graph(seed, 2, 2) for seed in (1, 2)]
+    errors = []
+
+    def work(g, order):
+        ps = _paths_upto_total(g, 2)
+        rights = [q for q in ps if q.edges][::order]
+        for _ in range(100):
+            for q in rights:
+                for p in ps:
+                    pq = g.compose(p, q)
+                    if pq.graph is not g or pq.edges != canonical_word(g, p.edges + q.edges):
+                        errors.append(("compose", p, q, pq))
+                    elif g.factorize(pq, p.degree) != (p, q):
+                        errors.append(("factorize", p, q, pq))
+
+    threads = [
+        threading.Thread(target=work, args=(graphs[i % 2], 1 if i < 3 else -1))
+        for i in range(6)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[:3]
 
 
 def test_incomplete_presentation_raises_on_sort():
