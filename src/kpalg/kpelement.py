@@ -7,16 +7,24 @@ product reduces cross terms through minimal common extensions:
     (s_lam s_{mu*})(s_nu s_{rho*}) = sum over mu a = nu b in MCE(mu, nu)
                                      of s_{lam a} s_{(rho b)*}
 
+When d(mu) <= d(nu) the only candidate is nu itself, so no MCE search is
+needed: nu splits once at d(mu) as nu = head tail, and the product is
+s_{lam tail} s_{rho*} when head = mu and 0 otherwise (symmetrically when
+d(nu) <= d(mu)). Only incomparable degrees search ``KGraph.mce``.
+
 Structural equality (==) compares term maps; algebraic equality is
-``equals``, which normalizes the difference by boundary expansion.
+``equals``. Identical term tuples denote the same sum, so ``equals``
+accepts them without normalizing; any other pair is compared by
+normalizing the difference by boundary expansion.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from .degrees import Degree, join, sub
+from .degrees import Degree, join, leq, sub
 from .field import Field, Scalar
 from .kgraph import KGraph, KGraphError, Path, path_sort_key
 
@@ -86,16 +94,6 @@ class KPElement:
     def keys(self) -> Tuple[TermKey, ...]:
         return tuple(k for k, _ in self.terms)
 
-    def graded_components(self) -> Dict[Degree, "KPElement"]:
-        out: Dict[Degree, Dict[TermKey, Scalar]] = {}
-        for (lam, mu), c in self.terms:
-            gdeg = tuple(a - b for a, b in zip(lam.degree, mu.degree))
-            out.setdefault(gdeg, {})[(lam, mu)] = c
-        return {
-            gdeg: _make(self.graph, self.field, terms)
-            for gdeg, terms in out.items()
-        }
-
     def __str__(self) -> str:
         from .expr import format_element
 
@@ -110,9 +108,10 @@ def _check_compatible(a: KPElement, b: KPElement) -> None:
 
 
 def _make(g: KGraph, field: Field, terms: Dict[TermKey, Scalar]) -> KPElement:
-    kept = {k: c for k, c in terms.items() if c}
-    ordered = tuple(sorted(kept.items(), key=lambda it: _term_sort_key(it[0])))
-    return KPElement(g, field, ordered)
+    kept = [(k, c) for k, c in terms.items() if c]
+    if len(kept) > 1:
+        kept.sort(key=lambda it: _term_sort_key(it[0]))
+    return KPElement(g, field, tuple(kept))
 
 
 # -- constructors -------------------------------------------------------------
@@ -183,15 +182,31 @@ class KP:
 def kp_mul(a: KPElement, b: KPElement) -> KPElement:
     _check_compatible(a, b)
     g = a.graph
+    zero_c = a.field.zero
     acc: Dict[TermKey, Scalar] = {}
     for (lam, mu), c1 in a.terms:
         for (nu, rho), c2 in b.terms:
-            for xi in g.mce(mu, nu):
-                alpha = g.factorize(xi, mu.degree)[1]
-                beta = g.factorize(xi, nu.degree)[1]
-                key = (g.compose(lam, alpha), g.compose(rho, beta))
-                c = c1 * c2
-                acc[key] = acc.get(key, a.field.zero) + c
+            if mu.range != nu.range:
+                continue
+            c = c1 * c2
+            if leq(mu.degree, nu.degree):
+                # the only candidate extension is nu = mu tail
+                head, tail = g.factorize(nu, mu.degree)
+                keys = [(g.compose(lam, tail), rho)] if head == mu else []
+            elif leq(nu.degree, mu.degree):
+                # the only candidate extension is mu = nu tail
+                head, tail = g.factorize(mu, nu.degree)
+                keys = [(lam, g.compose(rho, tail))] if head == nu else []
+            else:
+                keys = [
+                    (
+                        g.compose(lam, g.factorize(xi, mu.degree)[1]),
+                        g.compose(rho, g.factorize(xi, nu.degree)[1]),
+                    )
+                    for xi in g.mce(mu, nu)
+                ]
+            for key in keys:
+                acc[key] = acc.get(key, zero_c) + c
     return _make(g, a.field, acc)
 
 
@@ -208,14 +223,20 @@ def normal_form(a: KPElement, target: Optional[Degree] = None) -> KPElement:
     maps certify equality.
     """
     g, field = a.graph, a.field
+    # the nonzero terms of each grading d(lam) - d(mu), in one pass
+    groups: Dict[Degree, List[Tuple[Path, Path, Scalar]]] = {}
+    for (lam, mu), c in a.terms:
+        if c:
+            gdeg = tuple(map(operator.sub, lam.degree, mu.degree))
+            groups.setdefault(gdeg, []).append((lam, mu, c))
     acc: Dict[TermKey, Scalar] = {}
-    for _, comp in sorted(a.graded_components().items()):
-        m = None
-        for (lam, _), _c in comp.terms:
-            m = lam.degree if m is None else join(m, lam.degree)
+    for terms in groups.values():
+        m = terms[0][0].degree
+        for lam, _, _ in terms[1:]:
+            m = join(m, lam.degree)
         if target is not None:
             m = join(m, tuple(target))
-        for (lam, mu), c in comp.terms:
+        for lam, mu, c in terms:
             slack = sub(m, lam.degree)
             if any(slack):
                 keys = [
@@ -231,8 +252,11 @@ def normal_form(a: KPElement, target: Optional[Degree] = None) -> KPElement:
 
 
 def equals(a: KPElement, b: KPElement) -> bool:
+    """Algebraic equality. Identical term tuples denote the same sum and
+    are equal without normalizing; any other pair is equal exactly when
+    ``normal_form(a - b)`` is zero."""
     _check_compatible(a, b)
-    return normal_form(a - b).is_zero()
+    return a.terms == b.terms or normal_form(a - b).is_zero()
 
 
 # -- matrices -------------------------------------------------------------------
@@ -325,7 +349,17 @@ def oplus(a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]) -> KPMat
     return KPMatrix(tuple(out))
 
 
+def _product(a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]):
+    # two elements multiply as elements; anything else as matrices
+    if isinstance(a, KPElement) and isinstance(b, KPElement):
+        return kp_mul(a, b)
+    return as_matrix(a) @ as_matrix(b)
+
+
 def matrix_equals(a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]) -> bool:
+    """Entrywise ``equals``; an element counts as a 1x1 matrix."""
+    if isinstance(a, KPElement) and isinstance(b, KPElement):
+        return equals(a, b)
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
         return False
@@ -343,13 +377,11 @@ def subidempotent_verify(
     a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]
 ) -> bool:
     """Check ab = ba = a."""
-    ma, mb = as_matrix(a), as_matrix(b)
     try:
-        return matrix_equals(ma @ mb, ma) and matrix_equals(mb @ ma, ma)
+        return matrix_equals(_product(a, b), a) and matrix_equals(_product(b, a), a)
     except AlgebraError:
         return False
 
 
 def is_idempotent(a: Union[KPElement, KPMatrix]) -> bool:
-    ma = as_matrix(a)
-    return matrix_equals(ma @ ma, ma)
+    return matrix_equals(_product(a, a), a)

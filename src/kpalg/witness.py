@@ -151,7 +151,7 @@ def failing_checks(
         fails.append("unknown certificate kind %r" % cert.kind)
     for step in cert.derivation if steps is None else steps:
         for desc, lhs, rhs in step.checks:
-            if not matrix_equals(as_matrix(lhs), as_matrix(rhs)):
+            if not matrix_equals(lhs, rhs):
                 fails.append("step %s: %s" % (step.rule, desc))
     return fails
 

@@ -28,6 +28,7 @@ from kpalg import (
     separates,
 )
 from kpalg.degrees import below, join, leq, total, zero
+from kpalg.kpelement import _make
 from kpalg.witness import IdealCase, _disjoint_cycle_pair, _vertex_cert_via_orthogonal
 
 
@@ -123,6 +124,25 @@ def brute_mce(g, mu, nu):
             continue
         found.add(str(lam))
     return found
+
+
+def kp_mul_via_mce(a, b):
+    """The product of two elements with every term pair through ``g.mce``.
+
+    Each common extension xi = mu alpha = nu beta is split at d(mu) and at
+    d(nu) to read alpha and beta off, whatever the degrees of mu and nu,
+    so it takes none of ``kp_mul``'s shortcuts for comparable degrees.
+    """
+    g, fld = a.graph, a.field
+    acc = {}
+    for (lam, mu), c1 in a.terms:
+        for (nu, rho), c2 in b.terms:
+            for xi in g.mce(mu, nu):
+                alpha = g.factorize(xi, mu.degree)[1]
+                beta = g.factorize(xi, nu.degree)[1]
+                key = (g.compose(lam, alpha), g.compose(rho, beta))
+                acc[key] = acc.get(key, fld.zero) + c1 * c2
+    return _make(g, fld, acc)
 
 
 def brute_sat_her(g):

@@ -502,6 +502,36 @@ def test_parse_format_round_trip():
     assert g.k == 2 and validate(g).ok
 
 
+@st.composite
+def _one_graphs(draw):
+    # any 1-graph on up to four vertices: loops, parallel edges, sources,
+    # sinks and isolated vertices allowed
+    n = draw(st.integers(1, 4))
+    end = st.integers(0, n - 1)
+    ends = draw(st.lists(st.tuples(end, end), max_size=6))
+    edges = [Edge("e%d" % i, 1, "v%d" % s, "v%d" % r) for i, (s, r) in enumerate(ends)]
+    return KGraph(1, ["v%d" % i for i in range(n)], edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.one_of(
+        st.builds(
+            random_square_graph, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3)
+        ),
+        _one_graphs(),
+    )
+)
+def test_parse_format_round_trip_on_random_graphs(g):
+    text = format_kgraph(g)
+    h = parse_kgraph(text)
+    assert format_kgraph(h) == text
+    assert h.k == g.k
+    assert h.vertices == g.vertices
+    assert h.edges == g.edges
+    assert h.square_fwd == g.square_fwd
+
+
 def test_format_of_library_graph_parses_back():
     g = torus(3)
     h = parse_kgraph(format_kgraph(g))

@@ -1,29 +1,39 @@
 """Exact symbolic arithmetic in the path algebra over a chosen field."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import build
+from corpus import CORPUS, build
+from oracles import kp_mul_via_mce
 from kpalg import (
     KP,
     AlgebraError,
+    KGraph,
+    KPElement,
     PrimeField,
     QQ,
     as_matrix,
     bouquet,
     column,
     equals,
+    generator,
     grid,
     is_idempotent,
     kp_mul,
     matrix_equals,
     normal_form,
     oplus,
+    random_square_graph,
     row,
     spanning_term,
+    star_generator,
     subidempotent_verify,
     torus,
     vertex_unit,
+    zero,
 )
+from kpalg.degrees import below, leq, total
 
 
 def algebra(name="e2"):
@@ -127,13 +137,146 @@ def test_spanning_term_needs_common_source():
         spanning_term(g, QQ, e, g.trivial_path("v"))
 
 
-def test_graded_components_split_by_degree_shift():
+def test_normal_form_keeps_degree_shifts_apart():
     kp = algebra()
     a, b = kp.path("a"), kp.path("b")
-    x = kp.s(a) + kp.term(a, b) + kp.star(b)
-    comps = x.graded_components()
-    assert set(comps) == {(1,), (0,), (-1,)}
-    assert equals(comps[(0,)], kp.term(a, b))
+    # shifts 1, 0, 0 and -1: only s_v is expanded, to the depth of s_a s_b*
+    # in its own shift; s_b* keeps depth 0 though s_a has degree 1
+    x = kp.s(a) + kp.term(a, b) + kp.s("v") + kp.star(b)
+    expanded = kp.s(a) + kp.term(a, b) + kp.term(a, a) + kp.term(b, b) + kp.star(b)
+    assert normal_form(x).terms == expanded.terms
+
+
+# -- products and equality against the definitions ---------------------------------
+
+
+def _paths_upto_total(g, t):
+    return [
+        p
+        for v in g.vertices
+        for n in below((t,) * g.k)
+        if total(n) <= t
+        for p in g.paths(v, n)
+    ]
+
+
+def _vertex_relations(g):
+    # s_v - sum of s_e s_e* over the color-i edges e received by v, for
+    # each (v, i) that receives an edge: zero by (KP4)
+    out = []
+    for v, i in sorted({(e.range, e.color) for e in g.edges.values()}):
+        rel = vertex_unit(g, QQ, v)
+        for e in g.edges.values():
+            if (e.range, e.color) == (v, i):
+                p = g.path_from_edges([e.id])
+                rel = rel - spanning_term(g, QQ, p, p)
+        out.append(rel)
+    return out
+
+
+_GRAPHS = st.one_of(
+    st.sampled_from([name for name, _ in CORPUS]).map(build),
+    st.builds(random_square_graph, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+def _draw_element(data, g, paths):
+    x = zero(g, QQ)
+    for _ in range(data.draw(st.integers(0, 3))):
+        lam = data.draw(st.sampled_from(paths))
+        mu = data.draw(st.sampled_from([p for p in paths if p.source == lam.source]))
+        x = x + spanning_term(g, QQ, lam, mu, QQ.of(data.draw(st.integers(-2, 2))))
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_GRAPHS, data=st.data())
+def test_kp_mul_matches_the_product_through_mce(g, data):
+    paths = _paths_upto_total(g, 2)
+    a, b = _draw_element(data, g, paths), _draw_element(data, g, paths)
+    assert kp_mul(a, b).terms == kp_mul_via_mce(a, b).terms
+
+
+def test_comparable_legs_need_no_mce(monkeypatch):
+    calls = []
+    mce = KGraph.mce
+
+    def counted(self, mu, nu):
+        calls.append((mu, nu))
+        return mce(self, mu, nu)
+
+    monkeypatch.setattr(KGraph, "mce", counted)
+    incomparable = 0
+    for _, mk in CORPUS:
+        g = mk()
+        paths = _paths_upto_total(g, 2)
+        for mu in paths:
+            for nu in paths:
+                if mu.range != nu.range:
+                    continue
+                x, y = star_generator(g, QQ, mu), generator(g, QQ, nu)
+                want = kp_mul_via_mce(x, y)
+                del calls[:]
+                assert kp_mul(x, y).terms == want.terms, (mu, nu)
+                if leq(mu.degree, nu.degree) or leq(nu.degree, mu.degree):
+                    assert calls == [], (mu, nu)
+                else:
+                    incomparable += 1
+                    assert calls == [(mu, nu)]
+    # the counter does see the mce calls that remain
+    assert incomparable > 0
+
+
+def test_equals_sees_through_the_vertex_relations():
+    # s_v and the sum of s_e s_e* over the edges of one color it receives
+    # are equal with different terms
+    for _, mk in CORPUS:
+        g = mk()
+        for rel in _vertex_relations(g):
+            (v, _), c = rel.terms[0]
+            assert c == QQ.one and not v.edges
+            sums = vertex_unit(g, QQ, v.range) - rel
+            assert sums.terms != vertex_unit(g, QQ, v.range).terms
+            assert equals(vertex_unit(g, QQ, v.range), sums)
+            assert normal_form(vertex_unit(g, QQ, v.range) - sums).is_zero()
+
+
+def test_equals_compares_coefficients_of_the_same_keys():
+    kp = algebra()
+    a = kp.path("a")
+    x, y = kp.s("v") + kp.s(a), kp.s("v") + 2 * kp.s(a)
+    assert x.keys() == y.keys()
+    assert not equals(x, y) and not equals(y, x)
+    assert equals(x, KPElement(x.graph, x.field, x.terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_GRAPHS, data=st.data())
+def test_equals_agrees_with_normal_form(g, data):
+    paths = _paths_upto_total(g, 2)
+    a = _draw_element(data, g, paths)
+    kind = data.draw(st.sampled_from(["other", "copy", "plus_zero", "rescaled"]))
+    if kind == "other":
+        b = _draw_element(data, g, paths)
+    elif kind == "copy":
+        b = KPElement(g, QQ, a.terms)
+    elif kind == "plus_zero":
+        # add x rel y with rel zero by (KP4): equal, with other terms
+        rel = data.draw(st.sampled_from(_vertex_relations(g)))
+        x, y = _draw_element(data, g, paths), _draw_element(data, g, paths)
+        b = a + x * rel * y
+    else:
+        # the same keys, one coefficient doubled
+        i = data.draw(st.integers(0, max(len(a.terms) - 1, 0)))
+        b = KPElement(
+            g, QQ, tuple((k, 2 * c if j == i else c) for j, (k, c) in enumerate(a.terms))
+        )
+    got = equals(a, b)
+    assert got == normal_form(a - b).is_zero()
+    if kind in ("copy", "plus_zero"):
+        assert got
+    if kind == "rescaled" and a.terms:
+        assert not got
 
 
 def test_prime_field_coefficients():
