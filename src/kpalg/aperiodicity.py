@@ -26,14 +26,26 @@ exactly when it separates those of meet 0, and only these are tested: the
 finite-path form of aperiodicity (Lewin-Sims, Math. Proc. Camb. Phil. Soc.
 149, 2010). Separator candidates are generated lazily in path_sort_key
 order, so the first one found is the one a scan of the whole sorted box
-reports; ``pairs_checked`` still counts every comparable pair.
+reports; ``pairs_checked`` still counts every comparable pair, from the
+sizes of the degree classes.
 
-Sharing within a candidate: the residual pairs at v share their paths, so
-the searches test them candidate by candidate. The compose memo of the
-path kernel (``kgraph._memo``) then composes each path with a candidate x
-once rather than once per pair, and keeps the last prefix of each
-composite; it holds one candidate's composites at a time. ``separates``
-is still called once for each (pair, candidate) tested.
+Degree-class joins: for a residual pair (a, b) and a candidate x,
+meet(d(a x), d(b x)) = d(x) + meet(d(a), d(b)) = d(x). So x separates
+(a, b) exactly when x is maximal or the heads of a x and b x, their
+prefixes at d(x), differ. The head of a x depends on a and x only, so the
+search computes it once per path and candidate rather than once per pair:
+within a range group, the paths of one degree form a degree class, and
+for each two classes whose degrees have meet 0 the pairs x leaves
+unseparated are those whose heads collide in a bucket join of the two
+classes (heads in one group share range and degree, so their edge words
+tell them apart). The residual pairs are never listed as a whole, only
+those a candidate leaves unseparated. The compose memo of the path kernel
+(``kgraph._memo``) holds one candidate's composites and their last
+prefix, so a head computed twice, or again by ``separates``, is not
+composed again. ``separates`` itself is called only where one pair meets
+one candidate: the pair that defeated the last candidate is tried first
+on the next (the first residual pair on the first), and the survivors of the first candidate in the
+stubborn-pair scan meet the later candidates one pair at a time.
 """
 
 from __future__ import annotations
@@ -127,39 +139,103 @@ def _choose2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _count_and_residual_pairs(
+# A degree class is the paths of one degree in one range group, in group
+# order. A join pairs the index of a class with the indices of the later
+# classes of its group whose degrees meet its own in 0; the residual pairs
+# are (a, b) for a in the class and b in one of those.
+Join = Tuple[int, Tuple[int, ...]]
+
+
+def _residual_classes(
     groups: List[List[Path]],
-) -> Tuple[int, List[Tuple[Path, Path]]]:
-    """The number of pairs ``_pairs_at`` yields, and those of its pairs
-    whose degrees have meet 0 (the residual pairs), oriented as there."""
+) -> Tuple[int, List[List[Path]], List[Join]]:
+    """The number of pairs ``_pairs_at`` yields, the degree classes, and
+    the joins that hold the residual pairs (those of its pairs whose
+    degrees have meet 0)."""
     count = 0
-    residual: List[Tuple[Path, Path]] = []
+    classes: List[List[Path]] = []
+    joins: List[Join] = []
     for ps in groups:
         by_degree: Dict[Degree, List[Path]] = {}
         for p in ps:
             by_degree.setdefault(p.degree, []).append(p)
         same_degree = sum(_choose2(len(q)) for q in by_degree.values())
         count += _choose2(len(ps)) - same_degree
+        first = len(classes)
+        classes += by_degree.values()
         degrees = list(by_degree)
-        for i, m in enumerate(degrees):
-            for n in degrees[i + 1 :]:
-                if not any(meet(m, n)):
-                    residual += [(a, b) for a in by_degree[m] for b in by_degree[n]]
-    return count, residual
+        for i, d in enumerate(degrees):
+            later = tuple(
+                first + j
+                for j in range(i + 1, len(degrees))
+                if not any(meet(d, degrees[j]))
+            )
+            if later:
+                joins.append((first + i, later))
+    return count, classes, joins
+
+
+def _unseparated(
+    g: KGraph,
+    classes: List[List[Path]],
+    joins: List[Join],
+    x: Path,
+    first_only: bool = False,
+) -> List[Tuple[Path, Path]]:
+    """The residual pairs x does not separate, in ``_pairs_at`` order; with
+    ``first_only`` only the first of them. A pair is unseparated when x is
+    not maximal and the heads of a x and b x at d(x) agree (module
+    docstring): each a probes the later classes, bucketed by head."""
+    d = x.degree
+
+    def head(p: Path) -> Tuple[str, ...]:
+        px = g.compose(p, x)
+        return (px if px.degree == d else g.factorize(px, d)[0]).edges
+
+    # per class, its paths bucketed by head, on first use
+    tables: Dict[int, Dict[Tuple[str, ...], List[Path]]] = {}
+
+    def bucket(j: int, h: Tuple[str, ...]) -> List[Path]:
+        table = tables.get(j)
+        if table is None:
+            table = tables[j] = {}
+            for b in classes[j]:
+                table.setdefault(head(b), []).append(b)
+        return table.get(h, [])
+
+    out: List[Tuple[Path, Path]] = []
+    for i, later in joins:
+        for a in classes[i]:
+            h = head(a)
+            for j in later:
+                hit = bucket(j, h)
+                # a maximal x separates every pair; asked at the first
+                # collision only, so a candidate that wins never asks
+                if hit and not out and _is_maximal(g, x):
+                    return out
+                for b in hit:
+                    out.append((a, b))
+                    if first_only:
+                        return out
+    return out
 
 
 def _first_separator(
-    g: KGraph, pairs: List[Tuple[Path, Path]], candidates: Iterable[Path]
+    g: KGraph,
+    classes: List[List[Path]],
+    joins: List[Join],
+    candidates: Iterable[Path],
 ) -> Optional[Path]:
-    # the first candidate separating every pair; the pair that defeats one
-    # candidate is tried first on the next, so losing candidates fail fast
-    pairs = list(pairs)
+    # the first candidate separating every residual pair; the pair that
+    # defeats one candidate is tried first on the next, so losing
+    # candidates fail fast, and the first candidate is tried first on the
+    # first residual pair
+    defeating = [(classes[i][0], classes[later[0]][0]) for i, later in joins[:1]]
     for x in candidates:
-        for i, (a, b) in enumerate(pairs):
-            if not separates(g, a, b, x):
-                pairs[0], pairs[i] = pairs[i], pairs[0]
-                break
-        else:
+        if defeating and not separates(g, *defeating[0], x):
+            continue
+        defeating = _unseparated(g, classes, joins, x, first_only=True)
+        if not defeating:
             return x
     return None
 
@@ -225,18 +301,30 @@ def _periodic_certificate(
     g: KGraph,
     v: str,
     groups: List[List[Path]],
-    residual: List[Tuple[Path, Path]],
+    classes: List[List[Path]],
+    joins: List[Join],
     candidates: Tuple[Path, ...],
 ) -> Optional[PeriodicCertificate]:
     """The first pair in ``_pairs_at`` order whose residual pair no
     candidate separates and the machine certifies, or None. The machine's
     answer depends on the residual pair only, in either order, so it runs
     once per residual pair."""
-    # a pair meets each candidate until one separates it, as a scan per
-    # pair would, but candidate by candidate, so the kernel's compose memo
-    # serves a candidate
-    left = residual
-    for x in candidates:
+    # the first candidate's survivors come from the join; a survivor then
+    # meets each later candidate until one separates it, candidate by
+    # candidate, so the kernel's compose memo serves a candidate. Only a
+    # presentation that does not validate has no candidate at all; there
+    # every residual pair survives.
+    if candidates:
+        left = _unseparated(g, classes, joins, candidates[0])
+    else:
+        left = [
+            (a, b)
+            for i, later in joins
+            for j in later
+            for a in classes[i]
+            for b in classes[j]
+        ]
+    for x in candidates[1:]:
         if not left:
             break
         left = [(a, b) for a, b in left if not separates(g, a, b, x)]
@@ -270,13 +358,13 @@ def aperiodicity_check(g: KGraph, depth: int = 6) -> AperiodicityVerdict:
     for v in g.vertices:
         cap = (depth + 1,) * g.k
         groups = _paths_by_range(g, v, depth)
-        pairs_checked, residual = _count_and_residual_pairs(groups)
-        winner = _first_separator(g, residual, g.iter_boundary_paths(v, cap))
+        pairs_checked, classes, joins = _residual_classes(groups)
+        winner = _first_separator(g, classes, joins, g.iter_boundary_paths(v, cap))
         if winner is not None:
             evidence.append(SeparationEvidence(v, winner, pairs_checked))
             continue
         candidates = g.boundary_paths(v, cap)
-        cert = _periodic_certificate(g, v, groups, residual, candidates)
+        cert = _periodic_certificate(g, v, groups, classes, joins, candidates)
         if cert is not None:
             return AperiodicityVerdict("periodic", depth, (), cert)
         return AperiodicityVerdict(

@@ -213,6 +213,18 @@ def kp_mul(a: KPElement, b: KPElement) -> KPElement:
 # -- normal form and equality ---------------------------------------------------
 
 
+def _refine(g: KGraph, lam: Path, mu: Path, slack: Degree) -> List[TermKey]:
+    """The pairs (lam tau, mu tau) over the boundary paths tau of degree
+    ``slack`` at s(lam), which together span the term (lam, mu)."""
+    if not any(slack):
+        # the trivial path is the only boundary path of degree 0
+        return [(lam, mu)]
+    return [
+        (g.compose(lam, tau), g.compose(mu, tau))
+        for tau in g.boundary_paths(lam.source, slack)
+    ]
+
+
 def normal_form(a: KPElement, target: Optional[Degree] = None) -> KPElement:
     """Expand each graded component to a common boundary depth.
 
@@ -237,16 +249,7 @@ def normal_form(a: KPElement, target: Optional[Degree] = None) -> KPElement:
         if target is not None:
             m = join(m, tuple(target))
         for lam, mu, c in terms:
-            slack = sub(m, lam.degree)
-            if any(slack):
-                keys = [
-                    (g.compose(lam, tau), g.compose(mu, tau))
-                    for tau in g.boundary_paths(lam.source, slack)
-                ]
-            else:
-                # the trivial path is the only boundary path of degree 0
-                keys = [(lam, mu)]
-            for key in keys:
+            for key in _refine(g, lam, mu, sub(m, lam.degree)):
                 acc[key] = acc.get(key, field.zero) + c
     return _make(g, field, acc)
 

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Tuple
 from .degrees import join, sub
 from .field import Field, Scalar
 from .kgraph import KGraph, KGraphError, Path
-from .kpelement import KPElement, TermKey, _term_sort_key
+from .kpelement import KPElement, TermKey, _refine, _term_sort_key
 from .paths import (
     ContainmentEvidence,
     GeneralizedCycle,
@@ -102,9 +102,7 @@ def _normalize(
         for (lam, _), _c in cls:
             cap = lam.degree if cap is None else join(cap, lam.degree)
         for (lam, mu), coef in cls:
-            room = sub(cap, lam.degree)
-            for tau in g.boundary_paths(lam.source, room):
-                key2 = (g.compose(lam, tau), g.compose(mu, tau))
+            for key2 in _refine(g, lam, mu, sub(cap, lam.degree)):
                 tot = acc.get(key2, fld.zero) + coef
                 if tot == fld.zero:
                     acc.pop(key2, None)
