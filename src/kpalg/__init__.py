@@ -93,13 +93,9 @@ from .paths import (
 from .steinberg import (
     ContractionWitness,
     CylinderBisection,
-    SteinbergElement,
     compose_bisections,
     convolve,
-    from_steinberg,
     locally_contracting_on,
-    steinberg_from_terms,
-    to_steinberg,
 )
 from .witness import (
     DerivationStep,

@@ -44,8 +44,9 @@ those a candidate leaves unseparated. The compose memo of the path kernel
 prefix, so a head computed twice, or again by ``separates``, is not
 composed again. ``separates`` itself is called only where one pair meets
 one candidate: the pair that defeated the last candidate is tried first
-on the next (the first residual pair on the first), and the survivors of the first candidate in the
-stubborn-pair scan meet the later candidates one pair at a time.
+on the next (the first residual pair on the first). When no candidate
+wins, the stubborn-pair scan hands the first candidate's survivors to the
+machine, since a pair it certifies is separated by no extension at all.
 """
 
 from __future__ import annotations
@@ -111,17 +112,19 @@ def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
     return ax.degree != bx.degree and _is_maximal(g, x)
 
 
-def _paths_by_range(g: KGraph, v: str, depth: int) -> List[List[Path]]:
-    # paths with source v and total degree <= depth, grouped by range (in
-    # vertex order) and sorted by path_sort_key within a group
-    by_range: Dict[str, List[Path]] = {}
+def _paths_by_source(g: KGraph, depth: int) -> Dict[str, List[List[Path]]]:
+    # paths of total degree <= depth by source, each source's paths grouped
+    # by range (in vertex order) and sorted by path_sort_key within a group
+    by_source: Dict[str, Dict[str, List[Path]]] = {}
     for u in g.vertices:
         for t in range(0, depth + 1):
             for n in _degrees_with_total(g.k, t):
                 for p in g.paths(u, n):
-                    if p.source == v:
-                        by_range.setdefault(u, []).append(p)
-    return [sorted(by_range[u], key=path_sort_key) for u in sorted(by_range)]
+                    by_source.setdefault(p.source, {}).setdefault(u, []).append(p)
+    return {
+        v: [sorted(by_range[u], key=path_sort_key) for u in sorted(by_range)]
+        for v, by_range in by_source.items()
+    }
 
 
 def _pairs_at(groups: List[List[Path]]) -> Iterator[Tuple[Path, Path]]:
@@ -309,11 +312,10 @@ def _periodic_certificate(
     candidate separates and the machine certifies, or None. The machine's
     answer depends on the residual pair only, in either order, so it runs
     once per residual pair."""
-    # the first candidate's survivors come from the join; a survivor then
-    # meets each later candidate until one separates it, candidate by
-    # candidate, so the kernel's compose memo serves a candidate. Only a
-    # presentation that does not validate has no candidate at all; there
-    # every residual pair survives.
+    # only the first candidate's survivors are scanned: a pair the machine
+    # certifies is separated by no extension, so by no later candidate
+    # either. Only a presentation that does not validate has no candidate
+    # at all; there every residual pair survives.
     if candidates:
         left = _unseparated(g, classes, joins, candidates[0])
     else:
@@ -324,10 +326,6 @@ def _periodic_certificate(
             for a in classes[i]
             for b in classes[j]
         ]
-    for x in candidates[1:]:
-        if not left:
-            break
-        left = [(a, b) for a, b in left if not separates(g, a, b, x)]
     if not left:
         return None
     stubborn = set(left) | {(b, a) for a, b in left}
@@ -355,9 +353,10 @@ def aperiodicity_check(g: KGraph, depth: int = 6) -> AperiodicityVerdict:
     """Three-valued aperiodicity check with explicit certificates."""
     check_depth(depth)
     evidence: List[SeparationEvidence] = []
+    paths = _paths_by_source(g, depth)
     for v in g.vertices:
         cap = (depth + 1,) * g.k
-        groups = _paths_by_range(g, v, depth)
+        groups = paths[v]
         pairs_checked, classes, joins = _residual_classes(groups)
         winner = _first_separator(g, classes, joins, g.iter_boundary_paths(v, cap))
         if winner is not None:

@@ -16,7 +16,7 @@ from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .field import Field, QQ
 from .ideals import QuotientTable, SatHerSet, quotient_table
 from .kgraph import KGraph, KGraphError, Path, validate
-from .paths import find_cycle_reaching, reachable_to
+from .paths import find_cycle_reaching
 from .witness import (
     VertexInfinitenessReport,
     prove_vertex_properly_infinite,
@@ -35,15 +35,13 @@ class VertexConditions:
     receives: some nontrivial path ends at the vertex (checked on edges
     directly). cycle/via: a cycle at some vertex together with a path
     carrying it to this one, found by depth-first search; None when no
-    cycle reaches the vertex at all. search_bound is the pigeonhole cap
-    len(reachable set)**k that any reaching cycle must respect.
+    cycle reaches the vertex at all.
     """
 
     vertex: str
     receives: bool
     cycle: Optional[Path]
     via: Optional[Path]
-    search_bound: int
 
 
 @dataclass(frozen=True)
@@ -63,13 +61,8 @@ def vertex_conditions(g: KGraph) -> Tuple[VertexConditions, ...]:
     out: List[VertexConditions] = []
     for v in g.vertices:
         receives = len(g.edges_by_range(v)) > 0
-        bound = len(reachable_to(g, v)) ** g.k
-        found = find_cycle_reaching(g, v)
-        if found is None:
-            out.append(VertexConditions(v, receives, None, None, bound))
-        else:
-            cyc, via = found
-            out.append(VertexConditions(v, receives, cyc, via, bound))
+        cyc, via = find_cycle_reaching(g, v) or (None, None)
+        out.append(VertexConditions(v, receives, cyc, via))
     return tuple(out)
 
 
@@ -246,7 +239,6 @@ def conditions_json(c: VertexConditions) -> Dict:
         "receives": c.receives,
         "cycle": None if c.cycle is None else str(c.cycle),
         "via": None if c.via is None else str(c.via),
-        "search_bound": c.search_bound,
     }
 
 

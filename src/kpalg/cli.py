@@ -182,8 +182,8 @@ def cmd_classify(g: KGraph, args) -> int:
         for c in rep.conditions:
             cyc = "none" if c.cycle is None else "%s via %s" % (c.cycle, c.via)
             print(
-                "vertex %s: receives=%s cycle=%s bound=%d"
-                % (c.vertex, "yes" if c.receives else "no", cyc, c.search_bound)
+                "vertex %s: receives=%s cycle=%s"
+                % (c.vertex, "yes" if c.receives else "no", cyc)
             )
         for h, verd in rep.sweep:
             print("ideal {%s}: %s" % (", ".join(h), verd.status))

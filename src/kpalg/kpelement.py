@@ -85,15 +85,6 @@ class KPElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, lam: Path, mu: Path) -> Scalar:
-        for key, c in self.terms:
-            if key == (lam, mu):
-                return c
-        return self.field.zero
-
-    def keys(self) -> Tuple[TermKey, ...]:
-        return tuple(k for k, _ in self.terms)
-
     def __str__(self) -> str:
         from .expr import format_element
 

@@ -4,24 +4,26 @@ The boundary-path groupoid of a k-graph has a basis of compact open
 bisections Z(lam*mu) indexed by path pairs with a common source: the
 bisection's range is the cylinder Z(lam), its source is Z(mu), and it
 shifts by d(lam) - d(mu). Finitely supported functions on the groupoid,
-with convolution, form an algebra isomorphic to the Kumjian-Pask algebra,
-so they give a second, independently coded route to products and equality
-tests. Elements here are kept over a mutually disjoint refinement of
-their support: within a fixed shift class, expanding every pair to a
-common degree cap along boundary extensions makes distinct pairs label
-disjoint bisections, so a function is zero exactly when all coefficients
-vanish.
+with convolution, form an algebra isomorphic to the Kumjian-Pask algebra
+(Clark-Farthing-Sims-Tomforde, Semigroup Forum 89, 2014) in which the
+indicator of Z(lam*mu) is the spanning term s_lam s_{mu*}. So elements
+here are ``KPElement``s, and equality is ``kpelement.equals``.
+
+``convolve`` shares the path kernel (``mce``, ``factorize``, ``compose``)
+with ``kp_mul``. What stays independent is the product rule:
+``compose_bisections`` applies the general MCE formula to every pair,
+without ``kp_mul``'s shortcut for comparable degrees, and the tests check
+it against the point action of bisections on boundary paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
-from .degrees import join, sub
-from .field import Field, Scalar
+from .field import Scalar
 from .kgraph import KGraph, KGraphError, Path
-from .kpelement import KPElement, TermKey, _refine, _term_sort_key
+from .kpelement import KPElement, TermKey, _check_compatible, _make
 from .paths import (
     ContainmentEvidence,
     GeneralizedCycle,
@@ -82,131 +84,25 @@ def compose_bisections(
     return out
 
 
-def _shift(key: TermKey) -> Tuple[int, ...]:
-    lam, mu = key
-    return tuple(a - b for a, b in zip(lam.degree, mu.degree))
-
-
-def _normalize(
-    g: KGraph, fld: Field, items: Iterable[Tuple[TermKey, Scalar]]
-) -> Tuple[Tuple[TermKey, Scalar], ...]:
-    # bucket by shift class, then refine each class to its degree cap
-    classes: Dict[Tuple[int, ...], List[Tuple[TermKey, Scalar]]] = {}
-    for key, coef in items:
-        if coef == fld.zero:
-            continue
-        classes.setdefault(_shift(key), []).append((key, coef))
-    acc: Dict[TermKey, Scalar] = {}
-    for cls in classes.values():
-        cap = None
-        for (lam, _), _c in cls:
-            cap = lam.degree if cap is None else join(cap, lam.degree)
-        for (lam, mu), coef in cls:
-            for key2 in _refine(g, lam, mu, sub(cap, lam.degree)):
-                tot = acc.get(key2, fld.zero) + coef
-                if tot == fld.zero:
-                    acc.pop(key2, None)
-                else:
-                    acc[key2] = tot
-    return tuple(sorted(acc.items(), key=lambda kv: _term_sort_key(kv[0])))
-
-
-@dataclass(frozen=True)
-class SteinbergElement:
-    """Finitely supported function on the groupoid, stored over a
-    disjoint refinement of its supporting bisections.
-
-    == compares refined term maps, which can distinguish two
-    representations of the same function when their caps differ; use
-    equals() for semantic equality.
-    """
-
-    graph: KGraph
-    fld: Field
-    terms: Tuple[Tuple[TermKey, Scalar], ...]
-
-    def support(self) -> List[Tuple[CylinderBisection, Scalar]]:
-        return [
-            (CylinderBisection(self.graph, lam, mu), c)
-            for (lam, mu), c in self.terms
-        ]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _compat(self, other: "SteinbergElement") -> None:
-        if self.graph is not other.graph or self.fld != other.fld:
-            raise KGraphError("elements live over different graphs or fields")
-
-    def __add__(self, other: "SteinbergElement") -> "SteinbergElement":
-        self._compat(other)
-        return SteinbergElement(
-            self.graph,
-            self.fld,
-            _normalize(self.graph, self.fld, list(self.terms) + list(other.terms)),
-        )
-
-    def __neg__(self) -> "SteinbergElement":
-        return SteinbergElement(
-            self.graph, self.fld, tuple((k, -c) for k, c in self.terms)
-        )
-
-    def __sub__(self, other: "SteinbergElement") -> "SteinbergElement":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "SteinbergElement":
-        if c == self.fld.zero:
-            return SteinbergElement(self.graph, self.fld, ())
-        return SteinbergElement(
-            self.graph, self.fld, tuple((k, c * x) for k, x in self.terms)
-        )
-
-    def __mul__(self, other: "SteinbergElement") -> "SteinbergElement":
-        return convolve(self, other)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            "%s * %s" % (c, CylinderBisection(self.graph, lam, mu))
-            for (lam, mu), c in self.terms
-        )
-
-
-def steinberg_from_terms(
-    g: KGraph, fld: Field, items: Iterable[Tuple[TermKey, Scalar]]
-) -> SteinbergElement:
-    return SteinbergElement(g, fld, _normalize(g, fld, items))
-
-
-def convolve(f: SteinbergElement, h: SteinbergElement) -> SteinbergElement:
+def convolve(f: KPElement, h: KPElement) -> KPElement:
     """Convolution product, computed bisection by bisection.
 
     Indicator functions of bisections multiply as 1_B * 1_C = 1_{BC}
     because source and range maps are injective on bisections; the
-    bilinear extension runs over the refined supports of f and h.
+    bilinear extension runs over the spanning terms of f and h, each the
+    indicator of Z(lam*mu).
     """
-    f._compat(h)
+    _check_compatible(f, h)
     g = f.graph
-    raw: List[Tuple[TermKey, Scalar]] = []
+    zero_c = f.field.zero
+    acc: Dict[TermKey, Scalar] = {}
     for (lam, mu), c1 in f.terms:
+        b = CylinderBisection(g, lam, mu)
         for (nu, rho), c2 in h.terms:
-            b = CylinderBisection(g, lam, mu)
-            c = CylinderBisection(g, nu, rho)
-            for d in compose_bisections(b, c):
-                raw.append(((d.lam, d.mu), c1 * c2))
-    return steinberg_from_terms(g, f.fld, raw)
-
-
-def to_steinberg(a: KPElement) -> SteinbergElement:
-    return steinberg_from_terms(a.graph, a.field, a.terms)
-
-
-def from_steinberg(f: SteinbergElement) -> KPElement:
-    # each indicator 1_{Z(lam*mu)} corresponds to the spanning pair (lam, mu)
-    from .kpelement import _make
-
-    return _make(f.graph, f.fld, dict(f.terms))
+            for d in compose_bisections(b, CylinderBisection(g, nu, rho)):
+                key = (d.lam, d.mu)
+                acc[key] = acc.get(key, zero_c) + c1 * c2
+    return _make(g, f.field, acc)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from kpalg import (
     path_sort_key,
     quotient,
     separates,
+    spanning_term,
+    vertex_unit,
 )
 from kpalg.degrees import below, join, leq, total, zero
 from kpalg.kpelement import _make
@@ -143,6 +145,20 @@ def kp_mul_via_mce(a, b):
                 key = (g.compose(lam, alpha), g.compose(rho, beta))
                 acc[key] = acc.get(key, fld.zero) + c1 * c2
     return _make(g, fld, acc)
+
+
+def vertex_relations(g):
+    """s_v - sum of s_e s_e* over the color-i edges e received by v, for
+    each (v, i) that receives an edge: zero by (KP4)."""
+    out = []
+    for v, i in sorted({(e.range, e.color) for e in g.edges.values()}):
+        rel = vertex_unit(g, QQ, v)
+        for e in g.edges.values():
+            if (e.range, e.color) == (v, i):
+                p = g.path_from_edges([e.id])
+                rel = rel - spanning_term(g, QQ, p, p)
+        out.append(rel)
+    return out
 
 
 def brute_sat_her(g):

@@ -22,7 +22,6 @@ from kpalg import (
     enumerate_sat_her,
     equals,
     failing_checks,
-    from_steinberg,
     generator,
     kp_mul,
     lift_infinite,
@@ -34,7 +33,6 @@ from kpalg import (
     spanning_term,
     star_generator,
     strong_aperiodicity_sweep,
-    to_steinberg,
     transport_infinite,
     transport_witness,
     validate,
@@ -210,10 +208,8 @@ def test_multiplication_backends_agree(capsys):
             s1, s2 = rng.choice(sources), rng.choice(sources)
             a = kp.term(rng.choice(by_source[s1]), rng.choice(by_source[s1]))
             b = kp.term(rng.choice(by_source[s2]), rng.choice(by_source[s2]))
-            direct = kp_mul(a, b)
-            via_functions = from_steinberg(convolve(to_steinberg(a), to_steinberg(b)))
             products += 1
-            if not equals(direct, via_functions):
+            if not equals(kp_mul(a, b), convolve(a, b)):
                 disagreements.append((name, str(a.terms), str(b.terms)))
         graphs += 1
     elapsed = time.monotonic() - t0

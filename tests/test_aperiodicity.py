@@ -28,7 +28,7 @@ from kpalg import (
     validate,
 )
 from kpalg import aperiodicity, kgraph
-from kpalg.aperiodicity import _pairs_at, _paths_by_range, _residual_classes, _unseparated
+from kpalg.aperiodicity import _pairs_at, _paths_by_source, _residual_classes, _unseparated
 from kpalg.classify import aperiodicity_json
 from kpalg.degrees import below, meet, total
 
@@ -310,8 +310,9 @@ _SQUARES = st.builds(
 def test_join_leaves_exactly_the_unseparated_residual_pairs(g, depth):
     # brute force: every pair of _pairs_at whose degrees meet in 0 and
     # that separates does not split, in that order
+    by_source = _paths_by_source(g, depth)
     for v in g.vertices:
-        groups = _paths_by_range(g, v, depth)
+        groups = by_source[v]
         _, classes, joins = _residual_classes(groups)
         residual = [(a, b) for a, b in _pairs_at(groups) if not any(meet(a.degree, b.degree))]
         for x in g.boundary_paths(v, (depth + 1,) * g.k):
@@ -325,8 +326,7 @@ def test_separator_search_does_not_test_pair_by_pair(monkeypatch):
     # so separates is called fewer times than there are residual pairs
     g = product(bouquet(3), bouquet(3, "u"))
     residual = 0
-    for v in g.vertices:
-        groups = _paths_by_range(g, v, 4)
+    for groups in _paths_by_source(g, 4).values():
         residual += sum(1 for a, b in _pairs_at(groups) if not any(meet(a.degree, b.degree)))
     calls = []
     inner = aperiodicity.separates

@@ -128,9 +128,6 @@ def test_vertex_conditions_two_routes():
     assert by_v["v"].receives and by_v["w"].receives
     assert str(by_v["v"].cycle) == "a" and str(by_v["v"].via) == "v"
     assert str(by_v["w"].cycle) == "a" and str(by_v["w"].via) == "c"
-    # pigeonhole cap: |reachable set| ** k
-    assert by_v["v"].search_bound == 1
-    assert by_v["w"].search_bound == 2
 
 
 def test_vertex_conditions_on_acyclic_graph():
@@ -141,13 +138,13 @@ def test_vertex_conditions_on_acyclic_graph():
 def test_consistency_guard_cycle_without_edge():
     g = build("e2")
     cyc = g.path_from_edges(["a"])
-    forged = (VertexConditions("v", False, cyc, g.trivial_path("v"), 1),)
+    forged = (VertexConditions("v", False, cyc, g.trivial_path("v")),)
     with pytest.raises(InternalConsistencyError, match="receives no edge"):
         _assert_consistent(forged)
 
 
 def test_consistency_guard_global_mismatch():
-    forged = (VertexConditions("v", True, None, None, 1),)
+    forged = (VertexConditions("v", True, None, None),)
     with pytest.raises(InternalConsistencyError, match="must agree"):
         _assert_consistent(forged)
 
@@ -313,5 +310,4 @@ def test_conditions_json_round_trip():
         "receives": True,
         "cycle": "e",
         "via": "v",
-        "search_bound": 1,
     }

@@ -24,7 +24,7 @@ def test_vertex_and_edge_atoms():
     kp = KP(g, QQ)
     assert equals(el, kp.s("v"))
     g, el = parse("a")
-    assert list(el.keys())[0][0].edges == ("a",)
+    assert el.terms[0][0][0].edges == ("a",)
 
 
 def test_dotted_path_and_star():
