@@ -244,6 +244,7 @@ def conditions_json(c: VertexConditions) -> Dict:
 
 def report_json(rep: ClassificationReport) -> Dict:
     return {
+        "format": 2,
         "verdict": rep.verdict,
         "depth": rep.depth,
         "field": rep.field_name,

@@ -172,22 +172,14 @@ def parse_expression(text: str, g: KGraph, field: Field) -> KPElement:
 # -- formatting ----------------------------------------------------------------
 
 
-def format_path(p: Path) -> str:
-    return str(p)
-
-
 def _format_term(lam: Path, mu: Path) -> str:
     if mu.is_trivial and lam.is_trivial:
         return lam.range
     if mu.is_trivial:
-        return format_path(lam)
+        return str(lam)
     if lam.is_trivial:
-        return "%s^*" % format_path(mu)
-    return "%s %s^*" % (format_path(lam), format_path(mu))
-
-
-def _format_coef(c) -> str:
-    return str(c)
+        return "%s^*" % mu
+    return "%s %s^*" % (lam, mu)
 
 
 def format_element(a: KPElement) -> str:
@@ -198,7 +190,7 @@ def format_element(a: KPElement) -> str:
     parts = []
     for (lam, mu), c in a.terms:
         body = _format_term(lam, mu)
-        cs = _format_coef(c)
+        cs = str(c)
         if cs == "1":
             parts.append(body)
         elif cs == "-1":

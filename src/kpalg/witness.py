@@ -443,11 +443,14 @@ def transport_witness(
 
 @dataclass(frozen=True)
 class IdealCase:
-    """Certificate for the image of s_v in the quotient by one ideal."""
+    """Certificate for the image of s_v in the quotient by ``ideal``. It is
+    the image of the one built in the quotient by ``built_in``, which is
+    ``ideal`` when the case built its own."""
 
     ideal: SatHerSet
     route: str  # "orthogonal-pair" or "generalized-cycle"
     certificate: WitnessCertificate
+    built_in: SatHerSet
 
 
 @dataclass(frozen=True)
@@ -583,12 +586,12 @@ def _route_key(route: str, *paths: Path) -> Tuple:
 
 
 def _pushed(built: Built, key: Tuple, h: SatHerSet, gq: KGraph):
-    # the image of a certificate for the same route built in the quotient
-    # by a smaller ideal, or None when there is none
+    # (h0, image) for a certificate of the same route built in the
+    # quotient by a smaller ideal h0, or (h, None) when there is none
     for h0, cert in built.get(key, ()):
         if h0.as_set() <= h.as_set():
-            return quotient_image(cert, gq)
-    return None
+            return h0, quotient_image(cert, gq)
+    return h, None
 
 
 def prove_vertex_properly_infinite(
@@ -655,7 +658,7 @@ def prove_vertex_properly_infinite(
             w, mu1, mu2, gamma = pair
             route = "orthogonal-pair"
             key = _route_key(route, mu1, mu2, gamma)
-            cert_v = _pushed(built, key, h, gq)
+            built_in, cert_v = _pushed(built, key, h, gq)
             if cert_v is None:
                 cert_v, proper_w = _vertex_cert_via_orthogonal(
                     gq, v, w, mu1, mu2, gamma, fld
@@ -663,18 +666,18 @@ def prove_vertex_properly_infinite(
                 built.setdefault(key, []).append((h, cert_v))
                 if len(h) == 0 and w == v and proper is None:
                     proper = proper_w
-            cases.append(IdealCase(h, route, cert_v))
+            cases.append(IdealCase(h, route, cert_v, built_in))
             continue
         rc = find_reaching_gen_cycle(gq, v, depth)
         if isinstance(rc, ReachingCycle):
             route = "generalized-cycle"
             c = rc.cycle
             key = _route_key(route, c.mu, c.nu, c.entrance, rc.gamma)
-            cert_v = _pushed(built, key, h, gq)
+            built_in, cert_v = _pushed(built, key, h, gq)
             if cert_v is None:
                 cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
                 built.setdefault(key, []).append((h, cert_v))
-            cases.append(IdealCase(h, route, cert_v))
+            cases.append(IdealCase(h, route, cert_v, built_in))
             continue
         if find_cycle_reaching(gq, v) is None:
             return VertexInfinitenessReport(
@@ -734,20 +737,24 @@ def certificate_json(cert: WitnessCertificate) -> Dict:
 
 
 def vertex_report_json(rep: VertexInfinitenessReport) -> Dict:
-    out: Dict = {
-        "vertex": rep.vertex,
-        "status": rep.status,
-        "cases": [
-            {
-                "ideal": list(c.ideal),
-                "route": c.route,
-                "certificate": certificate_json(c.certificate),
-            }
-            for c in rep.cases
-        ],
-    }
+    """Report format 2: ``certificates`` lists each certificate once, as
+    built, with the ideal of its quotient (``[]`` for ``proper``). A case
+    names its entry; dropping the terms whose source lies in the case's
+    ideal gives its image."""
+    certs: List[Dict] = []
+    index: Dict[SatHerSet, int] = {}
+    cases = []
+    for c in rep.cases:
+        if c.built_in == c.ideal:
+            index[c.ideal] = len(certs)
+            certs.append(dict(ideal=list(c.ideal), **certificate_json(c.certificate)))
+        cases.append(
+            {"ideal": list(c.ideal), "route": c.route, "certificate": index[c.built_in]}
+        )
+    out: Dict = dict(vertex=rep.vertex, status=rep.status, certificates=certs, cases=cases)
     if rep.proper is not None:
-        out["properly_infinite"] = certificate_json(rep.proper)
+        out["properly_infinite"] = len(certs)
+        certs.append(dict(ideal=[], **certificate_json(rep.proper)))
     if rep.failure:
         out["failure"] = rep.failure
     if rep.failed_ideal is not None:

@@ -317,14 +317,14 @@ def prove_vertex_from_scratch(g, v, depth, fld=QQ):
         if pair is not None:
             w, mu1, mu2, gamma = pair
             cert_v, proper_w = _vertex_cert_via_orthogonal(gq, v, w, mu1, mu2, gamma, fld)
-            cases.append(IdealCase(h, "orthogonal-pair", cert_v))
+            cases.append(IdealCase(h, "orthogonal-pair", cert_v, h))
             if len(h) == 0 and w == v and proper is None:
                 proper = proper_w
             continue
         rc = find_reaching_gen_cycle(gq, v, depth)
         if isinstance(rc, ReachingCycle):
             cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
-            cases.append(IdealCase(h, "generalized-cycle", cert_v))
+            cases.append(IdealCase(h, "generalized-cycle", cert_v, h))
             continue
         if find_cycle_reaching(gq, v) is None:
             return VertexInfinitenessReport(

@@ -14,18 +14,29 @@ from kpalg import (
     InternalConsistencyError,
     KGraph,
     KGraphError,
+    KPElement,
     PrimeField,
+    QQ,
+    SatHerSet,
     VertexConditions,
+    VertexInfinitenessReport,
+    certificate_json,
     classify_pure_infiniteness,
+    format_element,
+    lift_infinite,
+    parse_expression,
+    quotient,
     report_json,
     strong_aperiodicity_sweep,
     vertex_conditions,
     prove_vertex_properly_infinite,
     verify_certificate,
     vertex_report_json,
+    vertex_unit,
 )
 from kpalg.classify import _assert_consistent, aperiodicity_json, conditions_json
 from kpalg.ideals import quotient_table
+from kpalg.witness import IdealCase, quotient_image
 from oracles import prove_vertex_from_scratch
 
 
@@ -172,12 +183,25 @@ def two_loop_lattice(n=5, feeders=((0, 1), (2, 3))):
     return KGraph(1, vs, edges)
 
 
+def in_memory(rep):
+    # a vertex report with every case's in-memory certificate written out;
+    # unlike the JSON table it does not depend on which quotient built it
+    return (
+        rep.vertex,
+        rep.status,
+        [(c.ideal, c.route, certificate_json(c.certificate)) for c in rep.cases],
+        None if rep.proper is None else certificate_json(rep.proper),
+        rep.failure,
+        rep.failed_ideal,
+    )
+
+
 def assert_witnesses_match_from_scratch(g, depth):
     # the witnesses classify returns, and a witness search for every vertex
     # over one shared table with the gate forced open, against fresh builds
     for w in classify_pure_infiniteness(g, depth).witnesses:
         expected = prove_vertex_from_scratch(g, w.vertex, depth)
-        assert vertex_report_json(w) == vertex_report_json(expected), w.vertex
+        assert in_memory(w) == in_memory(expected), w.vertex
     table = quotient_table(g)
     gate = AperiodicityVerdict("unknown", depth)
     for v in g.vertices:
@@ -185,7 +209,7 @@ def assert_witnesses_match_from_scratch(g, depth):
             g, v, depth, aperiodicity=gate, quotients=table
         )
         expected = prove_vertex_from_scratch(g, v, depth)
-        assert vertex_report_json(got) == vertex_report_json(expected), v
+        assert in_memory(got) == in_memory(expected), v
 
 
 @pytest.mark.parametrize("name", [name for name, _ in CORPUS])
@@ -272,6 +296,7 @@ def test_report_json_positive():
     rep = classify_pure_infiniteness(build("e2"), depth=3)
     data = report_json(rep)
     assert set(data) == {
+        "format",
         "verdict",
         "depth",
         "field",
@@ -281,10 +306,110 @@ def test_report_json_positive():
         "witnesses",
         "notes",
     }
+    assert data["format"] == 2
     assert data["verdict"] == "ProperlyPurelyInfinite"
     assert data["aperiodicity"][0]["ideal"] == []
-    assert data["witnesses"][0]["status"] == "ProperlyInfinite"
+    w = data["witnesses"][0]
+    assert w["status"] == "ProperlyInfinite"
+    assert set(w) == {"vertex", "status", "certificates", "cases", "properly_infinite"}
+    assert w["cases"] == [{"ideal": [], "route": "orthogonal-pair", "certificate": 0}]
+    assert [(c["ideal"], c["kind"]) for c in w["certificates"]] == [
+        ([], "Infinite"),
+        ([], "ProperlyInfinite"),
+    ]
+    assert w["properly_infinite"] == 1
     json.dumps(data)
+
+
+def lattice8():
+    """Eight vertices with two loops each and three matched feeder edges:
+    3 ** 3 * 2 ** 2 = 108 ideals."""
+    return two_loop_lattice(8, ((0, 1), (2, 3), (4, 5)))
+
+
+@pytest.fixture(scope="module")
+def lattice8_report():
+    g = lattice8()
+    return g, classify_pure_infiniteness(g, depth=2)
+
+
+def test_report_json_holds_each_certificate_once(lattice8_report):
+    _, rep = lattice8_report
+    assert rep.verdict == "ProperlyPurelyInfinite"
+    assert len(rep.sweep) == 108
+    data = report_json(rep)
+    witnesses = data["witnesses"]
+    # per vertex one built certificate and its proper certificate
+    assert sum(len(w["certificates"]) for w in witnesses) == 16
+    assert sum(len(w["cases"]) for w in witnesses) == 432
+    assert len(json.dumps(data, indent=2)) < 200_000
+
+
+def image_from_text(text, g, built_in, ideal):
+    # the image map, written here: parse over the quotient that built the
+    # certificate, drop the terms whose source lies in the case's ideal, and
+    # rebuild the surviving paths by edge word over the case's quotient
+    el = parse_expression(text, quotient(g, SatHerSet(tuple(built_in))), QQ)
+    gq = quotient(g, SatHerSet(tuple(ideal)))
+
+    def path(p):
+        return gq.path_from_edges(p.edges) if p.edges else gq.trivial_path(p.range)
+
+    kept = tuple(
+        ((path(lam), path(mu)), c) for (lam, mu), c in el.terms if lam.source not in ideal
+    )
+    return format_element(KPElement(gq, QQ, kept))
+
+
+def assert_text_gives_images(g, witnesses):
+    # every case's in-memory certificate from the text of its table entry
+    # alone; returns the number of pushed cases
+    pushed = 0
+    for w in witnesses:
+        data = json.loads(json.dumps(vertex_report_json(w)))
+        assert len(data["cases"]) == len(w.cases)
+        for case, c in zip(w.cases, data["cases"]):
+            entry = data["certificates"][c["certificate"]]
+            assert entry["ideal"] == list(case.built_in)
+            cert = case.certificate
+            for part, x in [("target", cert.target)] + list(cert.parts):
+                got = image_from_text(entry[part], g, entry["ideal"], c["ideal"])
+                assert got == format_element(x), (w.vertex, c["ideal"], part)
+            pushed += entry["ideal"] != c["ideal"]
+    return pushed
+
+
+def test_report_text_determines_every_image(lattice8_report):
+    # no CORPUS graph has a pushed case: the two with more than two ideals
+    # are certified periodic, so only the two lattices carry pushed cases
+    for name, _ in CORPUS:
+        g = build(name)
+        assert assert_text_gives_images(g, classify_pure_infiniteness(g, 2).witnesses) == 0
+    g = two_loop_lattice()
+    assert assert_text_gives_images(g, classify_pure_infiniteness(g, 2).witnesses) > 0
+    g, rep = lattice8_report
+    assert assert_text_gives_images(g, rep.witnesses) == 432 - 8
+
+
+def test_report_text_determines_an_image_that_drops_terms():
+    # the images above keep every term; a certificate lifted to s_v + s_z
+    # loses its terms at z in the quotient by {z}
+    g = KGraph(
+        1,
+        ["v", "z"],
+        [Edge(u + i, 1, u, u) for u in "vz" for i in "01"] + [Edge("c", 1, "z", "v")],
+    )
+    cert = prove_vertex_properly_infinite(g, "v", 2).cases[0].certificate
+    built = lift_infinite(cert, vertex_unit(g, QQ, "v") + vertex_unit(g, QQ, "z"))
+    empty, hz = SatHerSet(()), SatHerSet(("z",))
+    image = quotient_image(built, quotient(g, hz))
+    assert format_element(image.target) == "v" != format_element(built.target)
+    cases = (
+        IdealCase(empty, "orthogonal-pair", built, empty),
+        IdealCase(hz, "orthogonal-pair", image, empty),
+    )
+    rep = VertexInfinitenessReport("v", "ProperlyInfinite", cases)
+    assert assert_text_gives_images(g, [rep]) == 1
 
 
 def test_aperiodicity_json_carries_certificate():

@@ -272,9 +272,13 @@ def test_classify_json_and_field(tmp_path, capsys):
     f = write_graph(tmp_path, "e2")
     assert main(["classify", f, "--depth", "3", "--field", "F5", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
+    assert data["format"] == 2
     assert data["verdict"] == "ProperlyPurelyInfinite"
     assert data["field"] == "F5"
-    assert data["witnesses"][0]["status"] == "ProperlyInfinite"
+    w = data["witnesses"][0]
+    assert w["status"] == "ProperlyInfinite"
+    assert w["cases"][0]["certificate"] == 0
+    assert w["certificates"][w["properly_infinite"]]["kind"] == "ProperlyInfinite"
 
 
 def test_classify_bad_field(tmp_path, capsys):
@@ -306,6 +310,7 @@ def test_witness_negative_json(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "Negative"
     assert "failed_ideal" in data
+    assert data["certificates"] == [] and data["cases"] == []
 
 
 def test_witness_unknown_vertex(tmp_path, capsys):

@@ -519,8 +519,9 @@ def test_certificates_are_pushed_only_into_larger_ideals():
     gx = quotient(g, hx)
     cert = prove_vertex_properly_infinite(gx, "v", 2).cases[0].certificate
     built = {"route": [(hx, cert)]}
-    assert _pushed(built, "route", hz, quotient(g, hz)) is None
-    image = _pushed(built, "route", hxz, quotient(g, hxz))
+    assert _pushed(built, "route", hz, quotient(g, hz)) == (hz, None)
+    built_in, image = _pushed(built, "route", hxz, quotient(g, hxz))
+    assert built_in == hx
     assert certificate_json(image) == certificate_json(cert)
 
 
@@ -562,11 +563,14 @@ def test_vertex_report_json_shapes(e2):
     data = vertex_report_json(rep)
     assert data["vertex"] == "v"
     assert data["status"] == "ProperlyInfinite"
-    assert data["cases"][0]["route"] == "orthogonal-pair"
-    assert data["cases"][0]["ideal"] == []
-    assert "properly_infinite" in data
+    assert data["cases"] == [{"ideal": [], "route": "orthogonal-pair", "certificate": 0}]
+    inf, proper = data["certificates"]
+    assert inf == dict(ideal=[], **certificate_json(rep.cases[0].certificate))
+    assert proper == dict(ideal=[], **certificate_json(rep.proper))
+    assert data["properly_infinite"] == 1
     neg = vertex_report_json(prove_vertex_properly_infinite(build("omega11"), "p11", depth=3))
     assert neg["status"] == "Negative"
     assert "failure" in neg and "failed_ideal" in neg
     assert "properly_infinite" not in neg
+    assert all(0 <= c["certificate"] < len(neg["certificates"]) for c in neg["cases"])
     json.dumps(neg)
