@@ -47,11 +47,20 @@ one candidate: the pair that defeated the last candidate is tried first
 on the next (the first residual pair on the first). When no candidate
 wins, the stubborn-pair scan hands the first candidate's survivors to the
 machine, since a pair it certifies is separated by no extension at all.
+
+Locality across quotients: the quotient by a hereditary saturated set H
+keeps the edges with source outside H, and by heredity an edge with range
+in H has its source in H. So for v outside H the paths with source v,
+their squares and comparable pairs are those of the whole graph, while
+the candidates and the edges into their sources run among D(v), the
+vertices v reaches, and see H only through H & D(v) (``_immortal`` only
+skips degrees that give no boundary path anyway). The winning separator
+at v and its ``pairs_checked`` thus depend only on (v, H & D(v)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .degrees import Degree, meet
@@ -349,12 +358,22 @@ def check_depth(depth: int) -> None:
         raise ValueError("depth must be >= 1, got %d" % depth)
 
 
-def aperiodicity_check(g: KGraph, depth: int = 6) -> AperiodicityVerdict:
-    """Three-valued aperiodicity check with explicit certificates."""
+def aperiodicity_check(
+    g: KGraph, depth: int = 6, known: Optional[Dict[str, SeparationEvidence]] = None
+) -> AperiodicityVerdict:
+    """Three-valued aperiodicity check with explicit certificates.
+    ``known`` maps vertices v to the evidence found in another quotient of
+    the same graph by an ideal with the same H & D(v) (module docstring)."""
     check_depth(depth)
     evidence: List[SeparationEvidence] = []
-    paths = _paths_by_source(g, depth)
+    paths = None
     for v in g.vertices:
+        if known and v in known:
+            ev = known[v]
+            evidence.append(replace(ev, separator=replace(ev.separator, graph=g)))
+            continue
+        if paths is None:
+            paths = _paths_by_source(g, depth)
         cap = (depth + 1,) * g.k
         groups = paths[v]
         pairs_checked, classes, joins = _residual_classes(groups)

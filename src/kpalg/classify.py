@@ -16,7 +16,7 @@ from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .field import Field, QQ
 from .ideals import QuotientTable, SatHerSet, quotient_table
 from .kgraph import KGraph, KGraphError, Path, validate
-from .paths import find_cycle_reaching
+from .paths import find_cycle_reaching, reachable_to
 from .witness import (
     VertexInfinitenessReport,
     prove_vertex_properly_infinite,
@@ -89,10 +89,24 @@ def strong_aperiodicity_sweep(
 ) -> Tuple[Tuple[SatHerSet, AperiodicityVerdict], ...]:
     """Aperiodicity verdict for the quotient by every hereditary
     saturated set, the empty quotient included (vacuously aperiodic).
-    ``quotients`` is the quotient table to read, built here when absent."""
+    ``quotients`` is the quotient table to read, built here when absent.
+    A separator found at v serves every quotient with the same H & D(v),
+    D(v) being the vertices v reaches (aperiodicity's locality across
+    quotients); only winners are kept, so a miss is searched again."""
     if quotients is None:
         quotients = quotient_table(g)
-    return tuple((h, aperiodicity_check(gq, depth)) for h, gq in quotients)
+    reach = {v: frozenset(reachable_to(g, v)) for v in g.vertices}
+    # (v, H & D(v)) -> the separation evidence found at v
+    winners: Dict = {}
+    out = []
+    for h, gq in quotients:
+        keys = {v: (v, reach[v].intersection(h)) for v in gq.vertices}
+        known = {v: winners[key] for v, key in keys.items() if key in winners}
+        verd = aperiodicity_check(gq, depth, known)
+        for ev in verd.evidence:
+            winners.setdefault(keys[ev.vertex], ev)
+        out.append((h, verd))
+    return tuple(out)
 
 
 def _describe(h: SatHerSet) -> str:

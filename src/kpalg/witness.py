@@ -532,29 +532,33 @@ def quotient_image(cert: WitnessCertificate, gq: KGraph) -> WitnessCertificate:
     in H and to the same term over gq otherwise. The final relations and
     strictness are checked in gq; the derivation checks hold there by the
     homomorphism and are not replayed. A failure raises WitnessError.
-    """
-    paths: Dict[Tuple[str, Tuple[str, ...]], Path] = {}
 
-    def path(p: Path) -> Path:
-        key = (p.range, p.edges)
-        if key not in paths:
-            paths[key] = Path(gq, p.range, p.edges, p.degree, p.source)
-        return paths[key]
+    Paths are mapped once per word, and every other object once, by
+    ``id`` (safe, since cert keeps them alive), so the image shares
+    structure as its source does: p recurs in the checks, parts in steps.
+    """
+    images: Dict = {}
 
     def image(x):
+        key = (x.range, x.edges) if isinstance(x, Path) else id(x)
+        if key in images:
+            return images[key]
         if isinstance(x, KPMatrix):
-            return KPMatrix(tuple(tuple(image(y) for y in r) for r in x.rows))
-        if isinstance(x, KPElement):
-            return KPElement(
+            out = KPMatrix(tuple(tuple(image(y) for y in r) for r in x.rows))
+        elif isinstance(x, KPElement):
+            out = KPElement(
                 gq,
                 x.field,
                 tuple(
-                    ((path(lam), path(mu)), c)
+                    ((image(lam), image(mu)), c)
                     for (lam, mu), c in x.terms
                     if gq.has_vertex(lam.source)
                 ),
             )
-        return path(x)
+        else:
+            out = Path(gq, x.range, x.edges, x.degree, x.source)
+        images[key] = out
+        return out
 
     out = WitnessCertificate(
         cert.kind,

@@ -71,6 +71,23 @@ def three_components() -> KGraph:
     )
 
 
+def two_loop_lattice(n=5, feeders=((0, 1), (2, 3))):
+    """n vertices with two loops each, plus feeder edges joining disjoint
+    pairs: every down-set of the feeders is an ideal (here 3 * 3 * 2)."""
+    vs = ["x%d" % i for i in range(n)]
+    edges = [Edge(v + ab, 1, v, v) for v in vs for ab in "ab"]
+    edges += [
+        Edge("f%d" % i, 1, vs[s], vs[r]) for i, (s, r) in enumerate(feeders)
+    ]
+    return KGraph(1, vs, edges)
+
+
+def lattice8():
+    """Eight vertices with two loops each and three matched feeder edges:
+    3 ** 3 * 2 ** 2 = 108 ideals."""
+    return two_loop_lattice(8, ((0, 1), (2, 3), (4, 5)))
+
+
 CORPUS = [
     ("e1", lambda: bouquet(1)),
     ("e2", lambda: bouquet(2)),

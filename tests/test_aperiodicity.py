@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, build, entered_loop
+from corpus import CORPUS, build, entered_loop, lattice8, two_loop_lattice
 from oracles import aperiodicity_exhaustive, brute_path_words, word_to_path
 from kpalg import (
     Edge,
@@ -23,6 +23,7 @@ from kpalg import (
     product,
     random_square_graph,
     separates,
+    strong_aperiodicity_sweep,
     torus,
     two_loops_plus_exit,
     validate,
@@ -31,6 +32,7 @@ from kpalg import aperiodicity, kgraph
 from kpalg.aperiodicity import _pairs_at, _paths_by_source, _residual_classes, _unseparated
 from kpalg.classify import aperiodicity_json
 from kpalg.degrees import below, meet, total
+from kpalg.ideals import quotient_table
 
 # depth 2 keeps the separator search cheap on the product graphs while
 # still exercising nontrivial pair sets
@@ -353,3 +355,78 @@ def test_separator_search_does_not_list_the_residual_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20, peak
+
+
+# -- locality across quotients ----------------------------------------------------
+
+
+def assert_sweep_matches_fresh_checks(g, depth):
+    # the sweep reuses separators across quotients; a fresh check of each
+    # quotient must give the same verdict, with evidence over the quotient
+    table = quotient_table(g)
+    sweep = strong_aperiodicity_sweep(g, depth, table)
+    assert [h for h, _ in sweep] == [h for h, _ in table]
+    for (h, verd), (_, gq) in zip(sweep, table):
+        fresh = aperiodicity_check(gq, depth)
+        got = (verd.status, verd.depth, verd.certificate, verd.note)
+        assert got == (fresh.status, fresh.depth, fresh.certificate, fresh.note), h
+        # vertex, separator word and graph, pairs_checked
+        assert verd.evidence == fresh.evidence, h
+        assert all(ev.separator.graph is gq for ev in verd.evidence), h
+
+
+def test_sweep_matches_fresh_checks_on_corpus():
+    for name, mk in GRAPHS + [("two_loop_lattice", two_loop_lattice)]:
+        for depth in (1, 2, 3):
+            assert_sweep_matches_fresh_checks(mk(), depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.one_of(_PRODUCTS, _one_graphs()), depth=st.integers(1, 2))
+def test_sweep_matches_fresh_checks_on_random_graphs(g, depth):
+    assert_sweep_matches_fresh_checks(g, depth)
+
+
+def _reaches(g, v):
+    # D(v), the vertices w with a path from w to v: {v} closed under the
+    # sources of the edges into it
+    out = {v}
+    grown = True
+    while grown:
+        grown = False
+        for e in g.edges.values():
+            if e.range in out and e.source not in out:
+                out.add(e.source)
+                grown = True
+    return out
+
+
+@pytest.mark.parametrize(
+    "mk",
+    [pytest.param(lambda name=name: build(name), id=name) for name in APERIODIC]
+    + [pytest.param(mk, id=mk.__name__) for mk in (two_loop_lattice, lattice8)],
+)
+def test_sweep_searches_each_vertex_once_per_trace_of_the_ideal(monkeypatch, mk):
+    # on a graph whose every quotient is aperiodic, the separator search
+    # runs once per distinct (v, H & D(v)) and never again
+    g = mk()
+    calls = []
+    inner = aperiodicity._first_separator
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(aperiodicity, "_first_separator", counting)
+    sweep = strong_aperiodicity_sweep(g, 2)
+    assert all(verd.status == "aperiodic" for _, verd in sweep)
+    keys = {
+        (v, frozenset(_reaches(g, v) & set(h)))
+        for h, _ in sweep
+        for v in g.vertices
+        if v not in h
+    }
+    assert len(calls) == len(keys)
+    if mk is lattice8:
+        searches = sum(len(g.vertices) - len(h) for h, _ in sweep)
+        assert (searches, len(keys)) == (432, 11)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, build, three_components
+from corpus import CORPUS, build, lattice8, three_components, two_loop_lattice
 from kpalg import (
     AperiodicityVerdict,
     Edge,
@@ -172,17 +172,6 @@ def test_strong_sweep_covers_every_ideal():
 # -- one quotient table, certificates pushed through the quotient maps --------------
 
 
-def two_loop_lattice(n=5, feeders=((0, 1), (2, 3))):
-    """n vertices with two loops each, plus feeder edges joining disjoint
-    pairs: every down-set of the feeders is an ideal (here 3 * 3 * 2)."""
-    vs = ["x%d" % i for i in range(n)]
-    edges = [Edge(v + ab, 1, v, v) for v in vs for ab in "ab"]
-    edges += [
-        Edge("f%d" % i, 1, vs[s], vs[r]) for i, (s, r) in enumerate(feeders)
-    ]
-    return KGraph(1, vs, edges)
-
-
 def in_memory(rep):
     # a vertex report with every case's in-memory certificate written out;
     # unlike the JSON table it does not depend on which quotient built it
@@ -319,12 +308,6 @@ def test_report_json_positive():
     ]
     assert w["properly_infinite"] == 1
     json.dumps(data)
-
-
-def lattice8():
-    """Eight vertices with two loops each and three matched feeder edges:
-    3 ** 3 * 2 ** 2 = 108 ideals."""
-    return two_loop_lattice(8, ((0, 1), (2, 3), (4, 5)))
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,11 @@
 """Witness certificates: constructors, transports, verification, reports."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from corpus import build
+from corpus import build, lattice8, two_loop_lattice
 from kpalg import (
     KP,
     DerivationStep,
@@ -12,6 +13,7 @@ from kpalg import (
     GeneralizedCycle,
     KGraph,
     KGraphError,
+    KPMatrix,
     PrimeField,
     QQ,
     ReachingCycle,
@@ -20,6 +22,7 @@ from kpalg import (
     WitnessError,
     aperiodicity_check,
     certificate_json,
+    classify_pure_infiniteness,
     column,
     equals,
     failing_checks,
@@ -38,6 +41,7 @@ from kpalg import (
     vertex_report_json,
     witness_from_gen_cycle,
 )
+from kpalg import witness
 from kpalg.witness import _disjoint_cycle_pair, _pushed, quotient_image
 
 
@@ -535,6 +539,102 @@ def test_quotient_image_into_ideal_holding_the_cycle_raises():
     cert = case.certificate
     with pytest.raises(WitnessError, match="quotient image: .*not strict"):
         quotient_image(cert, quotient(g, SatHerSet(("z",))))
+
+
+def _payloads(cert):
+    # every element, matrix entry and path a certificate holds, in order
+    out = []
+
+    def add(x):
+        out.append(x)
+        if isinstance(x, KPMatrix):
+            for r in x.rows:
+                for y in r:
+                    add(y)
+
+    add(cert.target)
+    for _, x in cert.parts:
+        add(x)
+    for step in cert.derivation:
+        for _, x in step.elements:
+            add(x)
+        for _, lhs, rhs in step.checks:
+            add(lhs)
+            add(rhs)
+    return out
+
+
+def test_quotient_image_maps_each_shared_object_once():
+    # an object the source holds in several places, like p in its checks,
+    # has one image object, which the image holds in the same places
+    g = two_loop_lattice()
+    pushed = 0
+    for w in classify_pure_infiniteness(g, 2).witnesses:
+        built = {c.ideal: c.certificate for c in w.cases if c.built_in == c.ideal}
+        for c in w.cases:
+            if c.built_in == c.ideal:
+                continue
+            pushed += 1
+            src, img = _payloads(built[c.built_in]), _payloads(c.certificate)
+            assert len(src) == len(img)
+            images = {}
+            for x, y in zip(src, img):
+                images.setdefault(id(x), set()).add(id(y))
+            assert all(len(ys) == 1 for ys in images.values()), c.ideal
+            assert len(images) < len(src)
+    assert pushed == 40
+
+
+def test_each_pushed_image_is_checked_once(monkeypatch):
+    # every image is still checked in its own quotient, each exactly once
+    g = lattice8()
+    checked = []
+    inner = witness.failing_checks
+
+    def counting(cert, steps=None):
+        checked.append(cert)
+        return inner(cert, steps)
+
+    monkeypatch.setattr(witness, "failing_checks", counting)
+    rep = classify_pure_infiniteness(g, 2)
+    pushed = [c for w in rep.witnesses for c in w.cases if c.built_in != c.ideal]
+    certs = sum(len(w.cases) + (w.proper is not None) for w in rep.witnesses)
+    assert (len(checked), certs, len(pushed)) == (480, 440, 424)
+    times = Counter(id(cert) for cert in checked)
+    assert all(times[id(c.certificate)] == 1 for c in pushed)
+    for c in pushed:
+        assert set(c.certificate.graph.vertices) == set(g.vertices) - set(c.ideal)
+
+
+def _pushable():
+    # a certificate for s_v built over the whole graph, and the quotient by
+    # {z}, which its image survives
+    g = fed_pair(2, 2)
+    cert = prove_vertex_properly_infinite(g, "v", 2).cases[0].certificate
+    gq = quotient(g, SatHerSet(("z",)))
+    assert verify_certificate(quotient_image(cert, gq))
+    return cert, gq
+
+
+def test_quotient_image_with_a_doubled_part_raises(monkeypatch):
+    cert, gq = _pushable()
+
+    def doubled(kind, target, parts, derivation):
+        parts = tuple((nm, x + x if nm == "r" else x) for nm, x in parts)
+        return WitnessCertificate(kind, target, parts, derivation)
+
+    monkeypatch.setattr(witness, "WitnessCertificate", doubled)
+    with pytest.raises(WitnessError, match="quotient image: .*r s = p"):
+        quotient_image(cert, gq)
+
+
+def test_quotient_image_with_a_confused_memo_raises(monkeypatch):
+    # were the memo to confuse two source objects, here all of them, each
+    # part would be the image of the target
+    cert, gq = _pushable()
+    monkeypatch.setattr(witness, "id", lambda x: 0, raising=False)
+    with pytest.raises(WitnessError, match="quotient image: .*not strict"):
+        quotient_image(cert, gq)
 
 
 # -- serialization ------------------------------------------------------------------
