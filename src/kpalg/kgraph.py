@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .degrees import Degree, below, join, leq, sub, total, zero
@@ -42,20 +42,22 @@ class Edge:
     range: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Path:
     """A path in canonical (color-nondecreasing) form.
 
     ``edges`` is a tuple of edge ids; the trivial path at a vertex has an
-    empty word and carries the vertex in ``range``.
+    empty word and carries the vertex in ``range``. Two paths are equal
+    when they have the same graph object, range and word. ``trivial_path``
+    hands out one trivial path per vertex and graph.
     """
 
     graph: "KGraph"
     range: str
     edges: Tuple[str, ...]
     # computed from the word unless the caller already knows them
-    degree: Degree = field(default=None, compare=False)
-    source: str = field(default=None, compare=False)
+    degree: Degree = None
+    source: str = None
 
     def __post_init__(self):
         if self.degree is not None:
@@ -71,6 +73,17 @@ class Path:
         else:
             object.__setattr__(self, "degree", zero(g.k))
             object.__setattr__(self, "source", self.range)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Path):
+            return NotImplemented
+        same = self.edges == other.edges and self.range == other.range
+        return same and self.graph is other.graph
+
+    def __hash__(self):
+        return hash((self.range, self.edges))
 
     @property
     def is_trivial(self) -> bool:
@@ -126,7 +139,8 @@ class KGraph:
     """A finite k-graph presentation.
 
     Treated as immutable after construction; the paths of each exact degree
-    at each vertex are cached on the instance once ``paths`` has listed them.
+    at each vertex are cached on the instance once ``paths`` has listed them,
+    and each trivial path once ``trivial_path`` has built it.
     """
 
     def __init__(
@@ -193,6 +207,7 @@ class KGraph:
             all((w, c) in by_r for w in self.vertices) for c in range(1, k + 1)
         )
         self._paths_cache: Dict[Tuple[str, Degree], Tuple[Path, ...]] = {}
+        self._trivial: Dict[str, Path] = {}
 
     def __repr__(self) -> str:
         return "<KGraph k=%d |V|=%d |E|=%d>" % (
@@ -251,9 +266,12 @@ class KGraph:
         return word
 
     def trivial_path(self, v: str) -> Path:
-        if not self.has_vertex(v):
-            raise KGraphError("unknown vertex %r" % v)
-        return Path(self, v, ())
+        p = self._trivial.get(v)
+        if p is None:
+            if not self.has_vertex(v):
+                raise KGraphError("unknown vertex %r" % v)
+            p = self._trivial[v] = Path(self, v, (), zero(self.k), v)
+        return p
 
     def path_from_edges(self, edge_ids: Sequence[str]) -> Path:
         """Build a path from a composable edge word, canonicalizing it."""
@@ -311,21 +329,21 @@ class KGraph:
             return last[1]
         if len(m) != self.k:
             raise KGraphError("degree %r has wrong rank" % (m,))
-        if not leq(m, p.degree):
+        d = p.degree
+        if any(map(operator.gt, m, d)):
             raise KGraphError(
-                "cannot factorize %s at degree %r (path degree %r)"
-                % (p, m, p.degree)
+                "cannot factorize %s at degree %r (path degree %r)" % (p, m, d)
             )
         m = tuple(m)
-        d = p.degree
         if m == d:
-            return p, Path(self, p.source, ())
+            return p, self.trivial_path(p.source)
         if not any(m):
-            return Path(self, p.range, (), m, p.range), p
+            return self.trivial_path(p.range), p
         # word[:h] is the head so far, word[h:] the canonical rest; before
         # color c joins the head, the rest starts with the `skip` left-over
         # edges of colors below c, so its next color-c edge sits after them
         word = list(p.edges)
+        sq = self.square_fwd
         h = 0
         skip = 0
         for c in range(self.k):
@@ -333,7 +351,8 @@ class KGraph:
                 # bubble the color-c edge down to the head boundary; the
                 # square map returns the transposed pair directly
                 for pos in range(h + skip, h, -1):
-                    word[pos - 1], word[pos] = self._swap_fwd(word[pos - 1], word[pos])
+                    a, b = word[pos - 1], word[pos]
+                    word[pos - 1], word[pos] = sq.get((a, b)) or self._swap_fwd(a, b)
                 h += 1
             skip += d[c] - m[c]
         split = self.edges[word[h]].range

@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .degrees import Degree, join, leq, sub
+from .degrees import Degree, join, sub
 from .field import Field, Scalar
 from .kgraph import KGraph, KGraphError, Path, path_sort_key
 
@@ -180,12 +180,12 @@ def kp_mul(a: KPElement, b: KPElement) -> KPElement:
             if mu.range != nu.range:
                 continue
             c = c1 * c2
-            if leq(mu.degree, nu.degree):
-                # the only candidate extension is nu = mu tail
+            if not any(map(operator.gt, mu.degree, nu.degree)):
+                # d(mu) <= d(nu): the only candidate extension is nu = mu tail
                 head, tail = g.factorize(nu, mu.degree)
                 keys = [(g.compose(lam, tail), rho)] if head == mu else []
-            elif leq(nu.degree, mu.degree):
-                # the only candidate extension is mu = nu tail
+            elif not any(map(operator.gt, nu.degree, mu.degree)):
+                # d(nu) <= d(mu): the only candidate extension is mu = nu tail
                 head, tail = g.factorize(mu, nu.degree)
                 keys = [(lam, g.compose(rho, tail))] if head == nu else []
             else:

@@ -486,6 +486,22 @@ def _disjoint_cycle_pair(
     return None
 
 
+def _cycle_pairs(g: KGraph, v: str, depth: int):
+    """``pair(h, gq)`` is ``_disjoint_cycle_pair(gq, v, depth)``, its paths
+    over some quotient. It runs among D(v), the vertices v reaches, so it is
+    searched once per H & D(v) (the locality paragraph of aperiodicity.py)."""
+    reach = frozenset(reachable_to(g, v))
+    found: Dict = {}
+
+    def pair(h: SatHerSet, gq: KGraph) -> Optional[Tuple[str, Path, Path, Path]]:
+        key = reach.intersection(h)
+        if key not in found:
+            found[key] = _disjoint_cycle_pair(gq, v, depth)
+        return found[key]
+
+    return pair
+
+
 def infinite_vertex_from_reaching_cycle(
     g: KGraph, rc: ReachingCycle, fld: Field = QQ
 ) -> WitnessCertificate:
@@ -654,16 +670,21 @@ def prove_vertex_properly_infinite(
         quotients = (
             (h, quotient(g, h)) for h in enumerate_sat_her(g).sets if v not in h
         )
+    cycle_pair = _cycle_pairs(g, v, depth)
     for h, gq in quotients:
         if v in h:
             continue
-        pair = _disjoint_cycle_pair(gq, v, depth)
+        pair = cycle_pair(h, gq)
         if pair is not None:
-            w, mu1, mu2, gamma = pair
+            w, *paths = pair
             route = "orthogonal-pair"
-            key = _route_key(route, mu1, mu2, gamma)
+            key = _route_key(route, *paths)
             built_in, cert_v = _pushed(built, key, h, gq)
             if cert_v is None:
+                # the pair may come from another quotient: its paths over gq
+                mu1, mu2, gamma = (
+                    Path(gq, p.range, p.edges, p.degree, p.source) for p in paths
+                )
                 cert_v, proper_w = _vertex_cert_via_orthogonal(
                     gq, v, w, mu1, mu2, gamma, fld
                 )

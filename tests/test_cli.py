@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from corpus import branches, build
+import kpalg
+from corpus import branches, build, lattice8
 from kpalg import Edge, KGraph, format_kgraph, product
 from kpalg.cli import main
 
@@ -367,6 +371,33 @@ def test_contract_not_found_exits_one(tmp_path, capsys):
     g = write_graph(tmp_path, "omega11")
     assert main(["contract", g, "p00", "--depth", "2"]) == 1
     assert "no contracting bisection found" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "make, verdict",
+    [(lambda: build("prod_c2_b2"), "Inconclusive"), (lattice8, "ProperlyPurelyInfinite")],
+)
+def test_classify_json_is_the_same_under_every_hash_seed(tmp_path, make, verdict):
+    # paths, ideals and terms live in sets and dicts keyed by hash; the
+    # report must not depend on their iteration order
+    f = tmp_path / "g.kg"
+    f.write_text(format_kgraph(make()))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kpalg.__file__)))
+    run = "import sys; from kpalg.cli import main; sys.exit(main(sys.argv[1:]))"
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", run, "classify", str(f), "--json"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode in (0, 1) and not proc.stderr, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["verdict"] == verdict
+    assert outs[0] == outs[1]
 
 
 # -- usage -------------------------------------------------------------------------

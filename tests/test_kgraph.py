@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, branches
+from corpus import CORPUS, branches, lattice8
 from oracles import (
     brute_boundary_paths,
     brute_factorize,
@@ -23,11 +23,13 @@ from kpalg import (
     ParseError,
     Path,
     bouquet,
+    enumerate_sat_her,
     format_kgraph,
     grid,
     parse_kgraph,
     path_sort_key,
     product,
+    quotient,
     random_square_graph,
     torus,
     validate,
@@ -513,15 +515,17 @@ def _one_graphs(draw):
     return KGraph(1, ["v%d" % i for i in range(n)], edges)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    g=st.one_of(
-        st.builds(
-            random_square_graph, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3)
-        ),
-        _one_graphs(),
-    )
+# random valid presentations: 2-graphs on one vertex and any 1-graph
+_RANDOM_GRAPHS = st.one_of(
+    st.builds(
+        random_square_graph, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3)
+    ),
+    _one_graphs(),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_RANDOM_GRAPHS)
 def test_parse_format_round_trip_on_random_graphs(g):
     text = format_kgraph(g)
     h = parse_kgraph(text)
@@ -594,3 +598,71 @@ def test_parse_wraps_constructor_errors():
 def test_comments_and_blank_lines_ignored():
     noisy = "\n# head\n" + SAMPLE.replace("k: 2", "k: 2   # rank") + "\n\n"
     assert format_kgraph(parse_kgraph(noisy)) == format_kgraph(parse_kgraph(SAMPLE))
+
+
+# -- shared trivial paths, path equality, kernel errors ----------------------------
+
+
+def test_trivial_paths_are_shared_per_vertex_and_graph():
+    g = grid((1, 1))
+    # built when first asked for, not with the graph
+    assert not g._trivial
+    for v in g.vertices:
+        assert g.trivial_path(v) is g.trivial_path(v)
+        assert g.trivial_path(v) == Path(g, v, ())
+    p = g.compose(g.path_from_edges(["e1_00"]), g.path_from_edges(["e2_10"]))
+    # the tail at m = d(p) and the head at m = 0 are the shared objects
+    assert g.factorize(p, p.degree)[1] is g.trivial_path(p.source)
+    assert g.factorize(p, (0, 0))[0] is g.trivial_path(p.range)
+    other = grid((1, 1))
+    assert other.trivial_path("p00") is not g.trivial_path("p00")
+    assert other.trivial_path("p00") != g.trivial_path("p00")
+
+
+def test_path_equality_is_graph_range_and_word():
+    g = lattice8()
+    h, gq = next((h, quotient(g, h)) for h in enumerate_sat_her(g).sets if len(h))
+    ps = [p for p in _paths_upto_total(g, 2) if gq.has_vertex(p.source)]
+    for p in ps:
+        q = Path(g, p.range, p.edges)
+        assert p == q and not p != q and hash(p) == hash(q)
+        # the same word over the quotient is another path
+        pq = Path(gq, p.range, p.edges)
+        assert p != pq and not p == pq and pq == Path(gq, p.range, p.edges)
+        for r in (ps[0], ps[-1], pq):
+            # the equivalence the generated dataclass methods gave
+            assert (p == r) == ((p.graph, p.range, p.edges) == (r.graph, r.range, r.edges))
+    p = ps[-1]
+    assert (p == "x") is False and p != "x"
+    assert p.__eq__("x") is NotImplemented
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_RANDOM_GRAPHS, data=st.data())
+def test_factorize_inverts_compose_on_random_graphs(g, data):
+    ps = _paths_upto_total(g, 2)
+    a = data.draw(st.sampled_from(ps))
+    b = data.draw(st.sampled_from([q for q in ps if q.range == a.source]))
+    assert g.factorize(g.compose(a, b), a.degree) == (a, b)
+
+
+def test_kernel_errors_keep_their_messages():
+    g = torus(2)
+    p = g.path_from_edges(["e", "f"])
+    with pytest.raises(KGraphError, match=r"^degree \(1,\) has wrong rank$"):
+        g.factorize(p, (1,))
+    with pytest.raises(
+        KGraphError, match=r"^cannot factorize e\.f at degree \(2, 0\) \(path degree \(1, 1\)\)$"
+    ):
+        g.factorize(p, (2, 0))
+    g.trivial_path("v")
+    for _ in range(2):
+        # also once the graph holds trivial paths
+        with pytest.raises(KGraphError, match=r"^unknown vertex 'nope'$"):
+            g.trivial_path("nope")
+    bare = KGraph(2, ["v"], [Edge("a", 1, "v", "v"), Edge("f", 2, "v", "v")])
+    af = bare.path_from_edges(["a", "f"])
+    with pytest.raises(
+        KGraphError, match=r"^no square relation rewrites \(a, f\); presentation is incomplete$"
+    ):
+        bare.factorize(af, (0, 1))

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from corpus import build, lattice8, two_loop_lattice
+from corpus import CORPUS, build, lattice8, two_loop_lattice
 from kpalg import (
     KP,
     DerivationStep,
@@ -14,6 +14,7 @@ from kpalg import (
     KGraph,
     KGraphError,
     KPMatrix,
+    Path,
     PrimeField,
     QQ,
     ReachingCycle,
@@ -24,6 +25,7 @@ from kpalg import (
     certificate_json,
     classify_pure_infiniteness,
     column,
+    enumerate_sat_her,
     equals,
     failing_checks,
     find_reaching_gen_cycle,
@@ -34,6 +36,7 @@ from kpalg import (
     properly_infinite_to_infinite,
     prove_vertex_properly_infinite,
     quotient,
+    reachable_to,
     row,
     transport_infinite,
     transport_witness,
@@ -42,7 +45,8 @@ from kpalg import (
     witness_from_gen_cycle,
 )
 from kpalg import witness
-from kpalg.witness import _disjoint_cycle_pair, _pushed, quotient_image
+from kpalg.ideals import quotient_table
+from kpalg.witness import _cycle_pairs, _disjoint_cycle_pair, _pushed, quotient_image
 
 
 @pytest.fixture()
@@ -604,6 +608,57 @@ def test_each_pushed_image_is_checked_once(monkeypatch):
     assert all(times[id(c.certificate)] == 1 for c in pushed)
     for c in pushed:
         assert set(c.certificate.graph.vertices) == set(g.vertices) - set(c.ideal)
+
+
+def test_route_search_shared_across_quotients_matches_a_fresh_search():
+    # a pair found in one quotient, rebuilt over another with the same
+    # H & D(v), is the pair a fresh search there finds
+    graphs = [(name, mk()) for name, mk in CORPUS] + [("lattice8", lattice8())]
+    for name, g in graphs:
+        table = quotient_table(g)
+        for depth in (1, 2, 3):
+            for v in g.vertices:
+                pair = _cycle_pairs(g, v, depth)
+                for h, gq in table:
+                    if v in h:
+                        continue
+                    got, fresh = pair(h, gq), _disjoint_cycle_pair(gq, v, depth)
+                    if fresh is None:
+                        assert got is None, (name, depth, v, h)
+                        continue
+                    rebuilt = tuple(
+                        Path(gq, p.range, p.edges, p.degree, p.source) for p in got[1:]
+                    )
+                    assert (got[0],) + rebuilt == fresh, (name, depth, v, h)
+                    for p, q in zip(rebuilt, fresh[1:]):
+                        assert (p.degree, p.source) == (q.degree, q.source)
+
+
+def test_route_search_runs_once_per_trace_of_the_ideal(monkeypatch):
+    g = lattice8()
+    searched = []
+    inner = witness._disjoint_cycle_pair
+
+    def counting(gq, v, depth):
+        searched.append(v)
+        return inner(gq, v, depth)
+
+    monkeypatch.setattr(witness, "_disjoint_cycle_pair", counting)
+    ideals = enumerate_sat_her(g).sets
+    traces = {
+        v: {frozenset(reachable_to(g, v)).intersection(h) for h in ideals if v not in h}
+        for v in g.vertices
+    }
+    rep = classify_pure_infiniteness(g, 2)
+    assert rep.verdict == "ProperlyPurelyInfinite"
+    assert Counter(searched) == {v: len(keys) for v, keys in traces.items()}
+    # 11 searches for 432 (vertex, quotient) cases
+    cases = sum(len(w.cases) for w in rep.witnesses)
+    assert (len(searched), cases) == (11, 432)
+    # a standalone call, which builds its quotients as it reaches them
+    searched.clear()
+    assert prove_vertex_properly_infinite(g, "x1", 2)
+    assert searched == ["x1"] * len(traces["x1"])
 
 
 def _pushable():
