@@ -6,6 +6,8 @@ are only compatible within one instance, so tests construct the graph
 once and thread it through.
 """
 
+from hypothesis import strategies as st
+
 from kpalg import (
     Edge,
     KGraph,
@@ -122,3 +124,23 @@ def build(name: str) -> KGraph:
         if nm == name:
             return mk()
     raise KeyError(name)
+
+
+@st.composite
+def _one_graphs(draw):
+    # any 1-graph on up to four vertices: loops, parallel edges, sources,
+    # sinks and isolated vertices allowed
+    n = draw(st.integers(1, 4))
+    end = st.integers(0, n - 1)
+    ends = draw(st.lists(st.tuples(end, end), max_size=6))
+    edges = [Edge("e%d" % i, 1, "v%d" % s, "v%d" % r) for i, (s, r) in enumerate(ends)]
+    return KGraph(1, ["v%d" % i for i in range(n)], edges)
+
+
+# random valid presentations: 2-graphs on one vertex and any 1-graph
+RANDOM_GRAPHS = st.one_of(
+    st.builds(
+        random_square_graph, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3)
+    ),
+    _one_graphs(),
+)

@@ -5,7 +5,8 @@ library's search strategies and caches. They are exponential and only
 meant for the small corpus graphs.
 """
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 from kpalg import (
     QQ,
@@ -34,13 +35,15 @@ from kpalg.kpelement import _make
 from kpalg.witness import IdealCase, _disjoint_cycle_pair, _vertex_cert_via_orthogonal
 
 
+@lru_cache(maxsize=1 << 14)
 def brute_path_words(g, v, n):
-    """Canonical words of degree-n paths with range v.
+    """Canonical words of degree-n paths with range v, as a frozenset.
 
     A canonical word is a composable edge sequence, read range to source,
     whose colors never decrease. The DFS extends words at the source end
     one edge at a time, so it never touches the square relations or the
-    library's path cache.
+    library's path cache. Memoized by (graph, vertex, degree), since the
+    exhaustive searches below ask for the same words many times.
     """
     n = tuple(n)
     out = set()
@@ -61,7 +64,7 @@ def brute_path_words(g, v, n):
             word.pop()
 
     grow([], v, tuple(zero(g.k)), 0)
-    return out
+    return frozenset(out)
 
 
 def canonical_word(g, word):
@@ -213,6 +216,132 @@ def brute_boundary_paths(g, v, n):
         ),
         key=path_sort_key,
     )
+
+
+def brute_paths(g, v, n):
+    """vLambda^n sorted by word, from ``brute_path_words``."""
+    return [word_to_path(g, v, w) for w in sorted(brute_path_words(g, v, n))]
+
+
+def brute_compose(g, p, q):
+    """p q from the joined word, put in canonical form by ``canonical_word``."""
+    return word_to_path(g, p.range, canonical_word(g, p.edges + q.edges))
+
+
+def brute_contains(g, outer, inner):
+    """(holds, boundary paths tried) for Z(inner) inside Z(outer): every
+    boundary path tau at s(inner) of the degree slack d(inner) v d(outer) -
+    d(inner) leaves inner tau a common extension with outer."""
+    slack = tuple(max(a, b) - a for a, b in zip(inner.degree, outer.degree))
+    taus = brute_boundary_paths(g, inner.source, slack)
+    holds = all(brute_mce(g, brute_compose(g, inner, tau), outer) for tau in taus)
+    return holds, len(taus)
+
+
+def _degrees_upto(k, least, most):
+    return [n for n in product(range(most + 1), repeat=k) if least <= sum(n) <= most]
+
+
+@lru_cache(maxsize=1 << 14)
+def brute_entrance(g, mu, nu, depth):
+    """The entrance of (mu, nu) that comes first in ``path_sort_key``
+    order among the paths tau at s(nu) of total degree 1 to depth, or
+    None: the first tau for which mu and nu tau have no common extension.
+    Memoized, since the regions of one vertex share their candidates."""
+    taus = sorted(
+        (tau for n in _degrees_upto(g.k, 1, depth) for tau in brute_paths(g, nu.source, n)),
+        key=path_sort_key,
+    )
+    return next((t for t in taus if not brute_mce(g, mu, brute_compose(g, nu, t))), None)
+
+
+def brute_connector_lengths(g, v):
+    """For each vertex w that reaches v, the least total degree of a path
+    in vLambda w. A shortest one repeats no vertex, so totals below the
+    vertex count suffice."""
+    out = {}
+    for n in sorted(_degrees_upto(g.k, 0, len(g.vertices) - 1), key=sum):
+        for p in brute_paths(g, v, n):
+            out.setdefault(p.source, sum(n))
+    return out
+
+
+def brute_reaching_gen_cycle(g, v, depth):
+    """What ``find_reaching_gen_cycle`` must report, as a tuple.
+
+    Lists every candidate (mu, nu): distinct paths of total degree 1 to
+    depth with a common range and a common source reaching v. Sorts them
+    by total degree, degree pair, range vertex and the two words, and takes
+    the first generalized cycle with an entrance: ``("hit", mu, nu, tau,
+    v, s(mu), least connector total)``. Without one, ``("miss", depth,
+    detail)`` counts the generalized cycles without an entrance.
+    """
+    reach = brute_connector_lengths(g, v)
+    degs = _degrees_upto(g.k, 1, depth)
+    cands = sorted(
+        (
+            (sum(dm) + sum(dn), dm, dn, i, mu.edges, nu.edges, mu, nu)
+            for i, u in enumerate(g.vertices)
+            for dm in degs
+            for dn in degs
+            for mu in brute_paths(g, u, dm)
+            if mu.source in reach
+            for nu in brute_paths(g, u, dn)
+            if nu.source == mu.source and nu != mu
+        ),
+        key=lambda c: c[:6],
+    )
+    without = 0
+    for *_, mu, nu in cands:
+        if not brute_contains(g, nu, mu)[0]:
+            continue
+        tau = brute_entrance(g, mu, nu, depth)
+        if tau is None:
+            without += 1
+            continue
+        return ("hit", mu, nu, tau, v, mu.source, reach[mu.source])
+    detail = ""
+    if without:
+        detail = "found %d generalized cycle(s) but none with an entrance" % without
+    return ("miss", depth, detail)
+
+
+def brute_contraction(g, kappa, depth):
+    """What ``locally_contracting_on`` must report, as a tuple.
+
+    Lists every candidate (mu, nu): distinct paths with range r(kappa), a
+    common source and total degrees at least 1 summing to at most 2 depth,
+    with Z(nu) inside Z(kappa). Sorts them by total degree, degree pair and
+    the words of nu and mu, and takes the first generalized cycle with an
+    entrance: ``("hit", nu, mu, tau, kappa, boundary paths tried)``.
+    Without one, ``("miss", depth, detail)`` counts the candidates.
+    """
+    v = kappa.range
+    degs = _degrees_upto(g.k, 1, 2 * depth - 1)
+    cands = sorted(
+        (
+            (sum(dm) + sum(dn), dm, dn, nu.edges, mu.edges, mu, nu)
+            for dm in degs
+            for dn in degs
+            if sum(dm) + sum(dn) <= 2 * depth
+            for nu in brute_paths(g, v, dn)
+            for mu in brute_paths(g, v, dm)
+            if mu.source == nu.source and mu != nu
+        ),
+        key=lambda c: c[:5],
+    )
+    checked = 0
+    for *_, mu, nu in cands:
+        inside, tried = brute_contains(g, kappa, nu)
+        if not inside:
+            continue
+        checked += 1
+        if not brute_contains(g, nu, mu)[0]:
+            continue
+        tau = brute_entrance(g, mu, nu, depth)
+        if tau is not None:
+            return ("hit", nu, mu, tau, kappa, tried)
+    return ("miss", depth, "checked %d candidate pairs inside Z(%s)" % (checked, kappa))
 
 
 def apply_bisection(g, b, x):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, branches, lattice8
+from corpus import CORPUS, RANDOM_GRAPHS, branches, lattice8
 from oracles import (
     brute_boundary_paths,
     brute_factorize,
@@ -504,28 +504,8 @@ def test_parse_format_round_trip():
     assert g.k == 2 and validate(g).ok
 
 
-@st.composite
-def _one_graphs(draw):
-    # any 1-graph on up to four vertices: loops, parallel edges, sources,
-    # sinks and isolated vertices allowed
-    n = draw(st.integers(1, 4))
-    end = st.integers(0, n - 1)
-    ends = draw(st.lists(st.tuples(end, end), max_size=6))
-    edges = [Edge("e%d" % i, 1, "v%d" % s, "v%d" % r) for i, (s, r) in enumerate(ends)]
-    return KGraph(1, ["v%d" % i for i in range(n)], edges)
-
-
-# random valid presentations: 2-graphs on one vertex and any 1-graph
-_RANDOM_GRAPHS = st.one_of(
-    st.builds(
-        random_square_graph, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3)
-    ),
-    _one_graphs(),
-)
-
-
 @settings(max_examples=60, deadline=None)
-@given(g=_RANDOM_GRAPHS)
+@given(g=RANDOM_GRAPHS)
 def test_parse_format_round_trip_on_random_graphs(g):
     text = format_kgraph(g)
     h = parse_kgraph(text)
@@ -638,7 +618,7 @@ def test_path_equality_is_graph_range_and_word():
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=_RANDOM_GRAPHS, data=st.data())
+@given(g=RANDOM_GRAPHS, data=st.data())
 def test_factorize_inverts_compose_on_random_graphs(g, data):
     ps = _paths_upto_total(g, 2)
     a = data.draw(st.sampled_from(ps))

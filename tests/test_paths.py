@@ -1,8 +1,10 @@
 """Path queries: enumeration, containment, generalized cycles, reach."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import entered_loop
+from corpus import NAMES, RANDOM_GRAPHS, build, entered_loop
 from kpalg import (
     GeneralizedCycle,
     KGraphError,
@@ -21,6 +23,8 @@ from kpalg import (
     reachable_to,
     torus,
 )
+from kpalg.degrees import total
+from oracles import brute_reaching_gen_cycle
 
 
 def test_enumerate_paths_exact_is_sorted_and_complete():
@@ -128,3 +132,27 @@ def test_find_reaching_gen_cycle_negative_on_acyclic():
     out = find_reaching_gen_cycle(grid((1, 1)), "p00", depth=3)
     assert isinstance(out, NotFoundUpTo)
     assert out.detail == ""
+
+
+def _reaching(g, v, depth):
+    # find_reaching_gen_cycle in the shape of brute_reaching_gen_cycle
+    rc = find_reaching_gen_cycle(g, v, depth)
+    if isinstance(rc, NotFoundUpTo):
+        return ("miss", rc.depth, rc.detail)
+    c, gamma = rc.cycle, rc.gamma
+    return ("hit", c.mu, c.nu, c.entrance, gamma.range, gamma.source, total(gamma.degree))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_find_reaching_gen_cycle_matches_oracle_on_corpus(name):
+    g = build(name)
+    for depth in (1, 2, 3):
+        for v in g.vertices:
+            assert _reaching(g, v, depth) == brute_reaching_gen_cycle(g, v, depth), (v, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=RANDOM_GRAPHS, depth=st.integers(1, 3))
+def test_find_reaching_gen_cycle_matches_oracle_on_random_graphs(g, depth):
+    for v in g.vertices:
+        assert _reaching(g, v, depth) == brute_reaching_gen_cycle(g, v, depth), v

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import build
+from corpus import NAMES, RANDOM_GRAPHS, build
 from kpalg import (
     CylinderBisection,
     KP,
@@ -23,6 +25,7 @@ from oracles import (
     apply_bisection,
     apply_family,
     boundary_test_points,
+    brute_contraction,
     paths_upto,
     vertex_relations,
 )
@@ -164,3 +167,33 @@ def test_contraction_region_must_belong_to_graph():
     g1, g2 = bouquet(2), bouquet(2)
     with pytest.raises(KGraphError, match="different graph"):
         locally_contracting_on(g1, g2.trivial_path("v"), depth=2)
+
+
+def _contractions(g, depth):
+    # locally_contracting_on in the shape of brute_contraction, for every
+    # region Z(v) and Z(e), each paired with the oracle's answer
+    for v in g.vertices:
+        for kappa in [g.trivial_path(v)] + [g.path_from_edges([e.id]) for e in g.edges_by_range(v)]:
+            w = locally_contracting_on(g, kappa, depth)
+            if isinstance(w, NotFoundUpTo):
+                got = ("miss", w.depth, w.detail)
+            else:
+                b, c, ev = w.bisection, w.cycle, w.containment
+                assert (c.mu, c.nu, ev.holds, ev.failing) == (b.mu, b.lam, True, ())
+                got = ("hit", b.lam, b.mu, c.entrance, w.region, ev.checked)
+            yield kappa, got, brute_contraction(g, kappa, depth)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_locally_contracting_on_matches_oracle_on_corpus(name):
+    g = build(name)
+    for depth in (1, 2, 3):
+        for kappa, got, want in _contractions(g, depth):
+            assert got == want, (kappa, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=RANDOM_GRAPHS, depth=st.integers(1, 3))
+def test_locally_contracting_on_matches_oracle_on_random_graphs(g, depth):
+    for kappa, got, want in _contractions(g, depth):
+        assert got == want, kappa
