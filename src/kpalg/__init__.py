@@ -111,7 +111,6 @@ from .witness import (
     prove_vertex_properly_infinite,
     transport_infinite,
     transport_witness,
-    verify_certificate,
     vertex_report_json,
     witness_from_gen_cycle,
 )

@@ -263,11 +263,14 @@ def _strip(g: KGraph, p: Path, q: Path) -> Optional[Tuple[Path, Path]]:
     return tp, tq
 
 
-def certify_never_separated(
-    g: KGraph, alpha: Path, beta: Path, max_states: int = 4000
-) -> Optional[int]:
+# the closed machine for one pair gives up beyond this many states
+MAX_MACHINE_STATES = 4000
+
+
+def certify_never_separated(g: KGraph, alpha: Path, beta: Path) -> Optional[int]:
     """Prove that no extension separates (alpha, beta); returns the state
-    count of the closed machine, or None when no proof is obtained.
+    count of the closed machine, or None when no proof is obtained within
+    ``MAX_MACHINE_STATES`` states.
 
     State: the residual pair after stripping the common prefix. Extending
     by one edge maps residuals to residuals, so a closed consistent set of
@@ -288,7 +291,7 @@ def certify_never_separated(
     stack = [start]
     steps: Dict[str, Path] = {}
     while stack:
-        if len(seen) > max_states:
+        if len(seen) > MAX_MACHINE_STATES:
             return None
         t1, t2 = stack.pop()
         in_edges = g.edges_by_range(t1.source)

@@ -233,24 +233,16 @@ class KGraph:
 
     # -- words and canonical form ----------------------------------------
 
-    def _swap_rev(self, g: str, h: str) -> Tuple[str, str]:
-        # (g, h) has color(g) > color(h); rewrite to ascending order
+    def _swap(self, squares: Dict, a: str, b: str) -> Tuple[str, str]:
+        # transpose the adjacent edges (a, b) through the given square map:
+        # square_rev puts descending colors in ascending order, square_fwd
+        # the other way round
         try:
-            return self.square_rev[(g, h)]
+            return squares[(a, b)]
         except KeyError:
             raise KGraphError(
                 "no square relation rewrites (%s, %s); presentation is incomplete"
-                % (g, h)
-            )
-
-    def _swap_fwd(self, e: str, f: str) -> Tuple[str, str]:
-        # (e, f) has color(e) < color(f); rewrite to descending order
-        try:
-            return self.square_fwd[(e, f)]
-        except KeyError:
-            raise KGraphError(
-                "no square relation rewrites (%s, %s); presentation is incomplete"
-                % (e, f)
+                % (a, b)
             )
 
     def _sort_word(self, word: List[str], start: int) -> List[str]:
@@ -261,7 +253,7 @@ class KGraph:
             c = edges[word[i]].color
             j = i
             while j > 0 and edges[word[j - 1]].color > c:
-                word[j - 1], word[j] = self._swap_rev(word[j - 1], word[j])
+                word[j - 1], word[j] = self._swap(self.square_rev, word[j - 1], word[j])
                 j -= 1
         return word
 
@@ -352,7 +344,7 @@ class KGraph:
                 # square map returns the transposed pair directly
                 for pos in range(h + skip, h, -1):
                     a, b = word[pos - 1], word[pos]
-                    word[pos - 1], word[pos] = sq.get((a, b)) or self._swap_fwd(a, b)
+                    word[pos - 1], word[pos] = sq.get((a, b)) or self._swap(sq, a, b)
                 h += 1
             skip += d[c] - m[c]
         split = self.edges[word[h]].range

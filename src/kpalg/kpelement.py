@@ -216,14 +216,13 @@ def _refine(g: KGraph, lam: Path, mu: Path, slack: Degree) -> List[TermKey]:
     ]
 
 
-def normal_form(a: KPElement, target: Optional[Degree] = None) -> KPElement:
+def normal_form(a: KPElement) -> KPElement:
     """Expand each graded component to a common boundary depth.
 
     Within the component of grading d(lam) - d(mu), every term is expanded
     over the boundary extensions of its source up to the componentwise max
-    of the occurring lam-degrees (joined with ``target`` when given). The
-    result is canonical relative to that expansion depth, and identical
-    maps certify equality.
+    of the occurring lam-degrees. The result is canonical relative to that
+    expansion depth, and identical maps certify equality.
     """
     g, field = a.graph, a.field
     # the nonzero terms of each grading d(lam) - d(mu), in one pass
@@ -237,8 +236,6 @@ def normal_form(a: KPElement, target: Optional[Degree] = None) -> KPElement:
         m = terms[0][0].degree
         for lam, _, _ in terms[1:]:
             m = join(m, lam.degree)
-        if target is not None:
-            m = join(m, tuple(target))
         for lam, mu, c in terms:
             for key in _refine(g, lam, mu, sub(m, lam.degree)):
                 acc[key] = acc.get(key, field.zero) + c

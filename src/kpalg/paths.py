@@ -193,6 +193,28 @@ def find_cycle_reaching(
     return None
 
 
+def _leg_degrees(k: int, s_total: int, most: int) -> List[Tuple[Degree, Degree]]:
+    # the sorted degree pairs (d(mu), d(nu)) of total s_total, each leg's
+    # total in [1, most]
+    return sorted(
+        (dm, dn)
+        for t1 in range(max(1, s_total - most), min(most, s_total - 1) + 1)
+        for dm in _degrees_with_total(k, t1)
+        for dn in _degrees_with_total(k, s_total - t1)
+    )
+
+
+def _entered_cycle(
+    g: KGraph, mu: Path, nu: Path, depth: int
+) -> Optional[GeneralizedCycle]:
+    # None unless (mu, nu) is a generalized cycle; then the cycle, with its
+    # entrance within depth or None
+    if not is_generalized_cycle(g, mu, nu):
+        return None
+    tau = find_entrance(g, GeneralizedCycle(mu, nu), depth)
+    return GeneralizedCycle(mu, nu, None if isinstance(tau, NotFoundUpTo) else tau)
+
+
 def find_reaching_gen_cycle(
     g: KGraph, v: str, depth: int
 ) -> Union[ReachingCycle, NotFoundUpTo]:
@@ -205,15 +227,7 @@ def find_reaching_gen_cycle(
     reach = reachable_to(g, v)
     cycles_without_entrance = 0
     for s_total in range(2, 2 * depth + 1):
-        degree_pairs = sorted(
-            (dm, dn)
-            for t1 in range(1, depth + 1)
-            for dm in _degrees_with_total(g.k, t1)
-            for t2 in range(1, depth + 1)
-            if t1 + t2 == s_total
-            for dn in _degrees_with_total(g.k, t2)
-        )
-        for dm, dn in degree_pairs:
+        for dm, dn in _leg_degrees(g.k, s_total, depth):
             for u in g.vertices:
                 for mu in g.paths(u, dm):
                     if mu.source not in reach:
@@ -221,13 +235,12 @@ def find_reaching_gen_cycle(
                     for nu in g.paths(u, dn):
                         if nu.source != mu.source or nu == mu:
                             continue
-                        if not is_generalized_cycle(g, mu, nu):
+                        cycle = _entered_cycle(g, mu, nu, depth)
+                        if cycle is None:
                             continue
-                        tau = find_entrance(g, GeneralizedCycle(mu, nu), depth)
-                        if isinstance(tau, NotFoundUpTo):
+                        if cycle.entrance is None:
                             cycles_without_entrance += 1
                             continue
-                        cycle = GeneralizedCycle(mu, nu, tau)
                         return ReachingCycle(cycle, reach[mu.source])
     detail = ""
     if cycles_without_entrance:

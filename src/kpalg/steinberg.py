@@ -14,6 +14,10 @@ with ``kp_mul``. What stays independent is the product rule:
 ``compose_bisections`` applies the general MCE formula to every pair,
 without ``kp_mul``'s shortcut for comparable degrees, and the tests check
 it against the point action of bisections on boundary paths.
+
+``locally_contracting_on`` (the ``contract`` command) builds its
+contracting bisections from generalized cycles with entrances, through
+the same core in ``paths`` as the witness search's second route.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from .paths import (
     ContainmentEvidence,
     GeneralizedCycle,
     NotFoundUpTo,
-    _degrees_with_total,
+    _entered_cycle,
+    _leg_degrees,
     cylinder_contains,
-    find_entrance,
-    is_generalized_cycle,
 )
 
 
@@ -126,24 +129,18 @@ class ContractionWitness:
 def locally_contracting_on(g: KGraph, kappa: Path, depth: int):
     """Search for a strictly contracting bisection inside Z(kappa).
 
-    Candidate pairs use nontrivial paths only and are scanned by total
-    degree, so reported witnesses are minimal. Returns NotFoundUpTo when
-    the search space up to the depth bound is exhausted.
+    Candidate pairs (mu, nu) use nontrivial paths only and are scanned by
+    total degree up to 2 depth, then degree pair, then the words of nu and
+    mu, so reported witnesses are minimal; each leg's total is at most
+    2 depth - 1. Returns NotFoundUpTo when the search space up to the
+    depth bound is exhausted.
     """
     if kappa.graph is not g:
         raise KGraphError("region path belongs to a different graph")
     v = kappa.range
     checked = 0
     for s_total in range(2, 2 * depth + 1):
-        pairs = []
-        for t_mu in range(1, s_total):
-            t_nu = s_total - t_mu
-            if t_nu < 1:
-                continue
-            for dm in _degrees_with_total(g.k, t_mu):
-                for dn in _degrees_with_total(g.k, t_nu):
-                    pairs.append((dm, dn))
-        for dm, dn in sorted(pairs):
+        for dm, dn in _leg_degrees(g.k, s_total, 2 * depth - 1):
             for nu in g.paths(v, dn):
                 hold = cylinder_contains(g, kappa, nu)
                 if not hold:
@@ -152,14 +149,9 @@ def locally_contracting_on(g: KGraph, kappa: Path, depth: int):
                     if mu == nu or mu.source != nu.source:
                         continue
                     checked += 1
-                    if not is_generalized_cycle(g, mu, nu):
+                    cyc = _entered_cycle(g, mu, nu, depth)
+                    if cyc is None or cyc.entrance is None:
                         continue
-                    tau = find_entrance(
-                        g, GeneralizedCycle(mu, nu), depth
-                    )
-                    if isinstance(tau, NotFoundUpTo):
-                        continue
-                    cyc = GeneralizedCycle(mu, nu, tau)
                     return ContractionWitness(
                         CylinderBisection(g, nu, mu), cyc, kappa, hold
                     )

@@ -1,8 +1,9 @@
 """Infiniteness witnesses: explicit elements, mandatory verification.
 
 A certificate never asserts anything on trust: it carries the algebra
-elements realizing the claimed relations, and ``verify_certificate``
-rechecks every relation by symbolic arithmetic. Two kinds exist:
+elements realizing the claimed relations, and ``failing_checks``
+rechecks every relation by symbolic arithmetic, naming each that fails.
+Two kinds exist:
 
     Infinite(q, r, s) for p:   r s = p, s r = q, q <= p, q != p
     ProperlyInfinite(A, B) for p:   A is 2x1, B is 1x2, A p B = p (+) p
@@ -37,7 +38,7 @@ homomorphism need not preserve: it can send q and p to the same element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
@@ -154,10 +155,6 @@ def failing_checks(
             if not matrix_equals(lhs, rhs):
                 fails.append("step %s: %s" % (step.rule, desc))
     return fails
-
-
-def verify_certificate(cert: WitnessCertificate) -> bool:
-    return not failing_checks(cert)
 
 
 def _finish(
@@ -486,22 +483,6 @@ def _disjoint_cycle_pair(
     return None
 
 
-def _cycle_pairs(g: KGraph, v: str, depth: int):
-    """``pair(h, gq)`` is ``_disjoint_cycle_pair(gq, v, depth)``, its paths
-    over some quotient. It runs among D(v), the vertices v reaches, so it is
-    searched once per H & D(v) (the locality paragraph of aperiodicity.py)."""
-    reach = frozenset(reachable_to(g, v))
-    found: Dict = {}
-
-    def pair(h: SatHerSet, gq: KGraph) -> Optional[Tuple[str, Path, Path, Path]]:
-        key = reach.intersection(h)
-        if key not in found:
-            found[key] = _disjoint_cycle_pair(gq, v, depth)
-        return found[key]
-
-    return pair
-
-
 def infinite_vertex_from_reaching_cycle(
     g: KGraph, rc: ReachingCycle, fld: Field = QQ
 ) -> WitnessCertificate:
@@ -601,10 +582,6 @@ def quotient_image(cert: WitnessCertificate, gq: KGraph) -> WitnessCertificate:
 Built = Dict[Tuple, List[Tuple[SatHerSet, WitnessCertificate]]]
 
 
-def _route_key(route: str, *paths: Path) -> Tuple:
-    return (route,) + tuple((p.range, p.edges) for p in paths)
-
-
 def _pushed(built: Built, key: Tuple, h: SatHerSet, gq: KGraph):
     # (h0, image) for a certificate of the same route built in the
     # quotient by a smaller ideal h0, or (h, None) when there is none
@@ -627,13 +604,14 @@ def prove_vertex_properly_infinite(
 
     Refuses outright when the graph is certified periodic: the reading of
     these certificates as proper infiniteness needs aperiodicity, and a
-    certified counterexample cannot be argued away. Otherwise route one
-    looks for a vertex reaching v that carries two cycles with no common
-    extension; route two falls back to a generalized cycle with an
-    entrance. A quotient in which no cycle reaches v at all is a
-    definitive negative: the corner there is finite dimensional. A
-    depth-bounded miss is merely inconclusive. A depth below 1 raises
-    ValueError.
+    certified counterexample cannot be argued away. Otherwise one loop
+    walks the quotients. In each, route one looks for a vertex reaching v
+    that carries two cycles with no common extension; route two falls
+    back to a generalized cycle with an entrance. The first quotient that
+    neither route certifies ends the search: it is a definitive negative
+    when no cycle reaches v there, since that corner is finite
+    dimensional, and merely inconclusive otherwise, a depth-bounded miss.
+    A depth below 1 raises ValueError.
 
     ``quotients`` is the quotient table to read; when absent, the quotient
     by each ideal avoiding v is built as the search reaches it. A route
@@ -670,62 +648,60 @@ def prove_vertex_properly_infinite(
         quotients = (
             (h, quotient(g, h)) for h in enumerate_sat_her(g).sets if v not in h
         )
-    cycle_pair = _cycle_pairs(g, v, depth)
+    # route one runs among D(v), the vertices v reaches, so it is searched
+    # once per H & D(v) (the locality paragraph of aperiodicity.py)
+    reach = frozenset(reachable_to(g, v))
+    cycle_pairs: Dict[frozenset, Optional[Tuple[str, Path, Path, Path]]] = {}
     for h, gq in quotients:
         if v in h:
             continue
-        pair = cycle_pair(h, gq)
+        trace = reach.intersection(h)
+        if trace not in cycle_pairs:
+            cycle_pairs[trace] = _disjoint_cycle_pair(gq, v, depth)
+        pair = cycle_pairs[trace]
         if pair is not None:
-            w, *paths = pair
             route = "orthogonal-pair"
-            key = _route_key(route, *paths)
-            built_in, cert_v = _pushed(built, key, h, gq)
-            if cert_v is None:
+            w, *paths = pair
+        else:
+            rc = find_reaching_gen_cycle(gq, v, depth)
+            if isinstance(rc, NotFoundUpTo):
+                # no route certifies v here: the shared exit below
+                break
+            route = "generalized-cycle"
+            paths = (rc.cycle.mu, rc.cycle.nu, rc.cycle.entrance, rc.gamma)
+        key = (route,) + tuple((p.range, p.edges) for p in paths)
+        built_in, cert_v = _pushed(built, key, h, gq)
+        if cert_v is None:
+            if pair is None:
+                cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
+            else:
                 # the pair may come from another quotient: its paths over gq
-                mu1, mu2, gamma = (
-                    Path(gq, p.range, p.edges, p.degree, p.source) for p in paths
-                )
+                mu1, mu2, gamma = (replace(p, graph=gq) for p in paths)
                 cert_v, proper_w = _vertex_cert_via_orthogonal(
                     gq, v, w, mu1, mu2, gamma, fld
                 )
-                built.setdefault(key, []).append((h, cert_v))
                 if len(h) == 0 and w == v and proper is None:
                     proper = proper_w
-            cases.append(IdealCase(h, route, cert_v, built_in))
-            continue
-        rc = find_reaching_gen_cycle(gq, v, depth)
-        if isinstance(rc, ReachingCycle):
-            route = "generalized-cycle"
-            c = rc.cycle
-            key = _route_key(route, c.mu, c.nu, c.entrance, rc.gamma)
-            built_in, cert_v = _pushed(built, key, h, gq)
-            if cert_v is None:
-                cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
-                built.setdefault(key, []).append((h, cert_v))
-            cases.append(IdealCase(h, route, cert_v, built_in))
-            continue
-        if find_cycle_reaching(gq, v) is None:
-            return VertexInfinitenessReport(
-                v,
-                "Negative",
-                tuple(cases),
-                proper,
-                "no cycle reaches %s in the quotient by {%s}; that corner is "
-                "finite dimensional, so its vertex idempotent cannot be infinite"
-                % (v, ", ".join(h)),
-                h,
-            )
-        detail = rc.detail if isinstance(rc, NotFoundUpTo) else ""
-        return VertexInfinitenessReport(
-            v,
-            "Inconclusive",
-            tuple(cases),
-            proper,
-            "no witness found in the quotient by {%s} within depth %d%s"
-            % (", ".join(h), depth, ("; " + detail) if detail else ""),
-            h,
+            built.setdefault(key, []).append((h, cert_v))
+        cases.append(IdealCase(h, route, cert_v, built_in))
+    else:
+        # every quotient certified
+        return VertexInfinitenessReport(v, "ProperlyInfinite", tuple(cases), proper)
+    if find_cycle_reaching(gq, v) is None:
+        status = "Negative"
+        failure = (
+            "no cycle reaches %s in the quotient by {%s}; that corner is "
+            "finite dimensional, so its vertex idempotent cannot be infinite"
+            % (v, ", ".join(h))
         )
-    return VertexInfinitenessReport(v, "ProperlyInfinite", tuple(cases), proper)
+    else:
+        status = "Inconclusive"
+        failure = "no witness found in the quotient by {%s} within depth %d%s" % (
+            ", ".join(h),
+            depth,
+            "; " + rc.detail if rc.detail else "",
+        )
+    return VertexInfinitenessReport(v, status, tuple(cases), proper, failure, h)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -249,10 +249,15 @@ def brute_entrance(g, mu, nu, depth):
     None: the first tau for which mu and nu tau have no common extension.
     Memoized, since the regions of one vertex share their candidates."""
     taus = sorted(
-        (tau for n in _degrees_upto(g.k, 1, depth) for tau in brute_paths(g, nu.source, n)),
+        (
+            tau
+            for n in _degrees_upto(g.k, 1, depth)
+            for tau in brute_paths(g, nu.source, n)
+        ),
         key=path_sort_key,
     )
-    return next((t for t in taus if not brute_mce(g, mu, brute_compose(g, nu, t))), None)
+    escaping = (t for t in taus if not brute_mce(g, mu, brute_compose(g, nu, t)))
+    return next(escaping, None)
 
 
 def brute_connector_lengths(g, v):
@@ -269,37 +274,37 @@ def brute_connector_lengths(g, v):
 def brute_reaching_gen_cycle(g, v, depth):
     """What ``find_reaching_gen_cycle`` must report, as a tuple.
 
-    Lists every candidate (mu, nu): distinct paths of total degree 1 to
-    depth with a common range and a common source reaching v. Sorts them
-    by total degree, degree pair, range vertex and the two words, and takes
-    the first generalized cycle with an entrance: ``("hit", mu, nu, tau,
-    v, s(mu), least connector total)``. Without one, ``("miss", depth,
-    detail)`` counts the generalized cycles without an entrance.
+    Lists the candidates (mu, nu) of each total degree s in turn: distinct
+    paths of total degree 1 to depth with a common range and a common
+    source reaching v. Sorts them by degree pair, range vertex and the two
+    words, and takes the first generalized cycle with an entrance:
+    ``("hit", mu, nu, tau, v, s(mu), least connector total)``. Without
+    one, ``("miss", depth, detail)`` counts the generalized cycles without
+    an entrance.
     """
     reach = brute_connector_lengths(g, v)
     degs = _degrees_upto(g.k, 1, depth)
-    cands = sorted(
-        (
-            (sum(dm) + sum(dn), dm, dn, i, mu.edges, nu.edges, mu, nu)
+    without = 0
+    for s in range(2, 2 * depth + 1):
+        cands = sorted(
+            (dm, dn, i, mu.edges, nu.edges, mu, nu)
             for i, u in enumerate(g.vertices)
             for dm in degs
             for dn in degs
+            if sum(dm) + sum(dn) == s
             for mu in brute_paths(g, u, dm)
             if mu.source in reach
             for nu in brute_paths(g, u, dn)
             if nu.source == mu.source and nu != mu
-        ),
-        key=lambda c: c[:6],
-    )
-    without = 0
-    for *_, mu, nu in cands:
-        if not brute_contains(g, nu, mu)[0]:
-            continue
-        tau = brute_entrance(g, mu, nu, depth)
-        if tau is None:
-            without += 1
-            continue
-        return ("hit", mu, nu, tau, v, mu.source, reach[mu.source])
+        )
+        for *_, mu, nu in cands:
+            if not brute_contains(g, nu, mu)[0]:
+                continue
+            tau = brute_entrance(g, mu, nu, depth)
+            if tau is None:
+                without += 1
+                continue
+            return ("hit", mu, nu, tau, v, mu.source, reach[mu.source])
     detail = ""
     if without:
         detail = "found %d generalized cycle(s) but none with an entrance" % without
@@ -309,38 +314,37 @@ def brute_reaching_gen_cycle(g, v, depth):
 def brute_contraction(g, kappa, depth):
     """What ``locally_contracting_on`` must report, as a tuple.
 
-    Lists every candidate (mu, nu): distinct paths with range r(kappa), a
-    common source and total degrees at least 1 summing to at most 2 depth,
-    with Z(nu) inside Z(kappa). Sorts them by total degree, degree pair and
-    the words of nu and mu, and takes the first generalized cycle with an
-    entrance: ``("hit", nu, mu, tau, kappa, boundary paths tried)``.
-    Without one, ``("miss", depth, detail)`` counts the candidates.
+    Lists the candidates (mu, nu) of each total degree s up to 2 depth in
+    turn: distinct paths with range r(kappa), a common source and total
+    degrees at least 1, with Z(nu) inside Z(kappa). Sorts them by degree
+    pair and the words of nu and mu, and takes the first generalized cycle
+    with an entrance: ``("hit", nu, mu, tau, kappa, boundary paths
+    tried)``. Without one, ``("miss", depth, detail)`` counts the
+    candidates.
     """
     v = kappa.range
     degs = _degrees_upto(g.k, 1, 2 * depth - 1)
-    cands = sorted(
-        (
-            (sum(dm) + sum(dn), dm, dn, nu.edges, mu.edges, mu, nu)
+    checked = 0
+    for s in range(2, 2 * depth + 1):
+        cands = sorted(
+            (dm, dn, nu.edges, mu.edges, mu, nu)
             for dm in degs
             for dn in degs
-            if sum(dm) + sum(dn) <= 2 * depth
+            if sum(dm) + sum(dn) == s
             for nu in brute_paths(g, v, dn)
             for mu in brute_paths(g, v, dm)
             if mu.source == nu.source and mu != nu
-        ),
-        key=lambda c: c[:5],
-    )
-    checked = 0
-    for *_, mu, nu in cands:
-        inside, tried = brute_contains(g, kappa, nu)
-        if not inside:
-            continue
-        checked += 1
-        if not brute_contains(g, nu, mu)[0]:
-            continue
-        tau = brute_entrance(g, mu, nu, depth)
-        if tau is not None:
-            return ("hit", nu, mu, tau, kappa, tried)
+        )
+        for *_, mu, nu in cands:
+            inside, tried = brute_contains(g, kappa, nu)
+            if not inside:
+                continue
+            checked += 1
+            if not brute_contains(g, nu, mu)[0]:
+                continue
+            tau = brute_entrance(g, mu, nu, depth)
+            if tau is not None:
+                return ("hit", nu, mu, tau, kappa, tried)
     return ("miss", depth, "checked %d candidate pairs inside Z(%s)" % (checked, kappa))
 
 

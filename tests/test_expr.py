@@ -124,6 +124,9 @@ def test_format_round_trip_on_samples():
 def test_format_of_normal_form_round_trips():
     g = build("e2")
     kp = KP(g, QQ)
-    el = normal_form(kp.s("v"), target=(2,))
+    aa, ab, b = kp.path("a", "a"), kp.path("a", "b"), kp.path("b")
+    # normal_form expands s_b s_b* to the two terms of degree 2 below it
+    el = normal_form(kp.term(aa, aa) + kp.term(ab, ab) + kp.term(b, b))
+    assert len(el.terms) == 4
     back = parse_expression(format_element(el), g, QQ)
     assert back.terms == el.terms

@@ -280,8 +280,10 @@ def test_prime_field_coefficients():
 def test_normal_form_is_canonical_for_equal_elements():
     kp = algebra()
     a, b = kp.path("a"), kp.path("b")
-    lhs = normal_form(kp.s("v"), target=(1,))
-    rhs = normal_form(kp.term(a, a) + kp.term(b, b))
+    aa, ab, ba, bb = (kp.path(x, y) for x in "ab" for y in "ab")
+    # two different sums equal to s_v, each expanded to degree 2
+    lhs = normal_form(kp.term(aa, aa) + kp.term(ab, ab) + kp.term(b, b))
+    rhs = normal_form(kp.term(a, a) + kp.term(ba, ba) + kp.term(bb, bb))
     assert lhs.terms == rhs.terms
 
 

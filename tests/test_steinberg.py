@@ -173,7 +173,8 @@ def _contractions(g, depth):
     # locally_contracting_on in the shape of brute_contraction, for every
     # region Z(v) and Z(e), each paired with the oracle's answer
     for v in g.vertices:
-        for kappa in [g.trivial_path(v)] + [g.path_from_edges([e.id]) for e in g.edges_by_range(v)]:
+        edges = [g.path_from_edges([e.id]) for e in g.edges_by_range(v)]
+        for kappa in [g.trivial_path(v)] + edges:
             w = locally_contracting_on(g, kappa, depth)
             if isinstance(w, NotFoundUpTo):
                 got = ("miss", w.depth, w.detail)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from corpus import CORPUS, build, lattice8, two_loop_lattice
+from corpus import build, lattice8, two_loop_lattice
 from kpalg import (
     KP,
     DerivationStep,
@@ -14,7 +14,6 @@ from kpalg import (
     KGraph,
     KGraphError,
     KPMatrix,
-    Path,
     PrimeField,
     QQ,
     ReachingCycle,
@@ -40,13 +39,11 @@ from kpalg import (
     row,
     transport_infinite,
     transport_witness,
-    verify_certificate,
     vertex_report_json,
     witness_from_gen_cycle,
 )
 from kpalg import witness
-from kpalg.ideals import quotient_table
-from kpalg.witness import _cycle_pairs, _disjoint_cycle_pair, _pushed, quotient_image
+from kpalg.witness import _disjoint_cycle_pair, _pushed, quotient_image
 
 
 @pytest.fixture()
@@ -82,7 +79,6 @@ def test_gen_cycle_witness_verifies(e2):
     assert cert.kind == "Infinite"
     pa = kp.path("a")
     assert equals(cert.target, kp.term(pa, pa))
-    assert verify_certificate(cert)
     assert failing_checks(cert) == []
     assert equals(cert.part("r") * cert.part("s"), cert.target)
     assert not equals(cert.part("q"), cert.target)
@@ -93,7 +89,7 @@ def test_gen_cycle_witness_over_prime_field(e2):
     g, kp = e2
     cert = witness_from_gen_cycle(g, strict_cycle(kp), PrimeField(5))
     assert cert.target.field.name == "F5"
-    assert verify_certificate(cert)
+    assert failing_checks(cert) == []
 
 
 def test_gen_cycle_requires_entrance(e2):
@@ -137,7 +133,6 @@ def test_failing_checks_flags_widened_subidempotent(e2):
     fails = failing_checks(tampered)
     assert "q = p, witness is not strict" in fails
     assert "s r = q" in fails
-    assert not verify_certificate(tampered)
 
 
 def test_failing_checks_flags_bad_target(e2):
@@ -183,7 +178,7 @@ def test_transport_infinite_into_vertex_corner(e2):
     moved = transport_infinite(cert, kp.s(pa), kp.star(pa))
     assert moved.kind == "Infinite"
     assert equals(moved.target, kp.s("v"))
-    assert verify_certificate(moved)
+    assert failing_checks(moved) == []
     assert moved.derivation[-1].rule == "equivalence-transport"
     assert len(moved.derivation) == len(cert.derivation) + 1
 
@@ -207,7 +202,7 @@ def test_lift_infinite_to_vertex_unit(e2):
     cert = witness_from_gen_cycle(g, strict_cycle(kp))
     lifted = lift_infinite(cert, kp.s("v"))
     assert equals(lifted.target, kp.s("v"))
-    assert verify_certificate(lifted)
+    assert failing_checks(lifted) == []
     assert lifted.derivation[-1].rule == "subidempotent-lift"
 
 
@@ -227,7 +222,7 @@ def test_orthogonal_witness_gives_canonical_splitting(e2):
     g, kp = e2
     cert = canonical_splitting(kp)
     assert cert.kind == "ProperlyInfinite"
-    assert verify_certificate(cert)
+    assert failing_checks(cert) == []
     pa, pb = kp.path("a"), kp.path("b")
     assert matrix_equals(cert.part("A"), column(kp.star(pa), kp.star(pb)))
     assert matrix_equals(cert.part("B"), row(kp.s(pa), kp.s(pb)))
@@ -281,7 +276,7 @@ def test_properly_infinite_yields_strict_subcopy(e2):
     inf = properly_infinite_to_infinite(canonical_splitting(kp))
     assert inf.kind == "Infinite"
     assert equals(inf.target, kp.s("v"))
-    assert verify_certificate(inf)
+    assert failing_checks(inf) == []
     pa = kp.path("a")
     assert equals(inf.part("q"), kp.term(pa, pa))
 
@@ -290,7 +285,7 @@ def test_properly_infinite_rejects_zero_idempotent(e2):
     g, kp = e2
     z = kp.zero()
     degenerate = orthogonal_witness(z, z, z, z, z, z, z)
-    assert verify_certificate(degenerate)
+    assert failing_checks(degenerate) == []
     with pytest.raises(WitnessError, match="zero idempotent"):
         properly_infinite_to_infinite(degenerate)
 
@@ -306,7 +301,7 @@ def test_transport_witness_into_cylinder_corner(e2):
     moved = transport_witness(kp.s("v"), q, kp.star(pa), kp.s(pa), proper)
     assert moved.kind == "ProperlyInfinite"
     assert equals(moved.target, q)
-    assert verify_certificate(moved)
+    assert failing_checks(moved) == []
 
 
 def test_transport_witness_guards(e2):
@@ -395,7 +390,7 @@ def test_transport_chain_round_trip(e2):
     inf = properly_infinite_to_infinite(at_corner)
     back = lift_infinite(inf, kp.s("v"))
     assert equals(back.target, kp.s("v"))
-    assert verify_certificate(back)
+    assert failing_checks(back) == []
     rules = [st.rule for st in back.derivation]
     assert rules[-1] == "subidempotent-lift"
     assert "equivalence-transport" in rules
@@ -410,7 +405,7 @@ def test_infinite_vertex_from_reaching_cycle(e2):
     assert isinstance(rc, ReachingCycle)
     cert = infinite_vertex_from_reaching_cycle(g, rc)
     assert equals(cert.target, kp.s("v"))
-    assert verify_certificate(cert)
+    assert failing_checks(cert) == []
 
 
 def test_reaching_cycle_route_across_connecting_path():
@@ -421,7 +416,7 @@ def test_reaching_cycle_route_across_connecting_path():
     assert rc.gamma.source != rc.gamma.range or rc.gamma.degree != (0,)
     cert = infinite_vertex_from_reaching_cycle(g, rc)
     assert equals(cert.target, kp.s("w"))
-    assert verify_certificate(cert)
+    assert failing_checks(cert) == []
 
 
 # -- per-vertex procedure -----------------------------------------------------------
@@ -436,7 +431,7 @@ def test_prove_vertex_on_bouquet(e2):
     case = rep.cases[0]
     assert len(case.ideal) == 0
     assert case.route == "orthogonal-pair"
-    assert verify_certificate(case.certificate)
+    assert failing_checks(case.certificate) == []
     assert rep.proper is not None
     assert rep.proper.kind == "ProperlyInfinite"
     assert equals(rep.proper.target, kp.s("v"))
@@ -446,7 +441,7 @@ def test_prove_vertex_reached_from_cycles():
     g = build("two_loops_plus_exit")
     rep = prove_vertex_properly_infinite(g, "w", depth=3)
     assert rep.status == "ProperlyInfinite"
-    assert all(verify_certificate(c.certificate) for c in rep.cases)
+    assert [f for c in rep.cases for f in failing_checks(c.certificate)] == []
     # the disjoint pair lives at the other vertex, so no proper witness for w
     assert rep.proper is None
 
@@ -510,7 +505,7 @@ def test_quotient_image_drops_terms_at_the_ideal():
     assert certificate_json(image) == certificate_json(expected)
     assert image.graph is gq
     assert all(lam.source == "v" for _, x in image.parts for (lam, _), _ in x.terms)
-    assert verify_certificate(image)
+    assert failing_checks(image) == []
 
 
 def test_certificates_are_pushed_only_into_larger_ideals():
@@ -610,30 +605,6 @@ def test_each_pushed_image_is_checked_once(monkeypatch):
         assert set(c.certificate.graph.vertices) == set(g.vertices) - set(c.ideal)
 
 
-def test_route_search_shared_across_quotients_matches_a_fresh_search():
-    # a pair found in one quotient, rebuilt over another with the same
-    # H & D(v), is the pair a fresh search there finds
-    graphs = [(name, mk()) for name, mk in CORPUS] + [("lattice8", lattice8())]
-    for name, g in graphs:
-        table = quotient_table(g)
-        for depth in (1, 2, 3):
-            for v in g.vertices:
-                pair = _cycle_pairs(g, v, depth)
-                for h, gq in table:
-                    if v in h:
-                        continue
-                    got, fresh = pair(h, gq), _disjoint_cycle_pair(gq, v, depth)
-                    if fresh is None:
-                        assert got is None, (name, depth, v, h)
-                        continue
-                    rebuilt = tuple(
-                        Path(gq, p.range, p.edges, p.degree, p.source) for p in got[1:]
-                    )
-                    assert (got[0],) + rebuilt == fresh, (name, depth, v, h)
-                    for p, q in zip(rebuilt, fresh[1:]):
-                        assert (p.degree, p.source) == (q.degree, q.source)
-
-
 def test_route_search_runs_once_per_trace_of_the_ideal(monkeypatch):
     g = lattice8()
     searched = []
@@ -667,7 +638,7 @@ def _pushable():
     g = fed_pair(2, 2)
     cert = prove_vertex_properly_infinite(g, "v", 2).cases[0].certificate
     gq = quotient(g, SatHerSet(("z",)))
-    assert verify_certificate(quotient_image(cert, gq))
+    assert failing_checks(quotient_image(cert, gq)) == []
     return cert, gq
 
 
