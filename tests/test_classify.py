@@ -20,18 +20,22 @@ from kpalg import (
     SatHerSet,
     VertexConditions,
     VertexInfinitenessReport,
+    bouquet,
     certificate_json,
     classify_pure_infiniteness,
     failing_checks,
     format_element,
     lift_infinite,
     parse_expression,
+    product,
     quotient,
+    random_square_graph,
     report_json,
     strong_aperiodicity_sweep,
     vertex_conditions,
     prove_vertex_properly_infinite,
     vertex_report_json,
+    validate,
     vertex_unit,
 )
 from kpalg.classify import _assert_consistent, aperiodicity_json, conditions_json
@@ -77,6 +81,16 @@ def test_product_bouquets_classify_fast():
     assert rep.verdict == "ProperlyPurelyInfinite"
 
 
+def test_three_factor_product_classifies():
+    # the left factor is itself a 2-graph, so its squares are copied into
+    # the product; validation runs the k = 3 hexagon check
+    g = product(bouquet(2), bouquet(2, "u"), bouquet(2, "w"))
+    assert g.k == 3 and validate(g).ok
+    assert len(g.square_fwd) == 12
+    rep = classify_pure_infiniteness(g, depth=2)
+    assert rep.verdict == "ProperlyPurelyInfinite"
+
+
 def test_properly_purely_infinite_over_prime_field():
     rep = classify_pure_infiniteness(build("e2"), depth=3, fld=PrimeField(3))
     assert rep.verdict == "ProperlyPurelyInfinite"
@@ -105,6 +119,25 @@ def test_aperiodicity_assertion_is_refused_against_certificate():
     assert rep.verdict == "Inconclusive"
     assert not rep.assumed_aperiodic
     assert "assertion is refused because it contradicts this certificate" in rep.notes[0]
+
+
+def test_unsettled_aperiodicity_is_inconclusive_unless_asserted():
+    # at depth 1 the aperiodicity check settles neither way on this graph
+    g = random_square_graph(1, 1, 2)
+    rep = classify_pure_infiniteness(g, depth=1)
+    assert rep.verdict == "Inconclusive"
+    assert rep.witnesses == () and not rep.assumed_aperiodic
+    assert rep.notes == (
+        "aperiodicity of the graph itself is unknown at depth 1; raise the "
+        "depth or assert aperiodicity to proceed",
+    )
+    rep = classify_pure_infiniteness(g, depth=1, assume_aperiodic=True)
+    assert rep.verdict == "ProperlyPurelyInfinite"
+    assert rep.assumed_aperiodic
+    assert rep.notes[0] == (
+        "aperiodicity accepted by assertion for 1 quotient(s) the check "
+        "could not settle at depth 1"
+    )
 
 
 def test_periodic_quotient_blocks_entered_loop():

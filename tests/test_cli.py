@@ -10,7 +10,7 @@ import pytest
 
 import kpalg
 from corpus import branches, build, lattice8
-from kpalg import Edge, KGraph, format_kgraph, product
+from kpalg import Edge, KGraph, format_kgraph, product, random_square_graph
 from kpalg.cli import main
 
 BAD_SQUARES = """\
@@ -178,6 +178,18 @@ def test_closure(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["v", "w"]
 
 
+def test_closure_json(tmp_path, capsys):
+    f = write_graph(tmp_path, "two_loops_plus_exit")
+    assert main(["closure", f, "w", "--json"]) == 0
+    assert capsys.readouterr().out == '{\n  "closure": [\n    "v",\n    "w"\n  ]\n}\n'
+
+
+def test_ideals_lattice_text(tmp_path, capsys):
+    f = write_graph(tmp_path, "entered_loop")
+    assert main(["ideals", f]) == 0
+    assert capsys.readouterr().out == "{}\n{w}\n{v, w}\n"
+
+
 def test_ideals_lattice_json(tmp_path, capsys):
     f = write_graph(tmp_path, "entered_loop")
     assert main(["ideals", f, "--json"]) == 0
@@ -192,6 +204,15 @@ def test_quotient_prints_presentation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("kgraph v1")
     assert "edge a" in out and "edge d" not in out
+
+
+def test_quotient_json(tmp_path, capsys):
+    f = write_graph(tmp_path, "entered_loop")
+    assert main(["quotient", f, "w", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "kgraph": "kgraph v1\\nk: 1\\nvertices: v\\n'
+        'edge a color=1 from=v to=v\\n"\n}\n'
+    )
 
 
 def test_quotient_rejects_non_ideal(tmp_path, capsys):
@@ -270,6 +291,15 @@ def test_classify_assert_aperiodic_refused(tmp_path, capsys):
     assert data["verdict"] == "Inconclusive"
     assert data["assumed_aperiodic"] is False
     assert any("assertion is refused" in n for n in data["notes"])
+
+
+def test_classify_assert_aperiodic_accepted_where_unsettled(tmp_path, capsys):
+    f = tmp_path / "g.kg"
+    f.write_text(format_kgraph(random_square_graph(1, 1, 2)))
+    assert main(["classify", str(f), "--depth", "1", "--assert-aperiodic"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: ProperlyPurelyInfinite" in out
+    assert "aperiodicity assumed where the check was unsettled\n" in out
 
 
 def test_classify_json_and_field(tmp_path, capsys):
@@ -371,6 +401,25 @@ def test_contract_not_found_exits_one(tmp_path, capsys):
     g = write_graph(tmp_path, "omega11")
     assert main(["contract", g, "p00", "--depth", "2"]) == 1
     assert "no contracting bisection found" in capsys.readouterr().out
+
+
+def test_contract_text_on_success(tmp_path, capsys):
+    g = write_graph(tmp_path, "e2")
+    assert main(["contract", g, "v", "--depth", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "contracting bisection: Z(a*a.a)\n"
+        "cycle pair: (a.a, a) with entrance b\n"
+        "region: Z(v)\n"
+    )
+
+
+def test_contract_json_on_failure(tmp_path, capsys):
+    g = write_graph(tmp_path, "omega11")
+    assert main(["contract", g, "p00", "--depth", "2", "--json"]) == 1
+    assert capsys.readouterr().out == (
+        '{\n  "found": false,\n  "depth": 2,\n'
+        '  "detail": "checked 0 candidate pairs inside Z(p00)"\n}\n'
+    )
 
 
 @pytest.mark.parametrize(

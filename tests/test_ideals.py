@@ -116,6 +116,11 @@ def test_quotient_rejects_non_sat_her():
         quotient(g, SatHerSet(("v",)))
 
 
+def test_quotient_rejects_unknown_vertex():
+    with pytest.raises(KGraphError, match="unknown vertex 'nope'"):
+        quotient(chain(3), ("nope",))
+
+
 def test_all_corpus_quotients_validate():
     for name, mk in CORPUS:
         g = mk()
