@@ -24,9 +24,7 @@ from .expr import ExprError, format_element, parse_expression
 from .field import Field, FieldError, PrimeField, QQ, RationalField, parse_field
 from .ideals import (
     IdealLattice,
-    SatHerSet,
     enumerate_sat_her,
-    is_sat_her,
     quotient,
     sat_her_closure,
 )

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .field import Field, QQ
-from .ideals import QuotientTable, SatHerSet, quotient_table
+from .ideals import Ideal, QuotientTable, quotient_table
 from .kgraph import KGraph, KGraphError, Path, validate
 from .paths import find_cycle_reaching, reachable_to
 from .witness import (
@@ -48,7 +48,7 @@ class VertexConditions:
 class ClassificationReport:
     verdict: str  # ProperlyPurelyInfinite | NotPurelyInfinite | Inconclusive
     conditions: Tuple[VertexConditions, ...]
-    sweep: Tuple[Tuple[SatHerSet, AperiodicityVerdict], ...]
+    sweep: Tuple[Tuple[Ideal, AperiodicityVerdict], ...]
     assumed_aperiodic: bool
     witnesses: Tuple[VertexInfinitenessReport, ...]
     depth: int
@@ -86,7 +86,7 @@ def _assert_consistent(conds: Tuple[VertexConditions, ...]) -> None:
 
 def strong_aperiodicity_sweep(
     g: KGraph, depth: int = 6, quotients: Optional[QuotientTable] = None
-) -> Tuple[Tuple[SatHerSet, AperiodicityVerdict], ...]:
+) -> Tuple[Tuple[Ideal, AperiodicityVerdict], ...]:
     """Aperiodicity verdict for the quotient by every hereditary
     saturated set, the empty quotient included (vacuously aperiodic).
     ``quotients`` is the quotient table to read, built here when absent.
@@ -109,7 +109,7 @@ def strong_aperiodicity_sweep(
     return tuple(out)
 
 
-def _describe(h: SatHerSet) -> str:
+def _describe(h: Ideal) -> str:
     if len(h) == 0:
         return "the graph itself"
     return "the quotient by {%s}" % ", ".join(h)

@@ -20,7 +20,7 @@ from .classify import aperiodicity_json, classify_pure_infiniteness, report_json
 from .degrees import parse_degree
 from .expr import format_element, parse_expression
 from .field import FieldError, parse_field
-from .ideals import enumerate_sat_her, is_sat_her, quotient, sat_her_closure
+from .ideals import enumerate_sat_her, quotient, sat_her_closure
 from .kgraph import (
     KGraph,
     KGraphError,
@@ -141,13 +141,13 @@ def cmd_ideals(g: KGraph, args) -> int:
 
 def cmd_quotient(g: KGraph, args) -> int:
     vs = _vertex_list(args.vertices)
-    if not is_sat_her(g, vs):
-        closure = sat_her_closure(g, vs)
+    closure = sat_her_closure(g, vs)
+    if set(closure) != set(vs):
         raise KGraphError(
             "{%s} is not hereditary and saturated; its closure is {%s}"
             % (", ".join(sorted(set(vs))), ", ".join(closure))
         )
-    gq = quotient(g, sat_her_closure(g, vs))
+    gq = quotient(g, closure)
     if args.json:
         _print_json({"kgraph": format_kgraph(gq)})
     else:

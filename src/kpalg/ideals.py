@@ -1,7 +1,9 @@
 """Hereditary and saturated vertex sets, their lattice, and quotient graphs.
 
 These vertex sets index the graded ideals of the path algebra; the quotient
-graph realizes the quotient algebra on the k-graph side.
+graph realizes the quotient algebra on the k-graph side. Such a set is
+passed around as the sorted tuple of its vertex ids; ``quotient`` refuses a
+set that is not its own closure.
 """
 
 from __future__ import annotations
@@ -11,24 +13,8 @@ from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from .kgraph import KGraph, KGraphError
 
-
-@dataclass(frozen=True)
-class SatHerSet:
-    """A saturated hereditary subset of the vertex set."""
-
-    vertices: Tuple[str, ...]
-
-    def __contains__(self, v: str) -> bool:
-        return v in self.vertices
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def as_set(self) -> Set[str]:
-        return set(self.vertices)
+# a saturated hereditary set: its vertex ids, sorted
+Ideal = Tuple[str, ...]
 
 
 def _close(g: KGraph, start: Set[str]) -> Set[str]:
@@ -55,18 +41,13 @@ def _close(g: KGraph, start: Set[str]) -> Set[str]:
     return h
 
 
-def is_sat_her(g: KGraph, vertices: Iterable[str]) -> bool:
-    h = set(vertices)
-    return _close(g, h) == h
-
-
-def sat_her_closure(g: KGraph, vertices: Iterable[str]) -> SatHerSet:
+def sat_her_closure(g: KGraph, vertices: Iterable[str]) -> Ideal:
     """Smallest saturated hereditary set containing the given vertices."""
     vs = list(vertices)
     for v in vs:
         if not g.has_vertex(v):
             raise KGraphError("unknown vertex %r" % v)
-    return SatHerSet(tuple(sorted(_close(g, set(vs)))))
+    return tuple(sorted(_close(g, set(vs))))
 
 
 @dataclass(frozen=True)
@@ -76,14 +57,8 @@ class IdealLattice:
     ``covers`` lists index pairs (i, j) with sets[i] covered by sets[j].
     """
 
-    sets: Tuple[SatHerSet, ...]
+    sets: Tuple[Ideal, ...]
     covers: Tuple[Tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
 
 
 def enumerate_sat_her(g: KGraph) -> IdealLattice:
@@ -111,11 +86,11 @@ def enumerate_sat_her(g: KGraph) -> IdealLattice:
         for c in bigger
         if not any(b < c for b in bigger)
     )
-    sets = tuple(SatHerSet(tuple(sorted(h))) for h in order)
+    sets = tuple(tuple(sorted(h)) for h in order)
     return IdealLattice(sets, tuple(covers))
 
 
-def quotient(g: KGraph, h: SatHerSet) -> KGraph:
+def quotient(g: KGraph, h: Ideal) -> KGraph:
     """The k-graph on the vertices outside h, with paths avoiding h.
 
     Only edges whose source survives are kept; heredity guarantees their
@@ -125,10 +100,7 @@ def quotient(g: KGraph, h: SatHerSet) -> KGraph:
     if len(h) == 0:
         return g
     hs = set(h)
-    for v in hs:
-        if not g.has_vertex(v):
-            raise KGraphError("unknown vertex %r" % v)
-    if not is_sat_her(g, hs):
+    if set(sat_her_closure(g, h)) != hs:
         raise KGraphError("vertex set %r is not saturated hereditary" % sorted(hs))
     vertices = [v for v in g.vertices if v not in hs]
     keep = {
@@ -143,7 +115,7 @@ def quotient(g: KGraph, h: SatHerSet) -> KGraph:
     return KGraph(g.k, vertices, edges, squares)
 
 
-QuotientTable = Tuple[Tuple[SatHerSet, KGraph], ...]
+QuotientTable = Tuple[Tuple[Ideal, KGraph], ...]
 
 
 def quotient_table(g: KGraph) -> QuotientTable:

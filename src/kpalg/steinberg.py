@@ -23,7 +23,7 @@ the same core in ``paths`` as the witness search's second route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .field import Scalar
 from .kgraph import KGraph, KGraphError, Path
@@ -52,13 +52,6 @@ class CylinderBisection:
                 "bisection paths must share a source: %s vs %s"
                 % (self.lam.source, self.mu.source)
             )
-
-    @property
-    def shift(self) -> Tuple[int, ...]:
-        return tuple(a - b for a, b in zip(self.lam.degree, self.mu.degree))
-
-    def invert(self) -> "CylinderBisection":
-        return CylinderBisection(self.graph, self.mu, self.lam)
 
     def __str__(self) -> str:
         return "Z(%s*%s)" % (self.lam, self.mu)

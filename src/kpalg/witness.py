@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .degrees import total
 from .field import Field, QQ
-from .ideals import QuotientTable, SatHerSet, enumerate_sat_her, quotient
+from .ideals import Ideal, QuotientTable, enumerate_sat_her, quotient
 from .kgraph import KGraph, KGraphError, Path
 from .kpelement import (
     KPElement,
@@ -444,10 +444,10 @@ class IdealCase:
     the image of the one built in the quotient by ``built_in``, which is
     ``ideal`` when the case built its own."""
 
-    ideal: SatHerSet
+    ideal: Ideal
     route: str  # "orthogonal-pair" or "generalized-cycle"
     certificate: WitnessCertificate
-    built_in: SatHerSet
+    built_in: Ideal
 
 
 @dataclass(frozen=True)
@@ -457,7 +457,7 @@ class VertexInfinitenessReport:
     cases: Tuple[IdealCase, ...]
     proper: Optional[WitnessCertificate] = None
     failure: str = ""
-    failed_ideal: Optional[SatHerSet] = None
+    failed_ideal: Optional[Ideal] = None
 
     def __bool__(self) -> bool:
         return self.status == "ProperlyInfinite"
@@ -579,14 +579,14 @@ def quotient_image(cert: WitnessCertificate, gq: KGraph) -> WitnessCertificate:
 
 # certificates by route: the route name with the (range, word) of each
 # path that determines it, and every (ideal, certificate) built for it
-Built = Dict[Tuple, List[Tuple[SatHerSet, WitnessCertificate]]]
+Built = Dict[Tuple, List[Tuple[Ideal, WitnessCertificate]]]
 
 
-def _pushed(built: Built, key: Tuple, h: SatHerSet, gq: KGraph):
+def _pushed(built: Built, key: Tuple, h: Ideal, gq: KGraph):
     # (h0, image) for a certificate of the same route built in the
     # quotient by a smaller ideal h0, or (h, None) when there is none
     for h0, cert in built.get(key, ()):
-        if h0.as_set() <= h.as_set():
+        if set(h0) <= set(h):
             return h0, quotient_image(cert, gq)
     return h, None
 
@@ -743,7 +743,7 @@ def vertex_report_json(rep: VertexInfinitenessReport) -> Dict:
     names its entry; dropping the terms whose source lies in the case's
     ideal gives its image."""
     certs: List[Dict] = []
-    index: Dict[SatHerSet, int] = {}
+    index: Dict[Ideal, int] = {}
     cases = []
     for c in rep.cases:
         if c.built_in == c.ideal:

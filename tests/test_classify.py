@@ -17,7 +17,6 @@ from kpalg import (
     KPElement,
     PrimeField,
     QQ,
-    SatHerSet,
     VertexConditions,
     VertexInfinitenessReport,
     bouquet,
@@ -32,10 +31,10 @@ from kpalg import (
     random_square_graph,
     report_json,
     strong_aperiodicity_sweep,
+    validate,
     vertex_conditions,
     prove_vertex_properly_infinite,
     vertex_report_json,
-    validate,
     vertex_unit,
 )
 from kpalg.classify import _assert_consistent, aperiodicity_json, conditions_json
@@ -366,8 +365,8 @@ def image_from_text(text, g, built_in, ideal):
     # the image map, written here: parse over the quotient that built the
     # certificate, drop the terms whose source lies in the case's ideal, and
     # rebuild the surviving paths by edge word over the case's quotient
-    el = parse_expression(text, quotient(g, SatHerSet(tuple(built_in))), QQ)
-    gq = quotient(g, SatHerSet(tuple(ideal)))
+    el = parse_expression(text, quotient(g, tuple(built_in)), QQ)
+    gq = quotient(g, tuple(ideal))
 
     def path(p):
         return gq.path_from_edges(p.edges) if p.edges else gq.trivial_path(p.range)
@@ -418,7 +417,7 @@ def test_report_text_determines_an_image_that_drops_terms():
     )
     cert = prove_vertex_properly_infinite(g, "v", 2).cases[0].certificate
     built = lift_infinite(cert, vertex_unit(g, QQ, "v") + vertex_unit(g, QQ, "z"))
-    empty, hz = SatHerSet(()), SatHerSet(("z",))
+    empty, hz = (), ("z",)
     image = quotient_image(built, quotient(g, hz))
     assert format_element(image.target) == "v" != format_element(built.target)
     cases = (

@@ -12,7 +12,7 @@ an output changes on purpose, the failure names each graph and prints its
 new digest to commit. The digests are computed in two subprocesses, under
 PYTHONHASHSEED 0 and 1, so no output may depend on hash order.
 
-Run this file as a script with a scratch directory as its argument to
+Run this file as a script with an empty directory as its argument to
 print the digests as JSON.
 """
 
@@ -25,6 +25,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from corpus import CORPUS, lattice8
+from kpalg import format_kgraph
+from kpalg.cli import main
 
 DEPTHS = (2, 3)
 
@@ -73,9 +75,6 @@ def _argvs(g):
 def digests(workdir):
     """{graph name: sha256 of its CLI outputs}, the graphs written to
     workdir as presentation files."""
-    from kpalg import format_kgraph
-    from kpalg.cli import main
-
     out = {}
     for name, mk in CORPUS + [("lattice8", lattice8)]:
         g = mk()
@@ -115,7 +114,8 @@ def test_cli_outputs_match_golden_digests(tmp_path):
         stdout, stderr = proc.communicate(timeout=300)
         assert proc.returncode == 0 and not stderr, stderr
         runs.append(json.loads(stdout))
-    assert runs[0] == runs[1], "CLI output depends on the hash seed"
+    seeded = [name for name in runs[0] if runs[0][name] != runs[1][name]]
+    assert not seeded, "CLI output depends on the hash seed: %s" % seeded
     changed = [
         "%s: %s" % (name, got) for name, got in runs[0].items() if GOLDEN.get(name) != got
     ]

@@ -5,11 +5,9 @@ import pytest
 from corpus import CORPUS, entered_loop, three_components
 from kpalg import (
     KGraphError,
-    SatHerSet,
     chain,
     enumerate_sat_her,
     grid,
-    is_sat_her,
     quotient,
     sat_her_closure,
     two_loops_plus_exit,
@@ -22,22 +20,22 @@ def test_closure_pulls_in_sources():
     g = two_loops_plus_exit()
     # w is closed on its own: heredity follows edges out of the set's
     # ranges, and nothing ranges at w except c whose source is v
-    assert sat_her_closure(g, ["w"]).as_set() == {"v", "w"}
-    assert sat_her_closure(g, []).as_set() == set()
+    assert set(sat_her_closure(g, ["w"])) == {"v", "w"}
+    assert set(sat_her_closure(g, [])) == set()
 
 
 def test_closure_saturation_forces_vertices():
     g = entered_loop()
-    assert sat_her_closure(g, ["w"]).as_set() == {"w"}
+    assert set(sat_her_closure(g, ["w"])) == {"w"}
     # v sits on its own loop, so heredity drags in w via c and then all of v
-    assert sat_her_closure(g, ["v"]).as_set() == {"v", "w"}
+    assert set(sat_her_closure(g, ["v"])) == {"v", "w"}
 
 
 def test_closure_saturation_on_chain():
     g = chain(3)
     # v2 is the only feeder of v1, and v1 of v0: saturation forces both
-    assert sat_her_closure(g, ["v2"]).as_set() == {"v0", "v1", "v2"}
-    assert sat_her_closure(g, ["v0"]).as_set() == {"v0", "v1", "v2"}
+    assert set(sat_her_closure(g, ["v2"])) == {"v0", "v1", "v2"}
+    assert set(sat_her_closure(g, ["v0"])) == {"v0", "v1", "v2"}
 
 
 def test_closure_rejects_unknown_vertex():
@@ -45,12 +43,12 @@ def test_closure_rejects_unknown_vertex():
         sat_her_closure(chain(3), ["nope"])
 
 
-def test_is_sat_her_matches_membership():
+def test_closure_fixes_exactly_the_sat_her_sets():
     g = entered_loop()
-    assert is_sat_her(g, set())
-    assert is_sat_her(g, {"w"})
-    assert is_sat_her(g, {"v", "w"})
-    assert not is_sat_her(g, {"v"})
+    assert sat_her_closure(g, []) == ()
+    assert sat_her_closure(g, ["w"]) == ("w",)
+    assert sat_her_closure(g, ["w", "v"]) == ("v", "w")
+    assert sat_her_closure(g, ["v"]) != ("v",)
 
 
 def test_lattice_on_entered_loop():
@@ -65,26 +63,26 @@ def test_lattice_is_trivial_on_strongly_connected_graphs():
     for name in ["e2", "t2", "cycle3", "two_loops_plus_exit"]:
         g = dict(CORPUS)[name]()
         lat = enumerate_sat_her(g)
-        assert len(lat) == 2
+        assert len(lat.sets) == 2
         assert len(lat.sets[0]) == 0
-        assert lat.sets[-1].as_set() == set(g.vertices)
+        assert set(lat.sets[-1]) == set(g.vertices)
 
 
 def test_lattice_matches_brute_force_on_corpus():
     for name, mk in CORPUS:
         g = mk()
         expected = brute_sat_her(g)
-        got = {frozenset(h.as_set()) for h in enumerate_sat_her(g).sets}
+        got = {frozenset(h) for h in enumerate_sat_her(g).sets}
         assert got == expected, name
 
 
 def test_lattice_covers_are_inclusions_without_middle():
     # covers by definition: every i < j with nothing in between, in (i, j)
     # order
-    assert len(enumerate_sat_her(three_components())) == 12
+    assert len(enumerate_sat_her(three_components()).sets) == 12
     for name, mk in CORPUS + [("three_components", three_components)]:
         lat = enumerate_sat_her(mk())
-        sets = [h.as_set() for h in lat.sets]
+        sets = [set(h) for h in lat.sets]
         expected = [
             (i, j)
             for i in range(len(sets))
@@ -97,7 +95,7 @@ def test_lattice_covers_are_inclusions_without_middle():
 
 def test_quotient_removes_ideal_and_validates():
     g = entered_loop()
-    q = quotient(g, SatHerSet(("w",)))
+    q = quotient(g, ("w",))
     assert list(q.vertices) == ["v"]
     assert set(q.edges) == {"a"}
     assert validate(q).ok
@@ -105,7 +103,7 @@ def test_quotient_removes_ideal_and_validates():
 
 def test_quotient_by_empty_set_is_same_presentation():
     g = grid((1, 1))
-    q = quotient(g, SatHerSet(()))
+    q = quotient(g, ())
     assert set(q.edges) == set(g.edges)
     assert list(q.vertices) == list(g.vertices)
 
@@ -113,12 +111,16 @@ def test_quotient_by_empty_set_is_same_presentation():
 def test_quotient_rejects_non_sat_her():
     g = entered_loop()
     with pytest.raises(KGraphError):
-        quotient(g, SatHerSet(("v",)))
+        quotient(g, ("v",))
 
 
-def test_quotient_rejects_unknown_vertex():
+def test_quotient_refusal_messages():
     with pytest.raises(KGraphError, match="unknown vertex 'nope'"):
         quotient(chain(3), ("nope",))
+    with pytest.raises(
+        KGraphError, match=r"vertex set \['v'\] is not saturated hereditary"
+    ):
+        quotient(entered_loop(), ("v",))
 
 
 def test_all_corpus_quotients_validate():

@@ -17,7 +17,6 @@ from kpalg import (
     PrimeField,
     QQ,
     ReachingCycle,
-    SatHerSet,
     WitnessCertificate,
     WitnessError,
     aperiodicity_check,
@@ -498,7 +497,7 @@ def test_quotient_image_drops_terms_at_the_ideal():
     g = fed_pair(2, 2)
     cert = prove_vertex_properly_infinite(g, "v", 2).cases[0].certificate
     both = lift_infinite(cert, KP(g, QQ).s("v") + KP(g, QQ).s("z"))
-    gq = quotient(g, SatHerSet(("z",)))
+    gq = quotient(g, ("z",))
     image = quotient_image(both, gq)
     fresh = prove_vertex_properly_infinite(gq, "v", 2).cases[0].certificate
     expected = lift_infinite(fresh, KP(gq, QQ).s("v"))
@@ -518,7 +517,7 @@ def test_certificates_are_pushed_only_into_larger_ideals():
         + [Edge(u + i, 1, u, u) for u in "xz" for i in "01"]
         + [Edge("c", 1, "x", "v"), Edge("d", 1, "z", "v")],
     )
-    hx, hz, hxz = SatHerSet(("x",)), SatHerSet(("z",)), SatHerSet(("x", "z"))
+    hx, hz, hxz = ("x",), ("z",), ("x", "z")
     gx = quotient(g, hx)
     cert = prove_vertex_properly_infinite(gx, "v", 2).cases[0].certificate
     built = {"route": [(hx, cert)]}
@@ -537,7 +536,7 @@ def test_quotient_image_into_ideal_holding_the_cycle_raises():
     assert len(case.ideal) == 0 and case.route == "orthogonal-pair"
     cert = case.certificate
     with pytest.raises(WitnessError, match="quotient image: .*not strict"):
-        quotient_image(cert, quotient(g, SatHerSet(("z",))))
+        quotient_image(cert, quotient(g, ("z",)))
 
 
 def _payloads(cert):
@@ -637,7 +636,7 @@ def _pushable():
     # {z}, which its image survives
     g = fed_pair(2, 2)
     cert = prove_vertex_properly_infinite(g, "v", 2).cases[0].certificate
-    gq = quotient(g, SatHerSet(("z",)))
+    gq = quotient(g, ("z",))
     assert failing_checks(quotient_image(cert, gq)) == []
     return cert, gq
 
