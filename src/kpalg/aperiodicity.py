@@ -5,7 +5,10 @@ such that distinct paths with source v stay distinct after composing with
 x. The check here is depth-bounded on both the pair degrees and the
 separator, so the positive verdict means "separated up to the stated
 depth"; the Periodic verdict is certified by a finite state-pair machine
-and is sound unconditionally.
+and is sound unconditionally. Each verdict names its ``basis``:
+``certified`` for a periodic answer and for the empty quotient (no
+vertices, vacuously aperiodic), ``bounded`` for an answer of the separator
+search, which a deeper search may overturn.
 
 Truncated comparison: alpha x = beta x "as truncated paths" means the two
 composites agree up to their common (meet) degree; when x is maximal
@@ -56,6 +59,43 @@ the candidates and the edges into their sources run among D(v), the
 vertices v reaches, and see H only through H & D(v) (``_immortal`` only
 skips degrees that give no boundary path anyway). The winning separator
 at v and its ``pairs_checked`` thus depend only on (v, H & D(v)).
+
+Locality of the witness search: ``prove_vertex_properly_infinite`` makes
+one case per trace T = H & D(v) of the ideals H avoiding v, at the ideal
+closure(T) (``sat_her_closure``), and that case serves every ideal of
+trace T exactly:
+- Heredity. A path whose source lies outside H has every vertex outside
+  H, so the quotient by H keeps it unchanged. A vertex of D(v) receives
+  edges only from D(v), and keeps one exactly when its source is outside
+  T. So the paths with source in D(v) - T, their boundary paths and their
+  minimal common extensions, all of which start above a vertex of
+  D(v) - T, are the same in every quotient by an ideal of trace T.
+- The least ideal. An ideal H of trace T avoiding v contains T, hence
+  closure(T). So T <= closure(T) & D(v) <= H & D(v) = T, and v lies
+  outside closure(T): closure(T) is the least ideal of trace T, and it
+  avoids v. The lattice order sorts ideals by size, so it is the first
+  ideal of trace T the search reaches.
+- Route two. ``find_reaching_gen_cycle`` tries pairs (mu, nu) whose
+  common source lies in D(v) - T, in an order fixed by degrees, the
+  vertex order of the graph and edge words. It tests containment with the
+  boundary paths at that source, looks for an entrance among the paths
+  extending nu, and compares them by MCE; the connecting path comes from
+  the same in-edge search as D(v). All of it lies above D(v) - T, so the
+  route returns the same paths, or the same miss, for every ideal of
+  trace T. Route one (``_disjoint_cycle_pair``) reads only cycles at
+  vertices of D(v) - T and their paths to v, and ``find_cycle_reaching``,
+  the test that makes a miss Negative, only the edges among D(v) - T.
+- The certificate. Every term of its target and parts has its source in
+  D(v), hence in D(v) - T; this is checked where the certificate is built
+  or pushed. Products and normal forms refine a term only by boundary
+  paths at its source, so every relation evaluates term for term alike in
+  every quotient of trace T, and the quotient map drops no term.
+- Strictness (q != p). A homomorphism can send q and p to one element,
+  so the image argument alone does not keep it. But the normal form of
+  p - q in the quotient by H refines terms whose sources lie in D(v) - T
+  by boundary paths there, which are the same as in the quotient by
+  closure(T). So both quotients give p - q the same normal form, nonzero
+  in one exactly when nonzero in the other.
 """
 
 from __future__ import annotations
@@ -101,6 +141,9 @@ class AperiodicityVerdict:
     evidence: Tuple[SeparationEvidence, ...] = ()
     certificate: Optional[PeriodicCertificate] = None
     note: str = ""
+    # what the status rests on: "certified" (a proof) or "bounded" (a
+    # search up to the depth); bounded unless a proof is at hand
+    basis: str = "bounded"
 
 
 def _is_maximal(g: KGraph, x: Path) -> bool:
@@ -387,11 +430,13 @@ def aperiodicity_check(
         candidates = g.boundary_paths(v, cap)
         cert = _periodic_certificate(g, v, groups, classes, joins, candidates)
         if cert is not None:
-            return AperiodicityVerdict("periodic", depth, (), cert)
+            return AperiodicityVerdict("periodic", depth, (), cert, basis="certified")
         return AperiodicityVerdict(
             "unknown",
             depth,
             note="vertex %s: no single separating boundary path within depth %d"
             % (v, depth),
         )
-    return AperiodicityVerdict("aperiodic", depth, tuple(evidence))
+    # with no vertex there is nothing to separate: vacuously aperiodic
+    basis = "bounded" if g.vertices else "certified"
+    return AperiodicityVerdict("aperiodic", depth, tuple(evidence), basis=basis)

@@ -3,14 +3,16 @@
 Every positive verdict is backed by checkable artifacts: per-vertex
 receiving and cycle data computed by two independent routes, an
 aperiodicity verdict for the quotient by every hereditary saturated set,
-and a verified infiniteness certificate for every vertex in every
-admissible quotient. Negative verdicts carry the obstruction.
+each saying whether it is certified or bounded by the search depth, and
+a verified infiniteness certificate for every vertex in every admissible
+quotient, one per trace H & D(v) of the ideals. Negative verdicts carry
+the obstruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .field import Field, QQ
@@ -85,17 +87,22 @@ def _assert_consistent(conds: Tuple[VertexConditions, ...]) -> None:
 
 
 def strong_aperiodicity_sweep(
-    g: KGraph, depth: int = 6, quotients: Optional[QuotientTable] = None
+    g: KGraph,
+    depth: int = 6,
+    quotients: Optional[QuotientTable] = None,
+    reach: Optional[Dict[str, FrozenSet[str]]] = None,
 ) -> Tuple[Tuple[Ideal, AperiodicityVerdict], ...]:
     """Aperiodicity verdict for the quotient by every hereditary
     saturated set, the empty quotient included (vacuously aperiodic).
     ``quotients`` is the quotient table to read, built here when absent.
     A separator found at v serves every quotient with the same H & D(v),
     D(v) being the vertices v reaches (aperiodicity's locality across
-    quotients); only winners are kept, so a miss is searched again."""
+    quotients); only winners are kept, so a miss is searched again.
+    ``reach`` maps each vertex v to D(v), computed here when absent."""
     if quotients is None:
         quotients = quotient_table(g)
-    reach = {v: frozenset(reachable_to(g, v)) for v in g.vertices}
+    if reach is None:
+        reach = _reach_sets(g)
     # (v, H & D(v)) -> the separation evidence found at v
     winners: Dict = {}
     out = []
@@ -107,6 +114,11 @@ def strong_aperiodicity_sweep(
             winners.setdefault(keys[ev.vertex], ev)
         out.append((h, verd))
     return tuple(out)
+
+
+def _reach_sets(g: KGraph) -> Dict[str, FrozenSet[str]]:
+    """D(v) for every vertex v: the key set of ``reachable_to(g, v)``."""
+    return {v: frozenset(reachable_to(g, v)) for v in g.vertices}
 
 
 def _describe(h: Ideal) -> str:
@@ -141,7 +153,9 @@ def classify_pure_infiniteness(
     conds = vertex_conditions(g)
     _assert_consistent(conds)
     quotients = quotient_table(g)
-    sweep = strong_aperiodicity_sweep(g, depth, quotients)
+    # D(v) once per vertex, for the sweep and the witness search
+    reach = _reach_sets(g)
+    sweep = strong_aperiodicity_sweep(g, depth, quotients, reach)
 
     starved = [c.vertex for c in conds if not c.receives]
     if starved:
@@ -195,7 +209,13 @@ def classify_pure_infiniteness(
     gate = next(verd for h, verd in sweep if len(h) == 0)
     witnesses = tuple(
         prove_vertex_properly_infinite(
-            g, c.vertex, depth, fld, aperiodicity=gate, quotients=quotients
+            g,
+            c.vertex,
+            depth,
+            fld,
+            aperiodicity=gate,
+            quotients=quotients,
+            reach=reach[c.vertex],
         )
         for c in conds
     )
@@ -205,6 +225,15 @@ def classify_pure_infiniteness(
         notes.append("vertex %s: %s" % (negative[0].vertex, negative[0].failure))
         verdict = "NotPurelyInfinite"
     elif all(w.status == "ProperlyInfinite" for w in witnesses):
+        bounded = sum(
+            verd.status == "aperiodic" and verd.basis == "bounded" for _, verd in sweep
+        )
+        if bounded:
+            notes.append(
+                "aperiodicity of %d of the %d quotient(s) rests on a separator "
+                "search bounded at depth %d, not on a certificate"
+                % (bounded, len(sweep), depth)
+            )
         notes.append(
             "every vertex carries a verified infiniteness certificate in "
             "every admissible quotient"
@@ -223,7 +252,7 @@ def classify_pure_infiniteness(
 
 
 def aperiodicity_json(verd: AperiodicityVerdict) -> Dict:
-    out: Dict = {"status": verd.status, "depth": verd.depth}
+    out: Dict = {"status": verd.status, "basis": verd.basis, "depth": verd.depth}
     if verd.note:
         out["note"] = verd.note
     if verd.certificate is not None:
@@ -257,12 +286,14 @@ def conditions_json(c: VertexConditions) -> Dict:
 
 
 def report_json(rep: ClassificationReport) -> Dict:
+    certified = all(verd.basis == "certified" for _, verd in rep.sweep)
     return {
-        "format": 2,
+        "format": 3,
         "verdict": rep.verdict,
         "depth": rep.depth,
         "field": rep.field_name,
         "assumed_aperiodic": rep.assumed_aperiodic,
+        "aperiodicity_basis": "certified" if certified else "bounded",
         "conditions": [conditions_json(c) for c in rep.conditions],
         "aperiodicity": [
             dict(ideal=list(h), **aperiodicity_json(verd)) for h, verd in rep.sweep

@@ -57,6 +57,13 @@ def _depth(text: str) -> int:
     return depth
 
 
+def _status_text(verd) -> str:
+    # an aperiodicity status with what it rests on
+    if verd.basis == "certified":
+        return "%s (certified)" % verd.status
+    return "%s (bounded at depth %d)" % (verd.status, verd.depth)
+
+
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -161,9 +168,9 @@ def cmd_aperiodic(g: KGraph, args) -> int:
         _print_json(aperiodicity_json(verd))
     elif verd.status == "periodic":
         c = verd.certificate
-        print("periodic: pair (%s, %s) at %s" % (c.alpha, c.beta, c.vertex))
+        print("%s: pair (%s, %s) at %s" % (_status_text(verd), c.alpha, c.beta, c.vertex))
     elif verd.status == "aperiodic":
-        print("aperiodic (depth %d)" % verd.depth)
+        print(_status_text(verd))
     else:
         print("unknown at depth %d%s" % (verd.depth, ": " + verd.note if verd.note else ""))
     return 0 if verd.status in ("aperiodic", "periodic") else 1
@@ -186,7 +193,7 @@ def cmd_classify(g: KGraph, args) -> int:
                 % (c.vertex, "yes" if c.receives else "no", cyc)
             )
         for h, verd in rep.sweep:
-            print("ideal {%s}: %s" % (", ".join(h), verd.status))
+            print("ideal {%s}: %s" % (", ".join(h), _status_text(verd)))
         for w in rep.witnesses:
             print("vertex %s: %s (%d case(s))" % (w.vertex, w.status, len(w.cases)))
         for note in rep.notes:
@@ -203,8 +210,8 @@ def cmd_witness(g: KGraph, args) -> int:
         print("vertex %s: %s" % (rep.vertex, rep.status))
         for case in rep.cases:
             print(
-                "ideal {%s}: %s route, certificate verified"
-                % (", ".join(case.ideal), case.route)
+                "trace {%s}, ideal {%s}: %s route, certificate verified"
+                % (", ".join(case.trace), ", ".join(case.ideal), case.route)
             )
         if rep.proper is not None:
             print("properly infinite over the full graph: verified")

@@ -90,17 +90,20 @@ def enumerate_sat_her(g: KGraph) -> IdealLattice:
     return IdealLattice(sets, tuple(covers))
 
 
-def quotient(g: KGraph, h: Ideal) -> KGraph:
+def quotient(g: KGraph, h: Ideal, *, _closed: bool = False) -> KGraph:
     """The k-graph on the vertices outside h, with paths avoiding h.
 
     Only edges whose source survives are kept; heredity guarantees their
     ranges survive too, and every square either survives whole or loses its
-    shared source. The quotient by the empty set is g itself.
+    shared source. The quotient by the empty set is g itself. A set that
+    is not its own closure is refused; ``_closed`` skips that check, and
+    only ``quotient_table`` passes it, for sets the lattice produced as
+    closures.
     """
     if len(h) == 0:
         return g
     hs = set(h)
-    if set(sat_her_closure(g, h)) != hs:
+    if not _closed and set(sat_her_closure(g, h)) != hs:
         raise KGraphError("vertex set %r is not saturated hereditary" % sorted(hs))
     vertices = [v for v in g.vertices if v not in hs]
     keep = {
@@ -123,6 +126,7 @@ def quotient_table(g: KGraph) -> QuotientTable:
 
     One table serves a whole decision: the aperiodicity sweep and the
     witness search of every vertex read the same quotient graphs, so each
-    is built once and its path caches are shared.
+    is built once and its path caches are shared. Each set is a closure
+    already, so it is not closed again.
     """
-    return tuple((h, quotient(g, h)) for h in enumerate_sat_her(g).sets)
+    return tuple((h, quotient(g, h, _closed=True)) for h in enumerate_sat_her(g).sets)

@@ -34,12 +34,21 @@ derivation checks hold in the image by the homomorphism and are not
 replayed. The final relations are checked again in Lambda/H, as a guard
 on the image map itself, and so is strictness (q != p), which a
 homomorphism need not preserve: it can send q and p to the same element.
+
+One case per trace. For v outside H, a certificate for s_v and its image
+in Lambda/H depend on H only through the trace T = H & D(v), D(v) being
+the vertices v reaches (the key set of ``paths.reachable_to``): every term
+has its source in D(v), which the builder checks, and the image drops no
+term. So ``prove_vertex_properly_infinite`` certifies s_v once per trace,
+in the quotient by closure(T), the least ideal of that trace; the proof,
+strictness included, is the paragraph on the witness search in the
+``aperiodicity.py`` docstring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .degrees import total
@@ -440,14 +449,17 @@ def transport_witness(
 
 @dataclass(frozen=True)
 class IdealCase:
-    """Certificate for the image of s_v in the quotient by ``ideal``. It is
-    the image of the one built in the quotient by ``built_in``, which is
-    ``ideal`` when the case built its own."""
+    """Certificate for the image of s_v in the quotient by ``ideal``, the
+    least ideal whose trace H & D(v) is ``trace``; its image serves every
+    ideal H avoiding v with that trace. It is the image of the one built
+    in the quotient by ``built_in``, which is ``ideal`` when the case
+    built its own."""
 
     ideal: Ideal
     route: str  # "orthogonal-pair" or "generalized-cycle"
     certificate: WitnessCertificate
     built_in: Ideal
+    trace: Ideal
 
 
 @dataclass(frozen=True)
@@ -458,6 +470,8 @@ class VertexInfinitenessReport:
     proper: Optional[WitnessCertificate] = None
     failure: str = ""
     failed_ideal: Optional[Ideal] = None
+    # D(v), the vertices v reaches, sorted
+    reaches: Tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.status == "ProperlyInfinite"
@@ -591,6 +605,20 @@ def _pushed(built: Built, key: Tuple, h: Ideal, gq: KGraph):
     return h, None
 
 
+def _require_local(cert: WitnessCertificate, v: str, reach: FrozenSet[str]) -> None:
+    # every term of the target and the parts starts in D(v), which makes
+    # the certificate serve every ideal of its trace
+    for nm, x in (("target", cert.target),) + cert.parts:
+        entries = [y for r in x.rows for y in r] if isinstance(x, KPMatrix) else [x]
+        for el in entries:
+            for (lam, _), _ in el.terms:
+                if lam.source not in reach:
+                    raise WitnessError(
+                        "certificate for %s: a term of %s has its source %s, "
+                        "which does not reach %s" % (v, nm, lam.source, v)
+                    )
+
+
 def prove_vertex_properly_infinite(
     g: KGraph,
     v: str,
@@ -598,6 +626,7 @@ def prove_vertex_properly_infinite(
     fld: Field = QQ,
     aperiodicity: Optional[AperiodicityVerdict] = None,
     quotients: Optional[QuotientTable] = None,
+    reach: Optional[FrozenSet[str]] = None,
 ) -> VertexInfinitenessReport:
     """Certify the image of s_v infinite in the quotient by every ideal
     avoiding v.
@@ -605,22 +634,33 @@ def prove_vertex_properly_infinite(
     Refuses outright when the graph is certified periodic: the reading of
     these certificates as proper infiniteness needs aperiodicity, and a
     certified counterexample cannot be argued away. Otherwise one loop
-    walks the quotients. In each, route one looks for a vertex reaching v
-    that carries two cycles with no common extension; route two falls
-    back to a generalized cycle with an entrance. The first quotient that
-    neither route certifies ends the search: it is a definitive negative
-    when no cycle reaches v there, since that corner is finite
-    dimensional, and merely inconclusive otherwise, a depth-bounded miss.
-    A depth below 1 raises ValueError.
+    walks the quotients in lattice order and makes one case per trace
+    T = H & D(v) of the ideals H avoiding v, in the first quotient of
+    that trace, the one by closure(T). That case serves every ideal of
+    trace T (the witness search paragraph of ``aperiodicity.py``); every
+    term of its certificate must start in D(v), or WitnessError is
+    raised. In each
+    case, route one looks for a vertex reaching v that carries two cycles
+    with no common extension; route two falls back to a generalized cycle
+    with an entrance. The first trace that neither route certifies ends
+    the search: it is a definitive negative when no cycle reaches v
+    there, since that corner is finite dimensional, and merely
+    inconclusive otherwise, a depth-bounded miss. A depth below 1 raises
+    ValueError.
 
-    ``quotients`` is the quotient table to read; when absent, the quotient
-    by each ideal avoiding v is built as the search reaches it. A route
-    already certified in the quotient by a smaller ideal is not built
-    again: its certificate is pushed through the quotient map.
+    ``quotients`` is the quotient table to read; when absent, the
+    quotient by the least ideal of each trace is built as the search
+    reaches it. ``reach`` is D(v), the key set of ``reachable_to(g, v)``,
+    computed here when absent. A route already certified in the quotient
+    by a smaller ideal is not built again: its certificate is pushed
+    through the quotient map.
     """
     check_depth(depth)
     if not g.has_vertex(v):
         raise KGraphError("unknown vertex %r" % v)
+    if reach is None:
+        reach = frozenset(reachable_to(g, v))
+    reaches = tuple(sorted(reach))
     if aperiodicity is None:
         aperiodicity = aperiodicity_check(g, depth)
     if aperiodicity.status == "periodic":
@@ -639,26 +679,24 @@ def prove_vertex_properly_infinite(
             failure="the graph is certified periodic%s; vertex idempotents "
             "cannot be certified properly infinite there, so no witness "
             "search was attempted" % what,
+            reaches=reaches,
         )
     cases: List[IdealCase] = []
     proper: Optional[WitnessCertificate] = None
     built: Built = {}
     if quotients is None:
-        # only the quotients by ideals avoiding v, each when it is reached
-        quotients = (
-            (h, quotient(g, h)) for h in enumerate_sat_her(g).sets if v not in h
-        )
-    # route one runs among D(v), the vertices v reaches, so it is searched
-    # once per H & D(v) (the locality paragraph of aperiodicity.py)
-    reach = frozenset(reachable_to(g, v))
-    cycle_pairs: Dict[frozenset, Optional[Tuple[str, Path, Path, Path]]] = {}
+        # each quotient is built only when its ideal starts a new trace
+        quotients = ((h, None) for h in enumerate_sat_her(g).sets)
+    seen: Set[FrozenSet[str]] = set()
     for h, gq in quotients:
-        if v in h:
-            continue
         trace = reach.intersection(h)
-        if trace not in cycle_pairs:
-            cycle_pairs[trace] = _disjoint_cycle_pair(gq, v, depth)
-        pair = cycle_pairs[trace]
+        if v in h or trace in seen:
+            # the case at closure(trace), reached first, serves h
+            continue
+        seen.add(trace)
+        if gq is None:
+            gq = quotient(g, h)
+        pair = _disjoint_cycle_pair(gq, v, depth)
         if pair is not None:
             route = "orthogonal-pair"
             w, *paths = pair
@@ -675,18 +713,17 @@ def prove_vertex_properly_infinite(
             if pair is None:
                 cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
             else:
-                # the pair may come from another quotient: its paths over gq
-                mu1, mu2, gamma = (replace(p, graph=gq) for p in paths)
-                cert_v, proper_w = _vertex_cert_via_orthogonal(
-                    gq, v, w, mu1, mu2, gamma, fld
-                )
+                cert_v, proper_w = _vertex_cert_via_orthogonal(gq, v, w, *paths, fld)
                 if len(h) == 0 and w == v and proper is None:
                     proper = proper_w
             built.setdefault(key, []).append((h, cert_v))
-        cases.append(IdealCase(h, route, cert_v, built_in))
+        _require_local(cert_v, v, reach)
+        cases.append(IdealCase(h, route, cert_v, built_in, tuple(sorted(trace))))
     else:
-        # every quotient certified
-        return VertexInfinitenessReport(v, "ProperlyInfinite", tuple(cases), proper)
+        # every trace certified
+        return VertexInfinitenessReport(
+            v, "ProperlyInfinite", tuple(cases), proper, reaches=reaches
+        )
     if find_cycle_reaching(gq, v) is None:
         status = "Negative"
         failure = (
@@ -701,7 +738,9 @@ def prove_vertex_properly_infinite(
             depth,
             "; " + rc.detail if rc.detail else "",
         )
-    return VertexInfinitenessReport(v, status, tuple(cases), proper, failure, h)
+    return VertexInfinitenessReport(
+        v, status, tuple(cases), proper, failure, h, reaches=reaches
+    )
 
 
 # -- serialization ----------------------------------------------------------------
@@ -738,10 +777,12 @@ def certificate_json(cert: WitnessCertificate) -> Dict:
 
 
 def vertex_report_json(rep: VertexInfinitenessReport) -> Dict:
-    """Report format 2: ``certificates`` lists each certificate once, as
-    built, with the ideal of its quotient (``[]`` for ``proper``). A case
-    names its entry; dropping the terms whose source lies in the case's
-    ideal gives its image."""
+    """Report format 3: ``reaches`` lists D(v), the vertices v reaches.
+    ``certificates`` lists each certificate once, as built, with the ideal
+    of its quotient (``[]`` for ``proper``). A case names its ``trace``
+    T = H & D(v), its least ideal closure(T) as ``ideal``, its route and
+    its entry; dropping the terms whose source lies in the case's ideal
+    gives its image, which serves every ideal H avoiding v with trace T."""
     certs: List[Dict] = []
     index: Dict[Ideal, int] = {}
     cases = []
@@ -750,9 +791,20 @@ def vertex_report_json(rep: VertexInfinitenessReport) -> Dict:
             index[c.ideal] = len(certs)
             certs.append(dict(ideal=list(c.ideal), **certificate_json(c.certificate)))
         cases.append(
-            {"ideal": list(c.ideal), "route": c.route, "certificate": index[c.built_in]}
+            {
+                "trace": list(c.trace),
+                "ideal": list(c.ideal),
+                "route": c.route,
+                "certificate": index[c.built_in],
+            }
         )
-    out: Dict = dict(vertex=rep.vertex, status=rep.status, certificates=certs, cases=cases)
+    out: Dict = dict(
+        vertex=rep.vertex,
+        status=rep.status,
+        reaches=list(rep.reaches),
+        certificates=certs,
+        cases=cases,
+    )
     if rep.proper is not None:
         out["properly_infinite"] = len(certs)
         certs.append(dict(ideal=[], **certificate_json(rep.proper)))

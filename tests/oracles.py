@@ -422,42 +422,60 @@ def aperiodicity_exhaustive(g, depth):
             states = certify_never_separated(g, a, b)
             if states is not None:
                 cert = PeriodicCertificate(a, b, v, len(candidates), states)
-                return AperiodicityVerdict("periodic", depth, (), cert)
+                return AperiodicityVerdict("periodic", depth, (), cert, basis="certified")
         return AperiodicityVerdict(
             "unknown",
             depth,
             note="vertex %s: no single separating boundary path within depth %d"
             % (v, depth),
         )
-    return AperiodicityVerdict("aperiodic", depth, tuple(evidence))
+    # a search found the separators; only an empty graph is aperiodic outright
+    basis = "certified" if not g.vertices else "bounded"
+    return AperiodicityVerdict("aperiodic", depth, tuple(evidence), basis=basis)
+
+
+def _reaching(g, v):
+    # D(v): the vertices with a path to v, as a fixpoint over the edges
+    out = {v}
+    while True:
+        more = {e.source for e in g.edges.values() if e.range in out} - out
+        if not more:
+            return out
+        out |= more
 
 
 def prove_vertex_from_scratch(g, v, depth, fld=QQ):
-    """``prove_vertex_properly_infinite`` without a shared quotient table
-    or pushed certificates, for a graph not certified periodic.
+    """``prove_vertex_properly_infinite`` per ideal rather than per trace,
+    without a shared quotient table or pushed certificates, for a graph not
+    certified periodic.
 
     Enumerates the lattice afresh, builds a fresh quotient for every ideal
     avoiding v, and builds every certificate from scratch in its quotient
-    by the same route search; the report must equal the library's.
+    by the same route search. Each case records its ideal's trace
+    H & D(v); expanding the library's per-trace cases to every ideal must
+    give this report.
     """
+    reach = _reaching(g, v)
+    reaches = tuple(sorted(reach))
     cases = []
     proper = None
     for h in enumerate_sat_her(g).sets:
         if v in h:
             continue
+        trace = tuple(sorted(reach.intersection(h)))
         gq = quotient(g, h)
         pair = _disjoint_cycle_pair(gq, v, depth)
         if pair is not None:
             w, mu1, mu2, gamma = pair
             cert_v, proper_w = _vertex_cert_via_orthogonal(gq, v, w, mu1, mu2, gamma, fld)
-            cases.append(IdealCase(h, "orthogonal-pair", cert_v, h))
+            cases.append(IdealCase(h, "orthogonal-pair", cert_v, h, trace))
             if len(h) == 0 and w == v and proper is None:
                 proper = proper_w
             continue
         rc = find_reaching_gen_cycle(gq, v, depth)
         if isinstance(rc, ReachingCycle):
             cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
-            cases.append(IdealCase(h, "generalized-cycle", cert_v, h))
+            cases.append(IdealCase(h, "generalized-cycle", cert_v, h, trace))
             continue
         if find_cycle_reaching(gq, v) is None:
             return VertexInfinitenessReport(
@@ -469,6 +487,7 @@ def prove_vertex_from_scratch(g, v, depth, fld=QQ):
                 "finite dimensional, so its vertex idempotent cannot be infinite"
                 % (v, ", ".join(h)),
                 h,
+                reaches,
             )
         detail = rc.detail if isinstance(rc, NotFoundUpTo) else ""
         return VertexInfinitenessReport(
@@ -479,5 +498,8 @@ def prove_vertex_from_scratch(g, v, depth, fld=QQ):
             "no witness found in the quotient by {%s} within depth %d%s"
             % (", ".join(h), depth, ("; " + detail) if detail else ""),
             h,
+            reaches,
         )
-    return VertexInfinitenessReport(v, "ProperlyInfinite", tuple(cases), proper)
+    return VertexInfinitenessReport(
+        v, "ProperlyInfinite", tuple(cases), proper, reaches=reaches
+    )

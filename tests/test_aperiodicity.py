@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, build, entered_loop, lattice8, two_loop_lattice
+from corpus import CORPUS, RANDOM_GRAPHS, build, entered_loop, lattice8, two_loop_lattice
 from oracles import aperiodicity_exhaustive, brute_path_words, word_to_path
 from kpalg import (
     Edge,
@@ -26,6 +26,8 @@ from kpalg import (
     strong_aperiodicity_sweep,
     torus,
     two_loops_plus_exit,
+    classify_pure_infiniteness,
+    quotient,
     validate,
 )
 from kpalg import aperiodicity, kgraph
@@ -368,8 +370,9 @@ def assert_sweep_matches_fresh_checks(g, depth):
     assert [h for h, _ in sweep] == [h for h, _ in table]
     for (h, verd), (_, gq) in zip(sweep, table):
         fresh = aperiodicity_check(gq, depth)
-        got = (verd.status, verd.depth, verd.certificate, verd.note)
-        assert got == (fresh.status, fresh.depth, fresh.certificate, fresh.note), h
+        got = (verd.status, verd.basis, verd.depth, verd.certificate, verd.note)
+        want = (fresh.status, fresh.basis, fresh.depth, fresh.certificate, fresh.note)
+        assert got == want, h
         # vertex, separator word and graph, pairs_checked
         assert verd.evidence == fresh.evidence, h
         assert all(ev.separator.graph is gq for ev in verd.evidence), h
@@ -430,3 +433,64 @@ def test_sweep_searches_each_vertex_once_per_trace_of_the_ideal(monkeypatch, mk)
     if mk is lattice8:
         searches = sum(len(g.vertices) - len(h) for h, _ in sweep)
         assert (searches, len(keys)) == (432, 11)
+
+
+# -- what each answer rests on --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mk, periodic_from",
+    [
+        pytest.param(lambda: build("prod_c2_b2"), 2, id="prod_c2_b2"),
+        pytest.param(lambda: build("cycle2"), 2, id="cycle2"),
+        pytest.param(lambda: build("cycle3"), 3, id="cycle3"),
+    ]
+    + [
+        pytest.param(lambda n=n: product(bouquet(2), cycle_graph(n)), n, id="b2_x_c%d" % n)
+        for n in (2, 3, 4)
+    ],
+)
+def test_separator_search_answers_are_bounded_until_certified_periodic(mk, periodic_from):
+    # periodic graphs the separator search calls aperiodic below some
+    # depth: those answers say they are bounded, the later ones certified
+    g = mk()
+    for depth in range(1, periodic_from + 2):
+        verd = aperiodicity_check(g, depth)
+        data = aperiodicity_json(verd)
+        if depth < periodic_from:
+            assert (verd.status, verd.basis) == ("aperiodic", "bounded"), depth
+        else:
+            assert (verd.status, verd.basis) == ("periodic", "certified"), depth
+            assert verd.certificate is not None
+        assert data["basis"] == verd.basis
+    if g.k == 2 and periodic_from > 2:
+        # classify builds on the bounded answer and says so
+        rep = classify_pure_infiniteness(g, periodic_from - 1)
+        assert rep.verdict == "ProperlyPurelyInfinite"
+        assert rep.notes[-2] == (
+            "aperiodicity of 1 of the 2 quotient(s) rests on a separator "
+            "search bounded at depth %d, not on a certificate" % (periodic_from - 1)
+        )
+
+
+def test_empty_quotient_is_certified_aperiodic():
+    g = bouquet(2)
+    verd = aperiodicity_check(quotient(g, tuple(g.vertices)), 2)
+    assert (verd.status, verd.basis, verd.evidence) == ("aperiodic", "certified", ())
+    assert aperiodicity_check(g, 2).basis == "bounded"
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=RANDOM_GRAPHS)
+def test_certified_answers_do_not_change_with_depth(g):
+    # a bounded answer may later turn certified periodic; a certified one
+    # stays as it is at every greater depth
+    verdicts = [aperiodicity_check(g, depth) for depth in (1, 2, 3)]
+    for i, verd in enumerate(verdicts):
+        if verd.basis == "certified":
+            assert all(
+                (later.status, later.basis) == (verd.status, "certified")
+                for later in verdicts[i + 1 :]
+            )
+        else:
+            assert verd.status in ("aperiodic", "unknown")

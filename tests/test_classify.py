@@ -1,13 +1,22 @@
 """End-to-end classification: verdicts, consistency guards, serialization."""
 
 import json
+import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, build, lattice8, three_components, two_loop_lattice
+from corpus import (
+    CORPUS,
+    RANDOM_GRAPHS,
+    build,
+    lattice8,
+    three_components,
+    two_loop_lattice,
+)
 from kpalg import (
     AperiodicityVerdict,
     Edge,
@@ -38,7 +47,7 @@ from kpalg import (
     vertex_unit,
 )
 from kpalg.classify import _assert_consistent, aperiodicity_json, conditions_json
-from kpalg.ideals import quotient_table
+from kpalg.ideals import enumerate_sat_her, quotient_table, sat_her_closure
 from kpalg.witness import IdealCase, quotient_image
 from oracles import prove_vertex_from_scratch
 
@@ -202,7 +211,7 @@ def test_strong_sweep_covers_every_ideal():
     ]
 
 
-# -- one quotient table, certificates pushed through the quotient maps --------------
+# -- one quotient table, one case per trace, certificates pushed -------------------
 
 
 def in_memory(rep):
@@ -211,19 +220,46 @@ def in_memory(rep):
     return (
         rep.vertex,
         rep.status,
-        [(c.ideal, c.route, certificate_json(c.certificate)) for c in rep.cases],
+        rep.reaches,
+        [(c.ideal, c.trace, c.route, certificate_json(c.certificate)) for c in rep.cases],
         None if rep.proper is None else certificate_json(rep.proper),
         rep.failure,
         rep.failed_ideal,
     )
 
 
+def per_ideal(g, rep):
+    """The report with each per-trace case expanded to every ideal avoiding
+    v with its trace, through quotient_image, up to the ideal at which a
+    failed search stopped. Each case must sit at the closure of its trace,
+    and every trace met must have a case."""
+    reach = set(rep.reaches)
+    by_trace = {c.trace: c for c in rep.cases}
+    assert len(by_trace) == len(rep.cases)
+    for c in rep.cases:
+        assert c.ideal == sat_her_closure(g, c.trace), c
+    cases = []
+    for h in enumerate_sat_her(g).sets:
+        if h == rep.failed_ideal:
+            break
+        if rep.vertex in h:
+            continue
+        c = by_trace[tuple(sorted(reach.intersection(h)))]
+        cert = c.certificate
+        if h != c.ideal:
+            cert = quotient_image(cert, quotient(g, h))
+        cases.append(IdealCase(h, c.route, cert, h, c.trace))
+    assert {c.trace for c in cases} == set(by_trace)
+    return replace(rep, cases=tuple(cases))
+
+
 def assert_witnesses_match_from_scratch(g, depth):
     # the witnesses classify returns, and a witness search for every vertex
-    # over one shared table with the gate forced open, against fresh builds
+    # over one shared table with the gate forced open, expanded to every
+    # ideal, against fresh builds in every quotient
     for w in classify_pure_infiniteness(g, depth).witnesses:
         expected = prove_vertex_from_scratch(g, w.vertex, depth)
-        assert in_memory(w) == in_memory(expected), w.vertex
+        assert in_memory(per_ideal(g, w)) == in_memory(expected), w.vertex
     table = quotient_table(g)
     gate = AperiodicityVerdict("unknown", depth)
     for v in g.vertices:
@@ -231,7 +267,7 @@ def assert_witnesses_match_from_scratch(g, depth):
             g, v, depth, aperiodicity=gate, quotients=table
         )
         expected = prove_vertex_from_scratch(g, v, depth)
-        assert in_memory(got) == in_memory(expected), v
+        assert in_memory(per_ideal(g, got)) == in_memory(expected), v
 
 
 @pytest.mark.parametrize("name", [name for name, _ in CORPUS])
@@ -241,7 +277,7 @@ def test_witnesses_match_from_scratch_on_corpus(name):
 
 
 @pytest.mark.parametrize(
-    "mk", [three_components, two_loop_lattice], ids=lambda mk: mk.__name__
+    "mk", [three_components, two_loop_lattice, lattice8], ids=lambda mk: mk.__name__
 )
 def test_witnesses_match_from_scratch_on_lattices(mk):
     for depth in (1, 2):
@@ -272,6 +308,12 @@ def test_witnesses_match_from_scratch_on_random_graphs(g, depth):
     assert_witnesses_match_from_scratch(g, depth)
 
 
+@settings(max_examples=40, deadline=None)
+@given(g=RANDOM_GRAPHS, depth=st.integers(1, 2))
+def test_witnesses_match_from_scratch_on_random_presentations(g, depth):
+    assert_witnesses_match_from_scratch(g, depth)
+
+
 def _count_calls(monkeypatch, name):
     # wrap an ideals function in every kpalg module that holds it
     from kpalg import ideals
@@ -279,9 +321,9 @@ def _count_calls(monkeypatch, name):
     orig = getattr(ideals, name)
     seen = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         seen.append(tuple(args[1]) if len(args) > 1 else ())
-        return orig(*args)
+        return orig(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "kpalg" and getattr(mod, name, None) is orig:
@@ -301,14 +343,69 @@ def test_classify_builds_each_quotient_once(monkeypatch):
 
 
 def test_standalone_witness_builds_only_quotients_avoiding_the_vertex(monkeypatch):
+    # and of those only the quotient by the least ideal of each trace
     g = two_loop_lattice()
-    lattice = [tuple(h) for h, _ in quotient_table(g)]
     quotients = _count_calls(monkeypatch, "quotient")
+    built = {}
     for v in g.vertices:
         del quotients[:]
         rep = prove_vertex_properly_infinite(g, v, depth=2)
         assert rep.status == "ProperlyInfinite"
-        assert quotients == [h for h in lattice if v not in h], v
+        assert quotients == [c.ideal for c in rep.cases], v
+        built[v] = list(quotients)
+    # x0 feeds x1 and x2 feeds x3; the 18 ideals give x1 and x3 two traces
+    assert built == {
+        "x0": [()],
+        "x1": [(), ("x0",)],
+        "x2": [()],
+        "x3": [(), ("x2",)],
+        "x4": [()],
+    }
+
+
+def test_classify_makes_one_case_per_trace_on_a_972_ideal_lattice(monkeypatch):
+    # the lattice of the benchmark generator's two_loop_lattice(12, 5)
+    # under seed 7: the same feeder matching, drawn the same way
+    ends = random.Random(7).sample(range(12), 10)
+    g = two_loop_lattice(12, tuple(zip(ends[::2], ends[1::2])))
+    quotients = _count_calls(monkeypatch, "quotient")
+    rep = classify_pure_infiniteness(g, depth=2)
+    assert rep.verdict == "ProperlyPurelyInfinite"
+    assert len(rep.sweep) == 972
+    # 5832 (vertex, ideal) pairs avoid their vertex; a fed vertex has two
+    # traces, every other vertex one
+    assert sum(len(w.cases) for w in rep.witnesses) == 17
+    assert sorted(len(w.cases) for w in rep.witnesses) == [1] * 7 + [2] * 5
+    # each quotient built once, by the table
+    assert len(quotients) == 972 and len(set(quotients)) == 972
+
+
+def test_classify_computes_each_reach_set_once(monkeypatch):
+    # D(v) once per vertex, read by the sweep and passed to the witness
+    # search, which would otherwise compute it again
+    from kpalg import classify as mod
+
+    g = lattice8()
+    reached, passed = [], {}
+    reach, prove = mod.reachable_to, mod.prove_vertex_properly_infinite
+
+    def counted(gr, v):
+        reached.append(v)
+        return reach(gr, v)
+
+    def recorded(gr, v, *args, **kwargs):
+        passed[v] = kwargs["reach"]
+        return prove(gr, v, *args, **kwargs)
+
+    monkeypatch.setattr(mod, "reachable_to", counted)
+    monkeypatch.setattr(mod, "prove_vertex_properly_infinite", recorded)
+    rep = classify_pure_infiniteness(g, depth=2)
+    assert rep.verdict == "ProperlyPurelyInfinite"
+    assert reached == list(g.vertices)
+    assert passed == {v: frozenset(reach(g, v)) for v in g.vertices}
+    assert [w.reaches for w in rep.witnesses] == [
+        tuple(sorted(passed[v])) for v in g.vertices
+    ]
 
 
 # -- serialization ------------------------------------------------------------------
@@ -323,18 +420,31 @@ def test_report_json_positive():
         "depth",
         "field",
         "assumed_aperiodic",
+        "aperiodicity_basis",
         "conditions",
         "aperiodicity",
         "witnesses",
         "notes",
     }
-    assert data["format"] == 2
+    assert data["format"] == 3
     assert data["verdict"] == "ProperlyPurelyInfinite"
+    assert data["aperiodicity_basis"] == "bounded"
     assert data["aperiodicity"][0]["ideal"] == []
+    assert [a["basis"] for a in data["aperiodicity"]] == ["bounded", "certified"]
     w = data["witnesses"][0]
     assert w["status"] == "ProperlyInfinite"
-    assert set(w) == {"vertex", "status", "certificates", "cases", "properly_infinite"}
-    assert w["cases"] == [{"ideal": [], "route": "orthogonal-pair", "certificate": 0}]
+    assert set(w) == {
+        "vertex",
+        "status",
+        "reaches",
+        "certificates",
+        "cases",
+        "properly_infinite",
+    }
+    assert w["reaches"] == ["v"]
+    assert w["cases"] == [
+        {"trace": [], "ideal": [], "route": "orthogonal-pair", "certificate": 0}
+    ]
     assert [(c["ideal"], c["kind"]) for c in w["certificates"]] == [
         ([], "Infinite"),
         ([], "ProperlyInfinite"),
@@ -357,8 +467,9 @@ def test_report_json_holds_each_certificate_once(lattice8_report):
     witnesses = data["witnesses"]
     # per vertex one built certificate and its proper certificate
     assert sum(len(w["certificates"]) for w in witnesses) == 16
-    assert sum(len(w["cases"]) for w in witnesses) == 432
-    assert len(json.dumps(data, indent=2)) < 200_000
+    # one case per trace: 11 for the 432 (vertex, ideal) pairs
+    assert sum(len(w["cases"]) for w in witnesses) == 11
+    assert len(json.dumps(data, indent=2)) < 110_000
 
 
 def image_from_text(text, g, built_in, ideal):
@@ -402,9 +513,10 @@ def test_report_text_determines_every_image(lattice8_report):
         g = build(name)
         assert assert_text_gives_images(g, classify_pure_infiniteness(g, 2).witnesses) == 0
     g = two_loop_lattice()
-    assert assert_text_gives_images(g, classify_pure_infiniteness(g, 2).witnesses) > 0
+    assert assert_text_gives_images(g, classify_pure_infiniteness(g, 2).witnesses) == 2
     g, rep = lattice8_report
-    assert assert_text_gives_images(g, rep.witnesses) == 432 - 8
+    # 11 cases, 8 of them built
+    assert assert_text_gives_images(g, rep.witnesses) == 11 - 8
 
 
 def test_report_text_determines_an_image_that_drops_terms():
@@ -421,8 +533,8 @@ def test_report_text_determines_an_image_that_drops_terms():
     image = quotient_image(built, quotient(g, hz))
     assert format_element(image.target) == "v" != format_element(built.target)
     cases = (
-        IdealCase(empty, "orthogonal-pair", built, empty),
-        IdealCase(hz, "orthogonal-pair", image, empty),
+        IdealCase(empty, "orthogonal-pair", built, empty, empty),
+        IdealCase(hz, "orthogonal-pair", image, empty, hz),
     )
     rep = VertexInfinitenessReport("v", "ProperlyInfinite", cases)
     assert assert_text_gives_images(g, [rep]) == 1

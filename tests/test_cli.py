@@ -228,13 +228,13 @@ def test_quotient_rejects_non_ideal(tmp_path, capsys):
 
 def test_aperiodic_positive(tmp_path, capsys):
     assert main(["aperiodic", write_graph(tmp_path, "e2"), "--depth", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "aperiodic (depth 2)"
+    assert capsys.readouterr().out.strip() == "aperiodic (bounded at depth 2)"
 
 
 def test_aperiodic_periodic_still_definite(tmp_path, capsys):
     assert main(["aperiodic", write_graph(tmp_path, "t2"), "--depth", "3"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("periodic: pair (")
+    assert out.startswith("periodic (certified): pair (")
 
 
 def test_aperiodic_unknown_exits_one(tmp_path, capsys):
@@ -306,9 +306,10 @@ def test_classify_json_and_field(tmp_path, capsys):
     f = write_graph(tmp_path, "e2")
     assert main(["classify", f, "--depth", "3", "--field", "F5", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["format"] == 2
+    assert data["format"] == 3
     assert data["verdict"] == "ProperlyPurelyInfinite"
     assert data["field"] == "F5"
+    assert data["aperiodicity_basis"] == "bounded"
     w = data["witnesses"][0]
     assert w["status"] == "ProperlyInfinite"
     assert w["cases"][0]["certificate"] == 0
@@ -327,7 +328,7 @@ def test_witness_positive(tmp_path, capsys):
     assert main(["witness", write_graph(tmp_path, "e2"), "v", "--depth", "3"]) == 0
     out = capsys.readouterr().out
     assert "vertex v: ProperlyInfinite" in out
-    assert "orthogonal-pair route, certificate verified" in out
+    assert "trace {}, ideal {}: orthogonal-pair route, certificate verified" in out
     assert "properly infinite over the full graph: verified" in out
 
 
@@ -344,6 +345,7 @@ def test_witness_negative_json(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "Negative"
     assert "failed_ideal" in data
+    assert data["reaches"] == ["p00", "p01", "p10", "p11"]
     assert data["certificates"] == [] and data["cases"] == []
 
 

@@ -31,30 +31,30 @@ from kpalg.cli import main
 DEPTHS = (2, 3)
 
 GOLDEN = {
-    "e1": "172e647b1c7d8da2603abcf0fc13b1d766f41544b3be03dd5387251c30c3fbd9",
-    "e2": "933a7136875712df60e84a0951d82616d89c185f38efb473a9a7d72821917430",
-    "b3": "5e1fc603bb468be54f7f2f5dd8a71b1edc0c509632e363a471011c4027efcb46",
-    "cycle2": "41431723961bba8b8b0286440f7fc14e8fea4d3c3ab51b2094c0769138ade48b",
-    "cycle3": "8d7c16c5a4797f18eadd78e9ce491cdacc2cb61df246f65f2c462d895779f253",
-    "single_edge": "6363137d48a4a2698752eb2d51321254fb4b4972d47bb027b00ed6dde1c9a37d",
-    "chain3": "8ee92041c1c996db1d592fbb2a8d033c504a760e05cf744ddef3bb0125a4fb6d",
-    "chain5": "93bb24d9d4d0d8db5bc12c207e37257c74ccab2a9001b9f9db6b50d5bc1ff2af",
-    "two_loops_plus_exit": "9e1d1ace4aa75c333b9b5e10121f685a78119c365a6817179fa5963833dad4d1",
-    "loop_with_exit": "368c5d3ef311b1c5a214ce20f744b3a6568d6ecdf73d38cb44907bbc95e70b79",
-    "entered_loop": "1458d824b0a6ec762f8f759fd5641456f986237e98bec1cf0a8a7812011fa202",
-    "t2": "23056bcaf4f193f4779f66464fe60c652c750c12602579252fead4a59ec6c987",
-    "t3": "b1903d9d5d6e28f40a515f5c55a6a8c7222c45aad720cc6d9f61645ab00bdbf4",
-    "omega11": "b744458a2758c6ca5c79c9bbcc8ae49c52c9be62ebaf60f9ae5a3cff34b0b38b",
-    "grid21": "f1eec6e2bbaf935c487db931a5f599e935850b97d088f97553ab19179dbec148",
-    "prod_b2_b1": "6e81932a8b21c8fb375862c833ad18ff5121bd27a11ddf75aa9f1e697684da69",
-    "prod_b2_b2": "d39e683eb287bf71f3d1c895b2a8d8fa803d2ea48a9b8e9a4d58ea0983dda344",
-    "prod_c2_b2": "dfecefb90121a24c7fdb976174b76c38bbcc581995a260eeb66adf0740fd63d0",
-    "prod_c2_t2": "2f438c0e27f9ef5816edf0c75e31fb318800d8acf9aa1c2d3e6686ac2dcd9bb6",
-    "flip_loop_pair": "0847745d76fe6226ec534553c9534323e105207dc8cb25f03be9d116d58789fb",
-    "rsq1": "704d7e3f49dff1d70daed13a25edc0e0b68903c23bbed5eeb4b33d38af958aad",
-    "rsq2": "7a5cfdca42a1f346f6232e6a3efd30cd1fec648a0d863d75366df5605234f920",
-    "rsq23": "ea168a5cff4ba8d0a0a4801843de0a5710cbc6e008ecc9d0cf98fd88979df873",
-    "lattice8": "c76b629ac71b6af278aaccf632af3f870e3f8dde311d59837ff36640aec64812",
+    "e1": "f6430352da8e7203cdfc4ab6bca65967b7b9bed5b31a91f3c6be6552660dd8e7",
+    "e2": "62833c6d4f3cbcb37bf84ee91853d2bce82b1c191000a01047756e4cb18e1cd7",
+    "b3": "8437109215e72629b9cf8e36ff4cec968f3993a7ea10dce9625c2e84aa18cc58",
+    "cycle2": "a514eb4bf573fc0d5f86a40d6a06b2c43ce05031b3ca36bd6e0f0cb698f8360b",
+    "cycle3": "612fcba12e4af7777e8ec13a7d48c52531e091bd8b09d454f6c8003c6e937828",
+    "single_edge": "4a1f5ed504d595b046dbe7752177d99ae26c368cf131bb5d13136e20e3cd3012",
+    "chain3": "8021218d98f14d099d87a400d741f7b5622281842f6ba7282e1de2bf0ecdee11",
+    "chain5": "9273c8318a5bc655544a621240b568afae369de8db3b011813de2f6f5b7ae8fe",
+    "two_loops_plus_exit": "4ea30d75c0f9506ae17857b984395c562f3c54341737ea744ac29492372baef1",
+    "loop_with_exit": "a85c6a0f86c70cabc916fcda0f401b4233e1ad5eddfdeeb547265c5a8d9eef96",
+    "entered_loop": "fc623d1ff707802085bdf3db13ca0e34dfd31f138753068d6c77ea7737240bae",
+    "t2": "d7f609c4edb0b38949d8d88b0575bbd81da36fb58736d8cfff1106a326b04734",
+    "t3": "87bf158e1875c59854d5cb3d0be95ed28636a048b494aea84741a3174c5762f4",
+    "omega11": "16d2436270333053f2e7f6826d446be2a2b4d35ef6fb8567c56f698d22176eca",
+    "grid21": "49aed571c34e5d90d3f7af0d6747f90a73925a5bfd0eefe5030145fdb0f53201",
+    "prod_b2_b1": "97e4fb31697f3a662d14b4e2f7479a31db4d0b102e7c1ad4b709fb2fa31123ba",
+    "prod_b2_b2": "f74c63d9bf1704b297c16c0f0044ca08bf920c63e1d26791c005107530e3636f",
+    "prod_c2_b2": "0b6cfd0716ed8b1d7fb5c2bd3d25a372246e72708d75a94c75d4bddad90daf7f",
+    "prod_c2_t2": "9ab4eab2e4467faea69cba36f7482cf28e9e0bc2828b7aa65ebd6e0d2df80792",
+    "flip_loop_pair": "52a5b9cf5f3fb83e48bec157e68507155c84ae3e0bcc94d2b3d3f6a35d746c92",
+    "rsq1": "6244dcb8827c627e517d84906b502f8028b7b2639a5b2cf48a385b775a0d5187",
+    "rsq2": "eeda15f791c15f630e423639fd43cc5adc744f5f66d5ae18ddf02f89871a55a3",
+    "rsq23": "6077713ecd19c477c266ca89a5f7f2bb4d3117345f134fc44a0df0c3237302b2",
+    "lattice8": "c3f31cf62828390ef236fdc5b8b9017c492d5e32394e9e15d49b093fa698a064",
 }
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from corpus import CORPUS, entered_loop, three_components
+from corpus import CORPUS, entered_loop, lattice8, three_components
 from kpalg import (
     KGraphError,
     chain,
@@ -13,6 +13,8 @@ from kpalg import (
     two_loops_plus_exit,
     validate,
 )
+from kpalg import ideals
+from kpalg.ideals import quotient_table
 from oracles import brute_sat_her
 
 
@@ -130,3 +132,27 @@ def test_all_corpus_quotients_validate():
             if len(h) == len(list(g.vertices)):
                 continue
             assert validate(quotient(g, h)).ok, (name, tuple(h))
+
+
+def test_quotient_table_closes_each_set_once(monkeypatch):
+    # the lattice makes each set as a closure, so the table does not close
+    # it again to check it; a set from outside is still checked
+    g = lattice8()
+    calls = []
+    inner = ideals._close
+
+    def counted(gr, start):
+        calls.append(frozenset(start))
+        return inner(gr, start)
+
+    monkeypatch.setattr(ideals, "_close", counted)
+    enumerate_sat_her(g)
+    enumerated = len(calls)
+    del calls[:]
+    table = quotient_table(g)
+    assert (len(table), len(calls)) == (108, enumerated) == (108, 432)
+    for h, gq in table:
+        assert set(gq.vertices) == set(g.vertices) - set(h)
+    del calls[:]
+    quotient(g, ("x0",))
+    assert calls == [frozenset({"x0"})]

@@ -580,7 +580,9 @@ def test_quotient_image_maps_each_shared_object_once():
                 images.setdefault(id(x), set()).add(id(y))
             assert all(len(ys) == 1 for ys in images.values()), c.ideal
             assert len(images) < len(src)
-    assert pushed == 40
+    # one case per trace: x1 and x3 each have a case pushed into the
+    # quotient by their feeder
+    assert pushed == 2
 
 
 def test_each_pushed_image_is_checked_once(monkeypatch):
@@ -597,7 +599,9 @@ def test_each_pushed_image_is_checked_once(monkeypatch):
     rep = classify_pure_infiniteness(g, 2)
     pushed = [c for w in rep.witnesses for c in w.cases if c.built_in != c.ideal]
     certs = sum(len(w.cases) + (w.proper is not None) for w in rep.witnesses)
-    assert (len(checked), certs, len(pushed)) == (480, 440, 424)
+    # 8 certificates built, 7 checks each (every constructor checks its
+    # input and output), and 3 pushed images checked once each
+    assert (len(checked), certs, len(pushed)) == (59, 19, 3)
     times = Counter(id(cert) for cert in checked)
     assert all(times[id(c.certificate)] == 1 for c in pushed)
     for c in pushed:
@@ -622,13 +626,30 @@ def test_route_search_runs_once_per_trace_of_the_ideal(monkeypatch):
     rep = classify_pure_infiniteness(g, 2)
     assert rep.verdict == "ProperlyPurelyInfinite"
     assert Counter(searched) == {v: len(keys) for v, keys in traces.items()}
-    # 11 searches for 432 (vertex, quotient) cases
+    # 11 searches for 11 cases, one per trace, covering 432 (vertex,
+    # quotient) pairs
     cases = sum(len(w.cases) for w in rep.witnesses)
-    assert (len(searched), cases) == (11, 432)
+    assert (len(searched), cases) == (11, 11)
     # a standalone call, which builds its quotients as it reaches them
     searched.clear()
     assert prove_vertex_properly_infinite(g, "x1", 2)
     assert searched == ["x1"] * len(traces["x1"])
+
+
+def test_certificate_term_outside_the_reach_of_its_vertex_raises(monkeypatch):
+    # z does not reach v, so a certificate for s_v with a term at z would
+    # not serve every ideal of its trace
+    g = KGraph(1, ["v", "z"], [Edge(u + i, 1, u, u) for u in "vz" for i in "01"])
+    mu1, mu2 = g.path_from_edges(["v0"]), g.path_from_edges(["v1"])
+    cert, proper = witness._vertex_cert_via_orthogonal(
+        g, "v", "v", mu1, mu2, g.trivial_path("v"), QQ
+    )
+    both = lift_infinite(cert, KP(g, QQ).s("v") + KP(g, QQ).s("z"))
+    monkeypatch.setattr(
+        witness, "_vertex_cert_via_orthogonal", lambda *args: (both, proper)
+    )
+    with pytest.raises(WitnessError, match="source z, which does not reach v"):
+        prove_vertex_properly_infinite(g, "v", 2)
 
 
 def _pushable():
@@ -688,7 +709,10 @@ def test_vertex_report_json_shapes(e2):
     data = vertex_report_json(rep)
     assert data["vertex"] == "v"
     assert data["status"] == "ProperlyInfinite"
-    assert data["cases"] == [{"ideal": [], "route": "orthogonal-pair", "certificate": 0}]
+    assert data["reaches"] == ["v"]
+    assert data["cases"] == [
+        {"trace": [], "ideal": [], "route": "orthogonal-pair", "certificate": 0}
+    ]
     inf, proper = data["certificates"]
     assert inf == dict(ideal=[], **certificate_json(rep.cases[0].certificate))
     assert proper == dict(ideal=[], **certificate_json(rep.proper))
