@@ -47,9 +47,20 @@ those a candidate leaves unseparated. The compose memo of the path kernel
 prefix, so a head computed twice, or again by ``separates``, is not
 composed again. ``separates`` itself is called only where one pair meets
 one candidate: the pair that defeated the last candidate is tried first
-on the next (the first residual pair on the first). When no candidate
-wins, the stubborn-pair scan hands the first candidate's survivors to the
-machine, since a pair it certifies is separated by no extension at all.
+on the next (the first residual pair on the first).
+
+The machine probe: when the pair that defeated one candidate defeats the
+next as well, the search asks the closed machine about it
+(``certify_never_separated``), once per pair and vertex search. A pair
+the machine certifies is separated by no extension at all, so by no
+candidate of the box, later ones included: the walk would lose on every
+remaining candidate, and it stops there. The certificate is then built
+as after a walk that lost on them all, by the stubborn-pair scan over
+the first candidate's survivors, which reuses the probe's answers, so
+verdict and certificate are those of the full walk. A pair the machine
+refuses costs only its states, and the walk goes on. The runs of the
+machine in one vertex search share their moves, so none composes a
+residual path with an edge twice.
 
 Locality across quotients: the quotient by a hereditary saturated set H
 keeps the edges with source outside H, and by heredity an edge with range
@@ -122,9 +133,10 @@ class SeparationEvidence:
 class PeriodicCertificate:
     """A pair that provably stays identified under every extension.
 
-    ``extensions_checked`` counts the exhaustive boundary separators tried
-    at the search depth; ``machine_states`` is the size of the closed
-    state-pair set proving the invariant for arbitrary extensions.
+    ``extensions_checked`` counts the boundary paths in the search box at
+    the depth, none of which can separate the pair; ``machine_states`` is
+    the size of the closed state-pair set proving the invariant for
+    arbitrary extensions.
     """
 
     alpha: Path
@@ -280,18 +292,26 @@ def _first_separator(
     classes: List[List[Path]],
     joins: List[Join],
     candidates: Iterable[Path],
+    machine: _Machine,
 ) -> Optional[Path]:
     # the first candidate separating every residual pair; the pair that
     # defeats one candidate is tried first on the next, so losing
     # candidates fail fast, and the first candidate is tried first on the
-    # first residual pair
+    # first residual pair. A pair that defeats a second candidate goes to
+    # the closed machine; once it certifies one, no candidate can win and
+    # the walk stops (module docstring)
     defeating = [(classes[i][0], classes[later[0]][0]) for i, later in joins[:1]]
+    defeats = 0
     for x in candidates:
         if defeating and not separates(g, *defeating[0], x):
+            defeats += 1
+            if defeats == 2 and machine.states(*defeating[0]) is not None:
+                return None
             continue
         defeating = _unseparated(g, classes, joins, x, first_only=True)
         if not defeating:
             return x
+        defeats = 1
     return None
 
 
@@ -310,10 +330,34 @@ def _strip(g: KGraph, p: Path, q: Path) -> Optional[Tuple[Path, Path]]:
 MAX_MACHINE_STATES = 4000
 
 
-def certify_never_separated(g: KGraph, alpha: Path, beta: Path) -> Optional[int]:
+# The closed machine's moves, shared by its runs on one graph: each
+# residual path t maps to its composites t e with the edges e into its
+# source, in ``edges_by_range`` order, so no run composes t e again.
+Moves = Dict[Path, Tuple[Path, ...]]
+
+
+def _extensions(g: KGraph, t: Path, moves: Moves) -> Tuple[Path, ...]:
+    out = moves.get(t)
+    if out is None:
+        if t.edges:
+            steps = _extensions(g, g.trivial_path(t.source), moves)
+            out = tuple(g.compose(t, step) for step in steps)
+        else:
+            # a vertex extends to the single edges into it, taken from the
+            # path cache so that no run builds them again
+            units = [tuple(int(i == c) for i in range(g.k)) for c in range(g.k)]
+            out = tuple(e for n in units for e in g.paths(t.range, n))
+        moves[t] = out
+    return out
+
+
+def certify_never_separated(
+    g: KGraph, alpha: Path, beta: Path, moves: Optional[Moves] = None
+) -> Optional[int]:
     """Prove that no extension separates (alpha, beta); returns the state
     count of the closed machine, or None when no proof is obtained within
-    ``MAX_MACHINE_STATES`` states.
+    ``MAX_MACHINE_STATES`` states. ``moves`` lets runs on one graph share
+    the moves they compute; the answer does not depend on it.
 
     State: the residual pair after stripping the common prefix. Extending
     by one edge maps residuals to residuals, so a closed consistent set of
@@ -330,29 +374,45 @@ def certify_never_separated(g: KGraph, alpha: Path, beta: Path) -> Optional[int]
     start = _strip(g, alpha, beta)
     if start is None:
         return None
+    if moves is None:
+        moves = {}
     seen = {start}
     stack = [start]
-    steps: Dict[str, Path] = {}
     while stack:
         if len(seen) > MAX_MACHINE_STATES:
             return None
         t1, t2 = stack.pop()
-        in_edges = g.edges_by_range(t1.source)
-        if not in_edges:
+        ext1 = _extensions(g, t1, moves)
+        if not ext1:
             # dead end with distinct residuals: a maximal boundary path
             # separates the pair, so it is not periodic
             return None
-        for e in in_edges:
-            step = steps.get(e.id)
-            if step is None:
-                step = steps[e.id] = g.path_from_edges([e.id])
-            nxt = _strip(g, g.compose(t1, step), g.compose(t2, step))
+        for p, q in zip(ext1, _extensions(g, t2, moves)):
+            nxt = _strip(g, p, q)
             if nxt is None:
                 return None
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen)
+
+
+class _Machine:
+    """The closed machine for one vertex search: its answers by residual
+    pair, in either order (the answer depends on nothing else), and the
+    moves its runs share."""
+
+    def __init__(self, g: KGraph):
+        self.g = g
+        self.answers: Dict[FrozenSet[Path], Optional[int]] = {}
+        self.moves: Moves = {}
+
+    def states(self, a: Path, b: Path) -> Optional[int]:
+        """``certify_never_separated`` of the residual pair (a, b), run once."""
+        key = frozenset((a, b))
+        if key not in self.answers:
+            self.answers[key] = certify_never_separated(self.g, a, b, self.moves)
+        return self.answers[key]
 
 
 def _periodic_certificate(
@@ -362,11 +422,10 @@ def _periodic_certificate(
     classes: List[List[Path]],
     joins: List[Join],
     candidates: Tuple[Path, ...],
+    machine: _Machine,
 ) -> Optional[PeriodicCertificate]:
     """The first pair in ``_pairs_at`` order whose residual pair no
-    candidate separates and the machine certifies, or None. The machine's
-    answer depends on the residual pair only, in either order, so it runs
-    once per residual pair."""
+    candidate separates and the machine certifies, or None."""
     # only the first candidate's survivors are scanned: a pair the machine
     # certifies is separated by no extension, so by no later candidate
     # either. Only a presentation that does not validate has no candidate
@@ -384,16 +443,13 @@ def _periodic_certificate(
     if not left:
         return None
     stubborn = set(left) | {(b, a) for a, b in left}
-    states: Dict[FrozenSet[Path], Optional[int]] = {}
     for a, b in _pairs_at(groups):
         res = _strip(g, a, b)
         if res not in stubborn:
             continue
-        key = frozenset(res)
-        if key not in states:
-            states[key] = certify_never_separated(g, a, b)
-        if states[key] is not None:
-            return PeriodicCertificate(a, b, v, len(candidates), states[key])
+        states = machine.states(*res)
+        if states is not None:
+            return PeriodicCertificate(a, b, v, len(candidates), states)
     return None
 
 
@@ -423,12 +479,15 @@ def aperiodicity_check(
         cap = (depth + 1,) * g.k
         groups = paths[v]
         pairs_checked, classes, joins = _residual_classes(groups)
-        winner = _first_separator(g, classes, joins, g.iter_boundary_paths(v, cap))
+        machine = _Machine(g)
+        winner = _first_separator(
+            g, classes, joins, g.iter_boundary_paths(v, cap), machine
+        )
         if winner is not None:
             evidence.append(SeparationEvidence(v, winner, pairs_checked))
             continue
         candidates = g.boundary_paths(v, cap)
-        cert = _periodic_certificate(g, v, groups, classes, joins, candidates)
+        cert = _periodic_certificate(g, v, groups, classes, joins, candidates, machine)
         if cert is not None:
             return AperiodicityVerdict("periodic", depth, (), cert, basis="certified")
         return AperiodicityVerdict(

@@ -238,6 +238,38 @@ def test_matches_exhaustive_oracle_on_random_graphs(g, depth):
     assert fast == aperiodicity_json(aperiodicity_exhaustive(g, depth))
 
 
+@pytest.mark.parametrize(
+    "mk, depth",
+    [pytest.param(lambda s=s: random_square_graph(s), 3, id="rsq%d" % s) for s in range(6)]
+    + [
+        pytest.param(lambda a=a: random_square_graph(*a), 3, id="rsq%d_%d_%d" % a)
+        for a in ((0, 1, 3), (3, 3, 2), (5, 2, 3))
+    ]
+    + [
+        pytest.param(
+            lambda n=n: product(bouquet(n), bouquet(1, "u")), d, id="b%d_x_b1-%d" % (n, d)
+        )
+        for n in (1, 2, 3)
+        for d in (3, 4)
+    ]
+    + [
+        pytest.param(
+            lambda m=m: product(bouquet(2), cycle_graph(m)), d, id="b2_x_c%d-%d" % (m, d)
+        )
+        for m in (2, 3, 4)
+        for d in (3, 4)
+    ],
+)
+def test_matches_exhaustive_oracle_where_the_machine_probe_runs(mk, depth):
+    # deeper than the random-graph property: most of these walks meet a
+    # pair that defeats two candidates in a row and ask the machine; the
+    # periodic ones stop there, the aperiodic ones go on past the refused
+    # probes to a winner
+    g = mk()
+    fast = aperiodicity_json(aperiodicity_check(g, depth))
+    assert fast == aperiodicity_json(aperiodicity_exhaustive(g, depth))
+
+
 def _comparable_pairs(g, v, depth):
     # brute force over canonical words: distinct paths with source v and a
     # common range, of different degrees and total degree <= depth
@@ -357,6 +389,71 @@ def test_separator_search_does_not_list_the_residual_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20, peak
+
+
+# -- stopping at a certified pair ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mk, depth, boxed",
+    [
+        pytest.param(lambda: random_square_graph(4), 3, 256, id="rsq4"),
+        pytest.param(lambda: product(bouquet(3), bouquet(1, "u")), 4, 243, id="b3_x_b1"),
+    ],
+)
+def test_periodic_search_stops_at_the_certified_pair(monkeypatch, mk, depth, boxed):
+    # the pair that defeats the first two candidates is certified, so the
+    # walk stops there rather than losing on every candidate of the box;
+    # the certificate still counts the whole box
+    g = mk()
+    calls = []
+    inner = aperiodicity.separates
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(aperiodicity, "separates", counting)
+    verdict = aperiodicity_check(g, depth)
+    assert verdict.status == "periodic"
+    assert verdict.certificate.extensions_checked == boxed
+    assert len(calls) <= 5 * len(g.vertices)
+
+
+def _counting_machine(monkeypatch):
+    # the residual pairs handed to the machine, by unordered pair
+    asked = Counter()
+    inner = aperiodicity.certify_never_separated
+
+    def counting(g, a, b, *rest):
+        asked[frozenset((a, b))] += 1
+        return inner(g, a, b, *rest)
+
+    monkeypatch.setattr(aperiodicity, "certify_never_separated", counting)
+    return asked
+
+
+def test_aperiodic_lattice_never_asks_the_machine(monkeypatch):
+    # on every quotient a separator comes before any pair defeats two
+    # candidates in a row, so the machine is never asked
+    asked = _counting_machine(monkeypatch)
+    sweep = strong_aperiodicity_sweep(lattice8(), 2)
+    assert all(verd.status == "aperiodic" for _, verd in sweep)
+    assert not asked
+
+
+@pytest.mark.parametrize(
+    "mk",
+    [
+        pytest.param(lambda: product(bouquet(3), bouquet(3, "u")), id="b3_x_b3"),
+        # one pair here defeats two candidates in a row six times over
+        pytest.param(lambda: random_square_graph(5, 2, 3), id="rsq5_2_3"),
+    ],
+)
+def test_each_defeating_pair_goes_to_the_machine_once(monkeypatch, mk):
+    asked = _counting_machine(monkeypatch)
+    assert aperiodicity_check(mk(), 3).status == "aperiodic"
+    assert asked and max(asked.values()) == 1, asked
 
 
 # -- locality across quotients ----------------------------------------------------
