@@ -97,12 +97,13 @@ trace T exactly:
   vertices of D(v) - T and their paths to v, and ``find_cycle_reaching``,
   the test that makes a miss Negative, only the edges among D(v) - T.
 - The certificate. Every term of its target and parts has its source in
-  D(v), hence in D(v) - T; this is checked where the certificate is built
-  or pushed. Products and normal forms refine a term only by boundary
-  paths at its source, so every relation evaluates term for term alike in
-  every quotient of trace T, and the quotient map drops no term.
+  D(v), hence in D(v) - T; this is checked where the certificate is
+  built, in the quotient by closure(T). Products and normal forms refine a
+  term only by boundary paths at its source, so every relation evaluates
+  term for term alike in every quotient of trace T: read over any of them,
+  the certificate is the one a build there would check.
 - Strictness (q != p). A homomorphism can send q and p to one element,
-  so the image argument alone does not keep it. But the normal form of
+  so the quotient map alone does not keep it. But the normal form of
   p - q in the quotient by H refines terms whose sources lie in D(v) - T
   by boundary paths there, which are the same as in the quotient by
   closure(T). So both quotients give p - q the same normal form, nonzero

@@ -13,40 +13,26 @@ fails; a verification failure after good preconditions means a bug and is
 never downgraded to a soft result.
 
 Transport and lifting first normalize the moving elements into the
-relevant corners (r -> p r q, x -> p x e, and so on). With that
-normalization, the transported relations follow from the verified inputs
-by pure ring identities, so the constructions stay sound on any verified
-input, not just the ones produced by the cycle search. Each constructor
-checks the final relations of its input and output plus the checks of
-the one step it adds, so every step is checked once, when it is made;
+relevant corners (r -> p r q, x -> p x e, and so on), so the transported
+relations follow from the input's relations by pure ring identities. Each
+certificate is checked once, when it is made: its constructor checks the
+output's final relations and the checks of the one step it adds, not the
+input again. A bad input makes the output fail, so the constructor
+raises, or gives a certificate whose own relations hold.
 ``failing_checks`` without ``steps`` replays the whole derivation.
 
-Quotient images. The quotient map KP(Lambda) -> KP(Lambda/H), which
-sends s_lam to s_lam, or to 0 when s(lam) lies in H, is a ring
-homomorphism (Aranda Pino, Clark, an Huef and Raeburn, Trans. AMS 365,
-2013), and so is Lambda/H' -> Lambda/H for H' inside H. A certificate
-built in the quotient by H' therefore proves its image in the quotient by
-H: ``quotient_image`` drops the terms whose source lies in H and keeps the
-others term for term. The paths of Lambda/H are the paths of Lambda/H'
-with source outside H, and by saturation so are its boundary paths, so
-the image equals what a fresh build in Lambda/H would give. The
-derivation checks hold in the image by the homomorphism and are not
-replayed. The final relations are checked again in Lambda/H, as a guard
-on the image map itself, and so is strictness (q != p), which a
-homomorphism need not preserve: it can send q and p to the same element.
-
-One case per trace. For v outside H, a certificate for s_v and its image
-in Lambda/H depend on H only through the trace T = H & D(v), D(v) being
-the vertices v reaches (the key set of ``paths.reachable_to``): every term
-has its source in D(v), which the builder checks, and the image drops no
-term. So ``prove_vertex_properly_infinite`` certifies s_v once per trace,
-in the quotient by closure(T), the least ideal of that trace; the proof,
-strictness included, is the paragraph on the witness search in the
+One case per trace. ``prove_vertex_properly_infinite`` builds one
+certificate for s_v per trace T = H & D(v) of the ideals H avoiding v,
+D(v) being the vertices v reaches, in the quotient by closure(T), the
+least ideal of that trace. Every term starts in D(v), which the builder
+checks, so the certificate serves every ideal of trace T; the proof,
+strictness included, is the witness search paragraph of the
 ``aperiodicity.py`` docstring.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
@@ -183,12 +169,6 @@ def _finish(
     return cert
 
 
-def _require_verified(cert: WitnessCertificate, context: str) -> None:
-    fails = failing_checks(cert, ())
-    if fails:
-        raise WitnessError("%s: input certificate does not verify: %s" % (context, fails[0]))
-
-
 # -- constructions ---------------------------------------------------------------
 
 
@@ -244,7 +224,6 @@ def transport_infinite(
     """
     if cert.kind != "Infinite":
         raise WitnessError("transport_infinite needs an Infinite certificate")
-    _require_verified(cert, "transport_infinite")
     p = cert.target
     if not equals(x * y, p):
         raise WitnessError("transport needs x y = p")
@@ -279,7 +258,6 @@ def lift_infinite(cert: WitnessCertificate, big: KPElement) -> WitnessCertificat
     """
     if cert.kind != "Infinite":
         raise WitnessError("lift_infinite needs an Infinite certificate")
-    _require_verified(cert, "lift_infinite")
     e = cert.target
     if not subidempotent_verify(e, big):
         raise WitnessError("lift needs e <= big")
@@ -373,7 +351,6 @@ def properly_infinite_to_infinite(cert: WitnessCertificate) -> WitnessCertificat
     """
     if cert.kind != "ProperlyInfinite":
         raise WitnessError("need a ProperlyInfinite certificate")
-    _require_verified(cert, "properly_infinite_to_infinite")
     p = cert.target
     if p.is_zero():
         raise WitnessError("zero idempotent has no strict subidempotent")
@@ -416,7 +393,6 @@ def transport_witness(
     """Move a ProperlyInfinite witness for p across x y = p, y x = q."""
     if w.kind != "ProperlyInfinite":
         raise WitnessError("transport_witness needs a ProperlyInfinite certificate")
-    _require_verified(w, "transport_witness")
     if not equals(w.target, p):
         raise WitnessError("certificate target differs from p")
     if not equals(x * y, p):
@@ -449,16 +425,14 @@ def transport_witness(
 
 @dataclass(frozen=True)
 class IdealCase:
-    """Certificate for the image of s_v in the quotient by ``ideal``, the
-    least ideal whose trace H & D(v) is ``trace``; its image serves every
-    ideal H avoiding v with that trace. It is the image of the one built
-    in the quotient by ``built_in``, which is ``ideal`` when the case
-    built its own."""
+    """Certificate for s_v built in the quotient by ``ideal``, the least
+    ideal whose trace H & D(v) is ``trace``, and checked once, when it was
+    made. Read over the quotient by any ideal H avoiding v with that trace,
+    it is the certificate for the image of s_v there."""
 
     ideal: Ideal
     route: str  # "orthogonal-pair" or "generalized-cycle"
     certificate: WitnessCertificate
-    built_in: Ideal
     trace: Ideal
 
 
@@ -535,76 +509,6 @@ def _vertex_cert_via_orthogonal(
     return cert_v, proper
 
 
-def quotient_image(cert: WitnessCertificate, gq: KGraph) -> WitnessCertificate:
-    """The image of a certificate under the quotient map onto gq.
-
-    gq must be a quotient of the certificate's graph by a larger ideal H.
-    A spanning term s_lam s_{mu*} goes to zero when its common source lies
-    in H and to the same term over gq otherwise. The final relations and
-    strictness are checked in gq; the derivation checks hold there by the
-    homomorphism and are not replayed. A failure raises WitnessError.
-
-    Paths are mapped once per word, and every other object once, by
-    ``id`` (safe, since cert keeps them alive), so the image shares
-    structure as its source does: p recurs in the checks, parts in steps.
-    """
-    images: Dict = {}
-
-    def image(x):
-        key = (x.range, x.edges) if isinstance(x, Path) else id(x)
-        if key in images:
-            return images[key]
-        if isinstance(x, KPMatrix):
-            out = KPMatrix(tuple(tuple(image(y) for y in r) for r in x.rows))
-        elif isinstance(x, KPElement):
-            out = KPElement(
-                gq,
-                x.field,
-                tuple(
-                    ((image(lam), image(mu)), c)
-                    for (lam, mu), c in x.terms
-                    if gq.has_vertex(lam.source)
-                ),
-            )
-        else:
-            out = Path(gq, x.range, x.edges, x.degree, x.source)
-        images[key] = out
-        return out
-
-    out = WitnessCertificate(
-        cert.kind,
-        image(cert.target),
-        tuple((nm, image(x)) for nm, x in cert.parts),
-        tuple(
-            DerivationStep(
-                st.rule,
-                st.note,
-                tuple((nm, image(x)) for nm, x in st.elements),
-                tuple((desc, image(a), image(b)) for desc, a, b in st.checks),
-            )
-            for st in cert.derivation
-        ),
-    )
-    fails = failing_checks(out, ())
-    if fails:
-        raise WitnessError("quotient image: verification failed: %s" % fails[0])
-    return out
-
-
-# certificates by route: the route name with the (range, word) of each
-# path that determines it, and every (ideal, certificate) built for it
-Built = Dict[Tuple, List[Tuple[Ideal, WitnessCertificate]]]
-
-
-def _pushed(built: Built, key: Tuple, h: Ideal, gq: KGraph):
-    # (h0, image) for a certificate of the same route built in the
-    # quotient by a smaller ideal h0, or (h, None) when there is none
-    for h0, cert in built.get(key, ()):
-        if set(h0) <= set(h):
-            return h0, quotient_image(cert, gq)
-    return h, None
-
-
 def _require_local(cert: WitnessCertificate, v: str, reach: FrozenSet[str]) -> None:
     # every term of the target and the parts starts in D(v), which makes
     # the certificate serve every ideal of its trace
@@ -635,12 +539,12 @@ def prove_vertex_properly_infinite(
     these certificates as proper infiniteness needs aperiodicity, and a
     certified counterexample cannot be argued away. Otherwise one loop
     walks the quotients in lattice order and makes one case per trace
-    T = H & D(v) of the ideals H avoiding v, in the first quotient of
-    that trace, the one by closure(T). That case serves every ideal of
-    trace T (the witness search paragraph of ``aperiodicity.py``); every
-    term of its certificate must start in D(v), or WitnessError is
-    raised. In each
-    case, route one looks for a vertex reaching v that carries two cycles
+    T = H & D(v) of the ideals H avoiding v, building its certificate in
+    the first quotient of that trace, the one by closure(T). That case
+    serves every ideal of trace T (the witness search paragraph of
+    ``aperiodicity.py``); every term of its certificate must start in
+    D(v), or WitnessError is raised. In each case, route one looks for a
+    vertex reaching v that carries two cycles
     with no common extension; route two falls back to a generalized cycle
     with an entrance. The first trace that neither route certifies ends
     the search: it is a definitive negative when no cycle reaches v
@@ -651,9 +555,7 @@ def prove_vertex_properly_infinite(
     ``quotients`` is the quotient table to read; when absent, the
     quotient by the least ideal of each trace is built as the search
     reaches it. ``reach`` is D(v), the key set of ``reachable_to(g, v)``,
-    computed here when absent. A route already certified in the quotient
-    by a smaller ideal is not built again: its certificate is pushed
-    through the quotient map.
+    computed here when absent.
     """
     check_depth(depth)
     if not g.has_vertex(v):
@@ -683,7 +585,6 @@ def prove_vertex_properly_infinite(
         )
     cases: List[IdealCase] = []
     proper: Optional[WitnessCertificate] = None
-    built: Built = {}
     if quotients is None:
         # each quotient is built only when its ideal starts a new trace
         quotients = ((h, None) for h in enumerate_sat_her(g).sets)
@@ -700,25 +601,18 @@ def prove_vertex_properly_infinite(
         if pair is not None:
             route = "orthogonal-pair"
             w, *paths = pair
+            cert_v, proper_w = _vertex_cert_via_orthogonal(gq, v, w, *paths, fld)
+            if len(h) == 0 and w == v and proper is None:
+                proper = proper_w
         else:
             rc = find_reaching_gen_cycle(gq, v, depth)
             if isinstance(rc, NotFoundUpTo):
                 # no route certifies v here: the shared exit below
                 break
             route = "generalized-cycle"
-            paths = (rc.cycle.mu, rc.cycle.nu, rc.cycle.entrance, rc.gamma)
-        key = (route,) + tuple((p.range, p.edges) for p in paths)
-        built_in, cert_v = _pushed(built, key, h, gq)
-        if cert_v is None:
-            if pair is None:
-                cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
-            else:
-                cert_v, proper_w = _vertex_cert_via_orthogonal(gq, v, w, *paths, fld)
-                if len(h) == 0 and w == v and proper is None:
-                    proper = proper_w
-            built.setdefault(key, []).append((h, cert_v))
+            cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
         _require_local(cert_v, v, reach)
-        cases.append(IdealCase(h, route, cert_v, built_in, tuple(sorted(trace))))
+        cases.append(IdealCase(h, route, cert_v, tuple(sorted(trace))))
     else:
         # every trace certified
         return VertexInfinitenessReport(
@@ -778,24 +672,27 @@ def certificate_json(cert: WitnessCertificate) -> Dict:
 
 def vertex_report_json(rep: VertexInfinitenessReport) -> Dict:
     """Report format 3: ``reaches`` lists D(v), the vertices v reaches.
-    ``certificates`` lists each certificate once, as built, with the ideal
-    of its quotient (``[]`` for ``proper``). A case names its ``trace``
-    T = H & D(v), its least ideal closure(T) as ``ideal``, its route and
-    its entry; dropping the terms whose source lies in the case's ideal
-    gives its image, which serves every ideal H avoiding v with trace T."""
+    ``certificates`` lists each distinct certificate text once, with the
+    ideal of the first case that uses it (``[]`` for ``proper``). A case
+    names its ``trace`` T = H & D(v), its least ideal closure(T) as
+    ``ideal``, its route and its entry; read over the quotient by the
+    case's ideal, the entry is the case's certificate, which serves every
+    ideal H avoiding v with trace T."""
     certs: List[Dict] = []
-    index: Dict[Ideal, int] = {}
+    index: Dict[str, int] = {}
     cases = []
     for c in rep.cases:
-        if c.built_in == c.ideal:
-            index[c.ideal] = len(certs)
-            certs.append(dict(ideal=list(c.ideal), **certificate_json(c.certificate)))
+        entry = certificate_json(c.certificate)
+        text = json.dumps(entry)
+        if text not in index:
+            index[text] = len(certs)
+            certs.append(dict(ideal=list(c.ideal), **entry))
         cases.append(
             {
                 "trace": list(c.trace),
                 "ideal": list(c.ideal),
                 "route": c.route,
-                "certificate": index[c.built_in],
+                "certificate": index[text],
             }
         )
     out: Dict = dict(

@@ -446,8 +446,7 @@ def _reaching(g, v):
 
 def prove_vertex_from_scratch(g, v, depth, fld=QQ):
     """``prove_vertex_properly_infinite`` per ideal rather than per trace,
-    without a shared quotient table or pushed certificates, for a graph not
-    certified periodic.
+    without a shared quotient table, for a graph not certified periodic.
 
     Enumerates the lattice afresh, builds a fresh quotient for every ideal
     avoiding v, and builds every certificate from scratch in its quotient
@@ -468,14 +467,14 @@ def prove_vertex_from_scratch(g, v, depth, fld=QQ):
         if pair is not None:
             w, mu1, mu2, gamma = pair
             cert_v, proper_w = _vertex_cert_via_orthogonal(gq, v, w, mu1, mu2, gamma, fld)
-            cases.append(IdealCase(h, "orthogonal-pair", cert_v, h, trace))
+            cases.append(IdealCase(h, "orthogonal-pair", cert_v, trace))
             if len(h) == 0 and w == v and proper is None:
                 proper = proper_w
             continue
         rc = find_reaching_gen_cycle(gq, v, depth)
         if isinstance(rc, ReachingCycle):
             cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
-            cases.append(IdealCase(h, "generalized-cycle", cert_v, h, trace))
+            cases.append(IdealCase(h, "generalized-cycle", cert_v, trace))
             continue
         if find_cycle_reaching(gq, v) is None:
             return VertexInfinitenessReport(

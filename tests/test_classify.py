@@ -23,17 +23,14 @@ from kpalg import (
     InternalConsistencyError,
     KGraph,
     KGraphError,
-    KPElement,
     PrimeField,
     QQ,
     VertexConditions,
-    VertexInfinitenessReport,
     bouquet,
     certificate_json,
     classify_pure_infiniteness,
     failing_checks,
     format_element,
-    lift_infinite,
     parse_expression,
     product,
     quotient,
@@ -44,11 +41,10 @@ from kpalg import (
     vertex_conditions,
     prove_vertex_properly_infinite,
     vertex_report_json,
-    vertex_unit,
 )
 from kpalg.classify import _assert_consistent, aperiodicity_json, conditions_json
 from kpalg.ideals import enumerate_sat_her, quotient_table, sat_her_closure
-from kpalg.witness import IdealCase, quotient_image
+from kpalg.witness import IdealCase
 from oracles import prove_vertex_from_scratch
 
 
@@ -211,12 +207,12 @@ def test_strong_sweep_covers_every_ideal():
     ]
 
 
-# -- one quotient table, one case per trace, certificates pushed -------------------
+# -- one quotient table, one case per trace ---------------------------------------
 
 
 def in_memory(rep):
-    # a vertex report with every case's in-memory certificate written out;
-    # unlike the JSON table it does not depend on which quotient built it
+    # a vertex report with every case's in-memory certificate written out,
+    # not shared between cases as in the JSON table
     return (
         rep.vertex,
         rep.status,
@@ -228,11 +224,21 @@ def in_memory(rep):
     )
 
 
+def term_sources(cert):
+    # the source of every term of the target and the parts
+    out = set()
+    for _, x in (("target", cert.target),) + cert.parts:
+        rows = x.rows if hasattr(x, "rows") else ((x,),)
+        out |= {lam.source for r in rows for el in r for (lam, _), _ in el.terms}
+    return out
+
+
 def per_ideal(g, rep):
-    """The report with each per-trace case expanded to every ideal avoiding
-    v with its trace, through quotient_image, up to the ideal at which a
-    failed search stopped. Each case must sit at the closure of its trace,
-    and every trace met must have a case."""
+    """The report with each per-trace case's own certificate serving every
+    ideal avoiding v with its trace, up to the ideal at which a failed
+    search stopped. Each case must sit at the closure of its trace, every
+    trace met must have a case, and no term of a certificate may start in
+    an ideal it serves, so the quotient map drops none."""
     reach = set(rep.reaches)
     by_trace = {c.trace: c for c in rep.cases}
     assert len(by_trace) == len(rep.cases)
@@ -245,10 +251,8 @@ def per_ideal(g, rep):
         if rep.vertex in h:
             continue
         c = by_trace[tuple(sorted(reach.intersection(h)))]
-        cert = c.certificate
-        if h != c.ideal:
-            cert = quotient_image(cert, quotient(g, h))
-        cases.append(IdealCase(h, c.route, cert, h, c.trace))
+        assert term_sources(c.certificate).isdisjoint(h), (c, h)
+        cases.append(IdealCase(h, c.route, c.certificate, c.trace))
     assert {c.trace for c in cases} == set(by_trace)
     return replace(rep, cases=tuple(cases))
 
@@ -465,79 +469,47 @@ def test_report_json_holds_each_certificate_once(lattice8_report):
     assert len(rep.sweep) == 108
     data = report_json(rep)
     witnesses = data["witnesses"]
-    # per vertex one built certificate and its proper certificate
+    # per vertex one certificate text, which its cases share, and its
+    # proper certificate
     assert sum(len(w["certificates"]) for w in witnesses) == 16
     # one case per trace: 11 for the 432 (vertex, ideal) pairs
     assert sum(len(w["cases"]) for w in witnesses) == 11
     assert len(json.dumps(data, indent=2)) < 110_000
 
 
-def image_from_text(text, g, built_in, ideal):
-    # the image map, written here: parse over the quotient that built the
-    # certificate, drop the terms whose source lies in the case's ideal, and
-    # rebuild the surviving paths by edge word over the case's quotient
-    el = parse_expression(text, quotient(g, tuple(built_in)), QQ)
-    gq = quotient(g, tuple(ideal))
-
-    def path(p):
-        return gq.path_from_edges(p.edges) if p.edges else gq.trivial_path(p.range)
-
-    kept = tuple(
-        ((path(lam), path(mu)), c) for (lam, mu), c in el.terms if lam.source not in ideal
-    )
-    return format_element(KPElement(gq, QQ, kept))
-
-
 def assert_text_gives_images(g, witnesses):
     # every case's in-memory certificate from the text of its table entry
-    # alone; returns the number of pushed cases
-    pushed = 0
+    # alone, read over the case's own quotient; returns the number of cases
+    # whose entry an earlier case of the vertex made
+    shared = 0
     for w in witnesses:
         data = json.loads(json.dumps(vertex_report_json(w)))
         assert len(data["cases"]) == len(w.cases)
         for case, c in zip(w.cases, data["cases"]):
             entry = data["certificates"][c["certificate"]]
-            assert entry["ideal"] == list(case.built_in)
+            gq = quotient(g, tuple(c["ideal"]))
             cert = case.certificate
             for part, x in [("target", cert.target)] + list(cert.parts):
-                got = image_from_text(entry[part], g, entry["ideal"], c["ideal"])
+                got = format_element(parse_expression(entry[part], gq, QQ))
                 assert got == format_element(x), (w.vertex, c["ideal"], part)
-            pushed += entry["ideal"] != c["ideal"]
-    return pushed
+            shared += entry["ideal"] != c["ideal"]
+    return shared
 
 
 def test_report_text_determines_every_image(lattice8_report):
-    # no CORPUS graph has a pushed case: the two with more than two ideals
-    # are certified periodic, so only the two lattices carry pushed cases
+    # no CORPUS graph shares an entry: the two with more than two ideals
+    # are certified periodic, so only the two lattices have cases whose
+    # certificate text an earlier case already wrote
     for name, _ in CORPUS:
         g = build(name)
-        assert assert_text_gives_images(g, classify_pure_infiniteness(g, 2).witnesses) == 0
+        witnesses = classify_pure_infiniteness(g, 2).witnesses
+        assert assert_text_gives_images(g, witnesses) == 0
     g = two_loop_lattice()
-    assert assert_text_gives_images(g, classify_pure_infiniteness(g, 2).witnesses) == 2
+    witnesses = classify_pure_infiniteness(g, 2).witnesses
+    assert assert_text_gives_images(g, witnesses) == 2
     g, rep = lattice8_report
-    # 11 cases, 8 of them built
+    # 11 cases, 8 distinct certificate texts
     assert assert_text_gives_images(g, rep.witnesses) == 11 - 8
-
-
-def test_report_text_determines_an_image_that_drops_terms():
-    # the images above keep every term; a certificate lifted to s_v + s_z
-    # loses its terms at z in the quotient by {z}
-    g = KGraph(
-        1,
-        ["v", "z"],
-        [Edge(u + i, 1, u, u) for u in "vz" for i in "01"] + [Edge("c", 1, "z", "v")],
-    )
-    cert = prove_vertex_properly_infinite(g, "v", 2).cases[0].certificate
-    built = lift_infinite(cert, vertex_unit(g, QQ, "v") + vertex_unit(g, QQ, "z"))
-    empty, hz = (), ("z",)
-    image = quotient_image(built, quotient(g, hz))
-    assert format_element(image.target) == "v" != format_element(built.target)
-    cases = (
-        IdealCase(empty, "orthogonal-pair", built, empty, empty),
-        IdealCase(hz, "orthogonal-pair", image, empty, hz),
-    )
-    rep = VertexInfinitenessReport("v", "ProperlyInfinite", cases)
-    assert assert_text_gives_images(g, [rep]) == 1
 
 
 def test_aperiodicity_json_carries_certificate():

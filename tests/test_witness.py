@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from corpus import build, lattice8, two_loop_lattice
+from corpus import build, lattice8
 from kpalg import (
     KP,
     DerivationStep,
@@ -13,7 +13,6 @@ from kpalg import (
     GeneralizedCycle,
     KGraph,
     KGraphError,
-    KPMatrix,
     PrimeField,
     QQ,
     ReachingCycle,
@@ -33,7 +32,6 @@ from kpalg import (
     orthogonal_witness,
     properly_infinite_to_infinite,
     prove_vertex_properly_infinite,
-    quotient,
     reachable_to,
     row,
     transport_infinite,
@@ -42,7 +40,7 @@ from kpalg import (
     witness_from_gen_cycle,
 )
 from kpalg import witness
-from kpalg.witness import _disjoint_cycle_pair, _pushed, quotient_image
+from kpalg.witness import _disjoint_cycle_pair
 
 
 @pytest.fixture()
@@ -315,39 +313,40 @@ def test_transport_witness_guards(e2):
         transport_witness(q, q, q, q, proper)
 
 
-@pytest.mark.parametrize(
-    "build_input, construct",
-    [
-        (
-            lambda g, kp: witness_from_gen_cycle(g, strict_cycle(kp)),
-            lambda kp, c: transport_infinite(c, kp.s(kp.path("a")), kp.star(kp.path("a"))),
+# each constructor that takes a certificate, with an input for it
+CONSTRUCTORS = [
+    (
+        lambda g, kp: witness_from_gen_cycle(g, strict_cycle(kp)),
+        lambda kp, c: transport_infinite(c, kp.s(kp.path("a")), kp.star(kp.path("a"))),
+    ),
+    (
+        lambda g, kp: witness_from_gen_cycle(g, strict_cycle(kp)),
+        lambda kp, c: lift_infinite(c, kp.s("v")),
+    ),
+    (
+        lambda g, kp: canonical_splitting(kp),
+        lambda kp, c: properly_infinite_to_infinite(c),
+    ),
+    (
+        lambda g, kp: canonical_splitting(kp),
+        lambda kp, c: transport_witness(
+            kp.s("v"),
+            kp.term(kp.path("a"), kp.path("a")),
+            kp.star(kp.path("a")),
+            kp.s(kp.path("a")),
+            c,
         ),
-        (
-            lambda g, kp: witness_from_gen_cycle(g, strict_cycle(kp)),
-            lambda kp, c: lift_infinite(c, kp.s("v")),
-        ),
-        (
-            lambda g, kp: canonical_splitting(kp),
-            lambda kp, c: properly_infinite_to_infinite(c),
-        ),
-        (
-            lambda g, kp: canonical_splitting(kp),
-            lambda kp, c: transport_witness(
-                kp.s("v"),
-                kp.term(kp.path("a"), kp.path("a")),
-                kp.star(kp.path("a")),
-                kp.s(kp.path("a")),
-                c,
-            ),
-        ),
-    ],
-    ids=[
-        "transport_infinite",
-        "lift_infinite",
-        "properly_infinite_to_infinite",
-        "transport_witness",
-    ],
-)
+    ),
+]
+CONSTRUCTOR_IDS = [
+    "transport_infinite",
+    "lift_infinite",
+    "properly_infinite_to_infinite",
+    "transport_witness",
+]
+
+
+@pytest.mark.parametrize("build_input, construct", CONSTRUCTORS, ids=CONSTRUCTOR_IDS)
 def test_constructors_refuse_unverified_input(e2, build_input, construct):
     g, kp = e2
     cert = build_input(g, kp)
@@ -355,8 +354,36 @@ def test_constructors_refuse_unverified_input(e2, build_input, construct):
     doubled = WitnessCertificate(
         cert.kind, cert.target, ((name, val + val),) + rest, cert.derivation
     )
-    with pytest.raises(WitnessError, match="input certificate does not verify"):
+    # the input is not re-checked: the output it gives fails its check
+    with pytest.raises(WitnessError, match="verification failed"):
         construct(kp, doubled)
+
+
+def _corruptions(cert):
+    # each part doubled; for an Infinite certificate also r and s swapped,
+    # and q scaled by 2
+    parts = dict(cert.parts)
+    out = [{**parts, nm: x + x} for nm, x in cert.parts]
+    if cert.kind == "Infinite":
+        out.append({**parts, "r": parts["s"], "s": parts["r"]})
+        out.append({**parts, "q": parts["q"].scale(2)})
+    return [
+        WitnessCertificate(cert.kind, cert.target, tuple(p.items()), cert.derivation)
+        for p in out
+    ]
+
+
+@pytest.mark.parametrize("build_input, construct", CONSTRUCTORS, ids=CONSTRUCTOR_IDS)
+def test_constructors_on_corrupted_input_raise_or_verify(e2, build_input, construct):
+    # with no input re-check, a corrupted input is sound either way: the
+    # constructor raises, or its output passes every check
+    g, kp = e2
+    for bad in _corruptions(build_input(g, kp)):
+        try:
+            out = construct(kp, bad)
+        except WitnessError:
+            continue
+        assert failing_checks(out) == []
 
 
 def test_constructors_check_each_step_once(e2, monkeypatch):
@@ -480,131 +507,48 @@ def test_prove_vertex_unknown_vertex(e2):
         prove_vertex_properly_infinite(g, "nope")
 
 
-# -- images under quotient maps -----------------------------------------------------
+# -- one case per trace --------------------------------------------------------------
 
 
-def fed_pair(fed_loops, feeder_loops):
-    # v with its own loops, fed by the edge c from z with its own loops;
-    # {z} is hereditary and saturated
-    edges = [Edge("v%d" % i, 1, "v", "v") for i in range(fed_loops)]
-    edges += [Edge("z%d" % i, 1, "z", "z") for i in range(feeder_loops)]
-    return KGraph(1, ["v", "z"], edges + [Edge("c", 1, "z", "v")])
-
-
-def test_quotient_image_drops_terms_at_the_ideal():
-    # a certificate for s_v + s_z goes to the one a fresh build in the
-    # quotient by {z} gives for s_v: the s_z terms vanish, the rest stays
-    g = fed_pair(2, 2)
-    cert = prove_vertex_properly_infinite(g, "v", 2).cases[0].certificate
-    both = lift_infinite(cert, KP(g, QQ).s("v") + KP(g, QQ).s("z"))
-    gq = quotient(g, ("z",))
-    image = quotient_image(both, gq)
-    fresh = prove_vertex_properly_infinite(gq, "v", 2).cases[0].certificate
-    expected = lift_infinite(fresh, KP(gq, QQ).s("v"))
-    assert certificate_json(image) == certificate_json(expected)
-    assert image.graph is gq
-    assert all(lam.source == "v" for _, x in image.parts for (lam, _), _ in x.terms)
-    assert failing_checks(image) == []
-
-
-def test_certificates_are_pushed_only_into_larger_ideals():
-    # a certificate built in the quotient by {x} has lost its terms at x,
-    # so it may serve the quotient by {x, z} but not the one by {z}
-    g = KGraph(
-        1,
-        ["v", "x", "z"],
-        [Edge("v0", 1, "v", "v"), Edge("v1", 1, "v", "v")]
-        + [Edge(u + i, 1, u, u) for u in "xz" for i in "01"]
-        + [Edge("c", 1, "x", "v"), Edge("d", 1, "z", "v")],
-    )
-    hx, hz, hxz = ("x",), ("z",), ("x", "z")
-    gx = quotient(g, hx)
-    cert = prove_vertex_properly_infinite(gx, "v", 2).cases[0].certificate
-    built = {"route": [(hx, cert)]}
-    assert _pushed(built, "route", hz, quotient(g, hz)) == (hz, None)
-    built_in, image = _pushed(built, "route", hxz, quotient(g, hxz))
-    assert built_in == hx
-    assert certificate_json(image) == certificate_json(cert)
-
-
-def test_quotient_image_into_ideal_holding_the_cycle_raises():
-    # the route runs through the loops at z; in the quotient by {z} the
-    # image of q fills all of s_v, so the witness is no longer strict
-    g = fed_pair(1, 2)
-    assert _disjoint_cycle_pair(g, "v", 2)[0] == "z"
-    case = prove_vertex_properly_infinite(g, "v", 2).cases[0]
-    assert len(case.ideal) == 0 and case.route == "orthogonal-pair"
-    cert = case.certificate
-    with pytest.raises(WitnessError, match="quotient image: .*not strict"):
-        quotient_image(cert, quotient(g, ("z",)))
-
-
-def _payloads(cert):
-    # every element, matrix entry and path a certificate holds, in order
-    out = []
-
-    def add(x):
-        out.append(x)
-        if isinstance(x, KPMatrix):
-            for r in x.rows:
-                for y in r:
-                    add(y)
-
-    add(cert.target)
-    for _, x in cert.parts:
-        add(x)
-    for step in cert.derivation:
-        for _, x in step.elements:
-            add(x)
-        for _, lhs, rhs in step.checks:
-            add(lhs)
-            add(rhs)
-    return out
-
-
-def test_quotient_image_maps_each_shared_object_once():
-    # an object the source holds in several places, like p in its checks,
-    # has one image object, which the image holds in the same places
-    g = two_loop_lattice()
-    pushed = 0
-    for w in classify_pure_infiniteness(g, 2).witnesses:
-        built = {c.ideal: c.certificate for c in w.cases if c.built_in == c.ideal}
-        for c in w.cases:
-            if c.built_in == c.ideal:
-                continue
-            pushed += 1
-            src, img = _payloads(built[c.built_in]), _payloads(c.certificate)
-            assert len(src) == len(img)
-            images = {}
-            for x, y in zip(src, img):
-                images.setdefault(id(x), set()).add(id(y))
-            assert all(len(ys) == 1 for ys in images.values()), c.ideal
-            assert len(images) < len(src)
-    # one case per trace: x1 and x3 each have a case pushed into the
-    # quotient by their feeder
-    assert pushed == 2
-
-
-def test_each_pushed_image_is_checked_once(monkeypatch):
-    # every image is still checked in its own quotient, each exactly once
+def test_each_certificate_is_checked_once_when_made(monkeypatch):
+    # every constructor call checks its output once, and nothing else runs
+    # failing_checks: 11 cases on 4 constructor calls each, no input
+    # re-checked and no certificate checked a second time
     g = lattice8()
-    checked = []
+    calls, checked = [], []
     inner = witness.failing_checks
 
     def counting(cert, steps=None):
         checked.append(cert)
         return inner(cert, steps)
 
+    def called(name):
+        made = getattr(witness, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return made(*args)
+
+        return wrapper
+
     monkeypatch.setattr(witness, "failing_checks", counting)
+    for name in (
+        "witness_from_gen_cycle",
+        "transport_infinite",
+        "lift_infinite",
+        "orthogonal_witness",
+        "properly_infinite_to_infinite",
+        "transport_witness",
+    ):
+        monkeypatch.setattr(witness, name, called(name))
     rep = classify_pure_infiniteness(g, 2)
-    pushed = [c for w in rep.witnesses for c in w.cases if c.built_in != c.ideal]
-    certs = sum(len(w.cases) + (w.proper is not None) for w in rep.witnesses)
-    # 8 certificates built, 7 checks each (every constructor checks its
-    # input and output), and 3 pushed images checked once each
-    assert (len(checked), certs, len(pushed)) == (59, 19, 3)
-    times = Counter(id(cert) for cert in checked)
-    assert all(times[id(c.certificate)] == 1 for c in pushed)
-    for c in pushed:
+    cases = [c for w in rep.witnesses for c in w.cases]
+    certs = len(cases) + sum(w.proper is not None for w in rep.witnesses)
+    assert (len(checked), len(calls), len(cases), certs) == (44, 44, 11, 19)
+    made = {id(cert) for cert in checked}
+    assert len(made) == len(checked)
+    assert all(id(c.certificate) in made for c in cases)
+    for c in cases:
         assert set(c.certificate.graph.vertices) == set(g.vertices) - set(c.ideal)
 
 
@@ -650,37 +594,6 @@ def test_certificate_term_outside_the_reach_of_its_vertex_raises(monkeypatch):
     )
     with pytest.raises(WitnessError, match="source z, which does not reach v"):
         prove_vertex_properly_infinite(g, "v", 2)
-
-
-def _pushable():
-    # a certificate for s_v built over the whole graph, and the quotient by
-    # {z}, which its image survives
-    g = fed_pair(2, 2)
-    cert = prove_vertex_properly_infinite(g, "v", 2).cases[0].certificate
-    gq = quotient(g, ("z",))
-    assert failing_checks(quotient_image(cert, gq)) == []
-    return cert, gq
-
-
-def test_quotient_image_with_a_doubled_part_raises(monkeypatch):
-    cert, gq = _pushable()
-
-    def doubled(kind, target, parts, derivation):
-        parts = tuple((nm, x + x if nm == "r" else x) for nm, x in parts)
-        return WitnessCertificate(kind, target, parts, derivation)
-
-    monkeypatch.setattr(witness, "WitnessCertificate", doubled)
-    with pytest.raises(WitnessError, match="quotient image: .*r s = p"):
-        quotient_image(cert, gq)
-
-
-def test_quotient_image_with_a_confused_memo_raises(monkeypatch):
-    # were the memo to confuse two source objects, here all of them, each
-    # part would be the image of the target
-    cert, gq = _pushable()
-    monkeypatch.setattr(witness, "id", lambda x: 0, raising=False)
-    with pytest.raises(WitnessError, match="quotient image: .*not strict"):
-        quotient_image(cert, gq)
 
 
 # -- serialization ------------------------------------------------------------------
