@@ -108,7 +108,6 @@ from .witness import (
     properly_infinite_to_infinite,
     prove_vertex_properly_infinite,
     transport_infinite,
-    transport_witness,
     vertex_report_json,
     witness_from_gen_cycle,
 )

@@ -35,32 +35,32 @@ sizes of the degree classes.
 Degree-class joins: for a residual pair (a, b) and a candidate x,
 meet(d(a x), d(b x)) = d(x) + meet(d(a), d(b)) = d(x). So x separates
 (a, b) exactly when x is maximal or the heads of a x and b x, their
-prefixes at d(x), differ. The head of a x depends on a and x only, so the
-search computes it once per path and candidate rather than once per pair:
-within a range group, the paths of one degree form a degree class, and
-for each two classes whose degrees have meet 0 the pairs x leaves
-unseparated are those whose heads collide in a bucket join of the two
-classes (heads in one group share range and degree, so their edge words
-tell them apart). The residual pairs are never listed as a whole, only
-those a candidate leaves unseparated. The compose memo of the path kernel
-(``kgraph._memo``) holds one candidate's composites and their last
-prefix, so a head computed twice, or again by ``separates``, is not
-composed again. ``separates`` itself is called only where one pair meets
-one candidate: the pair that defeated the last candidate is tried first
-on the next (the first residual pair on the first).
+prefixes at d(x), differ (``_head``; heads in one range group share range
+and degree, so their edge words tell them apart). The head of a x depends
+on a and x only, so the search computes it once per path and candidate
+rather than once per pair: within a range group, the paths of one degree
+form a degree class, and for each two classes whose degrees have meet 0
+the first pair x leaves unseparated is the first head collision in a
+bucket join of the two classes. The residual pairs are never listed. The
+compose memo of the path kernel (``kgraph._memo``) holds one candidate's
+composites and their last prefix, so a head computed twice, or again by
+``separates``, is not composed again. ``separates`` itself is called only
+where one pair meets one candidate: the pair that defeated the last
+candidate is tried first on the next (the first residual pair on the
+first).
 
 The machine probe: when the pair that defeated one candidate defeats the
 next as well, the search asks the closed machine about it
 (``certify_never_separated``), once per pair and vertex search. A pair
 the machine certifies is separated by no extension at all, so by no
 candidate of the box, later ones included: the walk would lose on every
-remaining candidate, and it stops there. The certificate is then built
-as after a walk that lost on them all, by the stubborn-pair scan over
-the first candidate's survivors, which reuses the probe's answers, so
-verdict and certificate are those of the full walk. A pair the machine
-refuses costs only its states, and the walk goes on. The runs of the
-machine in one vertex search share their moves, so none composes a
-residual path with an edge twice.
+remaining candidate, and it stops there. The certificate is then the
+first pair, in ``_pairs_at`` order, whose residual pair the first
+candidate leaves unseparated (equal heads) and the machine certifies; the
+machine keeps the probe's answers, so verdict and certificate are those
+of the full walk. A pair the machine refuses costs only its states, and
+the walk goes on. The runs of the machine in one vertex search share
+their moves, so none composes a residual path with an edge twice.
 
 Locality across quotients: the quotient by a hereditary saturated set H
 keeps the edges with source outside H, and by heredity an edge with range
@@ -243,49 +243,35 @@ def _residual_classes(
     return count, classes, joins
 
 
+def _head(g: KGraph, p: Path, x: Path) -> Tuple[str, ...]:
+    """The edge word of the prefix of p x at d(x) (module docstring)."""
+    px = g.compose(p, x)
+    return (px if px.degree == x.degree else g.factorize(px, x.degree)[0]).edges
+
+
 def _unseparated(
-    g: KGraph,
-    classes: List[List[Path]],
-    joins: List[Join],
-    x: Path,
-    first_only: bool = False,
-) -> List[Tuple[Path, Path]]:
-    """The residual pairs x does not separate, in ``_pairs_at`` order; with
-    ``first_only`` only the first of them. A pair is unseparated when x is
-    not maximal and the heads of a x and b x at d(x) agree (module
-    docstring): each a probes the later classes, bucketed by head."""
-    d = x.degree
-
-    def head(p: Path) -> Tuple[str, ...]:
-        px = g.compose(p, x)
-        return (px if px.degree == d else g.factorize(px, d)[0]).edges
-
-    # per class, its paths bucketed by head, on first use
-    tables: Dict[int, Dict[Tuple[str, ...], List[Path]]] = {}
-
-    def bucket(j: int, h: Tuple[str, ...]) -> List[Path]:
-        table = tables.get(j)
-        if table is None:
-            table = tables[j] = {}
-            for b in classes[j]:
-                table.setdefault(head(b), []).append(b)
-        return table.get(h, [])
-
-    out: List[Tuple[Path, Path]] = []
+    g: KGraph, classes: List[List[Path]], joins: List[Join], x: Path
+) -> Optional[Tuple[Path, Path]]:
+    """The first residual pair, in ``_pairs_at`` order, that x does not
+    separate, or None: x is not maximal and the heads of a x and b x agree.
+    Each a probes the later classes, keyed by head."""
+    # per class, the first path of each head, on first use
+    tables: Dict[int, Dict[Tuple[str, ...], Path]] = {}
     for i, later in joins:
         for a in classes[i]:
-            h = head(a)
+            h = _head(g, a, x)
             for j in later:
-                hit = bucket(j, h)
-                # a maximal x separates every pair; asked at the first
-                # collision only, so a candidate that wins never asks
-                if hit and not out and _is_maximal(g, x):
-                    return out
-                for b in hit:
-                    out.append((a, b))
-                    if first_only:
-                        return out
-    return out
+                table = tables.get(j)
+                if table is None:
+                    table = tables[j] = {}
+                    for b in classes[j]:
+                        table.setdefault(_head(g, b, x), b)
+                b = table.get(h)
+                if b is not None:
+                    # a maximal x separates every pair; asked at the first
+                    # collision only, so a candidate that wins never asks
+                    return None if _is_maximal(g, x) else (a, b)
+    return None
 
 
 def _first_separator(
@@ -301,16 +287,19 @@ def _first_separator(
     # first residual pair. A pair that defeats a second candidate goes to
     # the closed machine; once it certifies one, no candidate can win and
     # the walk stops (module docstring)
-    defeating = [(classes[i][0], classes[later[0]][0]) for i, later in joins[:1]]
+    defeating = None
+    if joins:
+        i, later = joins[0]
+        defeating = (classes[i][0], classes[later[0]][0])
     defeats = 0
     for x in candidates:
-        if defeating and not separates(g, *defeating[0], x):
+        if defeating is not None and not separates(g, *defeating, x):
             defeats += 1
-            if defeats == 2 and machine.states(*defeating[0]) is not None:
+            if defeats == 2 and machine.states(*defeating) is not None:
                 return None
             continue
-        defeating = _unseparated(g, classes, joins, x, first_only=True)
-        if not defeating:
+        defeating = _unseparated(g, classes, joins, x)
+        if defeating is None:
             return x
         defeats = 1
     return None
@@ -364,13 +353,13 @@ def certify_never_separated(
     by one edge maps residuals to residuals, so a closed consistent set of
     reachable states shows prefix agreement for every extension. Soundness
     of the overall claim additionally needs every color in the degree
-    difference to be immortal (every vertex receives an edge of it);
+    difference to be immortal (``KGraph._immortal``: every vertex receives
+    an edge of it);
     otherwise a maximal boundary path of deficient degree could separate
     the pair literally, and we refuse to certify.
     """
-    delta = [a - b for a, b in zip(alpha.degree, beta.degree)]
-    for i, d in enumerate(delta):
-        if d != 0 and any(not g.edges_by_range(w, i + 1) for w in g.vertices):
+    for i, (a, b) in enumerate(zip(alpha.degree, beta.degree)):
+        if a != b and not g._immortal[i]:
             return None
     start = _strip(g, alpha, beta)
     if start is None:
@@ -420,34 +409,29 @@ def _periodic_certificate(
     g: KGraph,
     v: str,
     groups: List[List[Path]],
-    classes: List[List[Path]],
-    joins: List[Join],
     candidates: Tuple[Path, ...],
     machine: _Machine,
 ) -> Optional[PeriodicCertificate]:
-    """The first pair in ``_pairs_at`` order whose residual pair no
-    candidate separates and the machine certifies, or None."""
-    # only the first candidate's survivors are scanned: a pair the machine
-    # certifies is separated by no extension, so by no later candidate
-    # either. Only a presentation that does not validate has no candidate
-    # at all; there every residual pair survives.
-    if candidates:
-        left = _unseparated(g, classes, joins, candidates[0])
-    else:
-        left = [
-            (a, b)
-            for i, later in joins
-            for j in later
-            for a in classes[i]
-            for b in classes[j]
-        ]
-    if not left:
+    """The first pair in ``_pairs_at`` order whose residual pair the first
+    candidate leaves unseparated and the machine certifies, or None."""
+    # a pair the machine certifies is separated by no extension, so by no
+    # candidate: the first candidate's test only skips pairs the machine
+    # would refuse. Only a presentation that does not validate has no
+    # candidate at all; there every residual pair is asked.
+    x = candidates[0] if candidates else None
+    if x is not None and _is_maximal(g, x):
         return None
-    stubborn = set(left) | {(b, a) for a, b in left}
+    heads: Dict[Path, Tuple[str, ...]] = {}
     for a, b in _pairs_at(groups):
         res = _strip(g, a, b)
-        if res not in stubborn:
+        if res is None:
             continue
+        if x is not None:
+            for t in res:
+                if t not in heads:
+                    heads[t] = _head(g, t, x)
+            if heads[res[0]] != heads[res[1]]:
+                continue
         states = machine.states(*res)
         if states is not None:
             return PeriodicCertificate(a, b, v, len(candidates), states)
@@ -488,7 +472,7 @@ def aperiodicity_check(
             evidence.append(SeparationEvidence(v, winner, pairs_checked))
             continue
         candidates = g.boundary_paths(v, cap)
-        cert = _periodic_certificate(g, v, groups, classes, joins, candidates, machine)
+        cert = _periodic_certificate(g, v, groups, candidates, machine)
         if cert is not None:
             return AperiodicityVerdict("periodic", depth, (), cert, basis="certified")
         return AperiodicityVerdict(

@@ -220,11 +220,11 @@ def classify_pure_infiniteness(
         for c in conds
     )
 
-    negative = [w for w in witnesses if w.status == "Negative"]
-    if negative:
-        notes.append("vertex %s: %s" % (negative[0].vertex, negative[0].failure))
-        verdict = "NotPurelyInfinite"
-    elif all(w.status == "ProperlyInfinite" for w in witnesses):
+    # no witness is Negative: a vertex outside a saturated hereditary H
+    # keeps, for each color it receives, an edge of that color from
+    # outside H, so with no vertex starved every vertex of every quotient
+    # receives an edge, and a cycle reaches it
+    if all(w.status == "ProperlyInfinite" for w in witnesses):
         bounded = sum(
             verd.status == "aperiodic" and verd.basis == "bounded" for _, verd in sweep
         )

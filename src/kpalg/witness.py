@@ -383,43 +383,6 @@ def properly_infinite_to_infinite(cert: WitnessCertificate) -> WitnessCertificat
     )
 
 
-def transport_witness(
-    p: KPElement,
-    q: KPElement,
-    x: KPElement,
-    y: KPElement,
-    w: WitnessCertificate,
-) -> WitnessCertificate:
-    """Move a ProperlyInfinite witness for p across x y = p, y x = q."""
-    if w.kind != "ProperlyInfinite":
-        raise WitnessError("transport_witness needs a ProperlyInfinite certificate")
-    if not equals(w.target, p):
-        raise WitnessError("certificate target differs from p")
-    if not equals(x * y, p):
-        raise WitnessError("transport needs x y = p")
-    if not equals(y * x, q):
-        raise WitnessError("transport needs y x = q")
-    if not is_idempotent(q):
-        raise WitnessError("transport target q is not idempotent")
-    xx, yy = p * x * q, q * y * p
-    a2 = oplus(yy, yy) @ w.part("A") @ as_matrix(xx)
-    b2 = as_matrix(yy) @ w.part("B") @ oplus(xx, xx)
-    step = DerivationStep(
-        "equivalence-transport",
-        "conjugate the splitting matrices into the corner of q",
-        (("x", xx), ("y", yy)),
-        (("x y = p", xx * yy, p), ("y x = q", yy * xx, q)),
-    )
-    return _finish(
-        "ProperlyInfinite",
-        q,
-        (("A", a2), ("B", b2)),
-        w.derivation,
-        (step,),
-        "transport_witness",
-    )
-
-
 # -- per-vertex procedure ---------------------------------------------------------
 
 

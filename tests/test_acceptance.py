@@ -27,6 +27,7 @@ from kpalg import (
     lift_infinite,
     matrix_equals,
     orthogonal_witness,
+    properly_infinite_to_infinite,
     prove_vertex_properly_infinite,
     quotient,
     row,
@@ -34,7 +35,6 @@ from kpalg import (
     star_generator,
     strong_aperiodicity_sweep,
     transport_infinite,
-    transport_witness,
     validate,
     vertex_conditions,
     vertex_unit,
@@ -367,7 +367,8 @@ def test_randomized_transports_and_compositions(capsys):
                 bad.append((name, str(lam), stage, fails[0]))
 
     # composed witnesses: split a vertex through a random pair of cycles
-    # with no common extension, then push into a random cylinder corner
+    # with no common extension, then take a strict copy into a random
+    # cylinder corner
     composed = 0
     compose_graphs = ["e2", "b3", "two_loops_plus_exit", "prod_b2_b2", "rsq2"]
     pools = {}
@@ -404,10 +405,14 @@ def test_randomized_transports_and_compositions(capsys):
         )
         lam = [m1, m2][rng.randrange(2)]
         corner = spanning_term(g, QQ, lam, lam)
-        moved = transport_witness(
-            pw, corner, star_generator(g, QQ, lam), generator(g, QQ, lam), proper
+        moved = transport_infinite(
+            properly_infinite_to_infinite(proper),
+            star_generator(g, QQ, lam),
+            generator(g, QQ, lam),
         )
         composed += 1
+        if not equals(moved.target, corner):
+            bad.append((name, str(lam), "transported", "target is not the corner"))
         for stage, c in (("orthogonal", proper), ("transported", moved)):
             fails = failing_checks(c)
             if fails:

@@ -318,6 +318,19 @@ def test_witnesses_match_from_scratch_on_random_presentations(g, depth):
     assert_witnesses_match_from_scratch(g, depth)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    g=st.one_of(RANDOM_GRAPHS, st.sampled_from([mk for _, mk in CORPUS]).map(lambda mk: mk())),
+    depth=st.integers(1, 2),
+    assume=st.booleans(),
+)
+def test_classify_never_reports_a_negative_witness(g, depth, assume):
+    # witnesses are built only when no vertex is starved, and then a cycle
+    # reaches every vertex of every quotient
+    rep = classify_pure_infiniteness(g, depth, assume_aperiodic=assume)
+    assert {w.status for w in rep.witnesses} <= {"ProperlyInfinite", "Inconclusive"}
+
+
 def _count_calls(monkeypatch, name):
     # wrap an ideals function in every kpalg module that holds it
     from kpalg import ideals

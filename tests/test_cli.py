@@ -29,9 +29,10 @@ def write_graph(tmp_path, name):
 
 
 def unknown_verdict_graph():
-    # a torus next to two disjoint monochrome cycles: every stubborn pair
-    # at the torus vertex has a mortal color in its degree gap, so the
-    # periodicity machine refuses and the verdict stays unknown
+    # a torus next to two disjoint monochrome cycles: every pair the first
+    # candidate leaves unseparated at the torus vertex has a mortal color
+    # in its degree gap, so the periodicity machine refuses and the
+    # verdict stays unknown
     edges = [
         Edge("e", 1, "v", "v"),
         Edge("f", 2, "v", "v"),

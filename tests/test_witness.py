@@ -35,7 +35,6 @@ from kpalg import (
     reachable_to,
     row,
     transport_infinite,
-    transport_witness,
     vertex_report_json,
     witness_from_gen_cycle,
 )
@@ -287,32 +286,6 @@ def test_properly_infinite_rejects_zero_idempotent(e2):
         properly_infinite_to_infinite(degenerate)
 
 
-# -- moving proper witnesses --------------------------------------------------------
-
-
-def test_transport_witness_into_cylinder_corner(e2):
-    g, kp = e2
-    proper = canonical_splitting(kp)
-    pa = kp.path("a")
-    q = kp.term(pa, pa)
-    moved = transport_witness(kp.s("v"), q, kp.star(pa), kp.s(pa), proper)
-    assert moved.kind == "ProperlyInfinite"
-    assert equals(moved.target, q)
-    assert failing_checks(moved) == []
-
-
-def test_transport_witness_guards(e2):
-    g, kp = e2
-    proper = canonical_splitting(kp)
-    inf = properly_infinite_to_infinite(proper)
-    pa = kp.path("a")
-    q = kp.term(pa, pa)
-    with pytest.raises(WitnessError, match="ProperlyInfinite certificate"):
-        transport_witness(kp.s("v"), q, kp.star(pa), kp.s(pa), inf)
-    with pytest.raises(WitnessError, match="target differs from p"):
-        transport_witness(q, q, q, q, proper)
-
-
 # each constructor that takes a certificate, with an input for it
 CONSTRUCTORS = [
     (
@@ -327,22 +300,11 @@ CONSTRUCTORS = [
         lambda g, kp: canonical_splitting(kp),
         lambda kp, c: properly_infinite_to_infinite(c),
     ),
-    (
-        lambda g, kp: canonical_splitting(kp),
-        lambda kp, c: transport_witness(
-            kp.s("v"),
-            kp.term(kp.path("a"), kp.path("a")),
-            kp.star(kp.path("a")),
-            kp.s(kp.path("a")),
-            c,
-        ),
-    ),
 ]
 CONSTRUCTOR_IDS = [
     "transport_infinite",
     "lift_infinite",
     "properly_infinite_to_infinite",
-    "transport_witness",
 ]
 
 
@@ -387,8 +349,8 @@ def test_constructors_on_corrupted_input_raise_or_verify(e2, build_input, constr
 
 
 def test_constructors_check_each_step_once(e2, monkeypatch):
-    # every derivation check runs once, when its step is made; inputs and
-    # outputs are otherwise checked by their final relations only
+    # every derivation check runs once, when its step is made; a
+    # constructor checks only its output's final relations and its own step
     import kpalg.witness as witness_module
 
     replayed = []
@@ -406,15 +368,14 @@ def test_constructors_check_each_step_once(e2, monkeypatch):
 
 
 def test_transport_chain_round_trip(e2):
-    # proper at the vertex -> corner of a.a -> strict copy -> lift back up
+    # proper at the vertex -> strict copy -> corner of a.a -> lift back up
     g, kp = e2
     proper = canonical_splitting(kp)
     lam = kp.path("a", "a")
-    at_corner = transport_witness(
-        kp.s("v"), kp.term(lam, lam), kp.star(lam), kp.s(lam), proper
-    )
-    inf = properly_infinite_to_infinite(at_corner)
-    back = lift_infinite(inf, kp.s("v"))
+    inf = properly_infinite_to_infinite(proper)
+    at_corner = transport_infinite(inf, kp.star(lam), kp.s(lam))
+    assert equals(at_corner.target, kp.term(lam, lam))
+    back = lift_infinite(at_corner, kp.s("v"))
     assert equals(back.target, kp.s("v"))
     assert failing_checks(back) == []
     rules = [st.rule for st in back.derivation]
@@ -538,7 +499,6 @@ def test_each_certificate_is_checked_once_when_made(monkeypatch):
         "lift_infinite",
         "orthogonal_witness",
         "properly_infinite_to_infinite",
-        "transport_witness",
     ):
         monkeypatch.setattr(witness, name, called(name))
     rep = classify_pure_infiniteness(g, 2)
