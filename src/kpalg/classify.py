@@ -12,7 +12,7 @@ the obstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .field import Field, QQ
@@ -90,19 +90,17 @@ def strong_aperiodicity_sweep(
     g: KGraph,
     depth: int = 6,
     quotients: Optional[QuotientTable] = None,
-    reach: Optional[Dict[str, FrozenSet[str]]] = None,
 ) -> Tuple[Tuple[Ideal, AperiodicityVerdict], ...]:
     """Aperiodicity verdict for the quotient by every hereditary
     saturated set, the empty quotient included (vacuously aperiodic).
     ``quotients`` is the quotient table to read, built here when absent.
     A separator found at v serves every quotient with the same H & D(v),
     D(v) being the vertices v reaches (aperiodicity's locality across
-    quotients); only winners are kept, so a miss is searched again.
-    ``reach`` maps each vertex v to D(v), computed here when absent."""
+    quotients, read from ``reachable_to``, which keeps D(v) on the graph);
+    only winners are kept, so a miss is searched again."""
     if quotients is None:
         quotients = quotient_table(g)
-    if reach is None:
-        reach = _reach_sets(g)
+    reach = {v: frozenset(reachable_to(g, v)) for v in g.vertices}
     # (v, H & D(v)) -> the separation evidence found at v
     winners: Dict = {}
     out = []
@@ -114,11 +112,6 @@ def strong_aperiodicity_sweep(
             winners.setdefault(keys[ev.vertex], ev)
         out.append((h, verd))
     return tuple(out)
-
-
-def _reach_sets(g: KGraph) -> Dict[str, FrozenSet[str]]:
-    """D(v) for every vertex v: the key set of ``reachable_to(g, v)``."""
-    return {v: frozenset(reachable_to(g, v)) for v in g.vertices}
 
 
 def _describe(h: Ideal) -> str:
@@ -153,9 +146,7 @@ def classify_pure_infiniteness(
     conds = vertex_conditions(g)
     _assert_consistent(conds)
     quotients = quotient_table(g)
-    # D(v) once per vertex, for the sweep and the witness search
-    reach = _reach_sets(g)
-    sweep = strong_aperiodicity_sweep(g, depth, quotients, reach)
+    sweep = strong_aperiodicity_sweep(g, depth, quotients)
 
     starved = [c.vertex for c in conds if not c.receives]
     if starved:
@@ -215,7 +206,6 @@ def classify_pure_infiniteness(
             fld,
             aperiodicity=gate,
             quotients=quotients,
-            reach=reach[c.vertex],
         )
         for c in conds
     )

@@ -140,7 +140,8 @@ class KGraph:
 
     Treated as immutable after construction; the paths of each exact degree
     at each vertex are cached on the instance once ``paths`` has listed them,
-    and each trivial path once ``trivial_path`` has built it.
+    each trivial path once ``trivial_path`` has built it, each vertex's
+    ``paths.reachable_to`` answer once asked for, and the ``validate`` report.
     """
 
     def __init__(
@@ -208,6 +209,8 @@ class KGraph:
         )
         self._paths_cache: Dict[Tuple[str, Degree], Tuple[Path, ...]] = {}
         self._trivial: Dict[str, Path] = {}
+        self._reach: Dict[str, Dict[str, Path]] = {}
+        self._validation: Optional[ValidationReport] = None
 
     def __repr__(self) -> str:
         return "<KGraph k=%d |V|=%d |E|=%d>" % (
@@ -475,7 +478,10 @@ class ValidationReport:
 
 
 def validate(g: KGraph) -> ValidationReport:
-    """Check a presentation: endpoints, square axioms, hexagons, local convexity."""
+    """Check a presentation: endpoints, square axioms, hexagons, local convexity.
+    The report is kept on the graph; callers must not change it."""
+    if g._validation is not None:
+        return g._validation
     out: List[Violation] = []
     vset = set(g.vertices)
 
@@ -621,7 +627,8 @@ def validate(g: KGraph) -> ValidationReport:
                     )
                 )
 
-    return ValidationReport(out)
+    g._validation = ValidationReport(out)
+    return g._validation
 
 
 # -- file format ------------------------------------------------------------

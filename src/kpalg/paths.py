@@ -128,10 +128,12 @@ def find_entrance(
 def reachable_to(g: KGraph, v: str) -> Dict[str, Path]:
     """For each vertex w reaching v, a shortest path in vLambda w.
 
-    Breadth-first over in-edges; deterministic by edge-id order.
+    Breadth-first over in-edges; deterministic by edge-id order. The
+    answer is kept on the graph; callers must not change the dict.
     """
-    if not g.has_vertex(v):
-        raise KGraphError("unknown vertex %r" % v)
+    cached = g._reach.get(v)
+    if cached is not None:
+        return cached
     out: Dict[str, Path] = {v: g.trivial_path(v)}
     frontier = [v]
     while frontier:
@@ -143,6 +145,7 @@ def reachable_to(g: KGraph, v: str) -> Dict[str, Path]:
                     out[e.source] = g.compose(gamma, g.path_from_edges([e.id]))
                     nxt.append(e.source)
         frontier = nxt
+    g._reach[v] = out
     return out
 
 

@@ -493,7 +493,6 @@ def prove_vertex_properly_infinite(
     fld: Field = QQ,
     aperiodicity: Optional[AperiodicityVerdict] = None,
     quotients: Optional[QuotientTable] = None,
-    reach: Optional[FrozenSet[str]] = None,
 ) -> VertexInfinitenessReport:
     """Certify the image of s_v infinite in the quotient by every ideal
     avoiding v.
@@ -517,14 +516,12 @@ def prove_vertex_properly_infinite(
 
     ``quotients`` is the quotient table to read; when absent, the
     quotient by the least ideal of each trace is built as the search
-    reaches it. ``reach`` is D(v), the key set of ``reachable_to(g, v)``,
-    computed here when absent.
+    reaches it. D(v) is the key set of ``reachable_to(g, v)``, kept on g.
     """
     check_depth(depth)
     if not g.has_vertex(v):
         raise KGraphError("unknown vertex %r" % v)
-    if reach is None:
-        reach = frozenset(reachable_to(g, v))
+    reach = frozenset(reachable_to(g, v))
     reaches = tuple(sorted(reach))
     if aperiodicity is None:
         aperiodicity = aperiodicity_check(g, depth)

@@ -398,30 +398,32 @@ def test_classify_makes_one_case_per_trace_on_a_972_ideal_lattice(monkeypatch):
 
 
 def test_classify_computes_each_reach_set_once(monkeypatch):
-    # D(v) once per vertex, read by the sweep and passed to the witness
-    # search, which would otherwise compute it again
-    from kpalg import classify as mod
+    # D(v) is kept on the graph: the cycle search, the sweep and both
+    # witness routes read one answer per (graph, vertex)
+    from kpalg import paths
 
     g = lattice8()
-    reached, passed = [], {}
-    reach, prove = mod.reachable_to, mod.prove_vertex_properly_infinite
+    orig = paths.reachable_to
+    answers = []
 
-    def counted(gr, v):
-        reached.append(v)
-        return reach(gr, v)
+    def recorded(gr, v):
+        out = orig(gr, v)
+        answers.append((gr, v, out))
+        return out
 
-    def recorded(gr, v, *args, **kwargs):
-        passed[v] = kwargs["reach"]
-        return prove(gr, v, *args, **kwargs)
-
-    monkeypatch.setattr(mod, "reachable_to", counted)
-    monkeypatch.setattr(mod, "prove_vertex_properly_infinite", recorded)
+    for mod_name, mod in list(sys.modules.items()):
+        held = getattr(mod, "reachable_to", None)
+        if mod_name.split(".")[0] == "kpalg" and held is orig:
+            monkeypatch.setattr(mod, "reachable_to", recorded)
     rep = classify_pure_infiniteness(g, depth=2)
     assert rep.verdict == "ProperlyPurelyInfinite"
-    assert reached == list(g.vertices)
-    assert passed == {v: frozenset(reach(g, v)) for v in g.vertices}
+    first = {}
+    for gr, v, out in answers:
+        assert first.setdefault((id(gr), v), out) is out
+    # the 8 vertices of g and 3 (quotient, vertex) pairs of route one
+    assert len(first) == 11
     assert [w.reaches for w in rep.witnesses] == [
-        tuple(sorted(passed[v])) for v in g.vertices
+        tuple(sorted(orig(g, v))) for v in g.vertices
     ]
 
 

@@ -275,6 +275,25 @@ def test_classify_positive(tmp_path, capsys):
     assert "note:" in out
 
 
+def test_classify_validates_once(tmp_path, monkeypatch, capsys):
+    # the report is kept on the graph, so classify reads the one the CLI
+    # made before dispatching
+    from kpalg import kgraph
+
+    built = []
+    orig = kgraph.ValidationReport
+
+    def counted(*args):
+        built.append(orig(*args))
+        return built[-1]
+
+    monkeypatch.setattr(kgraph, "ValidationReport", counted)
+    assert main(["classify", write_graph(tmp_path, "e2"), "--depth", "2"]) == 0
+    assert len(built) == 1 and built[0].ok
+    g = build("e2")
+    assert kgraph.validate(g) is kgraph.validate(g)
+
+
 def test_classify_negative_is_definite(tmp_path, capsys):
     assert main(["classify", write_graph(tmp_path, "omega11"), "--depth", "3"]) == 0
     assert "verdict: NotPurelyInfinite" in capsys.readouterr().out
