@@ -84,8 +84,10 @@ trace T exactly:
 - The least ideal. An ideal H of trace T avoiding v contains T, hence
   closure(T). So T <= closure(T) & D(v) <= H & D(v) = T, and v lies
   outside closure(T): closure(T) is the least ideal of trace T, and it
-  avoids v. The lattice order sorts ideals by size, so it is the first
-  ideal of trace T the search reaches.
+  avoids v. So the traces at v are the fixed points avoiding v of the
+  closure operator c_v(T) = closure(T) & D(v) on subsets of D(v), and a
+  fixed point above T contains c_v(T + u) for each of its vertices u
+  outside T: ``traces`` lists them by closing one-vertex augmentations.
 - Route two. ``find_reaching_gen_cycle`` tries pairs (mu, nu) whose
   common source lies in D(v) - T, in an order fixed by degrees, the
   vertex order of the graph and edge words. It tests containment with the
@@ -450,10 +452,13 @@ def aperiodicity_check(
 ) -> AperiodicityVerdict:
     """Three-valued aperiodicity check with explicit certificates.
     ``known`` maps vertices v to the evidence found in another quotient of
-    the same graph by an ideal with the same H & D(v) (module docstring)."""
+    the same graph by an ideal with the same H & D(v) (module docstring).
+    ``unknown`` comes only after every vertex has been tried, and names
+    the first vertex left unsettled."""
     check_depth(depth)
     evidence: List[SeparationEvidence] = []
     paths = None
+    stuck = None
     for v in g.vertices:
         if known and v in known:
             ev = known[v]
@@ -475,11 +480,14 @@ def aperiodicity_check(
         cert = _periodic_certificate(g, v, groups, candidates, machine)
         if cert is not None:
             return AperiodicityVerdict("periodic", depth, (), cert, basis="certified")
+        if stuck is None:
+            stuck = v
+    if stuck is not None:
         return AperiodicityVerdict(
             "unknown",
             depth,
             note="vertex %s: no single separating boundary path within depth %d"
-            % (v, depth),
+            % (stuck, depth),
         )
     # with no vertex there is nothing to separate: vacuously aperiodic
     basis = "bounded" if g.vertices else "certified"

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .field import Field, QQ
-from .ideals import Ideal, QuotientTable, quotient_table
+from .ideals import Ideal, enumerate_sat_her, quotient
 from .kgraph import KGraph, KGraphError, Path, validate
 from .paths import find_cycle_reaching, reachable_to
 from .witness import (
@@ -87,24 +87,21 @@ def _assert_consistent(conds: Tuple[VertexConditions, ...]) -> None:
 
 
 def strong_aperiodicity_sweep(
-    g: KGraph,
-    depth: int = 6,
-    quotients: Optional[QuotientTable] = None,
+    g: KGraph, depth: int = 6
 ) -> Tuple[Tuple[Ideal, AperiodicityVerdict], ...]:
     """Aperiodicity verdict for the quotient by every hereditary
-    saturated set, the empty quotient included (vacuously aperiodic).
-    ``quotients`` is the quotient table to read, built here when absent.
-    A separator found at v serves every quotient with the same H & D(v),
-    D(v) being the vertices v reaches (aperiodicity's locality across
-    quotients, read from ``reachable_to``, which keeps D(v) on the graph);
-    only winners are kept, so a miss is searched again."""
-    if quotients is None:
-        quotients = quotient_table(g)
+    saturated set, the empty quotient included (vacuously aperiodic),
+    each quotient built here from the lattice. A separator found at v
+    serves every quotient with the same H & D(v), D(v) being the vertices
+    v reaches (aperiodicity's locality across quotients, read from
+    ``reachable_to``, which keeps D(v) on the graph); only winners are
+    kept, so a miss is searched again."""
     reach = {v: frozenset(reachable_to(g, v)) for v in g.vertices}
     # (v, H & D(v)) -> the separation evidence found at v
     winners: Dict = {}
     out = []
-    for h, gq in quotients:
+    for h in enumerate_sat_her(g).sets:
+        gq = quotient(g, h, _closed=True)
         keys = {v: (v, reach[v].intersection(h)) for v in gq.vertices}
         known = {v: winners[key] for v, key in keys.items() if key in winners}
         verd = aperiodicity_check(gq, depth, known)
@@ -145,8 +142,7 @@ def classify_pure_infiniteness(
     notes: List[str] = []
     conds = vertex_conditions(g)
     _assert_consistent(conds)
-    quotients = quotient_table(g)
-    sweep = strong_aperiodicity_sweep(g, depth, quotients)
+    sweep = strong_aperiodicity_sweep(g, depth)
 
     starved = [c.vertex for c in conds if not c.receives]
     if starved:
@@ -199,14 +195,7 @@ def classify_pure_infiniteness(
 
     gate = next(verd for h, verd in sweep if len(h) == 0)
     witnesses = tuple(
-        prove_vertex_properly_infinite(
-            g,
-            c.vertex,
-            depth,
-            fld,
-            aperiodicity=gate,
-            quotients=quotients,
-        )
+        prove_vertex_properly_infinite(g, c.vertex, depth, fld, aperiodicity=gate)
         for c in conds
     )
 

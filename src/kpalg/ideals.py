@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from .kgraph import KGraph, KGraphError
+from .paths import reachable_to
 
 # a saturated hereditary set: its vertex ids, sorted
 Ideal = Tuple[str, ...]
@@ -90,15 +91,38 @@ def enumerate_sat_her(g: KGraph) -> IdealLattice:
     return IdealLattice(sets, tuple(covers))
 
 
+def traces(g: KGraph, v: str) -> Tuple[Ideal, ...]:
+    """closure(T) for each trace T = H & D(v) of the ideals H avoiding v,
+    in lattice order: the fixed points avoiding v of closure(T) & D(v)
+    (``aperiodicity.py`` docstring), found by closing one-vertex
+    augmentations inside D(v) as ``enumerate_sat_her`` does."""
+    if not g.has_vertex(v):
+        raise KGraphError("unknown vertex %r" % v)
+    reach = frozenset(reachable_to(g, v))
+    found: Set[FrozenSet[str]] = set()
+    work = [frozenset()]
+    while work:
+        h = work.pop()
+        if h in found:
+            continue
+        found.add(h)
+        for u in reach.difference(h, (v,)):
+            big = frozenset(_close(g, h | {u}))
+            if v not in big:
+                work.append(big)
+    sets = (tuple(sorted(h)) for h in found)
+    return tuple(sorted(sets, key=lambda h: (len(h), h)))
+
+
 def quotient(g: KGraph, h: Ideal, *, _closed: bool = False) -> KGraph:
     """The k-graph on the vertices outside h, with paths avoiding h.
 
     Only edges whose source survives are kept; heredity guarantees their
     ranges survive too, and every square either survives whole or loses its
     shared source. The quotient by the empty set is g itself. A set that
-    is not its own closure is refused; ``_closed`` skips that check, and
-    only ``quotient_table`` passes it, for sets the lattice produced as
-    closures.
+    is not its own closure is refused; ``_closed`` skips that check, for
+    the closures the sweep and the witness search take from
+    ``enumerate_sat_her`` and ``traces``.
     """
     if len(h) == 0:
         return g
@@ -116,17 +140,3 @@ def quotient(g: KGraph, h: Ideal, *, _closed: bool = False) -> KGraph:
         if e in keep and f in keep and fp in keep and ep in keep
     ]
     return KGraph(g.k, vertices, edges, squares)
-
-
-QuotientTable = Tuple[Tuple[Ideal, KGraph], ...]
-
-
-def quotient_table(g: KGraph) -> QuotientTable:
-    """Every saturated hereditary set in lattice order, with its quotient.
-
-    One table serves a whole decision: the aperiodicity sweep and the
-    witness search of every vertex read the same quotient graphs, so each
-    is built once and its path caches are shared. Each set is a closure
-    already, so it is not closed again.
-    """
-    return tuple((h, quotient(g, h, _closed=True)) for h in enumerate_sat_her(g).sets)

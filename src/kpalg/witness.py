@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
 from .degrees import total
 from .field import Field, QQ
-from .ideals import Ideal, QuotientTable, enumerate_sat_her, quotient
+from .ideals import Ideal, quotient, traces
 from .kgraph import KGraph, KGraphError, Path
 from .kpelement import (
     KPElement,
@@ -492,7 +492,6 @@ def prove_vertex_properly_infinite(
     depth: int = 6,
     fld: Field = QQ,
     aperiodicity: Optional[AperiodicityVerdict] = None,
-    quotients: Optional[QuotientTable] = None,
 ) -> VertexInfinitenessReport:
     """Certify the image of s_v infinite in the quotient by every ideal
     avoiding v.
@@ -500,23 +499,18 @@ def prove_vertex_properly_infinite(
     Refuses outright when the graph is certified periodic: the reading of
     these certificates as proper infiniteness needs aperiodicity, and a
     certified counterexample cannot be argued away. Otherwise one loop
-    walks the quotients in lattice order and makes one case per trace
-    T = H & D(v) of the ideals H avoiding v, building its certificate in
-    the first quotient of that trace, the one by closure(T). That case
-    serves every ideal of trace T (the witness search paragraph of
-    ``aperiodicity.py``); every term of its certificate must start in
-    D(v), or WitnessError is raised. In each case, route one looks for a
-    vertex reaching v that carries two cycles
+    makes one case per trace T = H & D(v) of the ideals H avoiding v, in
+    the order of ``traces``, and builds the quotient by closure(T) for its
+    certificate. That case serves every ideal of trace T (the witness
+    search paragraph of ``aperiodicity.py``); every term of its
+    certificate must start in D(v), or WitnessError is raised. In each
+    case, route one looks for a vertex reaching v that carries two cycles
     with no common extension; route two falls back to a generalized cycle
     with an entrance. The first trace that neither route certifies ends
     the search: it is a definitive negative when no cycle reaches v
     there, since that corner is finite dimensional, and merely
     inconclusive otherwise, a depth-bounded miss. A depth below 1 raises
-    ValueError.
-
-    ``quotients`` is the quotient table to read; when absent, the
-    quotient by the least ideal of each trace is built as the search
-    reaches it. D(v) is the key set of ``reachable_to(g, v)``, kept on g.
+    ValueError. D(v) is the key set of ``reachable_to(g, v)``, kept on g.
     """
     check_depth(depth)
     if not g.has_vertex(v):
@@ -545,18 +539,8 @@ def prove_vertex_properly_infinite(
         )
     cases: List[IdealCase] = []
     proper: Optional[WitnessCertificate] = None
-    if quotients is None:
-        # each quotient is built only when its ideal starts a new trace
-        quotients = ((h, None) for h in enumerate_sat_her(g).sets)
-    seen: Set[FrozenSet[str]] = set()
-    for h, gq in quotients:
-        trace = reach.intersection(h)
-        if v in h or trace in seen:
-            # the case at closure(trace), reached first, serves h
-            continue
-        seen.add(trace)
-        if gq is None:
-            gq = quotient(g, h)
+    for h in traces(g, v):
+        gq = quotient(g, h, _closed=True)
         pair = _disjoint_cycle_pair(gq, v, depth)
         if pair is not None:
             route = "orthogonal-pair"
@@ -572,7 +556,8 @@ def prove_vertex_properly_infinite(
             route = "generalized-cycle"
             cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
         _require_local(cert_v, v, reach)
-        cases.append(IdealCase(h, route, cert_v, tuple(sorted(trace))))
+        trace = tuple(sorted(reach.intersection(h)))
+        cases.append(IdealCase(h, route, cert_v, trace))
     else:
         # every trace certified
         return VertexInfinitenessReport(

@@ -444,9 +444,23 @@ def _reaching(g, v):
         out |= more
 
 
+def brute_traces(g, v):
+    """closure(H & D(v)) for every saturated hereditary H avoiding v, in
+    lattice order; the lattice is ``brute_sat_her`` and the closure of T
+    the meet of its sets containing T."""
+    lattice = brute_sat_her(g)
+    reach = _reaching(g, v)
+    out = set()
+    for h in lattice:
+        if v not in h:
+            t = h & reach
+            out.add(frozenset.intersection(*[m for m in lattice if t <= m]))
+    return sorted((tuple(sorted(h)) for h in out), key=lambda h: (len(h), h))
+
+
 def prove_vertex_from_scratch(g, v, depth, fld=QQ):
     """``prove_vertex_properly_infinite`` per ideal rather than per trace,
-    without a shared quotient table, for a graph not certified periodic.
+    for a graph not certified periodic.
 
     Enumerates the lattice afresh, builds a fresh quotient for every ideal
     avoiding v, and builds every certificate from scratch in its quotient

@@ -34,7 +34,7 @@ from kpalg import aperiodicity, kgraph
 from kpalg.aperiodicity import _pairs_at, _paths_by_source, _residual_classes, _unseparated
 from kpalg.classify import aperiodicity_json
 from kpalg.degrees import below, meet, total
-from kpalg.ideals import quotient_table
+from kpalg.ideals import enumerate_sat_her
 
 # depth 2 keeps the separator search cheap on the product graphs while
 # still exercising nontrivial pair sets
@@ -483,20 +483,25 @@ def test_each_defeating_pair_goes_to_the_machine_once(monkeypatch, mk):
 # -- locality across quotients ----------------------------------------------------
 
 
+def _presentation(g):
+    return g.k, g.vertices, g.edges, g.square_fwd
+
+
 def assert_sweep_matches_fresh_checks(g, depth):
     # the sweep reuses separators across quotients; a fresh check of each
     # quotient must give the same verdict, with evidence over the quotient
-    table = quotient_table(g)
-    sweep = strong_aperiodicity_sweep(g, depth, table)
-    assert [h for h, _ in sweep] == [h for h, _ in table]
-    for (h, verd), (_, gq) in zip(sweep, table):
+    sweep = strong_aperiodicity_sweep(g, depth)
+    assert [h for h, _ in sweep] == list(enumerate_sat_her(g).sets)
+    for h, verd in sweep:
+        gq = quotient(g, h)
         fresh = aperiodicity_check(gq, depth)
-        got = (verd.status, verd.basis, verd.depth, verd.certificate, verd.note)
-        want = (fresh.status, fresh.basis, fresh.depth, fresh.certificate, fresh.note)
-        assert got == want, h
-        # vertex, separator word and graph, pairs_checked
-        assert verd.evidence == fresh.evidence, h
-        assert all(ev.separator.graph is gq for ev in verd.evidence), h
+        # status, basis, depth, note, certificate, and per vertex the
+        # separator word and pairs_checked
+        assert aperiodicity_json(verd) == aperiodicity_json(fresh), h
+        homes = [ev.separator.graph for ev in verd.evidence]
+        if verd.certificate is not None:
+            homes += [verd.certificate.alpha.graph, verd.certificate.beta.graph]
+        assert all(_presentation(q) == _presentation(gq) for q in homes), h
 
 
 def test_sweep_matches_fresh_checks_on_corpus():
@@ -615,3 +620,16 @@ def test_certified_answers_do_not_change_with_depth(g):
             )
         else:
             assert verd.status in ("aperiodic", "unknown")
+
+
+def test_a_stuck_vertex_does_not_hide_a_later_periodic_one():
+    # v0 is settled by no separator at even depths; the check goes on to
+    # v1, whose loop e2 gives a certified pair, at every depth
+    ends = [("v0", "v2"), ("v0", "v2"), ("v1", "v1"), ("v2", "v0")]
+    edges = [Edge("e%d" % i, 1, s, r) for i, (s, r) in enumerate(ends)]
+    g = KGraph(1, ["v0", "v1", "v2"], edges)
+    for depth in (1, 2, 3, 4):
+        verd = aperiodicity_check(g, depth)
+        assert (verd.status, verd.basis) == ("periodic", "certified"), depth
+        c = verd.certificate
+        assert (c.vertex, str(c.alpha), str(c.beta)) == ("v1", "v1", "e2"), depth

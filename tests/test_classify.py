@@ -43,7 +43,7 @@ from kpalg import (
     vertex_report_json,
 )
 from kpalg.classify import _assert_consistent, aperiodicity_json, conditions_json
-from kpalg.ideals import enumerate_sat_her, quotient_table, sat_her_closure
+from kpalg.ideals import enumerate_sat_her, sat_her_closure
 from kpalg.witness import IdealCase
 from oracles import prove_vertex_from_scratch
 
@@ -259,17 +259,14 @@ def per_ideal(g, rep):
 
 def assert_witnesses_match_from_scratch(g, depth):
     # the witnesses classify returns, and a witness search for every vertex
-    # over one shared table with the gate forced open, expanded to every
-    # ideal, against fresh builds in every quotient
+    # with the gate forced open, expanded to every ideal, against fresh
+    # builds in every quotient
     for w in classify_pure_infiniteness(g, depth).witnesses:
         expected = prove_vertex_from_scratch(g, w.vertex, depth)
         assert in_memory(per_ideal(g, w)) == in_memory(expected), w.vertex
-    table = quotient_table(g)
     gate = AperiodicityVerdict("unknown", depth)
     for v in g.vertices:
-        got = prove_vertex_properly_infinite(
-            g, v, depth, aperiodicity=gate, quotients=table
-        )
+        got = prove_vertex_properly_infinite(g, v, depth, aperiodicity=gate)
         expected = prove_vertex_from_scratch(g, v, depth)
         assert in_memory(per_ideal(g, got)) == in_memory(expected), v
 
@@ -348,7 +345,9 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
-def test_classify_builds_each_quotient_once(monkeypatch):
+def test_classify_builds_one_quotient_per_ideal_and_per_case(monkeypatch):
+    # the sweep builds each ideal's quotient once, and each witness case
+    # the quotient by its own ideal
     g = two_loop_lattice()
     enumerated = _count_calls(monkeypatch, "enumerate_sat_her")
     quotients = _count_calls(monkeypatch, "quotient")
@@ -356,7 +355,9 @@ def test_classify_builds_each_quotient_once(monkeypatch):
     assert rep.verdict == "ProperlyPurelyInfinite"
     assert len(rep.sweep) == 18
     assert len(enumerated) == 1
-    assert quotients == [tuple(h) for h, _ in rep.sweep]
+    cases = [c.ideal for w in rep.witnesses for c in w.cases]
+    assert quotients == [tuple(h) for h, _ in rep.sweep] + cases
+    assert len(cases) == 7
 
 
 def test_standalone_witness_builds_only_quotients_avoiding_the_vertex(monkeypatch):
@@ -380,11 +381,15 @@ def test_standalone_witness_builds_only_quotients_avoiding_the_vertex(monkeypatc
     }
 
 
-def test_classify_makes_one_case_per_trace_on_a_972_ideal_lattice(monkeypatch):
-    # the lattice of the benchmark generator's two_loop_lattice(12, 5)
-    # under seed 7: the same feeder matching, drawn the same way
+def _lattice_972():
+    # the benchmark generator's two_loop_lattice(12, 5) under seed 7: the
+    # same feeder matching, drawn the same way
     ends = random.Random(7).sample(range(12), 10)
-    g = two_loop_lattice(12, tuple(zip(ends[::2], ends[1::2])))
+    return two_loop_lattice(12, tuple(zip(ends[::2], ends[1::2])))
+
+
+def test_classify_makes_one_case_per_trace_on_a_972_ideal_lattice(monkeypatch):
+    g = _lattice_972()
     quotients = _count_calls(monkeypatch, "quotient")
     rep = classify_pure_infiniteness(g, depth=2)
     assert rep.verdict == "ProperlyPurelyInfinite"
@@ -393,8 +398,22 @@ def test_classify_makes_one_case_per_trace_on_a_972_ideal_lattice(monkeypatch):
     # traces, every other vertex one
     assert sum(len(w.cases) for w in rep.witnesses) == 17
     assert sorted(len(w.cases) for w in rep.witnesses) == [1] * 7 + [2] * 5
-    # each quotient built once, by the table
-    assert len(quotients) == 972 and len(set(quotients)) == 972
+    # each ideal's quotient built once by the sweep, then one per case
+    assert len(quotients) == 972 + 17 and len(set(quotients[:972])) == 972
+    assert quotients[972:] == [c.ideal for w in rep.witnesses for c in w.cases]
+
+
+def test_standalone_witness_does_not_enumerate_the_lattice(monkeypatch):
+    # the traces are listed inside D(v), so a single vertex costs closures
+    # of its own traces, not the 972 ideals
+    g = _lattice_972()
+    enumerated = _count_calls(monkeypatch, "enumerate_sat_her")
+    quotients = _count_calls(monkeypatch, "quotient")
+    for v in g.vertices:
+        rep = prove_vertex_properly_infinite(g, v, depth=2)
+        assert rep.status == "ProperlyInfinite", v
+    assert enumerated == []
+    assert len(quotients) == 17
 
 
 def test_classify_computes_each_reach_set_once(monkeypatch):

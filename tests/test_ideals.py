@@ -1,9 +1,19 @@
 """Saturated hereditary sets: closure, lattice, quotients."""
 
 import pytest
+from hypothesis import given, settings
 
-from corpus import CORPUS, entered_loop, lattice8, three_components
+from corpus import (
+    CORPUS,
+    RANDOM_GRAPHS,
+    entered_loop,
+    lattice8,
+    three_components,
+    two_loop_lattice,
+)
 from kpalg import (
+    Edge,
+    KGraph,
     KGraphError,
     chain,
     enumerate_sat_her,
@@ -13,9 +23,9 @@ from kpalg import (
     two_loops_plus_exit,
     validate,
 )
-from kpalg import ideals
-from kpalg.ideals import quotient_table
-from oracles import brute_sat_her
+from kpalg import ideals, strong_aperiodicity_sweep
+from kpalg.ideals import traces
+from oracles import brute_sat_her, brute_traces
 
 
 def test_closure_pulls_in_sources():
@@ -134,9 +144,9 @@ def test_all_corpus_quotients_validate():
             assert validate(quotient(g, h)).ok, (name, tuple(h))
 
 
-def test_quotient_table_closes_each_set_once(monkeypatch):
-    # the lattice makes each set as a closure, so the table does not close
-    # it again to check it; a set from outside is still checked
+def test_sweep_closes_no_lattice_set_again(monkeypatch):
+    # the lattice makes each set as a closure, so the sweep does not close
+    # it again to build its quotient; a set from outside is still checked
     g = lattice8()
     calls = []
     inner = ideals._close
@@ -147,12 +157,47 @@ def test_quotient_table_closes_each_set_once(monkeypatch):
 
     monkeypatch.setattr(ideals, "_close", counted)
     enumerate_sat_her(g)
-    enumerated = len(calls)
+    enumerated = list(calls)
     del calls[:]
-    table = quotient_table(g)
-    assert (len(table), len(calls)) == (108, enumerated) == (108, 432)
-    for h, gq in table:
-        assert set(gq.vertices) == set(g.vertices) - set(h)
+    sweep = strong_aperiodicity_sweep(g, 1)
+    assert (len(sweep), len(calls)) == (108, 432)
+    assert calls == enumerated
     del calls[:]
     quotient(g, ("x0",))
     assert calls == [frozenset({"x0"})]
+
+
+def closure_leaves_the_reach():
+    # saturation adds v1 outside D(v2) = {v0, v2, v3}: v1's only feeder is
+    # v3, so the trace {v0, v3} at v2 has the closure {v0, v1, v3}
+    ends = [("v0", "v2"), ("v2", "v2"), ("v3", "v1"), ("v3", "v0")]
+    edges = [Edge("e%d" % i, 1, s, r) for i, (s, r) in enumerate(ends)]
+    return KGraph(1, ["v0", "v1", "v2", "v3"], edges)
+
+
+def assert_traces_match_brute_force(g):
+    for v in g.vertices:
+        assert list(traces(g, v)) == brute_traces(g, v), v
+
+
+@pytest.mark.parametrize(
+    "mk",
+    [pytest.param(mk, id=name) for name, mk in CORPUS]
+    + [
+        pytest.param(mk, id=mk.__name__)
+        for mk in (
+            lattice8,
+            three_components,
+            two_loop_lattice,
+            closure_leaves_the_reach,
+        )
+    ],
+)
+def test_traces_match_brute_force(mk):
+    assert_traces_match_brute_force(mk())
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=RANDOM_GRAPHS)
+def test_traces_match_brute_force_on_random_graphs(g):
+    assert_traces_match_brute_force(g)

@@ -534,7 +534,7 @@ def test_route_search_runs_once_per_trace_of_the_ideal(monkeypatch):
     # quotient) pairs
     cases = sum(len(w.cases) for w in rep.witnesses)
     assert (len(searched), cases) == (11, 11)
-    # a standalone call, which builds its quotients as it reaches them
+    # a standalone call, which lists its own traces
     searched.clear()
     assert prove_vertex_properly_infinite(g, "x1", 2)
     assert searched == ["x1"] * len(traces["x1"])
