@@ -101,7 +101,7 @@ def strong_aperiodicity_sweep(
     winners: Dict = {}
     out = []
     for h in enumerate_sat_her(g).sets:
-        gq = quotient(g, h, _closed=True)
+        gq = quotient(g, h)
         keys = {v: (v, reach[v].intersection(h)) for v in gq.vertices}
         known = {v: winners[key] for v, key in keys.items() if key in winners}
         verd = aperiodicity_check(gq, depth, known)

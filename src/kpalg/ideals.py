@@ -3,52 +3,73 @@
 These vertex sets index the graded ideals of the path algebra; the quotient
 graph realizes the quotient algebra on the k-graph side. Such a set is
 passed around as the sorted tuple of its vertex ids; ``quotient`` refuses a
-set that is not its own closure.
+set that is not hereditary and saturated, read off the graph it builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .kgraph import KGraph, KGraphError
 from .paths import reachable_to
 
 # a saturated hereditary set: its vertex ids, sorted
 Ideal = Tuple[str, ...]
+Above = Dict[FrozenSet[str], Set[FrozenSet[str]]]
 
 
-def _close(g: KGraph, start: Set[str]) -> Set[str]:
-    h = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for eid in g.edges:
-            e = g.edges[eid]
-            if e.range in h and e.source not in h:
-                h.add(e.source)
-                changed = True
+def _close(g: KGraph, start: Iterable[str]) -> Set[str]:
+    # heredity: D(u) = reachable_to(g, u) is the heredity closure of {u},
+    # and D is transitive, so a u already in h brings nothing new
+    h: Set[str] = set()
+    for u in start:
+        if u not in h:
+            h.update(reachable_to(g, u))
+    forced = True
+    while forced:
+        forced = False
         for v in g.vertices:
             if v in h:
                 continue
             for c in range(1, g.k + 1):
                 ins = g.edges_by_range(v, c)
                 # saturation: a vertex all of whose color-c feeders lie in h
-                # is forced into h
+                # is forced into h, and brings D(v)
                 if ins and all(e.source in h for e in ins):
-                    h.add(v)
-                    changed = True
+                    h.update(reachable_to(g, v))
+                    forced = True
                     break
     return h
 
 
-def sat_her_closure(g: KGraph, vertices: Iterable[str]) -> Ideal:
-    """Smallest saturated hereditary set containing the given vertices."""
+def _known(g: KGraph, vertices: Iterable[str]) -> List[str]:
     vs = list(vertices)
     for v in vs:
         if not g.has_vertex(v):
             raise KGraphError("unknown vertex %r" % v)
-    return tuple(sorted(_close(g, set(vs))))
+    return vs
+
+
+def sat_her_closure(g: KGraph, vertices: Iterable[str]) -> Ideal:
+    """Smallest saturated hereditary set containing the given vertices."""
+    return tuple(sorted(_close(g, _known(g, vertices))))
+
+
+def _walk(g: KGraph, among: Collection[str], avoid: Optional[str] = None) -> Above:
+    """Each closure reached from the empty set by closing one-vertex
+    augmentations from ``among``, leaving out any that holds ``avoid``,
+    mapped to the closures one step above it, in lattice order."""
+    above: Above = {}
+    work = [frozenset()]
+    while work:
+        h = work.pop()
+        if h in above:
+            continue
+        bigger = (frozenset(_close(g, h | {u})) for u in among if u not in h)
+        above[h] = {b for b in bigger if avoid not in b}
+        work.extend(above[h])
+    return {h: above[h] for h in sorted(above, key=lambda s: (len(s), sorted(s)))}
 
 
 @dataclass(frozen=True)
@@ -69,66 +90,39 @@ def enumerate_sat_her(g: KGraph) -> IdealLattice:
     of its vertices v outside h, so the sets covering h are the minimal
     ones among those closures.
     """
-    above: Dict[FrozenSet[str], Set[FrozenSet[str]]] = {}
-    work = [frozenset()]
-    while work:
-        h = work.pop()
-        if h in above:
-            continue
-        above[h] = {
-            frozenset(_close(g, set(h) | {v})) for v in g.vertices if v not in h
-        }
-        work.extend(above[h])
-    order = sorted(above, key=lambda s: (len(s), tuple(sorted(s))))
-    index = {h: i for i, h in enumerate(order)}
+    above = _walk(g, g.vertices)
+    index = {h: i for i, h in enumerate(above)}
     covers = sorted(
         (index[h], index[c])
         for h, bigger in above.items()
         for c in bigger
         if not any(b < c for b in bigger)
     )
-    sets = tuple(tuple(sorted(h)) for h in order)
-    return IdealLattice(sets, tuple(covers))
+    return IdealLattice(tuple(tuple(sorted(h)) for h in above), tuple(covers))
 
 
 def traces(g: KGraph, v: str) -> Tuple[Ideal, ...]:
     """closure(T) for each trace T = H & D(v) of the ideals H avoiding v,
     in lattice order: the fixed points avoiding v of closure(T) & D(v)
-    (``aperiodicity.py`` docstring), found by closing one-vertex
-    augmentations inside D(v) as ``enumerate_sat_her`` does."""
-    if not g.has_vertex(v):
-        raise KGraphError("unknown vertex %r" % v)
-    reach = frozenset(reachable_to(g, v))
-    found: Set[FrozenSet[str]] = set()
-    work = [frozenset()]
-    while work:
-        h = work.pop()
-        if h in found:
-            continue
-        found.add(h)
-        for u in reach.difference(h, (v,)):
-            big = frozenset(_close(g, h | {u}))
-            if v not in big:
-                work.append(big)
-    sets = (tuple(sorted(h)) for h in found)
-    return tuple(sorted(sets, key=lambda h: (len(h), h)))
+    (``aperiodicity.py`` docstring), found by ``_walk`` inside D(v)."""
+    _known(g, [v])
+    among = [u for u in reachable_to(g, v) if u != v]
+    return tuple(tuple(sorted(h)) for h in _walk(g, among, v))
 
 
-def quotient(g: KGraph, h: Ideal, *, _closed: bool = False) -> KGraph:
+def quotient(g: KGraph, h: Ideal) -> KGraph:
     """The k-graph on the vertices outside h, with paths avoiding h.
 
-    Only edges whose source survives are kept; heredity guarantees their
-    ranges survive too, and every square either survives whole or loses its
-    shared source. The quotient by the empty set is g itself. A set that
-    is not its own closure is refused; ``_closed`` skips that check, for
-    the closures the sweep and the witness search take from
-    ``enumerate_sat_her`` and ``traces``.
+    Only edges whose source survives are kept, and every square either
+    survives whole or loses its shared source. The quotient by the empty
+    set is g itself. Unknown names are refused, and so is h when a kept
+    edge has its range in h (not hereditary) or a vertex left loses every
+    edge of a color it received (not saturated).
     """
+    _known(g, h)
     if len(h) == 0:
         return g
     hs = set(h)
-    if not _closed and set(sat_her_closure(g, h)) != hs:
-        raise KGraphError("vertex set %r is not saturated hereditary" % sorted(hs))
     vertices = [v for v in g.vertices if v not in hs]
     keep = {
         eid for eid, e in g.edges.items() if e.source not in hs
@@ -139,4 +133,12 @@ def quotient(g: KGraph, h: Ideal, *, _closed: bool = False) -> KGraph:
         for (e, f), (fp, ep) in sorted(g.square_fwd.items())
         if e in keep and f in keep and fp in keep and ep in keep
     ]
-    return KGraph(g.k, vertices, edges, squares)
+    gq = KGraph(g.k, vertices, edges, squares)
+    if any(e.range in hs for e in edges) or any(
+        key[0] not in hs and key not in gq._by_range for key in g._by_range
+    ):
+        raise KGraphError(
+            "{%s} is not hereditary and saturated; its closure is {%s}"
+            % (", ".join(sorted(hs)), ", ".join(sat_her_closure(g, h)))
+        )
+    return gq

@@ -540,7 +540,7 @@ def prove_vertex_properly_infinite(
     cases: List[IdealCase] = []
     proper: Optional[WitnessCertificate] = None
     for h in traces(g, v):
-        gq = quotient(g, h, _closed=True)
+        gq = quotient(g, h)
         pair = _disjoint_cycle_pair(gq, v, depth)
         if pair is not None:
             route = "orthogonal-pair"

@@ -1,5 +1,7 @@
 """Saturated hereditary sets: closure, lattice, quotients."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -61,6 +63,26 @@ def test_closure_fixes_exactly_the_sat_her_sets():
     assert sat_her_closure(g, ["w"]) == ("w",)
     assert sat_her_closure(g, ["w", "v"]) == ("v", "w")
     assert sat_her_closure(g, ["v"]) != ("v",)
+
+
+def assert_closures_are_least_sat_her_sets(g):
+    lattice = brute_sat_her(g)
+    vs = sorted(g.vertices)
+    for r in range(len(vs) + 1):
+        for sub in combinations(vs, r):
+            least = frozenset.intersection(*[h for h in lattice if h >= set(sub)])
+            assert sat_her_closure(g, sub) == tuple(sorted(least)), sub
+
+
+@pytest.mark.parametrize("mk", [pytest.param(mk, id=name) for name, mk in CORPUS])
+def test_closure_is_least_sat_her_set_on_corpus(mk):
+    assert_closures_are_least_sat_her_sets(mk())
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=RANDOM_GRAPHS)
+def test_closure_is_least_sat_her_set_on_random_graphs(g):
+    assert_closures_are_least_sat_her_sets(g)
 
 
 def test_lattice_on_entered_loop():
@@ -129,10 +151,30 @@ def test_quotient_rejects_non_sat_her():
 def test_quotient_refusal_messages():
     with pytest.raises(KGraphError, match="unknown vertex 'nope'"):
         quotient(chain(3), ("nope",))
+    # unknown names come first, in the order given
+    with pytest.raises(KGraphError, match="unknown vertex 'nope'"):
+        quotient(entered_loop(), ("v", "nope", "zz"))
     with pytest.raises(
-        KGraphError, match=r"vertex set \['v'\] is not saturated hereditary"
+        KGraphError,
+        match=r"^\{v\} is not hereditary and saturated; its closure is \{v, w\}$",
     ):
         quotient(entered_loop(), ("v",))
+
+
+def test_quotient_refuses_each_rule_on_its_own():
+    g = chain(3)
+    # hereditary: nothing enters v2, but v2 is v1's only feeder
+    with pytest.raises(
+        KGraphError,
+        match=r"^\{v2\} is not hereditary and saturated; its closure is \{v0, v1, v2\}$",
+    ):
+        quotient(g, ("v2",))
+    # saturated: v1 keeps its feeder v2, but v1 -> v0 enters the set
+    with pytest.raises(
+        KGraphError,
+        match=r"^\{v0\} is not hereditary and saturated; its closure is \{v0, v1, v2\}$",
+    ):
+        quotient(g, ("v0",))
 
 
 def test_all_corpus_quotients_validate():
@@ -145,8 +187,10 @@ def test_all_corpus_quotients_validate():
 
 
 def test_sweep_closes_no_lattice_set_again(monkeypatch):
-    # the lattice makes each set as a closure, so the sweep does not close
-    # it again to build its quotient; a set from outside is still checked
+    # the lattice makes each set as a closure, and quotient reads
+    # closedness off the graph it builds, so neither the sweep nor a
+    # quotient by a closed set closes it again; a set that is not closed
+    # is still refused
     g = lattice8()
     calls = []
     inner = ideals._close
@@ -164,7 +208,9 @@ def test_sweep_closes_no_lattice_set_again(monkeypatch):
     assert calls == enumerated
     del calls[:]
     quotient(g, ("x0",))
-    assert calls == [frozenset({"x0"})]
+    assert calls == []
+    with pytest.raises(KGraphError, match="not hereditary and saturated"):
+        quotient(g, ("x1",))
 
 
 def closure_leaves_the_reach():
