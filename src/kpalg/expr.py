@@ -111,7 +111,10 @@ class _Parser:
             den = 1
             if self.peek()[0] == "/":
                 self.take()
-                den = int(self.take("id")[1])
+                _, text, pos = self.take("id")
+                den = int(text)
+                if not self.field.of(den):
+                    raise ExprError("division by 0 in %s at position %d" % (self.field.name, pos))
             self.take("*")
             return self.parse_scaled().scale(self.field.of(num, den))
         return self.parse_juxt()

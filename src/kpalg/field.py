@@ -73,14 +73,22 @@ class RationalField:
         return Fraction(1)
 
 
+# Miller-Rabin: strong probable prime tests to the first twelve primes decide
+# primality below psi_12 (Jiang and Deng, Math. Comp. 83 (2014), 2915-2924)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_MODULUS = 318665857834031151167460
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n <= _BASES[-1] or any(n % a == 0 for a in _BASES):
+        return n in _BASES
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x != 1 and n - 1 not in [pow(x, 1 << i, n) for i in range(r)]:
             return False
-        d += 1
     return True
 
 
@@ -89,6 +97,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if self.p > MAX_MODULUS:
+            raise FieldError("modulus %d is above the bound %d" % (self.p, MAX_MODULUS))
         if not _is_prime(self.p):
             raise FieldError("modulus %d is not prime" % self.p)
 

@@ -21,6 +21,11 @@ input again. A bad input makes the output fail, so the constructor
 raises, or gives a certificate whose own relations hold.
 ``failing_checks`` without ``steps`` replays the whole derivation.
 
+One builder. ``infinite_vertex_from_reaching_cycle`` makes every case's
+certificate from a generalized cycle with an entrance reached from v, in
+three steps: the cycle-pair witness, a transport along the connecting
+path, a lift to s_v.
+
 One case per trace. ``prove_vertex_properly_infinite`` builds one
 certificate for s_v per trace T = H & D(v) of the ideals H avoiding v,
 D(v) being the vertices v reaches, in the quotient by closure(T), the
@@ -414,10 +419,10 @@ class VertexInfinitenessReport:
         return self.status == "ProperlyInfinite"
 
 
-def _disjoint_cycle_pair(
-    g: KGraph, v: str, depth: int
-) -> Optional[Tuple[str, Path, Path, Path]]:
-    # a vertex w reaching v carrying two cycles with no common extension
+def _disjoint_cycle_pair(g: KGraph, v: str, depth: int) -> Optional[ReachingCycle]:
+    # a vertex w reaching v carrying two cycles mu1, mu2 with no common
+    # extension: (mu1, w) is a generalized cycle, as Z(mu1) lies in Z(w),
+    # and mu2 an entrance, as MCE(mu1, w mu2) is empty
     reach = reachable_to(g, v)
     ordered = sorted(reach.items(), key=lambda kv: (total(kv[1].degree), str(kv[1])))
     for w, gamma in ordered:
@@ -430,7 +435,8 @@ def _disjoint_cycle_pair(
             for i in range(len(cycles)):
                 for j in range(i + 1, len(cycles)):
                     if not g.mce(cycles[i], cycles[j]):
-                        return w, cycles[i], cycles[j], gamma
+                        cycle = GeneralizedCycle(cycles[i], g.trivial_path(w), cycles[j])
+                        return ReachingCycle(cycle, gamma)
     return None
 
 
@@ -446,30 +452,6 @@ def infinite_vertex_from_reaching_cycle(
     y = spanning_term(g, fld, gamma, nu)
     cert_e = transport_infinite(cert0, x, y)
     return lift_infinite(cert_e, vertex_unit(g, fld, gamma.range))
-
-
-def _vertex_cert_via_orthogonal(
-    g: KGraph, v: str, w: str, mu1: Path, mu2: Path, gamma: Path, fld: Field
-) -> Tuple[WitnessCertificate, WitnessCertificate]:
-    # returns (Infinite cert for s_v, ProperlyInfinite cert for s_w)
-    pw = vertex_unit(g, fld, w)
-    t1 = spanning_term(g, fld, mu1, mu1)
-    t2 = spanning_term(g, fld, mu2, mu2)
-    proper = orthogonal_witness(
-        pw,
-        t1,
-        t2,
-        star_generator(g, fld, mu1),
-        generator(g, fld, mu1),
-        star_generator(g, fld, mu2),
-        generator(g, fld, mu2),
-    )
-    inf_w = properly_infinite_to_infinite(proper)
-    x = star_generator(g, fld, gamma)
-    y = generator(g, fld, gamma)
-    cert_e = transport_infinite(inf_w, x, y)
-    cert_v = lift_infinite(cert_e, vertex_unit(g, fld, v))
-    return cert_v, proper
 
 
 def _require_local(cert: WitnessCertificate, v: str, reach: FrozenSet[str]) -> None:
@@ -504,9 +486,11 @@ def prove_vertex_properly_infinite(
     certificate. That case serves every ideal of trace T (the witness
     search paragraph of ``aperiodicity.py``); every term of its
     certificate must start in D(v), or WitnessError is raised. In each
-    case, route one looks for a vertex reaching v that carries two cycles
-    with no common extension; route two falls back to a generalized cycle
-    with an entrance. The first trace that neither route certifies ends
+    case, route one looks for a vertex w reaching v carrying two cycles
+    mu1, mu2 with no common extension, that is the generalized cycle
+    (mu1, w) with entrance mu2; route two falls back to any generalized
+    cycle with an entrance. A pair at v in g itself also gives ``proper``,
+    the splitting of s_v. The first trace that neither route certifies ends
     the search: it is a definitive negative when no cycle reaches v
     there, since that corner is finite dimensional, and merely
     inconclusive otherwise, a depth-bounded miss. A depth below 1 raises
@@ -541,20 +525,21 @@ def prove_vertex_properly_infinite(
     proper: Optional[WitnessCertificate] = None
     for h in traces(g, v):
         gq = quotient(g, h)
-        pair = _disjoint_cycle_pair(gq, v, depth)
-        if pair is not None:
-            route = "orthogonal-pair"
-            w, *paths = pair
-            cert_v, proper_w = _vertex_cert_via_orthogonal(gq, v, w, *paths, fld)
-            if len(h) == 0 and w == v and proper is None:
-                proper = proper_w
-        else:
+        route = "orthogonal-pair"
+        rc = _disjoint_cycle_pair(gq, v, depth)
+        if rc is None:
+            route = "generalized-cycle"
             rc = find_reaching_gen_cycle(gq, v, depth)
             if isinstance(rc, NotFoundUpTo):
                 # no route certifies v here: the shared exit below
                 break
-            route = "generalized-cycle"
-            cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
+        elif not h and rc.gamma.is_trivial:
+            # h = () is the first trace, g itself: the pair at v splits s_v
+            pair = (rc.cycle.mu, rc.cycle.entrance)
+            corners = [spanning_term(gq, fld, mu, mu) for mu in pair]
+            moves = [f(gq, fld, mu) for mu in pair for f in (star_generator, generator)]
+            proper = orthogonal_witness(vertex_unit(gq, fld, v), *corners, *moves)
+        cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
         _require_local(cert_v, v, reach)
         trace = tuple(sorted(reach.intersection(h)))
         cases.append(IdealCase(h, route, cert_v, trace))

@@ -23,16 +23,19 @@ from kpalg import (
     enumerate_sat_her,
     find_cycle_reaching,
     find_reaching_gen_cycle,
+    generator,
     infinite_vertex_from_reaching_cycle,
+    orthogonal_witness,
     path_sort_key,
     quotient,
     separates,
     spanning_term,
+    star_generator,
     vertex_unit,
 )
 from kpalg.degrees import below, join, leq, total, zero
 from kpalg.kpelement import _make
-from kpalg.witness import IdealCase, _disjoint_cycle_pair, _vertex_cert_via_orthogonal
+from kpalg.witness import IdealCase, _disjoint_cycle_pair
 
 
 @lru_cache(maxsize=1 << 14)
@@ -458,6 +461,21 @@ def brute_traces(g, v):
     return sorted((tuple(sorted(h)) for h in out), key=lambda h: (len(h), h))
 
 
+def orthogonal_splitting(g, w, mu1, mu2, fld=QQ):
+    """The ProperlyInfinite certificate for s_w from two cycles mu1, mu2 at
+    w with no common extension: s_w = s_mu_i* (s_mu_i s_mu_i*) s_mu_i for
+    two orthogonal corners."""
+    return orthogonal_witness(
+        vertex_unit(g, fld, w),
+        spanning_term(g, fld, mu1, mu1),
+        spanning_term(g, fld, mu2, mu2),
+        star_generator(g, fld, mu1),
+        generator(g, fld, mu1),
+        star_generator(g, fld, mu2),
+        generator(g, fld, mu2),
+    )
+
+
 def prove_vertex_from_scratch(g, v, depth, fld=QQ):
     """``prove_vertex_properly_infinite`` per ideal rather than per trace,
     for a graph not certified periodic.
@@ -479,11 +497,10 @@ def prove_vertex_from_scratch(g, v, depth, fld=QQ):
         gq = quotient(g, h)
         pair = _disjoint_cycle_pair(gq, v, depth)
         if pair is not None:
-            w, mu1, mu2, gamma = pair
-            cert_v, proper_w = _vertex_cert_via_orthogonal(gq, v, w, mu1, mu2, gamma, fld)
+            cert_v = infinite_vertex_from_reaching_cycle(gq, pair, fld)
             cases.append(IdealCase(h, "orthogonal-pair", cert_v, trace))
-            if len(h) == 0 and w == v and proper is None:
-                proper = proper_w
+            if len(h) == 0 and pair.gamma.is_trivial:
+                proper = orthogonal_splitting(gq, v, pair.cycle.mu, pair.cycle.entrance, fld)
             continue
         rc = find_reaching_gen_cycle(gq, v, depth)
         if isinstance(rc, ReachingCycle):

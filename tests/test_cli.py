@@ -402,6 +402,24 @@ def test_eval_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_classify_over_a_large_prime_field(tmp_path, capsys):
+    # 2^61 - 1 is decided prime without trial division
+    g = write_graph(tmp_path, "e2")
+    assert main(["classify", g, "--field", "F2305843009213693951", "--depth", "1"]) == 0
+    assert "field: F2305843009213693951" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, field", [("1/0 * v", "Q"), ("3/7 * a", "F7")])
+def test_eval_zero_denominator(tmp_path, capsys, text, field):
+    g = write_graph(tmp_path, "e2")
+    expr = tmp_path / "zero.expr"
+    expr.write_text(text)
+    assert main(["eval", g, str(expr), "--field", field]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "division by 0 in %s" % field in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["missing.expr", "."])
 def test_eval_unreadable_file(tmp_path, capsys, name):
     # a missing file and a directory

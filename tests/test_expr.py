@@ -6,6 +6,7 @@ from corpus import build
 from kpalg import (
     ExprError,
     KP,
+    PrimeField,
     QQ,
     equals,
     format_element,
@@ -95,6 +96,16 @@ def test_bad_path_rejected():
 def test_trailing_junk_rejected():
     with pytest.raises(ExprError):
         parse("a )")
+
+
+@pytest.mark.parametrize(
+    "text, field, where",
+    [("1/0 * v", QQ, "division by 0 in Q at position 2"),
+     ("a + 3/7 * a", PrimeField(7), "division by 0 in F7 at position 6")],
+)
+def test_zero_denominator_rejected(text, field, where):
+    with pytest.raises(ExprError, match=where):
+        parse_expression(text, build("e2"), field)
 
 
 def test_unexpected_character_rejected():

@@ -1,10 +1,12 @@
 """Coefficient fields: exact rationals and prime residue fields."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from kpalg import FieldError, PrimeField, QQ, parse_field
+from kpalg.field import MAX_MODULUS, _is_prime
 
 
 def test_rationals_are_exact():
@@ -42,6 +44,35 @@ def test_modulus_must_be_prime():
         PrimeField(1)
 
 
+def test_large_prime_modulus_is_decided_quickly():
+    start = time.perf_counter()
+    f = PrimeField(2**61 - 1)
+    assert time.perf_counter() - start < 1
+    assert (f.of(1, 3) * f.of(3)).value == 1
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        3215031751,  # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # a strong pseudoprime to the primes up to 23
+        MAX_MODULUS + 1,
+        2**89 - 1,  # prime, but above the bound
+    ],
+)
+def test_composite_and_undecided_moduli_refused(p):
+    with pytest.raises(FieldError):
+        PrimeField(p)
+
+
+def test_primality_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    for n in list(range(3000)) + [2**31 - 1, 2**31 + 1, 1000003, 999999999989]:
+        assert _is_prime(n) == trial(n), n
+
+
 def test_mixed_moduli_rejected():
     with pytest.raises(FieldError):
         PrimeField(3).one + PrimeField(5).one
@@ -54,5 +85,6 @@ def test_parse_field_names():
     assert parse_field("f2") == PrimeField(2)
     with pytest.raises(FieldError):
         parse_field("R")
-    with pytest.raises(FieldError):
-        parse_field("F6")
+    for name in ("F6", "F1", "F%d" % (MAX_MODULUS + 2)):
+        with pytest.raises(FieldError):
+            parse_field(name)

@@ -32,14 +32,14 @@ DEPTHS = (2, 3)
 
 GOLDEN = {
     "e1": "f6430352da8e7203cdfc4ab6bca65967b7b9bed5b31a91f3c6be6552660dd8e7",
-    "e2": "62833c6d4f3cbcb37bf84ee91853d2bce82b1c191000a01047756e4cb18e1cd7",
-    "b3": "8437109215e72629b9cf8e36ff4cec968f3993a7ea10dce9625c2e84aa18cc58",
+    "e2": "8d9329de6a5aa6fee542d161fa6874016e2316bcbd0937741ae5cd8b67e0a30c",
+    "b3": "c02d97d806b400a0368452a31b6aaefebb958f6933eab45bf9841e62783b19c3",
     "cycle2": "a514eb4bf573fc0d5f86a40d6a06b2c43ce05031b3ca36bd6e0f0cb698f8360b",
     "cycle3": "612fcba12e4af7777e8ec13a7d48c52531e091bd8b09d454f6c8003c6e937828",
     "single_edge": "4a1f5ed504d595b046dbe7752177d99ae26c368cf131bb5d13136e20e3cd3012",
     "chain3": "8021218d98f14d099d87a400d741f7b5622281842f6ba7282e1de2bf0ecdee11",
     "chain5": "9273c8318a5bc655544a621240b568afae369de8db3b011813de2f6f5b7ae8fe",
-    "two_loops_plus_exit": "4ea30d75c0f9506ae17857b984395c562f3c54341737ea744ac29492372baef1",
+    "two_loops_plus_exit": "a9ee66ef65441159512e8dce99d4f54ffced29fe13b4cd94d854a86247db4c0c",
     "loop_with_exit": "a85c6a0f86c70cabc916fcda0f401b4233e1ad5eddfdeeb547265c5a8d9eef96",
     "entered_loop": "fc623d1ff707802085bdf3db13ca0e34dfd31f138753068d6c77ea7737240bae",
     "t2": "d7f609c4edb0b38949d8d88b0575bbd81da36fb58736d8cfff1106a326b04734",
@@ -47,14 +47,14 @@ GOLDEN = {
     "omega11": "16d2436270333053f2e7f6826d446be2a2b4d35ef6fb8567c56f698d22176eca",
     "grid21": "49aed571c34e5d90d3f7af0d6747f90a73925a5bfd0eefe5030145fdb0f53201",
     "prod_b2_b1": "97e4fb31697f3a662d14b4e2f7479a31db4d0b102e7c1ad4b709fb2fa31123ba",
-    "prod_b2_b2": "f74c63d9bf1704b297c16c0f0044ca08bf920c63e1d26791c005107530e3636f",
+    "prod_b2_b2": "dfe76ac7b200d5f8d40ba2095d44862b6bf2721cffc0cf544282e91e28dc6731",
     "prod_c2_b2": "0b6cfd0716ed8b1d7fb5c2bd3d25a372246e72708d75a94c75d4bddad90daf7f",
     "prod_c2_t2": "9ab4eab2e4467faea69cba36f7482cf28e9e0bc2828b7aa65ebd6e0d2df80792",
     "flip_loop_pair": "52a5b9cf5f3fb83e48bec157e68507155c84ae3e0bcc94d2b3d3f6a35d746c92",
-    "rsq1": "6244dcb8827c627e517d84906b502f8028b7b2639a5b2cf48a385b775a0d5187",
-    "rsq2": "eeda15f791c15f630e423639fd43cc5adc744f5f66d5ae18ddf02f89871a55a3",
-    "rsq23": "6077713ecd19c477c266ca89a5f7f2bb4d3117345f134fc44a0df0c3237302b2",
-    "lattice8": "c3f31cf62828390ef236fdc5b8b9017c492d5e32394e9e15d49b093fa698a064",
+    "rsq1": "5cb3b334fa0df17cbd1420d7b06120f452f318aa86cab887bb30a939d614f280",
+    "rsq2": "e5d2e571dba699c4cd201aad66c2128cf2231cf7984a63f5372577e293f42b38",
+    "rsq23": "348b9a64795e894adeb9c270634b49e5e3048d9007a0fff0130975ddbe0cfc7f",
+    "lattice8": "d57134002cce9356d9dd32deb9002264d974d9ffbec07bfd06452ac81b7f0429",
 }
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from corpus import build, lattice8
+from corpus import NAMES, build, lattice8
 from kpalg import (
     KP,
     DerivationStep,
@@ -40,6 +40,7 @@ from kpalg import (
 )
 from kpalg import witness
 from kpalg.witness import _disjoint_cycle_pair
+from oracles import orthogonal_splitting
 
 
 @pytest.fixture()
@@ -362,9 +363,15 @@ def test_constructors_check_each_step_once(e2, monkeypatch):
 
     monkeypatch.setattr(witness_module, "failing_checks", spy)
     g, kp = e2
-    cert = prove_vertex_properly_infinite(g, "v", depth=3).cases[0].certificate
-    assert len(cert.derivation) == 6
-    assert sorted(map(id, replayed)) == sorted(map(id, cert.derivation))
+    rep = prove_vertex_properly_infinite(g, "v", depth=3)
+    cert = rep.cases[0].certificate
+    assert [st.rule for st in cert.derivation] == [
+        "cycle-pair-witness",
+        "equivalence-transport",
+        "subidempotent-lift",
+    ]
+    made = cert.derivation + rep.proper.derivation
+    assert sorted(map(id, replayed)) == sorted(map(id, made))
 
 
 def test_transport_chain_round_trip(e2):
@@ -473,8 +480,9 @@ def test_prove_vertex_unknown_vertex(e2):
 
 def test_each_certificate_is_checked_once_when_made(monkeypatch):
     # every constructor call checks its output once, and nothing else runs
-    # failing_checks: 11 cases on 4 constructor calls each, no input
-    # re-checked and no certificate checked a second time
+    # failing_checks: 11 cases on 3 constructor calls each and 8 proper
+    # splittings on one each, no input re-checked and no certificate
+    # checked a second time
     g = lattice8()
     calls, checked = [], []
     inner = witness.failing_checks
@@ -504,7 +512,11 @@ def test_each_certificate_is_checked_once_when_made(monkeypatch):
     rep = classify_pure_infiniteness(g, 2)
     cases = [c for w in rep.witnesses for c in w.cases]
     certs = len(cases) + sum(w.proper is not None for w in rep.witnesses)
-    assert (len(checked), len(calls), len(cases), certs) == (44, 44, 11, 19)
+    assert (len(checked), len(calls), len(cases), certs) == (41, 41, 11, 19)
+    # one builder for both routes: the splitting is made only for the 8
+    # proper certificates, and no case goes through it
+    assert Counter(calls)["orthogonal_witness"] == certs - len(cases) == 8
+    assert "properly_infinite_to_infinite" not in calls
     made = {id(cert) for cert in checked}
     assert len(made) == len(checked)
     assert all(id(c.certificate) in made for c in cases)
@@ -540,18 +552,54 @@ def test_route_search_runs_once_per_trace_of_the_ideal(monkeypatch):
     assert searched == ["x1"] * len(traces["x1"])
 
 
+def former_orthogonal_chain(cert, v):
+    # route one as it was built before it went through
+    # infinite_vertex_from_reaching_cycle: split s_w by the pair, extract a
+    # strict copy, carry it along gamma, lift it to s_v
+    g = cert.graph
+    kp = KP(g, QQ)
+    found = dict(cert.derivation[0].elements)
+    w = found["nu"].source
+    gamma = reachable_to(g, v)[w]
+    proper = orthogonal_splitting(g, w, found["mu"], found["entrance"])
+    inf_w = properly_infinite_to_infinite(proper)
+    at_v = transport_infinite(inf_w, kp.star(gamma), kp.s(gamma))
+    return lift_infinite(at_v, kp.s(v))
+
+
+def test_orthogonal_pair_certificates_match_the_former_chain():
+    # one builder for both routes changes only the derivation: each
+    # orthogonal-pair case has the kind, target and parts of the former
+    # four-constructor chain on the same pair, rebuilt in its quotient
+    def answer(cert):
+        return {k: x for k, x in certificate_json(cert).items() if k != "derivation"}
+
+    compared, in_quotients, moved = 0, 0, 0
+    for g in [build(name) for name in NAMES] + [lattice8()]:
+        for depth in (2, 3):
+            for w in classify_pure_infiniteness(g, depth).witnesses:
+                for c in w.cases:
+                    if c.route == "orthogonal-pair":
+                        assert len(c.certificate.derivation) == 3
+                        old = former_orthogonal_chain(c.certificate, w.vertex)
+                        assert answer(old) == answer(c.certificate), (w.vertex, c.ideal)
+                        at = dict(c.certificate.derivation[0].elements)["nu"].source
+                        compared += 1
+                        in_quotients += bool(c.ideal)
+                        moved += at != w.vertex
+    # some cases live in a proper quotient, some carry the pair to v
+    # along a nontrivial path
+    assert (compared, in_quotients, moved) == (38, 6, 2)
+
+
 def test_certificate_term_outside_the_reach_of_its_vertex_raises(monkeypatch):
     # z does not reach v, so a certificate for s_v with a term at z would
     # not serve every ideal of its trace
     g = KGraph(1, ["v", "z"], [Edge(u + i, 1, u, u) for u in "vz" for i in "01"])
-    mu1, mu2 = g.path_from_edges(["v0"]), g.path_from_edges(["v1"])
-    cert, proper = witness._vertex_cert_via_orthogonal(
-        g, "v", "v", mu1, mu2, g.trivial_path("v"), QQ
-    )
+    rc = witness._disjoint_cycle_pair(g, "v", 2)
+    cert = infinite_vertex_from_reaching_cycle(g, rc)
     both = lift_infinite(cert, KP(g, QQ).s("v") + KP(g, QQ).s("z"))
-    monkeypatch.setattr(
-        witness, "_vertex_cert_via_orthogonal", lambda *args: (both, proper)
-    )
+    monkeypatch.setattr(witness, "infinite_vertex_from_reaching_cycle", lambda *args: both)
     with pytest.raises(WitnessError, match="source z, which does not reach v"):
         prove_vertex_properly_infinite(g, "v", 2)
 
