@@ -59,7 +59,6 @@ from .kpelement import (
     row,
     spanning_term,
     star_generator,
-    subidempotent_verify,
     vertex_unit,
     zero,
 )

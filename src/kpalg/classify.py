@@ -132,12 +132,18 @@ def classify_pure_infiniteness(
     ideal), as is a quotient where no cycle reaches some vertex. A
     certified periodic quotient makes the result Inconclusive even under
     assume_aperiodic: an assumption cannot override a counterexample. A
-    depth below 1 raises ValueError.
+    depth below 1 raises ValueError; an invalid presentation, or one with
+    no vertices, whose verdict would be vacuous, raises KGraphError.
     """
     check_depth(depth)
     rep = validate(g)
     if not rep.ok:
         raise KGraphError("invalid presentation:\n%s" % rep)
+    if not g.vertices:
+        raise KGraphError(
+            "the presentation has no vertices; its algebra is zero, and no "
+            "verdict on it would rest on anything"
+        )
 
     notes: List[str] = []
     conds = vertex_conditions(g)

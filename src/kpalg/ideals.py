@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .kgraph import KGraph, KGraphError
-from .paths import reachable_to
 
 # a saturated hereditary set: its vertex ids, sorted
 Ideal = Tuple[str, ...]
@@ -20,26 +19,32 @@ Above = Dict[FrozenSet[str], Set[FrozenSet[str]]]
 
 
 def _close(g: KGraph, start: Iterable[str]) -> Set[str]:
-    # heredity: D(u) = reachable_to(g, u) is the heredity closure of {u},
-    # and D is transitive, so a u already in h brings nothing new
+    # one walk: a vertex joining h brings the sources of its in-edges
+    # (heredity), and each range w of its out-edges once every in-edge of w
+    # of that color starts in h (saturation); ``missing`` counts, for each
+    # (w, color) met, the in-edges whose source has not joined yet
+    by_range, edges = g._by_range, g.edges
     h: Set[str] = set()
-    for u in start:
-        if u not in h:
-            h.update(reachable_to(g, u))
-    forced = True
-    while forced:
-        forced = False
-        for v in g.vertices:
-            if v in h:
+    missing: Dict[Tuple[str, int], int] = {}
+    work = list(start)
+    while work:
+        v = work.pop()
+        if v in h:
+            continue
+        h.add(v)
+        for c in range(1, g.k + 1):
+            for i in by_range.get((v, c), ()):
+                if edges[i].source not in h:
+                    work.append(edges[i].source)
+        for i in g._by_source.get(v, ()):
+            e = edges[i]
+            if e.range in h:
                 continue
-            for c in range(1, g.k + 1):
-                ins = g.edges_by_range(v, c)
-                # saturation: a vertex all of whose color-c feeders lie in h
-                # is forced into h, and brings D(v)
-                if ins and all(e.source in h for e in ins):
-                    h.update(reachable_to(g, v))
-                    forced = True
-                    break
+            key = (e.range, e.color)
+            left = missing.get(key, len(by_range[key])) - 1
+            missing[key] = left
+            if not left:
+                work.append(e.range)
     return h
 
 
@@ -101,12 +106,13 @@ def enumerate_sat_her(g: KGraph) -> IdealLattice:
     return IdealLattice(tuple(tuple(sorted(h)) for h in above), tuple(covers))
 
 
-def traces(g: KGraph, v: str) -> Tuple[Ideal, ...]:
+def traces(g: KGraph, v: str, reach: Collection[str]) -> Tuple[Ideal, ...]:
     """closure(T) for each trace T = H & D(v) of the ideals H avoiding v,
     in lattice order: the fixed points avoiding v of closure(T) & D(v)
-    (``aperiodicity.py`` docstring), found by ``_walk`` inside D(v)."""
+    (``aperiodicity.py`` docstring), found by ``_walk`` inside D(v).
+    ``reach`` is D(v), the key set of ``paths.reachable_to(g, v)``."""
     _known(g, [v])
-    among = [u for u in reachable_to(g, v) if u != v]
+    among = [u for u in reach if u != v]
     return tuple(tuple(sorted(h)) for h in _walk(g, among, v))
 
 

@@ -197,11 +197,17 @@ class KGraph:
             self.square_rev[(fp, ep)] = (e, f)
 
         by_r: Dict[Tuple[str, int], List[str]] = {}
+        by_s: Dict[str, List[str]] = {}
         for eid in sorted(self.edges):
             e = self.edges[eid]
             by_r.setdefault((e.range, e.color), []).append(eid)
+            by_s.setdefault(e.source, []).append(eid)
         self._by_range: Dict[Tuple[str, int], Tuple[str, ...]] = {
             key: tuple(ids) for key, ids in by_r.items()
+        }
+        # out-edge ids of each vertex, every color
+        self._by_source: Dict[str, Tuple[str, ...]] = {
+            v: tuple(ids) for v, ids in by_s.items()
         }
         # colors every vertex receives: no boundary path has slack in them
         self._immortal: Tuple[bool, ...] = tuple(

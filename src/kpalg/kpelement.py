@@ -364,15 +364,5 @@ def matrix_equals(a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]) 
 # -- relation verifiers ----------------------------------------------------------
 
 
-def subidempotent_verify(
-    a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]
-) -> bool:
-    """Check ab = ba = a."""
-    try:
-        return matrix_equals(_product(a, b), a) and matrix_equals(_product(b, a), a)
-    except AlgebraError:
-        return False
-
-
 def is_idempotent(a: Union[KPElement, KPMatrix]) -> bool:
     return matrix_equals(_product(a, a), a)

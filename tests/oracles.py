@@ -391,10 +391,12 @@ def aperiodicity_exhaustive(g, depth):
     comparable pair: distinct paths with source v, a common range and
     different degrees, of total degree <= depth. With no separator, the
     pairs no candidate separates are offered to certify_never_separated
-    in pair order.
+    in pair order. ``unknown`` comes only after every vertex has been
+    tried, and names the first vertex left unsettled.
     """
     cap = (depth + 1,) * g.k
     evidence = []
+    stuck = None
     for v in g.vertices:
         candidates = brute_boundary_paths(g, v, cap)
         pairs = []
@@ -426,11 +428,14 @@ def aperiodicity_exhaustive(g, depth):
             if states is not None:
                 cert = PeriodicCertificate(a, b, v, len(candidates), states)
                 return AperiodicityVerdict("periodic", depth, (), cert, basis="certified")
+        if stuck is None:
+            stuck = v
+    if stuck is not None:
         return AperiodicityVerdict(
             "unknown",
             depth,
             note="vertex %s: no single separating boundary path within depth %d"
-            % (v, depth),
+            % (stuck, depth),
         )
     # a search found the separators; only an empty graph is aperiodic outright
     basis = "certified" if not g.vertices else "bounded"

@@ -238,6 +238,28 @@ def test_matches_exhaustive_oracle_on_random_graphs(g, depth):
     assert fast == aperiodicity_json(aperiodicity_exhaustive(g, depth))
 
 
+# every 3-vertex 1-graph with at most 4 edges where a vertex left unsettled
+# at depth 2 comes before one with a certified pair; each edge e<i> is the
+# i-th (source, range) of vertex indices
+STUCK_BEFORE_PERIODIC = [
+    ((0, 1), (0, 1), (1, 0), (2, 2)),
+    ((0, 1), (1, 0), (1, 0), (2, 2)),
+    ((0, 2), (0, 2), (1, 1), (2, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "ends", STUCK_BEFORE_PERIODIC, ids=["double_out", "double_back", "loop_between"]
+)
+def test_matches_exhaustive_oracle_past_a_stuck_vertex(ends):
+    # both walks go on past the stuck vertex to the certified pair
+    edges = [Edge("e%d" % i, 1, "v%d" % s, "v%d" % r) for i, (s, r) in enumerate(ends)]
+    g = KGraph(1, ["v0", "v1", "v2"], edges)
+    fast = aperiodicity_check(g, 2)
+    assert (fast.status, fast.basis) == ("periodic", "certified")
+    assert aperiodicity_json(fast) == aperiodicity_json(aperiodicity_exhaustive(g, 2))
+
+
 @pytest.mark.parametrize(
     "mk, depth",
     [pytest.param(lambda s=s: random_square_graph(s), 3, id="rsq%d" % s) for s in range(6)]

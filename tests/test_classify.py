@@ -168,6 +168,17 @@ def test_classify_rejects_invalid_presentation():
         classify_pure_infiniteness(bad, depth=2)
 
 
+def test_classify_refuses_a_presentation_without_vertices():
+    # every vertex of none carries a certificate: the verdict would be
+    # vacuous, so it is refused like an invalid presentation; the sweep's
+    # quotient by H = V, which has no vertices either, stays certified
+    # aperiodic
+    with pytest.raises(KGraphError, match="has no vertices"):
+        classify_pure_infiniteness(KGraph(1, [], []), depth=2)
+    h, verd = classify_pure_infiniteness(bouquet(2), depth=2).sweep[-1]
+    assert (h, verd.status, verd.basis) == (("v",), "aperiodic", "certified")
+
+
 # -- per-vertex conditions ----------------------------------------------------------
 
 

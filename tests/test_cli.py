@@ -97,6 +97,16 @@ def test_invalid_presentation_is_refused_at_load(tmp_path, capsys, command):
     assert "(f, b)" in err
 
 
+def test_classify_refuses_a_presentation_without_vertices(tmp_path, capsys):
+    f = tmp_path / "empty.kg"
+    f.write_text("kgraph v1\nk: 1\n")
+    assert main(["classify", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the presentation has no vertices")
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_a_load_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.kg")]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -1,5 +1,7 @@
 """Saturated hereditary sets: closure, lattice, quotients."""
 
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -21,6 +23,7 @@ from kpalg import (
     enumerate_sat_her,
     grid,
     quotient,
+    reachable_to,
     sat_her_closure,
     two_loops_plus_exit,
     validate,
@@ -50,6 +53,30 @@ def test_closure_saturation_on_chain():
     # v2 is the only feeder of v1, and v1 of v0: saturation forces both
     assert set(sat_her_closure(g, ["v2"])) == {"v0", "v1", "v2"}
     assert set(sat_her_closure(g, ["v0"])) == {"v0", "v1", "v2"}
+
+
+def test_closure_walks_the_edge_indexes_once(monkeypatch):
+    # one walk over the kept edge indexes: closing the lattice of a long
+    # chain asks for no D(u) and builds no tuple of in-edges
+    calls = Counter()
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    # every kpalg module that holds the name, should one import it again
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kpalg") and hasattr(mod, "reachable_to"):
+            counted(mod, "reachable_to")
+    counted(KGraph, "edges_by_range")
+    lat = enumerate_sat_her(chain(40))
+    assert calls == Counter()
+    assert lat.sets == ((), tuple(sorted("v%d" % i for i in range(40))))
 
 
 def test_closure_rejects_unknown_vertex():
@@ -223,7 +250,7 @@ def closure_leaves_the_reach():
 
 def assert_traces_match_brute_force(g):
     for v in g.vertices:
-        assert list(traces(g, v)) == brute_traces(g, v), v
+        assert list(traces(g, v, reachable_to(g, v))) == brute_traces(g, v), v
 
 
 @pytest.mark.parametrize(

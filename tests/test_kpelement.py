@@ -28,7 +28,6 @@ from kpalg import (
     row,
     spanning_term,
     star_generator,
-    subidempotent_verify,
     torus,
     vertex_unit,
     zero,
@@ -343,13 +342,6 @@ def test_shape_mismatch_in_matmul_rejected():
 
 
 # -- relation verifiers -----------------------------------------------------------
-
-
-def test_subidempotent_verifier():
-    kp = algebra()
-    a = kp.path("a")
-    assert subidempotent_verify(kp.term(a, a), kp.s("v"))
-    assert not subidempotent_verify(kp.s("v"), kp.term(a, a))
 
 
 def test_split_unit_into_two_copies():

@@ -2,8 +2,11 @@
 
 import json
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import NAMES, build, lattice8
 from kpalg import (
@@ -34,11 +37,14 @@ from kpalg import (
     prove_vertex_properly_infinite,
     reachable_to,
     row,
+    spanning_term,
     transport_infinite,
     vertex_report_json,
     witness_from_gen_cycle,
+    zero,
 )
-from kpalg import witness
+from kpalg import kpelement, witness
+from kpalg.degrees import below, total
 from kpalg.witness import _disjoint_cycle_pair
 from oracles import orthogonal_splitting
 
@@ -98,9 +104,10 @@ def test_gen_cycle_requires_entrance(e2):
 
 def test_gen_cycle_rejects_escaping_pair(e2):
     g, kp = e2
-    # Z(a) is not contained in Z(b)
+    # Z(a) is not contained in Z(b): the output's q p = q is that
+    # containment, and it fails
     cyc = GeneralizedCycle(kp.path("a"), kp.path("b"), kp.path("a"))
-    with pytest.raises(WitnessError, match="not a generalized cycle"):
+    with pytest.raises(WitnessError, match="verification failed: q p = q"):
         witness_from_gen_cycle(g, cyc)
 
 
@@ -190,7 +197,9 @@ def test_transport_infinite_rejects_wrong_kind(e2):
 def test_transport_infinite_needs_equivalence(e2):
     g, kp = e2
     cert = witness_from_gen_cycle(g, strict_cycle(kp))
-    with pytest.raises(WitnessError, match="transport needs x y = p"):
+    # x y = s_v is not p; corner-normalized, the witness lands on p, not on
+    # the target s_v, and its r s = p fails
+    with pytest.raises(WitnessError, match="verification failed: r s = p"):
         transport_infinite(cert, kp.s("v"), kp.s("v"))
 
 
@@ -208,7 +217,9 @@ def test_lift_infinite_requires_containment(e2):
     cert = witness_from_gen_cycle(g, strict_cycle(kp))
     lifted = lift_infinite(cert, kp.s("v"))
     pa = kp.path("a")
-    with pytest.raises(WitnessError, match="lift needs e <= big"):
+    with pytest.raises(
+        WitnessError, match="verification failed: step subidempotent-lift: e big = e"
+    ):
         lift_infinite(lifted, kp.term(pa, pa))
 
 
@@ -233,7 +244,7 @@ def test_orthogonal_witness_gives_canonical_splitting(e2):
 def test_orthogonal_witness_rejects_non_idempotent(e2):
     g, kp = e2
     pa, pb = kp.path("a"), kp.path("b")
-    with pytest.raises(WitnessError, match="p is not idempotent"):
+    with pytest.raises(WitnessError, match="verification failed: target is not idempotent"):
         orthogonal_witness(
             kp.s(pa),
             kp.term(pa, pa),
@@ -249,14 +260,16 @@ def test_orthogonal_witness_rejects_overlapping_corners(e2):
     g, kp = e2
     pa = kp.path("a")
     q = kp.term(pa, pa)
-    with pytest.raises(WitnessError, match="not orthogonal"):
+    # q1 = q2 overlap: the two copies of p collide in A p B
+    with pytest.raises(WitnessError, match=r"verification failed: A p B = p \(\+\) p"):
         orthogonal_witness(kp.s("v"), q, q, kp.star(pa), kp.s(pa), kp.star(pa), kp.s(pa))
 
 
 def test_orthogonal_witness_rejects_bad_factorization(e2):
     g, kp = e2
     pa, pb = kp.path("a"), kp.path("b")
-    with pytest.raises(WitnessError, match="p != a1 q1 b1"):
+    # a1 q1 b1 = 0, not p: the first copy of p is missing from A p B
+    with pytest.raises(WitnessError, match=r"verification failed: A p B = p \(\+\) p"):
         orthogonal_witness(
             kp.s("v"),
             kp.term(pa, pa),
@@ -347,6 +360,69 @@ def test_constructors_on_corrupted_input_raise_or_verify(e2, build_input, constr
         except WitnessError:
             continue
         assert failing_checks(out) == []
+
+
+@lru_cache(maxsize=None)
+def _random_input_case(name):
+    # a graph, its paths of total degree <= 2, and a verified Infinite
+    # certificate on it to transport or lift
+    g = build(name)
+    paths = [
+        p
+        for v in g.vertices
+        for n in below((2,) * g.k)
+        if total(n) <= 2
+        for p in g.paths(v, n)
+    ]
+    rc = _disjoint_cycle_pair(g, g.vertices[0], 2)
+    return g, paths, witness_from_gen_cycle(g, rc.cycle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(["e2", "prod_b2_b2"]),
+    construct=st.sampled_from(
+        ["witness_from_gen_cycle", "transport_infinite", "lift_infinite", "orthogonal_witness"]
+    ),
+    data=st.data(),
+)
+def test_constructors_on_random_elements_raise_or_verify(name, construct, data):
+    # no constructor decides a precondition on its arguments, so any
+    # element or path it is fed is sound either way: it raises, or its
+    # output passes every check
+    g, paths, cert = _random_input_case(name)
+    short = [p for p in paths if total(p.degree) <= 1]
+
+    def path():
+        return data.draw(st.sampled_from(paths))
+
+    def element_and_adjoint():
+        # a sum of spanning terms s_lam s_mu* and the same sum of s_mu s_lam*
+        x = x_adj = zero(g, QQ)
+        for _ in range(data.draw(st.integers(1, 2))):
+            lam = data.draw(st.sampled_from(short))
+            mu = data.draw(st.sampled_from([p for p in short if p.source == lam.source]))
+            c = QQ.of(data.draw(st.sampled_from([1, -1, 2])))
+            x = x + spanning_term(g, QQ, lam, mu, c)
+            x_adj = x_adj + spanning_term(g, QQ, mu, lam, c)
+        return x, x_adj
+
+    def element():
+        return element_and_adjoint()[0]
+
+    try:
+        if construct == "witness_from_gen_cycle":
+            out = witness_from_gen_cycle(g, GeneralizedCycle(path(), path(), path()))
+        elif construct == "transport_infinite":
+            x, x_adj = element_and_adjoint()
+            out = transport_infinite(cert, x, x_adj if data.draw(st.booleans()) else element())
+        elif construct == "lift_infinite":
+            out = lift_infinite(cert, element())
+        else:
+            out = orthogonal_witness(*(element() for _ in range(7)))
+    except KGraphError:
+        return
+    assert failing_checks(out) == []
 
 
 def test_constructors_check_each_step_once(e2, monkeypatch):
@@ -522,6 +598,29 @@ def test_each_certificate_is_checked_once_when_made(monkeypatch):
     assert all(id(c.certificate) in made for c in cases)
     for c in cases:
         assert set(c.certificate.graph.vertices) == set(g.vertices) - set(c.ideal)
+
+
+def test_witness_search_decides_no_precondition_again(monkeypatch):
+    # a constructor checks its output and its new step, nothing before:
+    # the search at every vertex of lattice8 fits in the products and MCEs
+    # of those checks and of the searches themselves
+    calls = Counter()
+    mul, mce = kpelement.kp_mul, KGraph.mce
+
+    def counted_mul(a, b):
+        calls["kp_mul"] += 1
+        return mul(a, b)
+
+    def counted_mce(self, mu, nu):
+        calls["mce"] += 1
+        return mce(self, mu, nu)
+
+    monkeypatch.setattr(kpelement, "kp_mul", counted_mul)
+    monkeypatch.setattr(KGraph, "mce", counted_mce)
+    g = lattice8()
+    for v in g.vertices:
+        assert prove_vertex_properly_infinite(g, v, 3)
+    assert calls["kp_mul"] <= 632 and calls["mce"] <= 22, calls
 
 
 def test_route_search_runs_once_per_trace_of_the_ideal(monkeypatch):
