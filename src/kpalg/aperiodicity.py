@@ -58,9 +58,9 @@ remaining candidate, and it stops there. The certificate is then the
 first pair, in ``_pairs_at`` order, whose residual pair the first
 candidate leaves unseparated (equal heads) and the machine certifies; the
 machine keeps the probe's answers, so verdict and certificate are those
-of the full walk. A pair the machine refuses costs only its states, and
-the walk goes on. The runs of the machine in one vertex search share
-their moves, so none composes a residual path with an edge twice.
+of the full walk. A pair the machine refuses is separated by a boundary
+path, perhaps outside the box; it costs only its states, and the walk
+goes on. The runs in one vertex search share their moves (``Moves``).
 
 Locality across quotients: the quotient by a hereditary saturated set H
 keeps the edges with source outside H, and by heredity an edge with range
@@ -69,7 +69,10 @@ their squares and comparable pairs are those of the whole graph, while
 the candidates and the edges into their sources run among D(v), the
 vertices v reaches, and see H only through H & D(v) (``_immortal`` only
 skips degrees that give no boundary path anyway). The winning separator
-at v and its ``pairs_checked`` thus depend only on (v, H & D(v)).
+at v and its ``pairs_checked`` thus depend only on (v, H & D(v)), and so
+does a periodic answer: the machine walks the edges into its states'
+sources, which in the quotient come from D(v) - H, and checks the colors
+of the gap there alone (``certify_never_separated``).
 
 Locality of the witness search: ``prove_vertex_properly_infinite`` makes
 one case per trace T = H & D(v) of the ideals H avoiding v, at the ideal
@@ -161,10 +164,6 @@ class AperiodicityVerdict:
     basis: str = "bounded"
 
 
-def _is_maximal(g: KGraph, x: Path) -> bool:
-    return not g.edges_by_range(x.source)
-
-
 def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
     """True when composing with x tells alpha and beta apart (truncated
     comparison as described in the module docstring)."""
@@ -176,7 +175,7 @@ def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
     hb = bx if bx.degree == m else g.factorize(bx, m)[0]
     if ha != hb:
         return True
-    return ax.degree != bx.degree and _is_maximal(g, x)
+    return ax.degree != bx.degree and not g.edges_by_range(x.source)
 
 
 def _paths_by_source(g: KGraph, depth: int) -> Dict[str, List[List[Path]]]:
@@ -272,7 +271,7 @@ def _unseparated(
                 if b is not None:
                     # a maximal x separates every pair; asked at the first
                     # collision only, so a candidate that wins never asks
-                    return None if _is_maximal(g, x) else (a, b)
+                    return (a, b) if g.edges_by_range(x.source) else None
     return None
 
 
@@ -318,10 +317,6 @@ def _strip(g: KGraph, p: Path, q: Path) -> Optional[Tuple[Path, Path]]:
     return tp, tq
 
 
-# the closed machine for one pair gives up beyond this many states
-MAX_MACHINE_STATES = 4000
-
-
 # The closed machine's moves, shared by its runs on one graph: each
 # residual path t maps to its composites t e with the edges e into its
 # source, in ``edges_by_range`` order, so no run composes t e again.
@@ -346,23 +341,26 @@ def _extensions(g: KGraph, t: Path, moves: Moves) -> Tuple[Path, ...]:
 def certify_never_separated(
     g: KGraph, alpha: Path, beta: Path, moves: Optional[Moves] = None
 ) -> Optional[int]:
-    """Prove that no extension separates (alpha, beta); returns the state
-    count of the closed machine, or None when no proof is obtained within
-    ``MAX_MACHINE_STATES`` states. ``moves`` lets runs on one graph share
-    the moves they compute; the answer does not depend on it.
+    """Decide whether some boundary path separates (alpha, beta): None if
+    one does, else the state count of the closed machine. ``moves`` lets
+    runs on one graph share their moves; the answer does not depend on it.
 
     State: the residual pair after stripping the common prefix. Extending
-    by one edge maps residuals to residuals, so a closed consistent set of
-    reachable states shows prefix agreement for every extension. Soundness
-    of the overall claim additionally needs every color in the degree
-    difference to be immortal (``KGraph._immortal``: every vertex receives
-    an edge of it);
-    otherwise a maximal boundary path of deficient degree could separate
-    the pair literally, and we refuse to certify.
+    by a color-c edge and stripping the common head of degree e_c gives
+    back the start degrees (d1, d2), so a state is a pair of paths of
+    degrees d1 and d2 with a common source and range, one of at most
+    sum_(u,w) |u Lambda^d1 w| |u Lambda^d2 w|: the machine always stops.
+    It refuses at a state whose heads disagree or whose source misses a
+    color of the gap, where d1 and d2 differ: a boundary path x at v has
+    finite degree in color c exactly when it ends at a vertex of D(v)
+    receiving no color-c edge, and for c in the gap alpha x and beta x
+    then differ in degree. A closed run extends every state by every edge
+    into its source, so it checks every vertex of D(v). Local convexity
+    carries a gap color from the common range to the source along the
+    residual path of degree 0 in it, edge by edge, so only a presentation
+    that does not validate fails the second test.
     """
-    for i, (a, b) in enumerate(zip(alpha.degree, beta.degree)):
-        if a != b and not g._immortal[i]:
-            return None
+    gap = [c + 1 for c, (a, b) in enumerate(zip(alpha.degree, beta.degree)) if a != b]
     start = _strip(g, alpha, beta)
     if start is None:
         return None
@@ -371,15 +369,10 @@ def certify_never_separated(
     seen = {start}
     stack = [start]
     while stack:
-        if len(seen) > MAX_MACHINE_STATES:
-            return None
         t1, t2 = stack.pop()
-        ext1 = _extensions(g, t1, moves)
-        if not ext1:
-            # dead end with distinct residuals: a maximal boundary path
-            # separates the pair, so it is not periodic
+        if not all(g.edges_by_range(t1.source, c) for c in gap):
             return None
-        for p, q in zip(ext1, _extensions(g, t2, moves)):
+        for p, q in zip(_extensions(g, t1, moves), _extensions(g, t2, moves)):
             nxt = _strip(g, p, q)
             if nxt is None:
                 return None
@@ -418,11 +411,11 @@ def _periodic_certificate(
     candidate leaves unseparated and the machine certifies, or None."""
     # a pair the machine certifies is separated by no extension, so by no
     # candidate: the first candidate's test only skips pairs the machine
-    # would refuse. Only a presentation that does not validate has no
-    # candidate at all; there every residual pair is asked.
+    # would refuse. A maximal first candidate separates every residual
+    # pair, so it has won and no scan runs. Only a presentation that does
+    # not validate has no candidate at all; there every residual pair is
+    # asked.
     x = candidates[0] if candidates else None
-    if x is not None and _is_maximal(g, x):
-        return None
     heads: Dict[Path, Tuple[str, ...]] = {}
     for a, b in _pairs_at(groups):
         res = _strip(g, a, b)

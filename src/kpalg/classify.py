@@ -117,6 +117,15 @@ def _describe(h: Ideal) -> str:
     return "the quotient by {%s}" % ", ".join(h)
 
 
+def check_vertices(g: KGraph) -> None:
+    """Refuse a presentation with no vertices: a verdict on it is vacuous."""
+    if not g.vertices:
+        raise KGraphError(
+            "the presentation has no vertices; its algebra is zero, and no "
+            "verdict on it would rest on anything"
+        )
+
+
 def classify_pure_infiniteness(
     g: KGraph,
     depth: int = 6,
@@ -139,11 +148,7 @@ def classify_pure_infiniteness(
     rep = validate(g)
     if not rep.ok:
         raise KGraphError("invalid presentation:\n%s" % rep)
-    if not g.vertices:
-        raise KGraphError(
-            "the presentation has no vertices; its algebra is zero, and no "
-            "verdict on it would rest on anything"
-        )
+    check_vertices(g)
 
     notes: List[str] = []
     conds = vertex_conditions(g)

@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from .aperiodicity import aperiodicity_check
-from .classify import aperiodicity_json, classify_pure_infiniteness, report_json
+from .classify import aperiodicity_json, check_vertices, classify_pure_infiniteness, report_json
 from .degrees import parse_degree
 from .expr import format_element, parse_expression
 from .field import FieldError, parse_field
@@ -156,6 +156,7 @@ def cmd_quotient(g: KGraph, args) -> int:
 
 
 def cmd_aperiodic(g: KGraph, args) -> int:
+    check_vertices(g)
     verd = aperiodicity_check(g, args.depth)
     if args.json:
         _print_json(aperiodicity_json(verd))

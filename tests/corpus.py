@@ -90,6 +90,31 @@ def lattice8():
     return two_loop_lattice(8, ((0, 1), (2, 3), (4, 5)))
 
 
+def torus_beside_cycles() -> KGraph:
+    """A torus at v beside two single-color 2-cycles. The pair (v, f) at v
+    is certified periodic in the graph itself: the closed machine checks
+    only D(v) = {v}, which receives both colors, while x1, x2 receive no
+    color 2 and y1, y2 no color 1."""
+    edges = [
+        Edge("e", 1, "v", "v"),
+        Edge("f", 2, "v", "v"),
+        Edge("m1", 1, "x2", "x1"),
+        Edge("m2", 1, "x1", "x2"),
+        Edge("n1", 2, "y2", "y1"),
+        Edge("n2", 2, "y1", "y2"),
+    ]
+    return KGraph(2, ["v", "x1", "x2", "y1", "y2"], edges, [("e", "f", "f", "e")])
+
+
+def doubled_two_cycle() -> KGraph:
+    """Two edges e0, e1 from v0 to v1 and one edge e2 back: aperiodic (the
+    cycle has an entrance), but at depths 2 and 4 no single boundary path
+    of the search box separates every pair at v0, so the check answers
+    unknown there; at depths 1 and 3 it answers bounded aperiodic."""
+    edges = [Edge("e0", 1, "v0", "v1"), Edge("e1", 1, "v0", "v1"), Edge("e2", 1, "v1", "v0")]
+    return KGraph(1, ["v0", "v1"], edges)
+
+
 CORPUS = [
     ("e1", lambda: bouquet(1)),
     ("e2", lambda: bouquet(2)),

@@ -382,6 +382,46 @@ def boundary_test_points(g, b, extra):
     return [g.compose(b.mu, tau) for tau in g.boundary_paths(b.mu.source, extra)]
 
 
+def brute_comparable_pairs(g, v, depth):
+    """The comparable pairs at v up to the depth: distinct paths with
+    source v, a common range and different degrees, of total degree at
+    most depth, range by range in vertex order and in ``path_sort_key``
+    order within a range."""
+    pairs = []
+    for u in g.vertices:
+        ps = sorted(
+            (
+                p
+                for n in below((depth,) * g.k)
+                if total(n) <= depth
+                for p in g.paths(u, n)
+                if p.source == v
+            ),
+            key=path_sort_key,
+        )
+        pairs += [(a, b) for a, b in combinations(ps, 2) if a.degree != b.degree]
+    return pairs
+
+
+def splits(g, a, b, x):
+    """Whether composing with x tells a and b apart, written out here
+    rather than taken from ``kpalg.separates``: a x and b x differ in their
+    prefixes at the meet of their degrees, or x is maximal (its source
+    receives no edge) and their degrees differ."""
+    ax, bx = g.compose(a, x), g.compose(b, x)
+    m = tuple(min(i, j) for i, j in zip(ax.degree, bx.degree))
+    if g.factorize(ax, m)[0] != g.factorize(bx, m)[0]:
+        return True
+    return ax.degree != bx.degree and not g.edges_by_range(x.source)
+
+
+def box_separator(g, a, b, n):
+    """The first path of ``brute_boundary_paths(g, s(a), n)`` that
+    separates (a, b) by ``splits``, or None."""
+    box = brute_boundary_paths(g, a.source, n)
+    return next((x for x in box if splits(g, a, b, x)), None)
+
+
 def aperiodicity_exhaustive(g, depth):
     """Aperiodicity by exhaustive search, the verdict aperiodicity_check
     must reproduce exactly.
@@ -399,21 +439,7 @@ def aperiodicity_exhaustive(g, depth):
     stuck = None
     for v in g.vertices:
         candidates = brute_boundary_paths(g, v, cap)
-        pairs = []
-        for u in g.vertices:
-            ps = sorted(
-                (
-                    p
-                    for n in below((depth,) * g.k)
-                    if total(n) <= depth
-                    for p in g.paths(u, n)
-                    if p.source == v
-                ),
-                key=path_sort_key,
-            )
-            pairs += [
-                (a, b) for a, b in combinations(ps, 2) if a.degree != b.degree
-            ]
+        pairs = brute_comparable_pairs(g, v, depth)
         winner = next(
             (x for x in candidates if all(separates(g, a, b, x) for a, b in pairs)),
             None,

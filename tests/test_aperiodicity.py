@@ -8,8 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, RANDOM_GRAPHS, build, entered_loop, lattice8, two_loop_lattice
-from oracles import aperiodicity_exhaustive, brute_path_words, word_to_path
+from corpus import (
+    CORPUS,
+    RANDOM_GRAPHS,
+    build,
+    doubled_two_cycle,
+    entered_loop,
+    lattice8,
+    torus_beside_cycles,
+    two_loop_lattice,
+)
+from oracles import (
+    aperiodicity_exhaustive,
+    box_separator,
+    brute_comparable_pairs,
+    brute_path_words,
+    word_to_path,
+)
 from kpalg import (
     Edge,
     KGraph,
@@ -137,6 +152,33 @@ def test_certify_refuses_mortal_colors():
     assert certify_never_separated(g, alpha, beta) is None
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_periodic_answer_reads_only_the_vertices_the_machine_walks(depth):
+    # the colors of the gap are checked at the sources the machine visits,
+    # D(v) = {v}, not at every vertex: x1, x2 receiving no color 2 does
+    # not hide the pair (v, f), so the graph itself is certified periodic
+    g = torus_beside_cycles()
+    verd = aperiodicity_check(g, depth)
+    assert (verd.status, verd.basis) == ("periodic", "certified")
+    cert = verd.certificate
+    assert (str(cert.alpha), str(cert.beta), cert.vertex) == ("v", "f", "v")
+    assert cert.machine_states == 1
+    note = classify_pure_infiniteness(g, depth).notes[0]
+    assert note.startswith("the graph itself is certified periodic")
+
+
+def test_machine_refuses_a_source_missing_a_color_of_the_gap():
+    # e and f run from v to w in different colors, and v receives no
+    # edge, so the trivial path at v separates them. Local convexity
+    # forbids this, so only a presentation that does not validate reaches
+    # the machine's check on the colors of the gap
+    g = KGraph(2, ["v", "w"], [Edge("e", 1, "v", "w"), Edge("f", 2, "v", "w")])
+    assert not validate(g).ok
+    e, f = g.path_from_edges(["e"]), g.path_from_edges(["f"])
+    assert certify_never_separated(g, e, f) is None
+    assert box_separator(g, e, f, (1, 1)) == g.trivial_path("v")
+
+
 def test_depth_is_recorded():
     verdict = aperiodicity_check(chain(3), depth=5)
     assert verdict.depth == 5
@@ -258,6 +300,36 @@ def test_matches_exhaustive_oracle_past_a_stuck_vertex(ends):
     fast = aperiodicity_check(g, 2)
     assert (fast.status, fast.basis) == ("periodic", "certified")
     assert aperiodicity_json(fast) == aperiodicity_json(aperiodicity_exhaustive(g, 2))
+
+
+def _machine_answers(g, depth):
+    # the machine's answer on every comparable pair up to the depth
+    return [
+        ((a, b), certify_never_separated(g, a, b))
+        for v in g.vertices
+        for a, b in brute_comparable_pairs(g, v, depth)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.one_of(_PRODUCTS, _one_graphs()), depth=st.integers(1, 2))
+def test_machine_certifies_no_pair_a_box_path_separates(g, depth):
+    for (a, b), states in _machine_answers(g, depth):
+        if states is not None:
+            assert box_separator(g, a, b, (depth + 1,) * g.k) is None, (a, b)
+
+
+@pytest.mark.parametrize(
+    "mk, certified", [(torus_beside_cycles, 19), (doubled_two_cycle, 0)]
+)
+def test_machine_refuses_only_pairs_a_box_path_separates(mk, certified):
+    # on these fixtures the machine and the box of depth 3 agree on every
+    # pair up to depth 2: a refused pair has a separator there
+    g = mk()
+    answers = _machine_answers(g, 2)
+    assert sum(states is not None for _, states in answers) == certified
+    for (a, b), states in answers:
+        assert (box_separator(g, a, b, (3,) * g.k) is None) == (states is not None)
 
 
 @pytest.mark.parametrize(

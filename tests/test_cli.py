@@ -9,8 +9,8 @@ import sys
 import pytest
 
 import kpalg
-from corpus import branches, build, lattice8
-from kpalg import Edge, KGraph, format_kgraph, product, random_square_graph
+from corpus import branches, build, doubled_two_cycle, lattice8
+from kpalg import format_kgraph, product, random_square_graph
 from kpalg.cli import main
 
 BAD_SQUARES = """\
@@ -26,22 +26,6 @@ def write_graph(tmp_path, name):
     f = tmp_path / (name + ".kg")
     f.write_text(format_kgraph(build(name)))
     return str(f)
-
-
-def unknown_verdict_graph():
-    # a torus next to two disjoint monochrome cycles: every pair the first
-    # candidate leaves unseparated at the torus vertex has a mortal color
-    # in its degree gap, so the periodicity machine refuses and the
-    # verdict stays unknown
-    edges = [
-        Edge("e", 1, "v", "v"),
-        Edge("f", 2, "v", "v"),
-        Edge("m1", 1, "x2", "x1"),
-        Edge("m2", 1, "x1", "x2"),
-        Edge("n1", 2, "y2", "y1"),
-        Edge("n2", 2, "y1", "y2"),
-    ]
-    return KGraph(2, ["v", "x1", "x2", "y1", "y2"], edges, [("e", "f", "f", "e")])
 
 
 # -- validate ----------------------------------------------------------------------
@@ -101,6 +85,19 @@ def test_classify_refuses_a_presentation_without_vertices(tmp_path, capsys):
     f = tmp_path / "empty.kg"
     f.write_text("kgraph v1\nk: 1\n")
     assert main(["classify", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the presentation has no vertices")
+    assert "Traceback" not in err
+
+
+def test_aperiodic_refuses_a_presentation_without_vertices(tmp_path, capsys):
+    # aperiodicity_check itself answers certified aperiodic, as the
+    # sweep's quotient by H = V needs; the command refuses the vacuous
+    # verdict as classify does
+    f = tmp_path / "empty.kg"
+    f.write_text("kgraph v1\nk: 1\n")
+    assert main(["aperiodic", str(f)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: the presentation has no vertices")
@@ -249,8 +246,8 @@ def test_aperiodic_periodic_still_definite(tmp_path, capsys):
 
 
 def test_aperiodic_unknown_exits_one(tmp_path, capsys):
-    f = tmp_path / "deaf.kg"
-    f.write_text(format_kgraph(unknown_verdict_graph()))
+    f = tmp_path / "doubled.kg"
+    f.write_text(format_kgraph(doubled_two_cycle()))
     assert main(["aperiodic", str(f), "--depth", "2"]) == 1
     assert capsys.readouterr().out.startswith("unknown at depth 2")
 

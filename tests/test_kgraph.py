@@ -34,6 +34,7 @@ from kpalg import (
     torus,
     validate,
 )
+from kpalg.cli import main
 from kpalg.degrees import below, total
 
 
@@ -550,6 +551,33 @@ def test_parse_rejects_malformed_square():
     with pytest.raises(ParseError) as ei:
         parse_kgraph(text)
     assert ei.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("kgraph v1\nk: two\n", 2, "bad k: line"),
+        ("kgraph v1\nk: 0\n", 2, "k must be >= 1"),
+        ("kgraph v1\nk: 1\nvertices: v\nk: 1\n", 4, "duplicate k: line"),
+        ("kgraph v1\n\nedge a color=1 from=v to=v\nk: 1\n", 3, "edge line before k:"),
+        ("kgraph v1\nk: 1\nvertices: v w-1\n", 3, "bad vertex id 'w-1'"),
+        ("kgraph v1\nk: 1\nvertices: v\nedge a color=1 from=v\n", 4, "bad edge line"),
+    ],
+    ids=["bad_k", "k_zero", "duplicate_k", "edge_before_k", "bad_vertex_id", "bad_edge"],
+)
+def test_parse_refusals_name_their_line(tmp_path, capsys, text, line, message):
+    with pytest.raises(ParseError) as ei:
+        parse_kgraph(text)
+    assert ei.value.line == line
+    assert str(ei.value).startswith("line %d: %s" % (line, message))
+    # the command line reports it as an error, not a traceback
+    f = tmp_path / "bad.kg"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: line %d: " % line)
+    assert "Traceback" not in err
 
 
 def test_parse_rejects_unknown_line():
