@@ -43,11 +43,11 @@ form a degree class, and for each two classes whose degrees have meet 0
 the first pair x leaves unseparated is the first head collision in a
 bucket join of the two classes. The residual pairs are never listed. The
 compose memo of the path kernel (``kgraph._memo``) holds one candidate's
-composites and their last prefix, so a head computed twice, or again by
-``separates``, is not composed again. ``separates`` itself is called only
-where one pair meets one candidate: the pair that defeated the last
-candidate is tried first on the next (the first residual pair on the
-first).
+composites, and each composite keeps its last split, so a head computed
+twice, or again by ``separates``, is neither composed nor split again.
+``separates`` itself is called only where one pair meets one candidate:
+the pair that defeated the last candidate is tried first on the next (the
+first residual pair on the first).
 
 The machine probe: when the pair that defeated one candidate defeats the
 next as well, the search asks the closed machine about it
@@ -455,7 +455,9 @@ def aperiodicity_check(
     for v in g.vertices:
         if known and v in known:
             ev = known[v]
-            evidence.append(replace(ev, separator=replace(ev.separator, graph=g)))
+            x = ev.separator
+            x = Path(g, x.range, x.edges, x.degree, x.source)
+            evidence.append(replace(ev, separator=x))
             continue
         if paths is None:
             paths = _paths_by_source(g, depth)

@@ -110,9 +110,22 @@ def traces(g: KGraph, v: str, reach: Collection[str]) -> Tuple[Ideal, ...]:
     """closure(T) for each trace T = H & D(v) of the ideals H avoiding v,
     in lattice order: the fixed points avoiding v of closure(T) & D(v)
     (``aperiodicity.py`` docstring), found by ``_walk`` inside D(v).
-    ``reach`` is D(v), the key set of ``paths.reachable_to(g, v)``."""
+    ``reach`` is D(v), the key set of ``paths.reachable_to(g, v)``.
+
+    An ideal holding u holds D(u), so the walk skips every u with v in
+    D(u): the u that v reaches along edges, from source to range. Each
+    vertex on such a way reaches v too, so the search stays inside D(v).
+    """
     _known(g, [v])
-    among = [u for u in reach if u != v]
+    ahead = {v}
+    work = [v]
+    while work:
+        for i in g._by_source.get(work.pop(), ()):
+            u = g.edges[i].range
+            if u in reach and u not in ahead:
+                ahead.add(u)
+                work.append(u)
+    among = [u for u in reach if u not in ahead]
     return tuple(tuple(sorted(h)) for h in _walk(g, among, v))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .degrees import Degree, below, join, leq, sub, total, zero
@@ -42,22 +42,37 @@ class Edge:
     range: str
 
 
-@dataclass(frozen=True, eq=False)
 class Path:
     """A path in canonical (color-nondecreasing) form.
 
     ``edges`` is a tuple of edge ids; the trivial path at a vertex has an
     empty word and carries the vertex in ``range``. Two paths are equal
     when they have the same graph object, range and word. ``trivial_path``
-    hands out one trivial path per vertex and graph.
+    hands out one trivial path per vertex and graph. Paths are immutable:
+    assigning an attribute raises ``FrozenInstanceError``. ``split`` is
+    the kernel's own: a composite made by ``KGraph.compose`` keeps its last
+    factorization there (see ``_memo``), every other path None.
     """
 
-    graph: "KGraph"
-    range: str
-    edges: Tuple[str, ...]
-    # computed from the word unless the caller already knows them
-    degree: Degree = None
-    source: str = None
+    __slots__ = ("graph", "range", "edges", "degree", "source", "split", "__weakref__")
+
+    def __init__(
+        self,
+        graph: "KGraph",
+        range: str,
+        edges: Tuple[str, ...],
+        # computed from the word unless the caller already knows them
+        degree: Degree = None,
+        source: str = None,
+    ):
+        put = object.__setattr__
+        put(self, "graph", graph)
+        put(self, "range", range)
+        put(self, "edges", edges)
+        put(self, "degree", degree)
+        put(self, "source", source)
+        put(self, "split", None)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.degree is not None:
@@ -74,6 +89,12 @@ class Path:
             object.__setattr__(self, "degree", zero(g.k))
             object.__setattr__(self, "source", self.range)
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -81,6 +102,14 @@ class Path:
             return NotImplemented
         same = self.edges == other.edges and self.range == other.range
         return same and self.graph is other.graph
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if not isinstance(other, Path):
+            return NotImplemented
+        same = self.edges == other.edges and self.range == other.range
+        return not (same and self.graph is other.graph)
 
     def __hash__(self):
         return hash((self.range, self.edges))
@@ -96,32 +125,39 @@ class Path:
         return "Path(%s)" % self
 
 
+# the kernel's writer of the ``split`` slot, which ``__setattr__`` refuses
+_set_split = Path.split.__set__
+
+
 def path_sort_key(p: Path):
     """Deterministic ordering: shorter first, then by degree, then word."""
     return (total(p.degree), p.degree, p.edges)
 
 
 # The compose memo, one for the process: the tuple (graph, right factor q,
-# composites, factors) of the last ``compose``.
+# composites) of the last ``compose``.
 #
 # Searches compose many left paths with one right factor q in a row (an
 # aperiodicity candidate, a separator under audit), and meet the same left
 # paths again for each pair they are in. ``composites`` maps the word
 # ``p.edges`` of each left path to p q, for the graph and q of the memo,
-# both checked by identity. ``factors`` keeps, for each such composite,
-# keyed by its ``id`` (safe, since the memo keeps every composite alive),
-# its last ``factorize`` as ``(m, (head, tail))``. A hit returns only what
-# was validated when it was stored.
+# both checked by identity. Each composite keeps its last ``factorize`` in
+# its own ``split`` slot, as ``(m, (head, tail))``, the shortcut splits at
+# m = 0 and m = d(p q) included; ``factorize`` reads the slot only when
+# the composite is a path of the graph it is called on. A hit returns only
+# what was validated when it was stored.
 #
 # A ``compose`` with another graph or right factor replaces the whole
-# tuple, so at most one right factor's composites are alive. Each call
-# reads the tuple once, so a thread never mixes up two right factors. The
-# memo is one for the process, not one per graph: reports keep their
-# graphs alive, and a memo per graph would keep each graph's last
-# composites with it (``peak_rss_mb`` +7.7% on the ``sweep`` benchmark
-# workload and +3.1% on ``lattice``).
-_memo = (None, None, {}, {})
-# the factors entry of a composite not yet split
+# tuple, so at most one right factor's composites are kept by the memo,
+# and a split goes with its composite (a shortcut split holds the
+# composite itself, so the cycle collector frees the two). Each call reads
+# the tuple once, so a thread never mixes up two right factors, and each
+# composite belongs to one right factor. The memo is one for the process,
+# not one per graph: reports keep their graphs alive, and a memo per graph
+# would keep each graph's last composites with it (``peak_rss_mb`` +7.7%
+# on the ``sweep`` benchmark workload and +3.1% on ``lattice``).
+_memo = (None, None, {})
+# the split slot of a composite not yet split; other paths hold None
 _UNSPLIT = (None, None)
 
 
@@ -295,7 +331,7 @@ class KGraph:
         """The composite p q, memoized for the last right factor q (see
         ``_memo``)."""
         global _memo
-        graph, right, composites, factors = _memo
+        graph, right, composites = _memo
         same = q is right and self is graph
         if same:
             pq = composites.get(p.edges)
@@ -312,21 +348,20 @@ class KGraph:
             return p
         if not same:
             # a new right factor: forget the old one's composites
-            composites, factors = {}, {}
-            _memo = (self, q, composites, factors)
+            composites = {}
+            _memo = (self, q, composites)
         word = self._sort_word(list(p.edges + q.edges), len(p.edges))
         degree = tuple(map(operator.add, p.degree, q.degree))
         pq = composites[p.edges] = Path(self, p.range, tuple(word), degree, q.source)
-        factors[id(pq)] = _UNSPLIT
+        _set_split(pq, _UNSPLIT)
         return pq
 
     def factorize(self, p: Path, m: Degree) -> Tuple[Path, Path]:
         """Split p = head tail with d(head) = m. Unique by the square rules.
 
-        The last split of each composite in the memo is kept with it."""
-        graph, _, _, factors = _memo
-        last = factors.get(id(p)) if self is graph else None
-        if last is not None and last[0] == m:
+        A composite of ``compose`` keeps its last split (see ``_memo``)."""
+        last = p.split
+        if last is not None and last[0] == m and p.graph is self:
             return last[1]
         if len(m) != self.k:
             raise KGraphError("degree %r has wrong rank" % (m,))
@@ -337,12 +372,20 @@ class KGraph:
             )
         m = tuple(m)
         if m == d:
-            return p, self.trivial_path(p.source)
-        if not any(m):
-            return self.trivial_path(p.range), p
+            out = p, self.trivial_path(p.source)
+        elif not any(m):
+            out = self.trivial_path(p.range), p
+        else:
+            out = self._split(p, m)
+        if last is not None and p.graph is self:
+            _set_split(p, (m, out))
+        return out
+
+    def _split(self, p: Path, m: Degree) -> Tuple[Path, Path]:
         # word[:h] is the head so far, word[h:] the canonical rest; before
         # color c joins the head, the rest starts with the `skip` left-over
         # edges of colors below c, so its next color-c edge sits after them
+        d = p.degree
         word = list(p.edges)
         sq = self.square_fwd
         h = 0
@@ -357,13 +400,10 @@ class KGraph:
                 h += 1
             skip += d[c] - m[c]
         split = self.edges[word[h]].range
-        out = (
+        return (
             Path(self, p.range, tuple(word[:h]), m, split),
             Path(self, split, tuple(word[h:]), tuple(map(operator.sub, d, m)), p.source),
         )
-        if last is not None:
-            factors[id(p)] = (m, out)
-        return out
 
     # -- path enumeration -------------------------------------------------
 

@@ -6,6 +6,8 @@ are only compatible within one instance, so tests construct the graph
 once and thread it through.
 """
 
+import random
+
 from hypothesis import strategies as st
 
 from kpalg import (
@@ -113,6 +115,18 @@ def doubled_two_cycle() -> KGraph:
     unknown there; at depths 1 and 3 it answers bounded aperiodic."""
     edges = [Edge("e0", 1, "v0", "v1"), Edge("e1", 1, "v0", "v1"), Edge("e2", 1, "v1", "v0")]
     return KGraph(1, ["v0", "v1"], edges)
+
+
+def ring(n=160, seed=1) -> KGraph:
+    """A 1-graph: the n-cycle r0 -> r1 -> ... -> r0 plus n more edges, each
+    between two vertices drawn by ``random.Random(seed)``. It is strongly
+    connected, so its only ideals are the empty set and all of it, and
+    every vertex u has each vertex v in D(u)."""
+    rng = random.Random(seed)
+    vs = ["r%d" % i for i in range(n)]
+    edges = [Edge("c%d" % i, 1, vs[i], vs[(i + 1) % n]) for i in range(n)]
+    edges += [Edge("x%d" % i, 1, rng.choice(vs), rng.choice(vs)) for i in range(n)]
+    return KGraph(1, vs, edges)
 
 
 CORPUS = [

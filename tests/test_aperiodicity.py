@@ -404,7 +404,7 @@ def test_memoized_separates_matches_reset_memo(monkeypatch):
                 memoized = [separates(g, a, b, x) for a, b in pairs]
                 fresh = []
                 for a, b in pairs:
-                    monkeypatch.setattr(kgraph, "_memo", (None, None, {}, {}))
+                    monkeypatch.setattr(kgraph, "_memo", (None, None, {}))
                     fresh.append(separates(g, a, b, x))
                 assert memoized == fresh, (name, v, x)
 

@@ -1,5 +1,6 @@
 """Saturated hereditary sets: closure, lattice, quotients."""
 
+import json
 import sys
 from collections import Counter
 from itertools import combinations
@@ -12,6 +13,7 @@ from corpus import (
     RANDOM_GRAPHS,
     entered_loop,
     lattice8,
+    ring,
     three_components,
     two_loop_lattice,
 )
@@ -28,7 +30,8 @@ from kpalg import (
     two_loops_plus_exit,
     validate,
 )
-from kpalg import ideals, strong_aperiodicity_sweep
+from kpalg import format_kgraph, ideals, strong_aperiodicity_sweep
+from kpalg.cli import main
 from kpalg.ideals import traces
 from oracles import brute_sat_her, brute_traces
 
@@ -238,6 +241,27 @@ def test_sweep_closes_no_lattice_set_again(monkeypatch):
     assert calls == []
     with pytest.raises(KGraphError, match="not hereditary and saturated"):
         quotient(g, ("x1",))
+
+
+def test_classify_closes_once_per_vertex_on_a_ring(monkeypatch, tmp_path, capsys):
+    # ring(160) is strongly connected: every u has every v in D(u), so the
+    # witness search at v closes no augmentation, and the only closures
+    # are the lattice's, one per vertex; the console smoke run in CI
+    # expects this exit code
+    g = ring(160)
+    path = tmp_path / "ring.kg"
+    path.write_text(format_kgraph(g))
+    calls = []
+    inner = ideals._close
+
+    def counted(gr, start):
+        calls.append(frozenset(start))
+        return inner(gr, start)
+
+    monkeypatch.setattr(ideals, "_close", counted)
+    assert main(["classify", str(path), "--depth", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "ProperlyPurelyInfinite"
+    assert len(calls) <= len(g.vertices)
 
 
 def closure_leaves_the_reach():

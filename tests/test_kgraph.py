@@ -3,6 +3,7 @@
 import sys
 import threading
 import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -227,11 +228,13 @@ def test_memo_frees_the_composites_of_the_old_right_factor():
     g = bouquet(2)
     a, b = g.path_from_edges(["a"]), g.path_from_edges(["b"])
     ab = weakref.ref(g.compose(a, b))
-    g.factorize(ab(), (1,))
-    # the memo keeps the composite alive and answers from it
+    head = weakref.ref(g.factorize(ab(), (1,))[0])
+    # the memo keeps the composite alive and answers from it, and the
+    # composite keeps its last split
     assert g.compose(a, b) is ab()
+    assert g.factorize(ab(), (1,))[0] is head()
     g.compose(b, a)
-    assert ab() is None
+    assert ab() is None and head() is None
 
 
 def test_memo_is_safe_across_threads():
@@ -643,6 +646,58 @@ def test_path_equality_is_graph_range_and_word():
     p = ps[-1]
     assert (p == "x") is False and p != "x"
     assert p.__eq__("x") is NotImplemented
+
+
+def test_paths_are_frozen_and_have_no_dict():
+    g = grid((1, 1))
+    p = g.compose(g.path_from_edges(["e1_00"]), g.path_from_edges(["e2_10"]))
+    g.factorize(p, (1, 0))
+    for x in (p, g.trivial_path("p00"), Path(g, p.range, p.edges)):
+        assert not hasattr(x, "__dict__")
+        before = (x.graph, x.range, x.edges, x.degree, x.source, x.split)
+        for name in ("graph", "range", "edges", "degree", "source", "split", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(x, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(x, name)
+        assert (x.graph, x.range, x.edges, x.degree, x.source, x.split) == before
+
+
+def test_ne_is_the_negation_of_eq():
+    for name, mk in CORPUS:
+        g = mk()
+        ps = _paths_upto_total(g, 2)
+        for a in ps:
+            for b in ps + [Path(g, a.range, a.edges)]:
+                assert (a != b) == (not a == b), (name, a, b)
+            assert (a != "x") is True and a.__ne__("x") is NotImplemented
+    # the same word over a quotient is another path
+    g = lattice8()
+    gq = quotient(g, next(h for h in enumerate_sat_her(g).sets if len(h)))
+    for p in _paths_upto_total(g, 2):
+        if gq.has_vertex(p.source):
+            for r in (Path(gq, p.range, p.edges), p):
+                for x, y in ((p, r), (r, p), (r, Path(gq, r.range, r.edges))):
+                    assert (x != y) == (not x == y), (x, y)
+
+
+def test_post_init_runs_once_per_path(monkeypatch):
+    # the benchmark counts constructed paths by wrapping this method
+    built = []
+    inner = Path.__dict__["__post_init__"]
+
+    def counted(self):
+        built.append(self)
+        inner(self)
+
+    monkeypatch.setattr(Path, "__post_init__", counted)
+    g = torus(2)
+    direct = [Path(g, "v", ("e", "f")), Path(g, "v", ("e",), (1, 0), "v"), Path(g, "v", ())]
+    f = g.path_from_edges(["f"])
+    ef = g.compose(direct[1], f)
+    parts = g.factorize(ef, (0, 1))
+    made = direct + [f, ef, *parts, g.trivial_path("v")]
+    assert [id(x) for x in built] == [id(x) for x in made]
 
 
 @settings(max_examples=60, deadline=None)
