@@ -72,7 +72,13 @@ skips degrees that give no boundary path anyway). The winning separator
 at v and its ``pairs_checked`` thus depend only on (v, H & D(v)), and so
 does a periodic answer: the machine walks the edges into its states'
 sources, which in the quotient come from D(v) - H, and checks the colors
-of the gap there alone (``certify_never_separated``).
+of the gap there alone (``certify_never_separated``). So does an unknown
+answer, which is the miss of both. The unit of work is therefore the
+one-vertex search (``_vertex_verdict``), whose answer is a one-vertex
+verdict, and a graph's verdict is combined from those of its vertices
+(``combine_verdicts``): ``strong_aperiodicity_sweep`` searches each
+(v, H & D(v)) once, in the quotient by the least ideal of that trace, and
+combines every ideal's verdict from the stored answers.
 
 Locality of the witness search: ``prove_vertex_properly_infinite`` makes
 one case per trace T = H & D(v) of the ideals H avoiding v, at the ideal
@@ -117,7 +123,7 @@ trace T exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .degrees import Degree, meet
@@ -178,19 +184,18 @@ def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
     return ax.degree != bx.degree and not g.edges_by_range(x.source)
 
 
-def _paths_by_source(g: KGraph, depth: int) -> Dict[str, List[List[Path]]]:
-    # paths of total degree <= depth by source, each source's paths grouped
-    # by range (in vertex order) and sorted by path_sort_key within a group
-    by_source: Dict[str, Dict[str, List[Path]]] = {}
-    for u in g.vertices:
-        for t in range(0, depth + 1):
-            for n in _degrees_with_total(g.k, t):
-                for p in g.paths(u, n):
-                    by_source.setdefault(p.source, {}).setdefault(u, []).append(p)
-    return {
-        v: [sorted(by_range[u], key=path_sort_key) for u in sorted(by_range)]
-        for v, by_range in by_source.items()
-    }
+def _groups_at(g: KGraph, v: str, depth: int) -> List[List[Path]]:
+    # the paths of total degree <= depth with source v, grouped by range
+    # (in vertex order) and sorted by path_sort_key within a group; their
+    # ranges lie within depth edges of v, along edges from source to range
+    near = {v}
+    for _ in range(depth):
+        near |= {g.edges[i].range for u in near for i in g._by_source.get(u, ())}
+    degrees = [n for t in range(depth + 1) for n in _degrees_with_total(g.k, t)]
+    by_range = (
+        [p for n in degrees for p in g.paths(u, n) if p.source == v] for u in sorted(near)
+    )
+    return [sorted(ps, key=path_sort_key) for ps in by_range if ps]
 
 
 def _pairs_at(groups: List[List[Path]]) -> Iterator[Tuple[Path, Path]]:
@@ -440,50 +445,56 @@ def check_depth(depth: int) -> None:
         raise ValueError("depth must be >= 1, got %d" % depth)
 
 
-def aperiodicity_check(
-    g: KGraph, depth: int = 6, known: Optional[Dict[str, SeparationEvidence]] = None
+def _vertex_verdict(g: KGraph, v: str, depth: int) -> AperiodicityVerdict:
+    """The one-vertex verdict at v: aperiodic with v's separator, periodic
+    with a certified pair at v, or unknown."""
+    cap = (depth + 1,) * g.k
+    groups = _groups_at(g, v, depth)
+    pairs_checked, classes, joins = _residual_classes(groups)
+    machine = _Machine(g)
+    winner = _first_separator(g, classes, joins, g.iter_boundary_paths(v, cap), machine)
+    if winner is not None:
+        evidence = (SeparationEvidence(v, winner, pairs_checked),)
+        return AperiodicityVerdict("aperiodic", depth, evidence)
+    cert = _periodic_certificate(g, v, groups, g.boundary_paths(v, cap), machine)
+    if cert is not None:
+        return AperiodicityVerdict("periodic", depth, (), cert, basis="certified")
+    note = "vertex %s: no single separating boundary path within depth %d" % (v, depth)
+    return AperiodicityVerdict("unknown", depth, note=note)
+
+
+def combine_verdicts(
+    answers: Iterable[AperiodicityVerdict], depth: int
 ) -> AperiodicityVerdict:
-    """Three-valued aperiodicity check with explicit certificates.
-    ``known`` maps vertices v to the evidence found in another quotient of
-    the same graph by an ideal with the same H & D(v) (module docstring).
-    ``unknown`` comes only after every vertex has been tried, and names
-    the first vertex left unsettled."""
-    check_depth(depth)
+    """A graph's verdict from the one-vertex verdicts of its vertices, in
+    vertex order: the first periodic one, else the first unknown one, else
+    aperiodic with every vertex's evidence. The answers are read up to the
+    first periodic one. With no vertex there is nothing to separate, so the
+    graph is vacuously, and certifiably, aperiodic."""
     evidence: List[SeparationEvidence] = []
-    paths = None
     stuck = None
-    for v in g.vertices:
-        if known and v in known:
-            ev = known[v]
-            x = ev.separator
-            x = Path(g, x.range, x.edges, x.degree, x.source)
-            evidence.append(replace(ev, separator=x))
-            continue
-        if paths is None:
-            paths = _paths_by_source(g, depth)
-        cap = (depth + 1,) * g.k
-        groups = paths[v]
-        pairs_checked, classes, joins = _residual_classes(groups)
-        machine = _Machine(g)
-        winner = _first_separator(
-            g, classes, joins, g.iter_boundary_paths(v, cap), machine
-        )
-        if winner is not None:
-            evidence.append(SeparationEvidence(v, winner, pairs_checked))
-            continue
-        candidates = g.boundary_paths(v, cap)
-        cert = _periodic_certificate(g, v, groups, candidates, machine)
-        if cert is not None:
-            return AperiodicityVerdict("periodic", depth, (), cert, basis="certified")
-        if stuck is None:
-            stuck = v
+    for verd in answers:
+        if verd.status == "periodic":
+            return verd
+        if verd.status == "unknown" and stuck is None:
+            stuck = verd
+        evidence += verd.evidence
     if stuck is not None:
-        return AperiodicityVerdict(
-            "unknown",
-            depth,
-            note="vertex %s: no single separating boundary path within depth %d"
-            % (stuck, depth),
-        )
-    # with no vertex there is nothing to separate: vacuously aperiodic
-    basis = "bounded" if g.vertices else "certified"
+        return stuck
+    basis = "bounded" if evidence else "certified"
     return AperiodicityVerdict("aperiodic", depth, tuple(evidence), basis=basis)
+
+
+def aperiodicity_check(
+    g: KGraph, depth: int = 6, vertices: Optional[Iterable[str]] = None
+) -> AperiodicityVerdict:
+    """Three-valued aperiodicity check with explicit certificates, over the
+    given vertices of g, all of them by default. Each vertex is searched
+    on its own and the answers are combined by ``combine_verdicts``, so
+    ``unknown`` comes only after every vertex has been tried, and names
+    the first vertex left unsettled. A vertex's answer depends only on
+    (v, H & D(v)) (module docstring), so the sweep asks for one vertex at
+    a time and keeps the answer for every quotient of that trace."""
+    check_depth(depth)
+    vs = g.vertices if vertices is None else vertices
+    return combine_verdicts((_vertex_verdict(g, v, depth) for v in vs), depth)

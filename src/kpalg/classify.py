@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
+from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth, combine_verdicts
 from .field import Field, QQ
 from .ideals import Ideal, enumerate_sat_her, quotient
 from .kgraph import KGraph, KGraphError, Path, validate
@@ -90,23 +90,29 @@ def strong_aperiodicity_sweep(
     g: KGraph, depth: int = 6
 ) -> Tuple[Tuple[Ideal, AperiodicityVerdict], ...]:
     """Aperiodicity verdict for the quotient by every hereditary
-    saturated set, the empty quotient included (vacuously aperiodic),
-    each quotient built here from the lattice. A separator found at v
-    serves every quotient with the same H & D(v), D(v) being the vertices
-    v reaches (aperiodicity's locality across quotients, read from
-    ``reachable_to``, which keeps D(v) on the graph); only winners are
-    kept, so a miss is searched again."""
+    saturated set, the empty quotient included (vacuously aperiodic).
+    A vertex's answer depends only on (v, H & D(v)), D(v) being the
+    vertices v reaches (aperiodicity's locality across quotients, read
+    from ``reachable_to``, which keeps D(v) on the graph), so each such
+    pair is searched once, whatever its answer, and each ideal's verdict
+    is combined from the answers of its vertices. The first ideal of a
+    trace T in lattice order is closure(T), so an answer lives in the
+    quotient by closure(T), and a quotient is built only where some
+    vertex meets a new trace: once for each distinct closure(T), the
+    ideals of the witness cases."""
     reach = {v: frozenset(reachable_to(g, v)) for v in g.vertices}
-    # (v, H & D(v)) -> the separation evidence found at v
-    winners: Dict = {}
+    # (v, H & D(v)) -> the one-vertex verdict at v
+    answers: Dict = {}
     out = []
     for h in enumerate_sat_her(g).sets:
-        gq = quotient(g, h)
-        keys = {v: (v, reach[v].intersection(h)) for v in gq.vertices}
-        known = {v: winners[key] for v, key in keys.items() if key in winners}
-        verd = aperiodicity_check(gq, depth, known)
-        for ev in verd.evidence:
-            winners.setdefault(keys[ev.vertex], ev)
+        hs = frozenset(h)
+        keys = {v: (v, reach[v] & hs) for v in g.vertices if v not in hs}
+        new = [v for v, key in keys.items() if key not in answers]
+        if new:
+            gq = quotient(g, h)
+            for v in new:
+                answers[keys[v]] = aperiodicity_check(gq, depth, (v,))
+        verd = combine_verdicts((answers[key] for key in keys.values()), depth)
         out.append((h, verd))
     return tuple(out)
 

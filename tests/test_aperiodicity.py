@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from corpus import (
     CORPUS,
+    NAMES,
     RANDOM_GRAPHS,
     build,
     doubled_two_cycle,
     entered_loop,
     lattice8,
+    three_components,
     torus_beside_cycles,
     two_loop_lattice,
 )
@@ -46,10 +48,10 @@ from kpalg import (
     validate,
 )
 from kpalg import aperiodicity, kgraph
-from kpalg.aperiodicity import _pairs_at, _paths_by_source, _residual_classes, _unseparated
+from kpalg.aperiodicity import _groups_at, _pairs_at, _residual_classes, _unseparated
 from kpalg.classify import aperiodicity_json
 from kpalg.degrees import below, meet, total
-from kpalg.ideals import enumerate_sat_her
+from kpalg.ideals import enumerate_sat_her, sat_her_closure
 
 # depth 2 keeps the separator search cheap on the product graphs while
 # still exercising nontrivial pair sets
@@ -439,10 +441,16 @@ _SQUARES = st.builds(
 @given(g=st.one_of(_SQUARES, _one_graphs()), depth=st.integers(1, 3))
 def test_join_leaves_exactly_the_unseparated_residual_pairs(g, depth):
     # brute force: the first pair of _pairs_at whose degrees meet in 0 and
-    # that separates does not split
-    by_source = _paths_by_source(g, depth)
+    # that separates does not split; the groups are every path with
+    # source v up to the depth, by range in vertex order, sorted in a group
     for v in g.vertices:
-        groups = by_source[v]
+        groups = _groups_at(g, v, depth)
+        by_range = {}
+        for u in g.vertices:
+            for n in below((depth,) * g.k):
+                if total(n) <= depth:
+                    by_range.setdefault(u, []).extend(p for p in g.paths(u, n) if p.source == v)
+        assert groups == [sorted(ps, key=kgraph.path_sort_key) for ps in by_range.values() if ps], v
         _, classes, joins = _residual_classes(groups)
         residual = [(a, b) for a, b in _pairs_at(groups) if not any(meet(a.degree, b.degree))]
         for x in g.boundary_paths(v, (depth + 1,) * g.k):
@@ -455,7 +463,8 @@ def test_separator_search_does_not_test_pair_by_pair(monkeypatch):
     # so separates is called fewer times than there are residual pairs
     g = product(bouquet(3), bouquet(3, "u"))
     residual = 0
-    for groups in _paths_by_source(g, 4).values():
+    for v in g.vertices:
+        groups = _groups_at(g, v, 4)
         residual += sum(1 for a, b in _pairs_at(groups) if not any(meet(a.degree, b.degree)))
     calls = []
     inner = aperiodicity.separates
@@ -582,20 +591,24 @@ def _presentation(g):
 
 
 def assert_sweep_matches_fresh_checks(g, depth):
-    # the sweep reuses separators across quotients; a fresh check of each
-    # quotient must give the same verdict, with evidence over the quotient
+    # the sweep searches each (v, H & D(v)) once, in the quotient by the
+    # least ideal of that trace; a fresh check of each quotient must give
+    # the same verdict, and each separator or pair at v must live in the
+    # quotient by closure(H & D(v))
     sweep = strong_aperiodicity_sweep(g, depth)
     assert [h for h, _ in sweep] == list(enumerate_sat_her(g).sets)
     for h, verd in sweep:
-        gq = quotient(g, h)
-        fresh = aperiodicity_check(gq, depth)
+        fresh = aperiodicity_check(quotient(g, h), depth)
         # status, basis, depth, note, certificate, and per vertex the
         # separator word and pairs_checked
         assert aperiodicity_json(verd) == aperiodicity_json(fresh), h
-        homes = [ev.separator.graph for ev in verd.evidence]
+        homes = [(ev.vertex, ev.separator.graph) for ev in verd.evidence]
         if verd.certificate is not None:
-            homes += [verd.certificate.alpha.graph, verd.certificate.beta.graph]
-        assert all(_presentation(q) == _presentation(gq) for q in homes), h
+            c = verd.certificate
+            homes += [(c.vertex, c.alpha.graph), (c.vertex, c.beta.graph)]
+        for v, q in homes:
+            least = sat_her_closure(g, _reaches(g, v) & set(h))
+            assert _presentation(q) == _presentation(quotient(g, least)), (h, v)
 
 
 def test_sweep_matches_fresh_checks_on_corpus():
@@ -626,12 +639,21 @@ def _reaches(g, v):
 
 @pytest.mark.parametrize(
     "mk",
-    [pytest.param(lambda name=name: build(name), id=name) for name in APERIODIC]
-    + [pytest.param(mk, id=mk.__name__) for mk in (two_loop_lattice, lattice8)],
+    [pytest.param(lambda name=name: build(name), id=name) for name in NAMES]
+    + [
+        pytest.param(mk, id=mk.__name__)
+        for mk in (
+            two_loop_lattice,
+            lattice8,
+            three_components,
+            torus_beside_cycles,
+            doubled_two_cycle,
+        )
+    ],
 )
 def test_sweep_searches_each_vertex_once_per_trace_of_the_ideal(monkeypatch, mk):
-    # on a graph whose every quotient is aperiodic, the separator search
-    # runs once per distinct (v, H & D(v)) and never again
+    # whatever the answers, periodic and unknown ones included, the
+    # separator search runs once per distinct (v, H & D(v)) and never again
     g = mk()
     calls = []
     inner = aperiodicity._first_separator
@@ -641,18 +663,19 @@ def test_sweep_searches_each_vertex_once_per_trace_of_the_ideal(monkeypatch, mk)
         return inner(*args)
 
     monkeypatch.setattr(aperiodicity, "_first_separator", counting)
-    sweep = strong_aperiodicity_sweep(g, 2)
-    assert all(verd.status == "aperiodic" for _, verd in sweep)
-    keys = {
-        (v, frozenset(_reaches(g, v) & set(h)))
-        for h, _ in sweep
-        for v in g.vertices
-        if v not in h
-    }
-    assert len(calls) == len(keys)
-    if mk is lattice8:
-        searches = sum(len(g.vertices) - len(h) for h, _ in sweep)
-        assert (searches, len(keys)) == (432, 11)
+    for depth in (1, 2, 3):
+        del calls[:]
+        sweep = strong_aperiodicity_sweep(g, depth)
+        keys = {
+            (v, frozenset(_reaches(g, v) & set(h)))
+            for h, _ in sweep
+            for v in g.vertices
+            if v not in h
+        }
+        assert len(calls) == len(keys), depth
+        if mk is lattice8:
+            searches = sum(len(g.vertices) - len(h) for h, _ in sweep)
+            assert (searches, len(keys)) == (432, 11)
 
 
 # -- what each answer rests on --------------------------------------------------

@@ -356,9 +356,15 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
-def test_classify_builds_one_quotient_per_ideal_and_per_case(monkeypatch):
-    # the sweep builds each ideal's quotient once, and each witness case
-    # the quotient by its own ideal
+def _distinct(ideals):
+    # the distinct ideals in lattice order: by size, then vertex ids
+    return sorted(set(ideals), key=lambda h: (len(h), h))
+
+
+def test_classify_builds_each_case_ideal_once_in_the_sweep_and_once_per_case(monkeypatch):
+    # the sweep builds a quotient only where a vertex meets a new trace, at
+    # the least ideal of that trace: the distinct case ideals, in lattice
+    # order; each witness case then builds the quotient by its own ideal
     g = two_loop_lattice()
     enumerated = _count_calls(monkeypatch, "enumerate_sat_her")
     quotients = _count_calls(monkeypatch, "quotient")
@@ -367,8 +373,9 @@ def test_classify_builds_one_quotient_per_ideal_and_per_case(monkeypatch):
     assert len(rep.sweep) == 18
     assert len(enumerated) == 1
     cases = [c.ideal for w in rep.witnesses for c in w.cases]
-    assert quotients == [tuple(h) for h, _ in rep.sweep] + cases
     assert len(cases) == 7
+    assert quotients == [(), ("x0",), ("x2",)] + cases
+    assert quotients[:3] == _distinct(cases)
 
 
 def test_standalone_witness_builds_only_quotients_avoiding_the_vertex(monkeypatch):
@@ -409,9 +416,12 @@ def test_classify_makes_one_case_per_trace_on_a_972_ideal_lattice(monkeypatch):
     # traces, every other vertex one
     assert sum(len(w.cases) for w in rep.witnesses) == 17
     assert sorted(len(w.cases) for w in rep.witnesses) == [1] * 7 + [2] * 5
-    # each ideal's quotient built once by the sweep, then one per case
-    assert len(quotients) == 972 + 17 and len(set(quotients[:972])) == 972
-    assert quotients[972:] == [c.ideal for w in rep.witnesses for c in w.cases]
+    # the sweep builds the quotients by the 6 distinct case ideals, in
+    # lattice order, then each case its own
+    cases = [c.ideal for w in rep.witnesses for c in w.cases]
+    assert len(quotients) == 6 + 17
+    assert quotients[:6] == _distinct(cases)
+    assert quotients[6:] == cases
 
 
 def test_standalone_witness_does_not_enumerate_the_lattice(monkeypatch):
