@@ -76,9 +76,10 @@ of the gap there alone (``certify_never_separated``). So does an unknown
 answer, which is the miss of both. The unit of work is therefore the
 one-vertex search (``_vertex_verdict``), whose answer is a one-vertex
 verdict, and a graph's verdict is combined from those of its vertices
-(``combine_verdicts``): ``strong_aperiodicity_sweep`` searches each
-(v, H & D(v)) once, in the quotient by the least ideal of that trace, and
-combines every ideal's verdict from the stored answers.
+(``combine_verdicts``): ``strong_aperiodicity_sweep`` combines every
+ideal's verdict from stored answers, and searches each (v, H & D(v))
+only when a combine first reads it, so at most once, in the quotient by
+the least ideal of that trace.
 
 Locality of the witness search: ``prove_vertex_properly_infinite`` makes
 one case per trace T = H & D(v) of the ideals H avoiding v, at the ideal
@@ -186,16 +187,19 @@ def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
 
 def _groups_at(g: KGraph, v: str, depth: int) -> List[List[Path]]:
     # the paths of total degree <= depth with source v, grouped by range
-    # (in vertex order) and sorted by path_sort_key within a group; their
-    # ranges lie within depth edges of v, along edges from source to range
-    near = {v}
-    for _ in range(depth):
-        near |= {g.edges[i].range for u in near for i in g._by_source.get(u, ())}
-    degrees = [n for t in range(depth + 1) for n in _degrees_with_total(g.k, t)]
-    by_range = (
-        [p for n in degrees for p in g.paths(u, n) if p.source == v] for u in sorted(near)
-    )
-    return [sorted(ps, key=path_sort_key) for ps in by_range if ps]
+    # (in vertex order) and sorted by path_sort_key within a group; the
+    # paths of g up to the depth are listed by source once, on first use,
+    # and kept on the graph for every vertex's search
+    if depth not in g._groups:
+        lists: Dict[str, Dict[str, List[Path]]] = {}
+        degrees = [n for t in range(depth + 1) for n in _degrees_with_total(g.k, t)]
+        for p in (p for u in g.vertices for n in degrees for p in g.paths(u, n)):
+            lists.setdefault(p.source, {}).setdefault(p.range, []).append(p)
+        g._groups[depth] = {
+            s: [sorted(ps, key=path_sort_key) for ps in by_range.values()]
+            for s, by_range in lists.items()
+        }
+    return g._groups[depth].get(v, [])
 
 
 def _pairs_at(groups: List[List[Path]]) -> Iterator[Tuple[Path, Path]]:
@@ -492,9 +496,12 @@ def aperiodicity_check(
     given vertices of g, all of them by default. Each vertex is searched
     on its own and the answers are combined by ``combine_verdicts``, so
     ``unknown`` comes only after every vertex has been tried, and names
-    the first vertex left unsettled. A vertex's answer depends only on
-    (v, H & D(v)) (module docstring), so the sweep asks for one vertex at
-    a time and keeps the answer for every quotient of that trace."""
+    the first vertex left unsettled. With vertices given, the verdict
+    covers those vertices alone: ``aperiodic`` then says only that each of
+    them has a separator, not that g is aperiodic. A vertex's answer
+    depends only on (v, H & D(v)) (module docstring), so the sweep asks
+    for one vertex at a time and keeps the answer for every quotient of
+    that trace."""
     check_depth(depth)
     vs = g.vertices if vertices is None else vertices
     return combine_verdicts((_vertex_verdict(g, v, depth) for v in vs), depth)

@@ -93,27 +93,35 @@ def strong_aperiodicity_sweep(
     saturated set, the empty quotient included (vacuously aperiodic).
     A vertex's answer depends only on (v, H & D(v)), D(v) being the
     vertices v reaches (aperiodicity's locality across quotients, read
-    from ``reachable_to``, which keeps D(v) on the graph), so each such
-    pair is searched once, whatever its answer, and each ideal's verdict
-    is combined from the answers of its vertices. The first ideal of a
-    trace T in lattice order is closure(T), so an answer lives in the
-    quotient by closure(T), and a quotient is built only where some
-    vertex meets a new trace: once for each distinct closure(T), the
-    ideals of the witness cases."""
+    from ``reachable_to``, which keeps D(v) on the graph). Each ideal's
+    verdict is combined from the answers of its vertices, and an answer
+    is searched when the combine first reads it, whatever it turns out
+    to be, and kept: each pair at most once, and none past the first
+    periodic vertex of an ideal. The first ideal of a trace T in lattice
+    order is closure(T), the least ideal of that trace; an answer is
+    searched in the quotient by it, built once, so the sweep builds only
+    ideals of the witness cases, and every one of them where no answer
+    is periodic."""
     reach = {v: frozenset(reachable_to(g, v)) for v in g.vertices}
-    # (v, H & D(v)) -> the one-vertex verdict at v
+    # (v, H & D(v)) -> the first ideal of that trace, and the one-vertex
+    # verdict at v once read; ideal -> its quotient, once built
+    home: Dict = {}
     answers: Dict = {}
+    quotients: Dict[Ideal, KGraph] = {}
+
+    def answer(key: Tuple[str, frozenset]) -> AperiodicityVerdict:
+        if key not in answers:
+            h = home[key]
+            gq = quotients[h] = quotients.get(h) or quotient(g, h)
+            answers[key] = aperiodicity_check(gq, depth, (key[0],))
+        return answers[key]
+
     out = []
     for h in enumerate_sat_her(g).sets:
         hs = frozenset(h)
-        keys = {v: (v, reach[v] & hs) for v in g.vertices if v not in hs}
-        new = [v for v, key in keys.items() if key not in answers]
-        if new:
-            gq = quotient(g, h)
-            for v in new:
-                answers[keys[v]] = aperiodicity_check(gq, depth, (v,))
-        verd = combine_verdicts((answers[key] for key in keys.values()), depth)
-        out.append((h, verd))
+        keys = [(v, reach[v] & hs) for v in g.vertices if v not in hs]
+        home.update({key: h for key in keys if key not in home})
+        out.append((h, combine_verdicts(map(answer, keys), depth)))
     return tuple(out)
 
 

@@ -177,7 +177,9 @@ class KGraph:
     Treated as immutable after construction; the paths of each exact degree
     at each vertex are cached on the instance once ``paths`` has listed them,
     each trivial path once ``trivial_path`` has built it, each vertex's
-    ``paths.reachable_to`` answer once asked for, and the ``validate`` report.
+    ``paths.reachable_to`` answer once asked for, the paths up to each
+    depth the aperiodicity search has listed by source, and the
+    ``validate`` report.
     """
 
     def __init__(
@@ -252,6 +254,7 @@ class KGraph:
         self._paths_cache: Dict[Tuple[str, Degree], Tuple[Path, ...]] = {}
         self._trivial: Dict[str, Path] = {}
         self._reach: Dict[str, Dict[str, Path]] = {}
+        self._groups: Dict[int, Dict[str, List[List[Path]]]] = {}
         self._validation: Optional[ValidationReport] = None
 
     def __repr__(self) -> str:

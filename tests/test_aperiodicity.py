@@ -652,30 +652,57 @@ def _reaches(g, v):
     ],
 )
 def test_sweep_searches_each_vertex_once_per_trace_of_the_ideal(monkeypatch, mk):
-    # whatever the answers, periodic and unknown ones included, the
-    # separator search runs once per distinct (v, H & D(v)) and never again
+    # whatever the answers, periodic and unknown ones included, a
+    # (v, H & D(v)) is searched only when an ideal's combine reads it,
+    # that is up to the ideal's first periodic vertex, and never again
     g = mk()
-    calls = []
-    inner = aperiodicity._first_separator
+    searched, calls = [], []
+    vertex_verdict = aperiodicity._vertex_verdict
+    first_separator = aperiodicity._first_separator
+
+    def counting_vertex(gq, v, depth):
+        # gq is the quotient by closure(T), whose trace at v is T itself
+        searched.append((v, frozenset(_reaches(g, v) - set(gq.vertices))))
+        return vertex_verdict(gq, v, depth)
 
     def counting(*args):
         calls.append(args)
-        return inner(*args)
+        return first_separator(*args)
 
+    monkeypatch.setattr(aperiodicity, "_vertex_verdict", counting_vertex)
     monkeypatch.setattr(aperiodicity, "_first_separator", counting)
     for depth in (1, 2, 3):
-        del calls[:]
+        del searched[:], calls[:]
         sweep = strong_aperiodicity_sweep(g, depth)
-        keys = {
-            (v, frozenset(_reaches(g, v) & set(h)))
-            for h, _ in sweep
-            for v in g.vertices
-            if v not in h
-        }
-        assert len(calls) == len(keys), depth
+        keys, read = set(), set()
+        for h, verd in sweep:
+            outside = [v for v in g.vertices if v not in h]
+            keys |= {(v, frozenset(_reaches(g, v) & set(h))) for v in outside}
+            if verd.status == "periodic":
+                outside = outside[: outside.index(verd.certificate.vertex) + 1]
+            read |= {(v, frozenset(_reaches(g, v) & set(h))) for v in outside}
+        assert len(searched) == len(set(searched)) == len(calls), depth
+        assert set(searched) == read, depth
         if mk is lattice8:
             searches = sum(len(g.vertices) - len(h) for h, _ in sweep)
-            assert (searches, len(keys)) == (432, 11)
+            assert (searches, len(keys), len(read)) == (432, 11, 11)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_sweep_stops_a_periodic_cycle_at_its_first_vertex(monkeypatch, n):
+    # a strongly connected periodic graph: one vertex is searched, and the
+    # others, whose answers would not change the verdict, are not
+    calls = []
+    first_separator = aperiodicity._first_separator
+
+    def counting(*args):
+        calls.append(args)
+        return first_separator(*args)
+
+    monkeypatch.setattr(aperiodicity, "_first_separator", counting)
+    sweep = strong_aperiodicity_sweep(cycle_graph(n), n + 1)
+    assert [verd.status for _, verd in sweep] == ["periodic", "aperiodic"]
+    assert len(calls) == 1
 
 
 # -- what each answer rests on --------------------------------------------------
