@@ -128,7 +128,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .degrees import Degree, meet
-from .kgraph import KGraph, Path, path_sort_key
+from .kgraph import KGraph, KGraphError, Path, path_sort_key, validate
 from .paths import _degrees_with_total
 
 
@@ -367,7 +367,8 @@ def certify_never_separated(
     into its source, so it checks every vertex of D(v). Local convexity
     carries a gap color from the common range to the source along the
     residual path of degree 0 in it, edge by edge, so only a presentation
-    that does not validate fails the second test.
+    that does not validate fails the second test; the entry points refuse
+    such input (``check_input``), and the test guards direct calls.
     """
     gap = [c + 1 for c, (a, b) in enumerate(zip(alpha.degree, beta.degree)) if a != b]
     start = _strip(g, alpha, beta)
@@ -421,32 +422,40 @@ def _periodic_certificate(
     # a pair the machine certifies is separated by no extension, so by no
     # candidate: the first candidate's test only skips pairs the machine
     # would refuse. A maximal first candidate separates every residual
-    # pair, so it has won and no scan runs. Only a presentation that does
-    # not validate has no candidate at all; there every residual pair is
-    # asked.
-    x = candidates[0] if candidates else None
+    # pair, so it has won and no scan runs. A presentation that validates
+    # has a boundary path at every vertex, so a first candidate exists.
+    x = candidates[0]
     heads: Dict[Path, Tuple[str, ...]] = {}
     for a, b in _pairs_at(groups):
         res = _strip(g, a, b)
         if res is None:
             continue
-        if x is not None:
-            for t in res:
-                if t not in heads:
-                    heads[t] = _head(g, t, x)
-            if heads[res[0]] != heads[res[1]]:
-                continue
+        for t in res:
+            if t not in heads:
+                heads[t] = _head(g, t, x)
+        if heads[res[0]] != heads[res[1]]:
+            continue
         states = machine.states(*res)
         if states is not None:
             return PeriodicCertificate(a, b, v, len(candidates), states)
     return None
 
 
-def check_depth(depth: int) -> None:
-    """Refuse a depth bound below 1: with no pairs to check, the search
-    would call every graph aperiodic."""
+def check_input(g: KGraph, depth: int) -> None:
+    """The one gate of the entry points (``aperiodicity_check``,
+    ``classify_pure_infiniteness``, ``prove_vertex_properly_infinite`` and
+    every command but ``validate``). It refuses a depth bound below 1
+    (ValueError): with no pairs to check, the search would call every
+    graph aperiodic. It refuses a presentation whose kept ``validate``
+    report is not ok (KGraphError): the searches behind it assume the
+    axioms, and would answer it without meaning. A quotient takes its
+    parent's ok report (``ideals.quotient``), so the gate validates each
+    presentation once."""
     if depth < 1:
         raise ValueError("depth must be >= 1, got %d" % depth)
+    rep = validate(g)
+    if not rep.ok:
+        raise KGraphError("invalid presentation:\n%s" % rep)
 
 
 def _vertex_verdict(g: KGraph, v: str, depth: int) -> AperiodicityVerdict:
@@ -501,7 +510,9 @@ def aperiodicity_check(
     them has a separator, not that g is aperiodic. A vertex's answer
     depends only on (v, H & D(v)) (module docstring), so the sweep asks
     for one vertex at a time and keeps the answer for every quotient of
-    that trace."""
-    check_depth(depth)
+    that trace. A bad depth or an invalid presentation is refused
+    (``check_input``); a valid one with no vertices, such as the quotient
+    by H = V, is certified aperiodic."""
+    check_input(g, depth)
     vs = g.vertices if vertices is None else vertices
     return combine_verdicts((_vertex_verdict(g, v, depth) for v in vs), depth)

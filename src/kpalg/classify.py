@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth, combine_verdicts
+from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_input, combine_verdicts
 from .field import Field, QQ
 from .ideals import Ideal, enumerate_sat_her, quotient
-from .kgraph import KGraph, KGraphError, Path, validate
+from .kgraph import KGraph, KGraphError, Path
 from .paths import find_cycle_reaching, reachable_to
 from .witness import (
     VertexInfinitenessReport,
@@ -99,21 +99,19 @@ def strong_aperiodicity_sweep(
     to be, and kept: each pair at most once, and none past the first
     periodic vertex of an ideal. The first ideal of a trace T in lattice
     order is closure(T), the least ideal of that trace; an answer is
-    searched in the quotient by it, built once, so the sweep builds only
-    ideals of the witness cases, and every one of them where no answer
-    is periodic."""
+    searched in the quotient by it, which ``quotient`` builds once and
+    keeps on g, so the sweep builds only ideals of the witness cases,
+    every one of them where no answer is periodic, and the witness search
+    reads the same quotients."""
     reach = {v: frozenset(reachable_to(g, v)) for v in g.vertices}
     # (v, H & D(v)) -> the first ideal of that trace, and the one-vertex
-    # verdict at v once read; ideal -> its quotient, once built
+    # verdict at v once read
     home: Dict = {}
     answers: Dict = {}
-    quotients: Dict[Ideal, KGraph] = {}
 
     def answer(key: Tuple[str, frozenset]) -> AperiodicityVerdict:
         if key not in answers:
-            h = home[key]
-            gq = quotients[h] = quotients.get(h) or quotient(g, h)
-            answers[key] = aperiodicity_check(gq, depth, (key[0],))
+            answers[key] = aperiodicity_check(quotient(g, home[key]), depth, (key[0],))
         return answers[key]
 
     out = []
@@ -155,13 +153,11 @@ def classify_pure_infiniteness(
     ideal), as is a quotient where no cycle reaches some vertex. A
     certified periodic quotient makes the result Inconclusive even under
     assume_aperiodic: an assumption cannot override a counterexample. A
-    depth below 1 raises ValueError; an invalid presentation, or one with
-    no vertices, whose verdict would be vacuous, raises KGraphError.
+    depth below 1 raises ValueError and an invalid presentation
+    KGraphError (``check_input``), and so does one with no vertices,
+    whose verdict would be vacuous.
     """
-    check_depth(depth)
-    rep = validate(g)
-    if not rep.ok:
-        raise KGraphError("invalid presentation:\n%s" % rep)
+    check_input(g, depth)
     check_vertices(g)
 
     notes: List[str] = []

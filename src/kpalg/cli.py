@@ -15,7 +15,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .aperiodicity import aperiodicity_check
+from .aperiodicity import aperiodicity_check, check_input
 from .classify import aperiodicity_json, check_vertices, classify_pure_infiniteness, report_json
 from .degrees import parse_degree
 from .expr import format_element, parse_expression
@@ -360,9 +360,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         g = load_kgraph(args.graph)
         if args.func is not cmd_validate:
             # every other command answers only about a valid presentation
-            rep = validate(g)
-            if not rep.ok:
-                raise KGraphError("invalid presentation:\n%s" % rep)
+            check_input(g, args.depth)
         return args.func(g, args)
     except (OSError, KGraphError, FieldError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

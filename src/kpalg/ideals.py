@@ -137,11 +137,21 @@ def quotient(g: KGraph, h: Ideal) -> KGraph:
     set is g itself. Unknown names are refused, and so is h when a kept
     edge has its range in h (not hereditary) or a vertex left loses every
     edge of a color it received (not saturated).
+
+    The quotient is built once and kept on g, so every caller, the sweep
+    and the witness search included, reads one object per ideal, with its
+    path caches. It takes g's kept ``validate`` report when that report
+    is ok: the quotient keeps exactly the edges of g whose source lies
+    outside h, so each of its squares, hexagons and local-convexity
+    conditions is one of g's.
     """
     _known(g, h)
     if len(h) == 0:
         return g
-    hs = set(h)
+    hs = frozenset(h)
+    kept = g._quotients.get(hs)
+    if kept is not None:
+        return kept
     vertices = [v for v in g.vertices if v not in hs]
     keep = {
         eid for eid, e in g.edges.items() if e.source not in hs
@@ -160,4 +170,6 @@ def quotient(g: KGraph, h: Ideal) -> KGraph:
             "{%s} is not hereditary and saturated; its closure is {%s}"
             % (", ".join(sorted(hs)), ", ".join(sat_her_closure(g, h)))
         )
-    return gq
+    if g._validation is not None and g._validation.ok:
+        gq._validation = g._validation
+    return g._quotients.setdefault(hs, gq)

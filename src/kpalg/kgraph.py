@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .degrees import Degree, below, join, leq, sub, total, zero
 
@@ -178,8 +178,8 @@ class KGraph:
     at each vertex are cached on the instance once ``paths`` has listed them,
     each trivial path once ``trivial_path`` has built it, each vertex's
     ``paths.reachable_to`` answer once asked for, the paths up to each
-    depth the aperiodicity search has listed by source, and the
-    ``validate`` report.
+    depth the aperiodicity search has listed by source, the ``validate``
+    report, and the quotient by each ideal ``ideals.quotient`` has built.
     """
 
     def __init__(
@@ -256,6 +256,7 @@ class KGraph:
         self._reach: Dict[str, Dict[str, Path]] = {}
         self._groups: Dict[int, Dict[str, List[List[Path]]]] = {}
         self._validation: Optional[ValidationReport] = None
+        self._quotients: Dict[FrozenSet[str], KGraph] = {}
 
     def __repr__(self) -> str:
         return "<KGraph k=%d |V|=%d |E|=%d>" % (

@@ -44,7 +44,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_depth
+from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_input
 from .degrees import total
 from .field import Field, QQ
 from .ideals import Ideal, quotient, traces
@@ -469,21 +469,22 @@ def prove_vertex_properly_infinite(
     these certificates as proper infiniteness needs aperiodicity, and a
     certified counterexample cannot be argued away. Otherwise one loop
     makes one case per trace T = H & D(v) of the ideals H avoiding v, in
-    the order of ``traces``, and builds the quotient by closure(T) for its
-    certificate. That case serves every ideal of trace T (the witness
-    search paragraph of ``aperiodicity.py``); every term of its
-    certificate must start in D(v), or WitnessError is raised. In each
-    case, route one looks for a vertex w reaching v carrying two cycles
-    mu1, mu2 with no common extension, that is the generalized cycle
-    (mu1, w) with entrance mu2; route two falls back to any generalized
-    cycle with an entrance. A pair at v in g itself also gives ``proper``,
-    the splitting of s_v. The first trace that neither route certifies ends
-    the search: it is a definitive negative when no cycle reaches v
-    there, since that corner is finite dimensional, and merely
-    inconclusive otherwise, a depth-bounded miss. A depth below 1 raises
-    ValueError. D(v) is the key set of ``reachable_to(g, v)``, kept on g.
+    the order of ``traces``, and reads the quotient by closure(T), kept on
+    g by ``quotient``, for its certificate. That case serves every ideal
+    of trace T (the witness search paragraph of ``aperiodicity.py``);
+    every term of its certificate must start in D(v), or WitnessError is
+    raised. In each case, route one looks for a vertex w reaching v
+    carrying two cycles mu1, mu2 with no common extension, that is the
+    generalized cycle (mu1, w) with entrance mu2; route two falls back to
+    any generalized cycle with an entrance. A pair at v in g itself also
+    gives ``proper``, the splitting of s_v. The first trace that neither
+    route certifies ends the search: it is a definitive negative when no
+    cycle reaches v there, since that corner is finite dimensional, and
+    merely inconclusive otherwise, a depth-bounded miss. A depth below 1
+    or an invalid presentation is refused (``check_input``). D(v) is the
+    key set of ``reachable_to(g, v)``, kept on g.
     """
-    check_depth(depth)
+    check_input(g, depth)
     if not g.has_vertex(v):
         raise KGraphError("unknown vertex %r" % v)
     reach = frozenset(reachable_to(g, v))

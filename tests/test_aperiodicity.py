@@ -30,13 +30,16 @@ from oracles import (
 from kpalg import (
     Edge,
     KGraph,
+    KGraphError,
     aperiodicity_check,
     bouquet,
     certify_never_separated,
     chain,
     cycle_graph,
     flip_loop_pair,
+    format_kgraph,
     grid,
+    parse_kgraph,
     product,
     random_square_graph,
     separates,
@@ -44,6 +47,7 @@ from kpalg import (
     torus,
     two_loops_plus_exit,
     classify_pure_infiniteness,
+    prove_vertex_properly_infinite,
     quotient,
     validate,
 )
@@ -193,17 +197,23 @@ def test_depth_below_one_is_refused(depth):
         aperiodicity_check(torus(2), depth)
 
 
-def test_vertex_without_boundary_paths_is_unknown():
+def test_vertex_without_boundary_paths_is_refused_as_invalid():
     # the descending pair (f, b) is the image of no square, so f.b has no
     # canonical form: v receives color 2 only from u, which receives color
     # 1, and no path from v is a boundary path at any cap. A presentation
-    # that validates always has one; here v gets no evidence.
+    # that validates always has one, so the searches never meet a vertex
+    # without candidates: both entry points refuse this one outright
     g = KGraph(2, ["u", "v", "w"], [Edge("b", 1, "w", "u"), Edge("f", 2, "u", "v")])
     assert not validate(g).ok
     assert g.boundary_paths("v", (4, 4)) == ()
-    verdict = aperiodicity_check(g, 3)
-    assert verdict.status == "unknown"
-    assert verdict.note.startswith("vertex v: ")
+    for entry in (
+        lambda: aperiodicity_check(g, 3),
+        lambda: prove_vertex_properly_infinite(g, "v", 3),
+    ):
+        with pytest.raises(KGraphError) as info:
+            entry()
+        assert str(info.value).startswith("invalid presentation:\n")
+        assert "non-bijective-square: descending pair (f, b)" in str(info.value)
 
 
 # -- agreement with the exhaustive search ---------------------------------------
@@ -586,19 +596,16 @@ def test_each_defeating_pair_goes_to_the_machine_once(monkeypatch, mk):
 # -- locality across quotients ----------------------------------------------------
 
 
-def _presentation(g):
-    return g.k, g.vertices, g.edges, g.square_fwd
-
-
 def assert_sweep_matches_fresh_checks(g, depth):
     # the sweep searches each (v, H & D(v)) once, in the quotient by the
-    # least ideal of that trace; a fresh check of each quotient must give
-    # the same verdict, and each separator or pair at v must live in the
-    # quotient by closure(H & D(v))
+    # least ideal of that trace; a fresh check of each quotient, parsed
+    # anew so that it shares no cache or report with the sweep's, must
+    # give the same verdict, and each separator or pair at v must live in
+    # the quotient by closure(H & D(v)) that g keeps
     sweep = strong_aperiodicity_sweep(g, depth)
     assert [h for h, _ in sweep] == list(enumerate_sat_her(g).sets)
     for h, verd in sweep:
-        fresh = aperiodicity_check(quotient(g, h), depth)
+        fresh = aperiodicity_check(parse_kgraph(format_kgraph(quotient(g, h))), depth)
         # status, basis, depth, note, certificate, and per vertex the
         # separator word and pairs_checked
         assert aperiodicity_json(verd) == aperiodicity_json(fresh), h
@@ -608,7 +615,7 @@ def assert_sweep_matches_fresh_checks(g, depth):
             homes += [(c.vertex, c.alpha.graph), (c.vertex, c.beta.graph)]
         for v, q in homes:
             least = sat_her_closure(g, _reaches(g, v) & set(h))
-            assert _presentation(q) == _presentation(quotient(g, least)), (h, v)
+            assert q is quotient(g, least), (h, v)
 
 
 def test_sweep_matches_fresh_checks_on_corpus():

@@ -361,21 +361,49 @@ def _distinct(ideals):
     return sorted(set(ideals), key=lambda h: (len(h), h))
 
 
-def test_classify_builds_each_case_ideal_once_in_the_sweep_and_once_per_case(monkeypatch):
+def _count_builds(monkeypatch, g):
+    # the ideal of each quotient of g that ``ideals.quotient`` builds, read
+    # off the vertices of the KGraph it constructs
+    from kpalg import ideals
+
+    orig = ideals.KGraph
+    built = []
+
+    def counted(k, vertices, *args):
+        vertices = list(vertices)
+        built.append(tuple(sorted(set(g.vertices) - set(vertices))))
+        return orig(k, vertices, *args)
+
+    monkeypatch.setattr(ideals, "KGraph", counted)
+    return built
+
+
+def _assert_cases_read_the_kept_quotients(g, rep, built):
+    # every case certificate lives on the one quotient kept for its ideal,
+    # and looking the kept quotients up builds nothing more
+    before = list(built)
+    for w in rep.witnesses:
+        for c in w.cases:
+            assert c.certificate.graph is quotient(g, c.ideal), (w.vertex, c.ideal)
+    assert built == before
+
+
+def test_classify_builds_each_nonempty_case_ideal_once(monkeypatch):
     # the sweep builds a quotient only where a vertex meets a new trace, at
-    # the least ideal of that trace: the distinct case ideals, in lattice
-    # order; each witness case then builds the quotient by its own ideal
+    # the least ideal of that trace, and keeps it on g; the witness cases
+    # read the same quotients, and the quotient by () is g itself
     g = two_loop_lattice()
     enumerated = _count_calls(monkeypatch, "enumerate_sat_her")
-    quotients = _count_calls(monkeypatch, "quotient")
+    built = _count_builds(monkeypatch, g)
     rep = classify_pure_infiniteness(g, depth=2)
     assert rep.verdict == "ProperlyPurelyInfinite"
     assert len(rep.sweep) == 18
     assert len(enumerated) == 1
     cases = [c.ideal for w in rep.witnesses for c in w.cases]
     assert len(cases) == 7
-    assert quotients == [(), ("x0",), ("x2",)] + cases
-    assert quotients[:3] == _distinct(cases)
+    assert built == [("x0",), ("x2",)]
+    assert built == [h for h in _distinct(cases) if h]
+    _assert_cases_read_the_kept_quotients(g, rep, built)
 
 
 def test_standalone_witness_builds_only_quotients_avoiding_the_vertex(monkeypatch):
@@ -408,7 +436,7 @@ def _lattice_972():
 
 def test_classify_makes_one_case_per_trace_on_a_972_ideal_lattice(monkeypatch):
     g = _lattice_972()
-    quotients = _count_calls(monkeypatch, "quotient")
+    built = _count_builds(monkeypatch, g)
     rep = classify_pure_infiniteness(g, depth=2)
     assert rep.verdict == "ProperlyPurelyInfinite"
     assert len(rep.sweep) == 972
@@ -416,12 +444,12 @@ def test_classify_makes_one_case_per_trace_on_a_972_ideal_lattice(monkeypatch):
     # traces, every other vertex one
     assert sum(len(w.cases) for w in rep.witnesses) == 17
     assert sorted(len(w.cases) for w in rep.witnesses) == [1] * 7 + [2] * 5
-    # the sweep builds the quotients by the 6 distinct case ideals, in
-    # lattice order, then each case its own
+    # the quotients by the 5 distinct non-empty case ideals are built once
+    # each, in lattice order, and every case reads the kept one
     cases = [c.ideal for w in rep.witnesses for c in w.cases]
-    assert len(quotients) == 6 + 17
-    assert quotients[:6] == _distinct(cases)
-    assert quotients[6:] == cases
+    assert len(built) == 5
+    assert built == [h for h in _distinct(cases) if h]
+    _assert_cases_read_the_kept_quotients(g, rep, built)
 
 
 def test_standalone_witness_does_not_enumerate_the_lattice(monkeypatch):

@@ -92,9 +92,9 @@ def test_classify_refuses_a_presentation_without_vertices(tmp_path, capsys):
 
 
 def test_aperiodic_refuses_a_presentation_without_vertices(tmp_path, capsys):
-    # aperiodicity_check itself answers certified aperiodic, as the
-    # sweep's quotient by H = V needs; the command refuses the vacuous
-    # verdict as classify does
+    # aperiodicity_check itself answers certified aperiodic, as the fresh
+    # check of the quotient by H = V in test_aperiodicity.py needs; the
+    # command refuses the vacuous verdict as classify does
     f = tmp_path / "empty.kg"
     f.write_text("kgraph v1\nk: 1\n")
     assert main(["aperiodic", str(f)]) == 1

@@ -30,7 +30,7 @@ from kpalg import (
     two_loops_plus_exit,
     validate,
 )
-from kpalg import format_kgraph, ideals, strong_aperiodicity_sweep
+from kpalg import format_kgraph, ideals, parse_kgraph, strong_aperiodicity_sweep
 from kpalg.cli import main
 from kpalg.ideals import traces
 from oracles import brute_sat_her, brute_traces
@@ -207,13 +207,59 @@ def test_quotient_refuses_each_rule_on_its_own():
         quotient(g, ("v0",))
 
 
+def _validate_from_scratch(g):
+    # a fresh parse keeps no report, so nothing is inherited
+    return validate(parse_kgraph(format_kgraph(g)))
+
+
 def test_all_corpus_quotients_validate():
     for name, mk in CORPUS:
         g = mk()
         for h in enumerate_sat_her(g).sets:
             if len(h) == len(list(g.vertices)):
                 continue
-            assert validate(quotient(g, h)).ok, (name, tuple(h))
+            assert _validate_from_scratch(quotient(g, h)).ok, (name, tuple(h))
+
+
+def test_quotients_of_a_validated_graph_keep_its_report():
+    for name, mk in CORPUS:
+        g = mk()
+        rep = validate(g)
+        assert rep.ok, name
+        for h in enumerate_sat_her(g).sets:
+            gq = quotient(g, h)
+            assert validate(gq) is rep, (name, h)
+            assert _validate_from_scratch(gq).ok, (name, h)
+
+
+def test_quotients_inherit_no_report_unvalidated_or_invalid():
+    # never validated: the kept quotient makes its own report, even once
+    # the parent has one
+    for name, mk in CORPUS:
+        g = mk()
+        kept = [quotient(g, h) for h in enumerate_sat_her(g).sets if h]
+        rep = validate(g)
+        for gq in kept:
+            assert validate(gq) is not rep and validate(gq).ok, name
+    # invalid: the loop pair at v has no square, and {v} is an ideal, so
+    # the quotient is the valid torus at x, with a report of its own
+    bad = KGraph(
+        2,
+        ["v", "x"],
+        [Edge("e", 1, "v", "v"), Edge("f", 2, "v", "v"), Edge("l", 1, "x", "x"), Edge("m", 2, "x", "x")],
+        [("l", "m", "m", "l")],
+    )
+    assert not validate(bad).ok
+    gq = quotient(bad, ("v",))
+    assert validate(gq).ok and validate(gq) is not validate(bad)
+    assert _validate_from_scratch(gq).ok
+
+
+def test_quotient_is_kept_once_per_ideal():
+    g = two_loop_lattice()
+    for h in enumerate_sat_her(g).sets:
+        assert quotient(g, h) is quotient(g, tuple(reversed(h))), h
+    assert quotient(g, ()) is g
 
 
 def test_sweep_closes_no_lattice_set_again(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, RANDOM_GRAPHS, branches, lattice8
+from corpus import CORPUS, RANDOM_GRAPHS, branches, lattice8, two_loop_lattice
 from oracles import (
     brute_boundary_paths,
     brute_factorize,
@@ -24,6 +24,7 @@ from kpalg import (
     ParseError,
     Path,
     bouquet,
+    classify_pure_infiniteness,
     enumerate_sat_her,
     format_kgraph,
     grid,
@@ -32,6 +33,7 @@ from kpalg import (
     product,
     quotient,
     random_square_graph,
+    report_json,
     torus,
     validate,
 )
@@ -272,6 +274,37 @@ def test_memo_is_safe_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[:3]
+
+
+def test_classify_is_safe_across_threads():
+    # more threads than the two cores of a small runner classify one graph:
+    # each report equals a single-thread run on a graph of its own, and the
+    # quotient by each ideal is one object, the one every witness case of
+    # every thread reads
+    want = report_json(classify_pure_infiniteness(two_loop_lattice(), depth=2))
+    g = two_loop_lattice()
+    reports = [None] * 3
+
+    def work(i):
+        reports[i] = classify_pure_infiniteness(g, depth=2)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(reports))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [report_json(rep) for rep in reports] == [want] * len(reports)
+    kept = {h: quotient(g, h) for h in enumerate_sat_her(g).sets}
+    for rep in reports:
+        for w in rep.witnesses:
+            for c in w.cases:
+                assert c.certificate.graph is kept[c.ideal], (w.vertex, c.ideal)
 
 
 def test_incomplete_presentation_raises_on_sort():
