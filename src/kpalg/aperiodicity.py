@@ -41,13 +41,24 @@ on a and x only, so the search computes it once per path and candidate
 rather than once per pair: within a range group, the paths of one degree
 form a degree class, and for each two classes whose degrees have meet 0
 the first pair x leaves unseparated is the first head collision in a
-bucket join of the two classes. The residual pairs are never listed. The
-compose memo of the path kernel (``kgraph._memo``) holds one candidate's
-composites, and each composite keeps its last split, so a head computed
-twice, or again by ``separates``, is neither composed nor split again.
+bucket join of the two classes. The residual pairs are never listed.
 ``separates`` itself is called only where one pair meets one candidate:
 the pair that defeated the last candidate is tried first on the next (the
 first residual pair on the first).
+
+Heads off the prefix: for d(p) <= m <= d(p) + d(x), the head (p x)(0, m)
+is p x(0, m - d(p)). Indeed x factors as x1 x2 with d(x1) = m - d(p), so
+p x = (p x1) x2 with d(p x1) = m, and the factorization of p x at m is
+unique. The head's word is thus the canonical word of p followed by that
+of x's prefix (``KGraph.prefix_word``, ``KGraph.composite_word``), and no
+composite p x is built or split. The search reads heads at m = d(x) (residual pairs have meet 0),
+and ``separates`` at m = d(x) + meet(d(alpha), d(beta)). The candidate's
+prefixes are kept by degree and its heads at d(x) by path (``_memo``), so
+x is split once per degree and each head sorted once, ``separates`` and
+the join sharing them. The rule needs d(p) <= m. A candidate reaches the
+cap depth + 1, above every d(p), in each color that every vertex
+receives, so only one short in a color some vertex does not receive can
+miss it; there p x is composed and split instead.
 
 The machine probe: when the pair that defeated one candidate defeats the
 next as well, the search asks the closed machine about it
@@ -124,11 +135,12 @@ trace T exactly:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .degrees import Degree, meet
-from .kgraph import KGraph, KGraphError, Path, path_sort_key, validate
+from .kgraph import KGraph, KGraphError, Path, not_composable, path_sort_key, validate
 from .paths import _degrees_with_total
 
 
@@ -171,18 +183,72 @@ class AperiodicityVerdict:
     basis: str = "bounded"
 
 
+Word = Tuple[str, ...]
+
+# The head memo, one for the process: the tuple (graph, candidate x,
+# prefixes, heads) of the last candidate whose heads were read.
+# ``prefixes`` maps a degree n to the word of x(0, n); ``heads`` maps the
+# word of a path p with s(p) = r(x) to the word of the head (p x)(0, d(x)).
+# A path with source r(x) is fixed by its word, the trivial one included.
+# Reading another candidate's heads replaces the whole tuple, so one
+# candidate's are kept; each read takes the tuple once, so a thread never
+# mixes two candidates.
+_memo = (None, None, {}, {})
+
+
+def _heads_of(g: KGraph, x: Path) -> Tuple[Dict[Degree, Word], Dict[Word, Word]]:
+    # x's prefixes and heads, from the memo or fresh
+    global _memo
+    memo = _memo
+    if memo[1] is not x or memo[0] is not g:
+        memo = _memo = (g, x, {}, {})
+    return memo[2], memo[3]
+
+
+def _head_word(
+    g: KGraph, p: Path, x: Path, m: Degree, prefixes: Dict[Degree, Word]
+) -> Word:
+    """The edge word of (p x)(0, m), for s(p) = r(x) and m <= d(p x): the
+    word of p followed by x's prefix at m - d(p) (module docstring), or,
+    where d(p) is not <= m, the head of the composite."""
+    n = tuple(map(operator.sub, m, p.degree))
+    if min(n) < 0:
+        px = g.compose(p, x)
+        return (px if px.degree == m else g.factorize(px, m)[0]).edges
+    y = prefixes.get(n)
+    if y is None:
+        y = prefixes[n] = g.prefix_word(x, n)
+    return g.composite_word(p, y)
+
+
+def _head(g: KGraph, p: Path, x: Path) -> Word:
+    """The edge word of the prefix of p x at d(x), kept for the candidate."""
+    prefixes, heads = _heads_of(g, x)
+    h = heads.get(p.edges)
+    if h is None:
+        h = heads[p.edges] = _head_word(g, p, x, x.degree, prefixes)
+    return h
+
+
 def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
     """True when composing with x tells alpha and beta apart (truncated
     comparison as described in the module docstring)."""
-    ax = g.compose(alpha, x)
-    bx = g.compose(beta, x)
-    m = meet(ax.degree, bx.degree)
-    # the prefix at m; a composite of degree m is its own prefix
-    ha = ax if ax.degree == m else g.factorize(ax, m)[0]
-    hb = bx if bx.degree == m else g.factorize(bx, m)[0]
-    if ha != hb:
+    for p in (alpha, beta):
+        if p.source != x.range:
+            raise not_composable(p, x)
+    # the heads at m = meet(d(alpha x), d(beta x)) = d(x) + meet(d(alpha), d(beta))
+    w = meet(alpha.degree, beta.degree)
+    if any(w):
+        prefixes = _heads_of(g, x)[0]
+        m = tuple(map(operator.add, x.degree, w))
+        ha = _head_word(g, alpha, x, m, prefixes)
+        hb = _head_word(g, beta, x, m, prefixes)
+    else:
+        ha, hb = _head(g, alpha, x), _head(g, beta, x)
+    # heads with equal words differ when their ranges do (both trivial)
+    if ha != hb or alpha.range != beta.range:
         return True
-    return ax.degree != bx.degree and not g.edges_by_range(x.source)
+    return alpha.degree != beta.degree and not g.receives(x.source)
 
 
 def _groups_at(g: KGraph, v: str, depth: int) -> List[List[Path]]:
@@ -253,12 +319,6 @@ def _residual_classes(
     return count, classes, joins
 
 
-def _head(g: KGraph, p: Path, x: Path) -> Tuple[str, ...]:
-    """The edge word of the prefix of p x at d(x) (module docstring)."""
-    px = g.compose(p, x)
-    return (px if px.degree == x.degree else g.factorize(px, x.degree)[0]).edges
-
-
 def _unseparated(
     g: KGraph, classes: List[List[Path]], joins: List[Join], x: Path
 ) -> Optional[Tuple[Path, Path]]:
@@ -266,7 +326,7 @@ def _unseparated(
     separate, or None: x is not maximal and the heads of a x and b x agree.
     Each a probes the later classes, keyed by head."""
     # per class, the first path of each head, on first use
-    tables: Dict[int, Dict[Tuple[str, ...], Path]] = {}
+    tables: Dict[int, Dict[Word, Path]] = {}
     for i, later in joins:
         for a in classes[i]:
             h = _head(g, a, x)
@@ -280,7 +340,7 @@ def _unseparated(
                 if b is not None:
                     # a maximal x separates every pair; asked at the first
                     # collision only, so a candidate that wins never asks
-                    return (a, b) if g.edges_by_range(x.source) else None
+                    return (a, b) if g.receives(x.source) else None
     return None
 
 
@@ -380,7 +440,7 @@ def certify_never_separated(
     stack = [start]
     while stack:
         t1, t2 = stack.pop()
-        if not all(g.edges_by_range(t1.source, c) for c in gap):
+        if not all(g.receives(t1.source, c) for c in gap):
             return None
         for p, q in zip(_extensions(g, t1, moves), _extensions(g, t2, moves)):
             nxt = _strip(g, p, q)
@@ -425,15 +485,9 @@ def _periodic_certificate(
     # pair, so it has won and no scan runs. A presentation that validates
     # has a boundary path at every vertex, so a first candidate exists.
     x = candidates[0]
-    heads: Dict[Path, Tuple[str, ...]] = {}
     for a, b in _pairs_at(groups):
         res = _strip(g, a, b)
-        if res is None:
-            continue
-        for t in res:
-            if t not in heads:
-                heads[t] = _head(g, t, x)
-        if heads[res[0]] != heads[res[1]]:
+        if res is None or _head(g, res[0], x) != _head(g, res[1], x):
             continue
         states = machine.states(*res)
         if states is not None:

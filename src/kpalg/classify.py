@@ -62,7 +62,7 @@ def vertex_conditions(g: KGraph) -> Tuple[VertexConditions, ...]:
     """Receiving and cycle-reaching data, each by its own route."""
     out: List[VertexConditions] = []
     for v in g.vertices:
-        receives = len(g.edges_by_range(v)) > 0
+        receives = g.receives(v)
         cyc, via = find_cycle_reaching(g, v) or (None, None)
         out.append(VertexConditions(v, receives, cyc, via))
     return tuple(out)

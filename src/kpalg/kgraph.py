@@ -129,6 +129,13 @@ class Path:
 _set_split = Path.split.__set__
 
 
+def not_composable(p: Path, q: Path) -> KGraphError:
+    """The refusal of p q when s(p) != r(q)."""
+    return KGraphError(
+        "paths are not composable: s(%s)=%s but r(%s)=%s" % (p, p.source, q, q.range)
+    )
+
+
 def path_sort_key(p: Path):
     """Deterministic ordering: shorter first, then by degree, then word."""
     return (total(p.degree), p.degree, p.edges)
@@ -137,9 +144,12 @@ def path_sort_key(p: Path):
 # The compose memo, one for the process: the tuple (graph, right factor q,
 # composites) of the last ``compose``.
 #
-# Searches compose many left paths with one right factor q in a row (an
-# aperiodicity candidate, a separator under audit), and meet the same left
-# paths again for each pair they are in. ``composites`` maps the word
+# Its users compose many left paths with one right factor q in a row and
+# meet the same left paths again: ``kp_mul`` and ``normal_form``, the
+# closed machine of the aperiodicity search, and the benchmark's audit of
+# a separator. (The separator search itself reads each head off the
+# candidate's prefix, through ``prefix_word`` and ``composite_word``, and
+# composes only where that rule does not reach.) ``composites`` maps the word
 # ``p.edges`` of each left path to p q, for the graph and q of the memo,
 # both checked by identity. Each composite keeps its last ``factorize`` in
 # its own ``split`` slot, as ``(m, (head, tail))``, the shortcut splits at
@@ -280,6 +290,14 @@ class KGraph:
             out.extend(self.edges[i] for i in self._by_range.get((v, c), ()))
         return tuple(out)
 
+    def receives(self, v: str, color: Optional[int] = None) -> bool:
+        """Whether some edge has range v (of the given color), read off the
+        index ``edges_by_range`` lists from, without listing the edges."""
+        by_range = self._by_range
+        if color is not None:
+            return (v, color) in by_range
+        return any((v, c) in by_range for c in range(1, self.k + 1))
+
     # -- words and canonical form ----------------------------------------
 
     def _swap(self, squares: Dict, a: str, b: str) -> Tuple[str, str]:
@@ -305,6 +323,14 @@ class KGraph:
                 word[j - 1], word[j] = self._swap(self.square_rev, word[j - 1], word[j])
                 j -= 1
         return word
+
+    def composite_word(self, p: Path, word: Tuple[str, ...]) -> Tuple[str, ...]:
+        """The canonical edge word of p q, where q is the path with range
+        s(p) and canonical word ``word`` (the caller checks the range); no
+        path is built."""
+        if not p.edges:
+            return word
+        return tuple(self._sort_word(list(p.edges + word), len(p.edges)))
 
     def trivial_path(self, v: str) -> Path:
         p = self._trivial.get(v)
@@ -342,10 +368,7 @@ class KGraph:
             if pq is not None:
                 return pq
         if p.source != q.range:
-            raise KGraphError(
-                "paths are not composable: s(%s)=%s but r(%s)=%s"
-                % (p, p.source, q, q.range)
-            )
+            raise not_composable(p, q)
         if not p.edges:
             return q
         if not q.edges:
@@ -354,9 +377,9 @@ class KGraph:
             # a new right factor: forget the old one's composites
             composites = {}
             _memo = (self, q, composites)
-        word = self._sort_word(list(p.edges + q.edges), len(p.edges))
+        word = self.composite_word(p, q.edges)
         degree = tuple(map(operator.add, p.degree, q.degree))
-        pq = composites[p.edges] = Path(self, p.range, tuple(word), degree, q.source)
+        pq = composites[p.edges] = Path(self, p.range, word, degree, q.source)
         _set_split(pq, _UNSPLIT)
         return pq
 
@@ -385,7 +408,27 @@ class KGraph:
             _set_split(p, (m, out))
         return out
 
+    def prefix_word(self, p: Path, m: Degree) -> Tuple[str, ...]:
+        """The edge word of the head of ``factorize(p, m)``, for a degree
+        m <= d(p) (the caller checks it); neither part is built."""
+        if m == p.degree:
+            return p.edges
+        if not any(m):
+            return ()
+        word, h = self._split_word(p, m)
+        return tuple(word[:h])
+
     def _split(self, p: Path, m: Degree) -> Tuple[Path, Path]:
+        d = p.degree
+        word, h = self._split_word(p, m)
+        split = self.edges[word[h]].range
+        return (
+            Path(self, p.range, tuple(word[:h]), m, split),
+            Path(self, split, tuple(word[h:]), tuple(map(operator.sub, d, m)), p.source),
+        )
+
+    def _split_word(self, p: Path, m: Degree) -> Tuple[List[str], int]:
+        # p's word reordered so that its first h edges are the head at m:
         # word[:h] is the head so far, word[h:] the canonical rest; before
         # color c joins the head, the rest starts with the `skip` left-over
         # edges of colors below c, so its next color-c edge sits after them
@@ -403,11 +446,7 @@ class KGraph:
                     word[pos - 1], word[pos] = sq.get((a, b)) or self._swap(sq, a, b)
                 h += 1
             skip += d[c] - m[c]
-        split = self.edges[word[h]].range
-        return (
-            Path(self, p.range, tuple(word[:h]), m, split),
-            Path(self, split, tuple(word[h:]), tuple(map(operator.sub, d, m)), p.source),
-        )
+        return word, h
 
     # -- path enumeration -------------------------------------------------
 

@@ -28,7 +28,6 @@ from kpalg import (
     orthogonal_witness,
     path_sort_key,
     quotient,
-    separates,
     spanning_term,
     star_generator,
     vertex_unit,
@@ -427,9 +426,10 @@ def aperiodicity_exhaustive(g, depth):
     must reproduce exactly.
 
     Takes every boundary path of degree <= (depth+1, ..., depth+1) from
-    ``brute_boundary_paths``, in order, and tries each against every
-    comparable pair: distinct paths with source v, a common range and
-    different degrees, of total degree <= depth. With no separator, the
+    ``brute_boundary_paths``, in order, and tries each by ``splits``
+    against every comparable pair: distinct paths with source v, a common
+    range and different degrees, of total degree <= depth. With no
+    separator, the
     pairs no candidate separates are offered to certify_never_separated
     in pair order. ``unknown`` comes only after every vertex has been
     tried, and names the first vertex left unsettled.
@@ -441,14 +441,14 @@ def aperiodicity_exhaustive(g, depth):
         candidates = brute_boundary_paths(g, v, cap)
         pairs = brute_comparable_pairs(g, v, depth)
         winner = next(
-            (x for x in candidates if all(separates(g, a, b, x) for a, b in pairs)),
+            (x for x in candidates if all(splits(g, a, b, x) for a, b in pairs)),
             None,
         )
         if winner is not None:
             evidence.append(SeparationEvidence(v, winner, len(pairs)))
             continue
         for a, b in pairs:
-            if any(separates(g, a, b, x) for x in candidates):
+            if any(splits(g, a, b, x) for x in candidates):
                 continue
             states = certify_never_separated(g, a, b)
             if states is not None:

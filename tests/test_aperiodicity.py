@@ -1,8 +1,11 @@
 """Aperiodicity verdicts on known graphs, plus certificate re-verification."""
 
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from oracles import (
     box_separator,
     brute_comparable_pairs,
     brute_path_words,
+    splits,
     word_to_path,
 )
 from kpalg import (
@@ -52,10 +56,21 @@ from kpalg import (
     validate,
 )
 from kpalg import aperiodicity, kgraph
-from kpalg.aperiodicity import _groups_at, _pairs_at, _residual_classes, _unseparated
+from kpalg.aperiodicity import (
+    _groups_at,
+    _head_word,
+    _pairs_at,
+    _residual_classes,
+    _unseparated,
+)
 from kpalg.classify import aperiodicity_json
 from kpalg.degrees import below, meet, total
 from kpalg.ideals import enumerate_sat_her, sat_her_closure
+
+
+def add(m, n):
+    return tuple(a + b for a, b in zip(m, n))
+
 
 # depth 2 keeps the separator search cheap on the product graphs while
 # still exercising nontrivial pair sets
@@ -402,41 +417,140 @@ def test_pairs_checked_counts_every_comparable_pair():
                 assert ev.pairs_checked == count, (name, depth, ev.vertex)
 
 
-# -- sharing composites within a candidate --------------------------------------
+# -- heads within a candidate -------------------------------------------------
 
 
 def test_memoized_separates_matches_reset_memo(monkeypatch):
-    # every comparable pair, not only the residual ones, so prefixes at
-    # nonzero meet degrees go through the kernel's compose memo as well
-    for name, mk in CORPUS:
+    # every comparable pair, not only the residual ones, so heads at nonzero
+    # meet degrees are read off the candidate's prefixes as well; the
+    # expected answer composes and splits (oracles.splits) from empty memos,
+    # sharing no code with the prefix route. Only the fallback of the
+    # prefix route composes: it runs where a candidate is shorter than a
+    # path in a color some vertex does not receive. The CORPUS graphs with
+    # a source are acyclic and never get there, so a loop fed from a
+    # source is added; in CORPUS only flip_loop_pair gets there
+    fed_loop = KGraph(1, ["u", "v"], [Edge("a", 1, "v", "v"), Edge("e", 1, "u", "v")])
+    composed = []
+    inner = KGraph.compose
+
+    def counting(self, p, q):
+        composed.append(self)
+        return inner(self, p, q)
+
+    fell_back = set()
+    for name, mk in CORPUS + [("fed_loop", lambda: fed_loop)]:
         g = mk()
         for v in g.vertices:
             pairs = _comparable_pairs(g, v, 2)
             for x in g.boundary_paths(v, (3,) * g.k):
+                monkeypatch.setattr(KGraph, "compose", counting)
                 memoized = [separates(g, a, b, x) for a, b in pairs]
+                monkeypatch.setattr(KGraph, "compose", inner)
                 fresh = []
                 for a, b in pairs:
                     monkeypatch.setattr(kgraph, "_memo", (None, None, {}))
-                    fresh.append(separates(g, a, b, x))
+                    fresh.append(splits(g, a, b, x))
                 assert memoized == fresh, (name, v, x)
+        if composed:
+            fell_back.add(name)
+            del composed[:]
+    assert fell_back == {"flip_loop_pair", "fed_loop"}
 
 
-def test_each_path_is_composed_once_per_candidate():
-    # counts the compositions compose really makes, by the words it sorts;
-    # the calls it answers from its memo are not counted
+def test_head_memo_is_safe_across_threads():
+    # more threads than the two cores of a small runner read the heads of
+    # every path with every candidate in turn, the candidates in opposite
+    # orders, so the memo changes hands on almost every call: a memo read
+    # while another thread replaces it would give another candidate's head
+    # or prefix. Heads are checked, not separates answers, since a wrong
+    # head almost always still separates
+    g = random_square_graph(1, 2, 2)
+    v = g.vertices[0]
+    ps = [p for n in below((2, 2)) if total(n) <= 2 for p in g.paths(v, n)]
+    xs = g.boundary_paths(v, (3, 3))
+    want = [[g.factorize(g.compose(p, x), x.degree)[0].edges for x in xs] for p in ps]
+    errors = []
+
+    def work(order):
+        for _ in range(12):
+            for p, row in zip(ps, want):
+                if [aperiodicity._head(g, p, x) for x in xs[::order]] != row[::order]:
+                    errors.append(p)
+
+    threads = [threading.Thread(target=work, args=(1 if i < 2 else -1,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_separates_refuses_paths_not_composable_with_the_candidate():
+    # the message compose gives for s(alpha) != r(x), naming the first
+    # argument that does not compose
+    g = build("cycle2")
+    u, v = g.vertices
+    at_u, at_v = g.trivial_path(u), g.trivial_path(v)
+    x = g.boundary_paths(v, (2,))[0]
+    assert x.range == v
+    for alpha, beta, bad in ((at_u, at_v, at_u), (at_v, at_u, at_u)):
+        with pytest.raises(KGraphError) as err:
+            separates(g, alpha, beta, x)
+        assert str(err.value) == "paths are not composable: s(%s)=%s but r(%s)=%s" % (
+            bad, u, x, v,
+        )
+    # a pair whose degrees meet in 1, not 0
+    e = g.paths(u, (1,))[0]
+    y = g.boundary_paths(u, (2,))[0]
+    with pytest.raises(KGraphError) as err:
+        separates(g, e, e, y)
+    assert str(err.value) == "paths are not composable: s(%s)=%s but r(%s)=%s" % (e, v, y, u)
+
+
+def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch):
+    # heads are read off the candidate's prefixes: on graphs where every
+    # vertex receives every color no composite p x with a candidate x is
+    # built (the closed machine, probed on a pair that defeats two
+    # candidates, still composes its residual paths with single edges), and
+    # each (candidate, path) head is sorted once, by the words the kernel
+    # sorts
     graphs = [build(name) for name in APERIODIC]
     graphs.append(product(bouquet(3), bouquet(3, "u")))
+    composed = []
+    inner = KGraph.compose
+
+    def composing(self, p, q):
+        composed.append((self, p, q))
+        return inner(self, p, q)
+
+    monkeypatch.setattr(KGraph, "compose", composing)
     for g in graphs:
-        calls = Counter()
-        sort_word = g._sort_word
+        assert all(g.edges_by_range(v, c) for v in g.vertices for c in range(1, g.k + 1))
+        sorts = Counter()
+        current = []
+        sort_word, candidates = g._sort_word, g.iter_boundary_paths
 
         def counting(word, start):
-            calls[(tuple(word[:start]), tuple(word[start:]))] += 1
+            sorts[(current[-1], tuple(word[:start]), tuple(word[start:]))] += 1
             return sort_word(word, start)
 
-        g._sort_word = counting
+        def tracking(v, n):
+            for x in candidates(v, n):
+                current.append(x)
+                yield x
+
+        g._sort_word, g.iter_boundary_paths = counting, tracking
+        del composed[:]
         assert aperiodicity_check(g, 3).status == "aperiodic"
-        assert calls and max(calls.values()) == 1, (g, calls.most_common(1))
+        assert sorts and max(sorts.values()) == 1, (g, sorts.most_common(1))
+        tried = {id(x) for x in current}
+        assert not [c for c in composed if id(c[2]) in tried], g
 
 
 # -- degree-class joins ----------------------------------------------------------
@@ -445,6 +559,45 @@ def test_each_path_is_composed_once_per_candidate():
 _SQUARES = st.builds(
     random_square_graph, st.integers(0, 10**6), st.integers(1, 2), st.integers(1, 2)
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(_SQUARES, _one_graphs()), depth=st.integers(1, 2))
+def test_head_is_the_path_followed_by_the_prefix_of_the_candidate(g, depth):
+    # (p x)(0, m) = p x(0, m - d(p)) for d(p) <= m <= d(p) + d(x): the word
+    # the search reads, composing nothing, is that of the composite's head;
+    # x is split once per degree
+    for v in g.vertices:
+        ps = [
+            p
+            for u in g.vertices
+            for n in below((depth,) * g.k)
+            if total(n) <= depth
+            for p in g.paths(u, n)
+            if p.source == v
+        ]
+        for x in g.boundary_paths(v, (depth + 1,) * g.k):
+            prefixes = {}
+            split = []
+            shifts = list(below(x.degree))
+            prefix_word = g.prefix_word
+
+            def splitting(q, m):
+                split.append(m)
+                return prefix_word(q, m)
+
+            g.prefix_word = splitting
+            with mock.patch.object(KGraph, "compose", side_effect=AssertionError("composed")):
+                got = {
+                    (p, n): _head_word(g, p, x, add(p.degree, n), prefixes)
+                    for p in ps
+                    for n in shifts
+                }
+            del g.prefix_word
+            assert sorted(split) == sorted(set(split)) and len(split) <= len(shifts)
+            for (p, n), word in got.items():
+                m = add(p.degree, n)
+                assert word == g.factorize(g.compose(p, x), m)[0].edges, (p, x, m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -464,7 +617,7 @@ def test_join_leaves_exactly_the_unseparated_residual_pairs(g, depth):
         _, classes, joins = _residual_classes(groups)
         residual = [(a, b) for a, b in _pairs_at(groups) if not any(meet(a.degree, b.degree))]
         for x in g.boundary_paths(v, (depth + 1,) * g.k):
-            left = [(a, b) for a, b in residual if not separates(g, a, b, x)]
+            left = [(a, b) for a, b in residual if not splits(g, a, b, x)]
             assert _unseparated(g, classes, joins, x) == (left[0] if left else None), (v, x)
 
 

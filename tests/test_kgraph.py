@@ -105,6 +105,25 @@ def test_compose_respects_endpoints():
         g.compose(e1, bad)
 
 
+def test_receives_reads_the_edges_into_each_vertex():
+    for _, mk in CORPUS:
+        g = mk()
+        for v in g.vertices:
+            assert g.receives(v) == bool(g.edges_by_range(v)), v
+            for c in range(1, g.k + 1):
+                assert g.receives(v, c) == bool(g.edges_by_range(v, c)), (v, c)
+
+
+def test_composite_and_prefix_words_are_those_of_the_paths():
+    for g in (grid((2, 1)), random_square_graph(3, 2, 2)):
+        for v in g.vertices:
+            for p in paths_upto(g, v, (2, 1)):
+                for q in paths_upto(g, p.source, (1, 1)):
+                    assert g.composite_word(p, q.edges) == canonical_word(g, p.edges + q.edges)
+                for m in below(p.degree):
+                    assert g.prefix_word(p, m) == brute_factorize(g, p, m)[0].edges, (p, m)
+
+
 def test_noncomposable_word_rejected():
     g = grid((1, 1))
     with pytest.raises(KGraphError):
