@@ -35,10 +35,10 @@ sizes of the degree classes.
 Degree-class joins: for a residual pair (a, b) and a candidate x,
 meet(d(a x), d(b x)) = d(x) + meet(d(a), d(b)) = d(x). So x separates
 (a, b) exactly when x is maximal or the heads of a x and b x, their
-prefixes at d(x), differ (``_head``; heads in one range group share range
-and degree, so their edge words tell them apart). The head of a x depends
-on a and x only, so the search computes it once per path and candidate
-rather than once per pair: within a range group, the paths of one degree
+prefixes at d(x), differ (``_head_table``; heads in one range group share
+range and degree, so their edge words tell them apart). The head of a x
+depends on a and x only, so the search computes it once per path and
+candidate rather than once per pair: within a range group, the paths of one degree
 form a degree class, and for each two classes whose degrees have meet 0
 the first pair x leaves unseparated is the first head collision in a
 bucket join of the two classes. The residual pairs are never listed.
@@ -46,19 +46,20 @@ bucket join of the two classes. The residual pairs are never listed.
 the pair that defeated the last candidate is tried first on the next (the
 first residual pair on the first).
 
-Heads off the prefix: for d(p) <= m <= d(p) + d(x), the head (p x)(0, m)
-is p x(0, m - d(p)). Indeed x factors as x1 x2 with d(x1) = m - d(p), so
-p x = (p x1) x2 with d(p x1) = m, and the factorization of p x at m is
-unique. The head's word is thus the canonical word of p followed by that
-of x's prefix (``KGraph.prefix_word``, ``KGraph.composite_word``), and no
-composite p x is built or split. The search reads heads at m = d(x) (residual pairs have meet 0),
-and ``separates`` at m = d(x) + meet(d(alpha), d(beta)). The candidate's
-prefixes are kept by degree and its heads at d(x) by path (``_memo``), so
-x is split once per degree and each head sorted once, ``separates`` and
-the join sharing them. The rule needs d(p) <= m. A candidate reaches the
-cap depth + 1, above every d(p), in each color that every vertex
-receives, so only one short in a color some vertex does not receive can
-miss it; there p x is composed and split instead.
+Heads off the prefix: for m <= d(p x), let n = (m v d(p)) - d(p), so
+n <= d(x). Then x factors as x1 x2 with d(x1) = n, and p x = (p x1) x2
+with d(p x1) = m v d(p) >= m. Factoring p x1 = h t with d(h) = m gives
+p x = h (t x2), so by the uniqueness of factorization (p x)(0, m) = h,
+the head at m of p x1. When d(p) <= m, n = m - d(p) and p x1 is that
+head itself (``_head_word`` tests this first); otherwise it is cut at m.
+The words come from the canonical word of p and that of x's prefix x1
+(``KGraph.prefix_word``, ``KGraph.composite_word``, and ``prefix_word``
+again for the cut); no composite p x is built or split. The search reads
+heads at m = d(x) (residual pairs have meet 0), and ``separates`` its own
+two at m = d(x) + meet(d(alpha), d(beta)). Each reader of heads at d(x),
+the join of one candidate and the certificate scan of the first, makes
+that candidate's head table (``_head_table``), which splits x once per
+degree and sorts each head once.
 
 The machine probe: when the pair that defeated one candidate defeats the
 next as well, the search asks the closed machine about it
@@ -137,9 +138,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .degrees import Degree, meet
+from .degrees import Degree, join, meet
 from .kgraph import KGraph, KGraphError, Path, not_composable, path_sort_key, validate
 from .paths import _degrees_with_total
 
@@ -185,49 +186,39 @@ class AperiodicityVerdict:
 
 Word = Tuple[str, ...]
 
-# The head memo, one for the process: the tuple (graph, candidate x,
-# prefixes, heads) of the last candidate whose heads were read.
-# ``prefixes`` maps a degree n to the word of x(0, n); ``heads`` maps the
-# word of a path p with s(p) = r(x) to the word of the head (p x)(0, d(x)).
-# A path with source r(x) is fixed by its word, the trivial one included.
-# Reading another candidate's heads replaces the whole tuple, so one
-# candidate's are kept; each read takes the tuple once, so a thread never
-# mixes two candidates.
-_memo = (None, None, {}, {})
-
-
-def _heads_of(g: KGraph, x: Path) -> Tuple[Dict[Degree, Word], Dict[Word, Word]]:
-    # x's prefixes and heads, from the memo or fresh
-    global _memo
-    memo = _memo
-    if memo[1] is not x or memo[0] is not g:
-        memo = _memo = (g, x, {}, {})
-    return memo[2], memo[3]
-
 
 def _head_word(
     g: KGraph, p: Path, x: Path, m: Degree, prefixes: Dict[Degree, Word]
 ) -> Word:
     """The edge word of (p x)(0, m), for s(p) = r(x) and m <= d(p x): the
-    word of p followed by x's prefix at m - d(p) (module docstring), or,
-    where d(p) is not <= m, the head of the composite."""
+    head at m of p x(0, n), n = (m v d(p)) - d(p) (module docstring).
+    ``prefixes`` keeps x's prefixes by degree, so x is split once per n."""
     n = tuple(map(operator.sub, m, p.degree))
-    if min(n) < 0:
-        px = g.compose(p, x)
-        return (px if px.degree == m else g.factorize(px, m)[0]).edges
+    cut = min(n) < 0
+    if cut:
+        n = tuple(max(c, 0) for c in n)
     y = prefixes.get(n)
     if y is None:
-        y = prefixes[n] = g.prefix_word(x, n)
-    return g.composite_word(p, y)
+        y = prefixes[n] = g.prefix_word(x.edges, x.degree, n)
+    word = g.composite_word(p, y)
+    # p x(0, n) has degree d(p) + n = m v d(p)
+    return g.prefix_word(word, join(m, p.degree), m) if cut else word
 
 
-def _head(g: KGraph, p: Path, x: Path) -> Word:
-    """The edge word of the prefix of p x at d(x), kept for the candidate."""
-    prefixes, heads = _heads_of(g, x)
-    h = heads.get(p.edges)
-    if h is None:
-        h = heads[p.edges] = _head_word(g, p, x, x.degree, prefixes)
-    return h
+def _head_table(g: KGraph, x: Path) -> Callable[[Path], Word]:
+    """The heads of one candidate x: for a path p with s(p) = r(x), the
+    word of (p x)(0, d(x)), sorted once per path. A path with source r(x)
+    is fixed by its word, the trivial one included."""
+    prefixes: Dict[Degree, Word] = {}
+    heads: Dict[Word, Word] = {}
+
+    def head(p: Path) -> Word:
+        h = heads.get(p.edges)
+        if h is None:
+            h = heads[p.edges] = _head_word(g, p, x, x.degree, prefixes)
+        return h
+
+    return head
 
 
 def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
@@ -237,14 +228,10 @@ def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
         if p.source != x.range:
             raise not_composable(p, x)
     # the heads at m = meet(d(alpha x), d(beta x)) = d(x) + meet(d(alpha), d(beta))
-    w = meet(alpha.degree, beta.degree)
-    if any(w):
-        prefixes = _heads_of(g, x)[0]
-        m = tuple(map(operator.add, x.degree, w))
-        ha = _head_word(g, alpha, x, m, prefixes)
-        hb = _head_word(g, beta, x, m, prefixes)
-    else:
-        ha, hb = _head(g, alpha, x), _head(g, beta, x)
+    m = tuple(map(operator.add, x.degree, meet(alpha.degree, beta.degree)))
+    prefixes: Dict[Degree, Word] = {}
+    ha = _head_word(g, alpha, x, m, prefixes)
+    hb = _head_word(g, beta, x, m, prefixes)
     # heads with equal words differ when their ranges do (both trivial)
     if ha != hb or alpha.range != beta.range:
         return True
@@ -325,17 +312,18 @@ def _unseparated(
     """The first residual pair, in ``_pairs_at`` order, that x does not
     separate, or None: x is not maximal and the heads of a x and b x agree.
     Each a probes the later classes, keyed by head."""
+    head = _head_table(g, x)
     # per class, the first path of each head, on first use
     tables: Dict[int, Dict[Word, Path]] = {}
     for i, later in joins:
         for a in classes[i]:
-            h = _head(g, a, x)
+            h = head(a)
             for j in later:
                 table = tables.get(j)
                 if table is None:
                     table = tables[j] = {}
                     for b in classes[j]:
-                        table.setdefault(_head(g, b, x), b)
+                        table.setdefault(head(b), b)
                 b = table.get(h)
                 if b is not None:
                     # a maximal x separates every pair; asked at the first
@@ -484,10 +472,10 @@ def _periodic_certificate(
     # would refuse. A maximal first candidate separates every residual
     # pair, so it has won and no scan runs. A presentation that validates
     # has a boundary path at every vertex, so a first candidate exists.
-    x = candidates[0]
+    head = _head_table(g, candidates[0])
     for a, b in _pairs_at(groups):
         res = _strip(g, a, b)
-        if res is None or _head(g, res[0], x) != _head(g, res[1], x):
+        if res is None or head(res[0]) != head(res[1]):
             continue
         states = machine.states(*res)
         if states is not None:

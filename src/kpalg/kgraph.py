@@ -144,12 +144,11 @@ def path_sort_key(p: Path):
 # The compose memo, one for the process: the tuple (graph, right factor q,
 # composites) of the last ``compose``.
 #
-# Its users compose many left paths with one right factor q in a row and
-# meet the same left paths again: ``kp_mul`` and ``normal_form``, the
-# closed machine of the aperiodicity search, and the benchmark's audit of
-# a separator. (The separator search itself reads each head off the
-# candidate's prefix, through ``prefix_word`` and ``composite_word``, and
-# composes only where that rule does not reach.) ``composites`` maps the word
+# It serves a checker that composes many paths with one separator q in a
+# row and meets the same paths again, such as the benchmark's audit of a
+# separator, which gets every hit on the benchmark workloads; kpalg's own
+# callers (``kp_mul``, ``normal_form``, the closed machine) got none there,
+# and the separator search composes nothing. ``composites`` maps the word
 # ``p.edges`` of each left path to p q, for the graph and q of the memo,
 # both checked by identity. Each composite keeps its last ``factorize`` in
 # its own ``split`` slot, as ``(m, (head, tail))``, the shortcut splits at
@@ -390,14 +389,12 @@ class KGraph:
         last = p.split
         if last is not None and last[0] == m and p.graph is self:
             return last[1]
-        if len(m) != self.k:
-            raise KGraphError("degree %r has wrong rank" % (m,))
+        m = self._degree(m)
         d = p.degree
         if any(map(operator.gt, m, d)):
             raise KGraphError(
                 "cannot factorize %s at degree %r (path degree %r)" % (p, m, d)
             )
-        m = tuple(m)
         if m == d:
             out = p, self.trivial_path(p.source)
         elif not any(m):
@@ -408,32 +405,35 @@ class KGraph:
             _set_split(p, (m, out))
         return out
 
-    def prefix_word(self, p: Path, m: Degree) -> Tuple[str, ...]:
-        """The edge word of the head of ``factorize(p, m)``, for a degree
-        m <= d(p) (the caller checks it); neither part is built."""
-        if m == p.degree:
-            return p.edges
+    def prefix_word(self, word: Tuple[str, ...], d: Degree, m: Degree) -> Tuple[str, ...]:
+        """The edge word of the head at m of the path with canonical word
+        ``word`` and degree d, for a degree m <= d (the caller checks it);
+        no path is built."""
+        if m == d:
+            return word
         if not any(m):
             return ()
-        word, h = self._split_word(p, m)
-        return tuple(word[:h])
+        out, h = self._split_word(word, d, m)
+        return tuple(out[:h])
 
     def _split(self, p: Path, m: Degree) -> Tuple[Path, Path]:
         d = p.degree
-        word, h = self._split_word(p, m)
+        word, h = self._split_word(p.edges, d, m)
         split = self.edges[word[h]].range
         return (
             Path(self, p.range, tuple(word[:h]), m, split),
             Path(self, split, tuple(word[h:]), tuple(map(operator.sub, d, m)), p.source),
         )
 
-    def _split_word(self, p: Path, m: Degree) -> Tuple[List[str], int]:
-        # p's word reordered so that its first h edges are the head at m:
-        # word[:h] is the head so far, word[h:] the canonical rest; before
-        # color c joins the head, the rest starts with the `skip` left-over
-        # edges of colors below c, so its next color-c edge sits after them
-        d = p.degree
-        word = list(p.edges)
+    def _split_word(
+        self, word: Tuple[str, ...], d: Degree, m: Degree
+    ) -> Tuple[List[str], int]:
+        # the canonical word of degree d reordered so that its first h edges
+        # are the head at m: word[:h] is the head so far, word[h:] the
+        # canonical rest; before color c joins the head, the rest starts
+        # with the `skip` left-over edges of colors below c, so its next
+        # color-c edge sits after them
+        word = list(word)
         sq = self.square_fwd
         h = 0
         skip = 0
@@ -450,13 +450,21 @@ class KGraph:
 
     # -- path enumeration -------------------------------------------------
 
+    def _degree(self, n: Degree) -> Degree:
+        # n as a tuple, refused unless it has rank k and no negative
+        # component: no path has such a degree
+        if len(n) != self.k:
+            raise KGraphError("degree %r has wrong rank" % (n,))
+        n = tuple(n)
+        if min(n) < 0:
+            raise KGraphError("degree %r has a negative component" % (n,))
+        return n
+
     def paths(self, v: str, n: Degree) -> Tuple[Path, ...]:
         """All paths of degree exactly n with range v, in canonical form."""
         if not self.has_vertex(v):
             raise KGraphError("unknown vertex %r" % v)
-        if len(n) != self.k:
-            raise KGraphError("degree %r has wrong rank" % (n,))
-        n = tuple(n)
+        n = self._degree(n)
         cached = self._paths_cache.get((v, n))
         if cached is None:
             cached = self._paths_cache[(v, n)] = tuple(
@@ -484,9 +492,7 @@ class KGraph:
         """
         if not self.has_vertex(v):
             raise KGraphError("unknown vertex %r" % v)
-        n = tuple(n)
-        if len(n) != self.k:
-            raise KGraphError("degree %r has wrong rank" % (n,))
+        n = self._degree(n)
         for m in sorted(below(n), key=lambda m: (total(m), m)):
             slack = [c for c in range(1, self.k + 1) if m[c - 1] < n[c - 1]]
             if any(self._immortal[c - 1] for c in slack):

@@ -415,12 +415,15 @@ def _disjoint_cycle_pair(g: KGraph, v: str, depth: int) -> Optional[ReachingCycl
     for w, gamma in ordered:
         cycles: List[Path] = []
         for t in range(1, depth + 1):
+            # the pairs of cycles of lower totals were tested at those
+            # totals: only pairs with a cycle of total t are new
+            new = len(cycles)
             for n in _degrees_with_total(g.k, t):
                 for p in g.paths(w, n):
                     if p.source == w:
                         cycles.append(p)
             for i in range(len(cycles)):
-                for j in range(i + 1, len(cycles)):
+                for j in range(max(i + 1, new), len(cycles)):
                     if not g.mce(cycles[i], cycles[j]):
                         cycle = GeneralizedCycle(cycles[i], g.trivial_path(w), cycles[j])
                         return ReachingCycle(cycle, gamma)

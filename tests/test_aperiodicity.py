@@ -420,64 +420,80 @@ def test_pairs_checked_counts_every_comparable_pair():
 # -- heads within a candidate -------------------------------------------------
 
 
-def test_memoized_separates_matches_reset_memo(monkeypatch):
+def _fed_loop():
+    # a loop fed from a source: a candidate at the source is the single
+    # edge into the loop, shorter than the paths of degree 2 at the loop
+    return KGraph(1, ["u", "v"], [Edge("a", 1, "v", "v"), Edge("e", 1, "u", "v")])
+
+
+def _cuts(a, b, x):
+    # whether separates cuts one of its heads at m: d(p) not <= m
+    m = add(x.degree, meet(a.degree, b.degree))
+    return any(n > i for p in (a, b) for n, i in zip(p.degree, m))
+
+
+def test_separates_matches_splits_and_composes_nothing(monkeypatch):
     # every comparable pair, not only the residual ones, so heads at nonzero
-    # meet degrees are read off the candidate's prefixes as well; the
-    # expected answer composes and splits (oracles.splits) from empty memos,
-    # sharing no code with the prefix route. Only the fallback of the
-    # prefix route composes: it runs where a candidate is shorter than a
-    # path in a color some vertex does not receive. The CORPUS graphs with
-    # a source are acyclic and never get there, so a loop fed from a
-    # source is added; in CORPUS only flip_loop_pair gets there
-    fed_loop = KGraph(1, ["u", "v"], [Edge("a", 1, "v", "v"), Edge("e", 1, "u", "v")])
-    composed = []
-    inner = KGraph.compose
+    # meet degrees are read as well. The expected answer composes and
+    # splits (oracles.splits) from an empty compose memo, sharing no code
+    # with separates, which neither composes nor factorizes. On
+    # flip_loop_pair and fed_loop some candidate is shorter than a path in
+    # a color some vertex does not receive, so some heads are cut at m
+    inner = {f: getattr(KGraph, f) for f in ("compose", "factorize")}
+    called = []
 
-    def counting(self, p, q):
-        composed.append(self)
-        return inner(self, p, q)
+    def recording(f):
+        def call(self, *args):
+            called.append((f, args))
+            return inner[f](self, *args)
 
-    fell_back = set()
-    for name, mk in CORPUS + [("fed_loop", lambda: fed_loop)]:
+        return call
+
+    cut = set()
+    for name, mk in CORPUS + [("fed_loop", _fed_loop)]:
         g = mk()
         for v in g.vertices:
             pairs = _comparable_pairs(g, v, 2)
             for x in g.boundary_paths(v, (3,) * g.k):
-                monkeypatch.setattr(KGraph, "compose", counting)
-                memoized = [separates(g, a, b, x) for a, b in pairs]
-                monkeypatch.setattr(KGraph, "compose", inner)
+                for f in inner:
+                    monkeypatch.setattr(KGraph, f, recording(f))
+                got = [separates(g, a, b, x) for a, b in pairs]
+                for f, method in inner.items():
+                    monkeypatch.setattr(KGraph, f, method)
+                assert not called, (name, v, x, called[:1])
                 fresh = []
                 for a, b in pairs:
                     monkeypatch.setattr(kgraph, "_memo", (None, None, {}))
                     fresh.append(splits(g, a, b, x))
-                assert memoized == fresh, (name, v, x)
-        if composed:
-            fell_back.add(name)
-            del composed[:]
-    assert fell_back == {"flip_loop_pair", "fed_loop"}
+                assert got == fresh, (name, v, x)
+                if any(_cuts(a, b, x) for a, b in pairs):
+                    cut.add(name)
+    assert {"flip_loop_pair", "fed_loop"} <= cut, cut
 
 
-def test_head_memo_is_safe_across_threads():
-    # more threads than the two cores of a small runner read the heads of
-    # every path with every candidate in turn, the candidates in opposite
-    # orders, so the memo changes hands on almost every call: a memo read
-    # while another thread replaces it would give another candidate's head
-    # or prefix. Heads are checked, not separates answers, since a wrong
-    # head almost always still separates
-    g = random_square_graph(1, 2, 2)
-    v = g.vertices[0]
-    ps = [p for n in below((2, 2)) if total(n) <= 2 for p in g.paths(v, n)]
-    xs = g.boundary_paths(v, (3, 3))
-    want = [[g.factorize(g.compose(p, x), x.degree)[0].edges for x in xs] for p in ps]
-    errors = []
+def test_aperiodicity_check_is_safe_across_threads():
+    # the search keeps no state between calls: each candidate's head table
+    # belongs to the reader that made it. More threads than the two cores
+    # of a small runner check the same graphs at depths 1-3, with a tiny
+    # switch interval; each answer equals a single-thread run on graphs of
+    # its own
+    def graphs():
+        return [flip_loop_pair(), _fed_loop(), random_square_graph(1, 2, 2)]
 
-    def work(order):
-        for _ in range(12):
-            for p, row in zip(ps, want):
-                if [aperiodicity._head(g, p, x) for x in xs[::order]] != row[::order]:
-                    errors.append(p)
+    depths = (1, 2, 3)
+    want = [aperiodicity_json(aperiodicity_check(g, d)) for g in graphs() for d in depths]
+    jobs = [(g, d) for g in graphs() for d in depths]
+    got = [None] * 4
 
-    threads = [threading.Thread(target=work, args=(1 if i < 2 else -1,)) for i in range(4)]
+    def work(i):
+        # half the threads take the jobs in reverse order
+        step = 1 if i % 2 else -1
+        got[i] = [
+            [aperiodicity_json(aperiodicity_check(g, d)) for g, d in jobs[::step]][::step]
+            for _ in range(8)
+        ]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(got))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -488,7 +504,7 @@ def test_head_memo_is_safe_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    assert got == [[want] * 8] * len(got)
 
 
 def test_separates_refuses_paths_not_composable_with_the_candidate():
@@ -514,43 +530,78 @@ def test_separates_refuses_paths_not_composable_with_the_candidate():
 
 
 def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch):
-    # heads are read off the candidate's prefixes: on graphs where every
-    # vertex receives every color no composite p x with a candidate x is
-    # built (the closed machine, probed on a pair that defeats two
-    # candidates, still composes its residual paths with single edges), and
-    # each (candidate, path) head is sorted once, by the words the kernel
-    # sorts
-    graphs = [build(name) for name in APERIODIC]
-    graphs.append(product(bouquet(3), bouquet(3, "u")))
+    # on every CORPUS graph and the 3x3 bouquet product: the join sorts
+    # each (candidate, path) head once, from its own head table, and each
+    # separates call sorts at most its own two heads, by the words the
+    # kernel sorts; no composite p x with a candidate x is built (the
+    # closed machine, probed on a pair that defeats two candidates, still
+    # composes its residual paths with single edges)
+    graphs = [(name, mk()) for name, mk in CORPUS]
+    graphs.append(("b3_x_b3", product(bouquet(3), bouquet(3, "u"))))
     composed = []
-    inner = KGraph.compose
+    compose = KGraph.compose
 
     def composing(self, p, q):
-        composed.append((self, p, q))
-        return inner(self, p, q)
+        composed.append(q)
+        return compose(self, p, q)
 
+    # the reader whose sorts are counted: ("table", n) for the n-th head
+    # table made, ("separates", n) for the n-th separates call, None
+    # between reads
+    reader = [None]
+
+    def read(key, f, *args):
+        reader[0] = key
+        try:
+            return f(*args)
+        finally:
+            reader[0] = None
+
+    made = Counter()
+    head_table, separate = aperiodicity._head_table, aperiodicity.separates
+
+    def tables(g, x):
+        made["table"] += 1
+        key = ("table", made["table"])
+        head = head_table(g, x)
+        return lambda p: read(key, head, p)
+
+    def separating(*args):
+        made["separates"] += 1
+        return read(("separates", made["separates"]), separate, *args)
+
+    kinds = set()
     monkeypatch.setattr(KGraph, "compose", composing)
-    for g in graphs:
-        assert all(g.edges_by_range(v, c) for v in g.vertices for c in range(1, g.k + 1))
+    monkeypatch.setattr(aperiodicity, "_head_table", tables)
+    monkeypatch.setattr(aperiodicity, "separates", separating)
+    for name, g in graphs:
         sorts = Counter()
-        current = []
-        sort_word, candidates = g._sort_word, g.iter_boundary_paths
+        candidates = []
+        sort_word, boundary = g._sort_word, g.iter_boundary_paths
 
         def counting(word, start):
-            sorts[(current[-1], tuple(word[:start]), tuple(word[start:]))] += 1
+            sorts[(reader[0], tuple(word[:start]), tuple(word[start:]))] += 1
             return sort_word(word, start)
 
         def tracking(v, n):
-            for x in candidates(v, n):
-                current.append(x)
+            for x in boundary(v, n):
+                candidates.append(x)
                 yield x
 
         g._sort_word, g.iter_boundary_paths = counting, tracking
         del composed[:]
-        assert aperiodicity_check(g, 3).status == "aperiodic"
-        assert sorts and max(sorts.values()) == 1, (g, sorts.most_common(1))
-        tried = {id(x) for x in current}
-        assert not [c for c in composed if id(c[2]) in tried], g
+        aperiodicity_check(g, 3)
+        by_reader = Counter()
+        for (key, _, _), n in sorts.items():
+            if key is not None:
+                kinds.add(key[0])
+                by_reader[key] += n
+                assert key[0] == "separates" or n == 1, (name, key)
+        calls = [n for key, n in by_reader.items() if key[0] == "separates"]
+        assert max(calls, default=0) <= 2, name
+        tried = {id(x) for x in candidates}
+        assert not [q for q in composed if id(q) in tried], name
+    assert kinds == {"table", "separates"}
 
 
 # -- degree-class joins ----------------------------------------------------------
@@ -564,9 +615,10 @@ _SQUARES = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(g=st.one_of(_SQUARES, _one_graphs()), depth=st.integers(1, 2))
 def test_head_is_the_path_followed_by_the_prefix_of_the_candidate(g, depth):
-    # (p x)(0, m) = p x(0, m - d(p)) for d(p) <= m <= d(p) + d(x): the word
-    # the search reads, composing nothing, is that of the composite's head;
-    # x is split once per degree
+    # (p x)(0, m) is the head at m of p x(0, n), n = (m v d(p)) - d(p), for
+    # every m <= d(p x), d(p) <= m or not: the word the search reads,
+    # composing and factorizing nothing, is that of the composite's head;
+    # x is split once per degree n
     for v in g.vertices:
         ps = [
             p
@@ -579,24 +631,24 @@ def test_head_is_the_path_followed_by_the_prefix_of_the_candidate(g, depth):
         for x in g.boundary_paths(v, (depth + 1,) * g.k):
             prefixes = {}
             split = []
-            shifts = list(below(x.degree))
             prefix_word = g.prefix_word
 
-            def splitting(q, m):
-                split.append(m)
-                return prefix_word(q, m)
+            def splitting(word, d, m):
+                if word is x.edges:
+                    split.append(m)
+                return prefix_word(word, d, m)
 
             g.prefix_word = splitting
-            with mock.patch.object(KGraph, "compose", side_effect=AssertionError("composed")):
+            with mock.patch.object(KGraph, "compose", side_effect=AssertionError("composed")), \
+                    mock.patch.object(KGraph, "factorize", side_effect=AssertionError("split")):
                 got = {
-                    (p, n): _head_word(g, p, x, add(p.degree, n), prefixes)
+                    (p, m): _head_word(g, p, x, m, prefixes)
                     for p in ps
-                    for n in shifts
+                    for m in below(add(p.degree, x.degree))
                 }
             del g.prefix_word
-            assert sorted(split) == sorted(set(split)) and len(split) <= len(shifts)
-            for (p, n), word in got.items():
-                m = add(p.degree, n)
+            assert sorted(split) == sorted(set(split)) and len(split) <= len(list(below(x.degree)))
+            for (p, m), word in got.items():
                 assert word == g.factorize(g.compose(p, x), m)[0].edges, (p, x, m)
 
 

@@ -121,7 +121,8 @@ def test_composite_and_prefix_words_are_those_of_the_paths():
                 for q in paths_upto(g, p.source, (1, 1)):
                     assert g.composite_word(p, q.edges) == canonical_word(g, p.edges + q.edges)
                 for m in below(p.degree):
-                    assert g.prefix_word(p, m) == brute_factorize(g, p, m)[0].edges, (p, m)
+                    want = brute_factorize(g, p, m)[0].edges
+                    assert g.prefix_word(p.edges, p.degree, m) == want, (p, m)
 
 
 def test_noncomposable_word_rejected():
@@ -781,3 +782,27 @@ def test_kernel_errors_keep_their_messages():
         KGraphError, match=r"^no square relation rewrites \(a, f\); presentation is incomplete$"
     ):
         bare.factorize(af, (0, 1))
+
+
+def test_kernel_refuses_a_degree_with_a_negative_component():
+    # no path has such a degree: the kernel refuses it as it does a wrong
+    # rank, rather than give a path whose degree disagrees with its word
+    g = bouquet(2)
+    ab = g.path_from_edges(["a", "b"])
+    calls = (
+        lambda: g.paths("v", (-1,)),
+        lambda: g.factorize(ab, (-1,)),
+        lambda: list(g.iter_boundary_paths("v", (-1,))),
+        lambda: g.boundary_paths("v", (-1,)),
+    )
+    for call in calls:
+        with pytest.raises(KGraphError, match=r"^degree \(-1,\) has a negative component$"):
+            call()
+    assert ("v", (-1,)) not in g._paths_cache
+    h = torus(2)
+    with pytest.raises(KGraphError, match=r"^degree \(1, -1\) has a negative component$"):
+        h.paths("v", (1, -1))
+    # a composite's kept split is still read before any check
+    ef = h.compose(h.path_from_edges(["e"]), h.path_from_edges(["f"]))
+    parts = h.factorize(ef, (1, 0))
+    assert h.factorize(ef, (1, 0)) is parts

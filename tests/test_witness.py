@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import NAMES, build, lattice8
+from corpus import NAMES, build, lattice8, ring
 from kpalg import (
     KP,
     DerivationStep,
@@ -649,6 +649,29 @@ def test_route_search_runs_once_per_trace_of_the_ideal(monkeypatch):
     searched.clear()
     assert prove_vertex_properly_infinite(g, "x1", 2)
     assert searched == ["x1"] * len(traces["x1"])
+
+
+@pytest.mark.parametrize("n, depth, calls", [(40, 3, 120), (20, 5, 31)])
+def test_route_one_tests_each_cycle_pair_once(monkeypatch, n, depth, calls):
+    # after each total degree only the pairs with a cycle of that total are
+    # new, so no pair goes through mce twice in one search (160 and 39
+    # calls here when every pair found so far was tested again)
+    asked = []
+    inner = KGraph.mce
+
+    def counting(self, mu, nu):
+        asked.append((mu, nu))
+        return inner(self, mu, nu)
+
+    monkeypatch.setattr(KGraph, "mce", counting)
+    g = ring(n)
+    total_calls = 0
+    for v in g.vertices:
+        del asked[:]
+        _disjoint_cycle_pair(g, v, depth)
+        assert len(asked) == len(set(asked)), v
+        total_calls += len(asked)
+    assert total_calls == calls
 
 
 def former_orthogonal_chain(cert, v):
