@@ -104,7 +104,6 @@ from .witness import (
     infinite_vertex_from_reaching_cycle,
     lift_infinite,
     orthogonal_witness,
-    properly_infinite_to_infinite,
     prove_vertex_properly_infinite,
     transport_infinite,
     vertex_report_json,

@@ -1,8 +1,12 @@
 """Exact coefficient fields: rationals and prime residue fields.
 
-No floating point anywhere; scalars support +, -, *, / and compare by
-value. Field objects build scalars and are attached to algebra elements to
-guard against mixing coefficients from different fields.
+No floating point anywhere; scalars support +, -, * and compare by value.
+A rational scalar is a plain ``int`` until a real fraction appears, and a
+``Fraction`` from then on: the two mix exactly, compare and hash equal and
+print the same. Rational scalars are never divided with ``/``; a fraction
+is made only by ``QQ.of``. Field objects build scalars and are attached to
+algebra elements to guard against mixing coefficients from different
+fields.
 """
 
 from __future__ import annotations
@@ -54,23 +58,17 @@ class ModInt:
         return str(self.value % self.p)
 
 
-Scalar = Union[Fraction, ModInt]
+Scalar = Union[int, Fraction, ModInt]
 
 
 @dataclass(frozen=True)
 class RationalField:
     name: str = "Q"
+    zero = 0
+    one = 1
 
-    def of(self, num: int, den: int = 1) -> Fraction:
-        return Fraction(num, den)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def of(self, num: int, den: int = 1) -> Union[int, Fraction]:
+        return num if den == 1 else Fraction(num, den)
 
 
 # Miller-Rabin: strong probable prime tests to the first twelve primes decide

@@ -18,13 +18,15 @@ Ideal = Tuple[str, ...]
 Above = Dict[FrozenSet[str], Set[FrozenSet[str]]]
 
 
-def _close(g: KGraph, start: Iterable[str]) -> Set[str]:
-    # one walk: a vertex joining h brings the sources of its in-edges
-    # (heredity), and each range w of its out-edges once every in-edge of w
-    # of that color starts in h (saturation); ``missing`` counts, for each
-    # (w, color) met, the in-edges whose source has not joined yet
+def _close(g: KGraph, closed: FrozenSet[str], start: Iterable[str]) -> Set[str]:
+    # close(closed + start) for a closed set, grown from it in one walk over
+    # the vertices that join: a vertex joining h brings the sources of its
+    # in-edges (heredity), and each range w of its out-edges once every
+    # in-edge of w of that color starts in h (saturation); ``missing``
+    # counts, for each (w, color) met, the in-edges whose source has not
+    # joined yet, starting from those whose source lies outside ``closed``
     by_range, edges = g._by_range, g.edges
-    h: Set[str] = set()
+    h = set(closed)
     missing: Dict[Tuple[str, int], int] = {}
     work = list(start)
     while work:
@@ -41,8 +43,10 @@ def _close(g: KGraph, start: Iterable[str]) -> Set[str]:
             if e.range in h:
                 continue
             key = (e.range, e.color)
-            left = missing.get(key, len(by_range[key])) - 1
-            missing[key] = left
+            left = missing.get(key)
+            if left is None:
+                left = sum(edges[j].source not in closed for j in by_range[key])
+            missing[key] = left = left - 1
             if not left:
                 work.append(e.range)
     return h
@@ -58,20 +62,21 @@ def _known(g: KGraph, vertices: Iterable[str]) -> List[str]:
 
 def sat_her_closure(g: KGraph, vertices: Iterable[str]) -> Ideal:
     """Smallest saturated hereditary set containing the given vertices."""
-    return tuple(sorted(_close(g, _known(g, vertices))))
+    return tuple(sorted(_close(g, frozenset(), _known(g, vertices))))
 
 
 def _walk(g: KGraph, among: Collection[str], avoid: Optional[str] = None) -> Above:
     """Each closure reached from the empty set by closing one-vertex
     augmentations from ``among``, leaving out any that holds ``avoid``,
-    mapped to the closures one step above it, in lattice order."""
+    mapped to the closures one step above it, in lattice order. Each
+    close(h + u) grows from the closed set h, walking only what joins."""
     above: Above = {}
     work = [frozenset()]
     while work:
         h = work.pop()
         if h in above:
             continue
-        bigger = (frozenset(_close(g, h | {u})) for u in among if u not in h)
+        bigger = (frozenset(_close(g, h, (u,))) for u in among if u not in h)
         above[h] = {b for b in bigger if avoid not in b}
         work.extend(above[h])
     return {h: above[h] for h in sorted(above, key=lambda s: (len(s), sorted(s)))}

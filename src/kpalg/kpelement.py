@@ -10,7 +10,10 @@ product reduces cross terms through minimal common extensions:
 When d(mu) <= d(nu) the only candidate is nu itself, so no MCE search is
 needed: nu splits once at d(mu) as nu = head tail, and the product is
 s_{lam tail} s_{rho*} when head = mu and 0 otherwise (symmetrically when
-d(nu) <= d(mu)). Only incomparable degrees search ``KGraph.mce``.
+d(nu) <= d(mu)). A trivial inner leg needs no split: the product is
+s_{lam nu} s_{rho*} when mu is the vertex r(nu), and s_lam s_{(rho mu)*}
+when nu is the vertex r(mu). Only incomparable degrees search
+``KGraph.mce``.
 
 Structural equality (==) compares term maps; algebraic equality is
 ``equals``. Identical term tuples denote the same sum, so ``equals``
@@ -94,7 +97,7 @@ class KPElement:
 def _check_compatible(a: KPElement, b: KPElement) -> None:
     if a.graph is not b.graph:
         raise AlgebraError("elements live over different graphs")
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise AlgebraError("elements live over different fields")
 
 
@@ -180,7 +183,12 @@ def kp_mul(a: KPElement, b: KPElement) -> KPElement:
             if mu.range != nu.range:
                 continue
             c = c1 * c2
-            if not any(map(operator.gt, mu.degree, nu.degree)):
+            # a trivial inner leg: no split, no head to compare
+            if not mu.edges:
+                keys = [(g.compose(lam, nu), rho)]
+            elif not nu.edges:
+                keys = [(lam, g.compose(rho, mu))]
+            elif not any(map(operator.gt, mu.degree, nu.degree)):
                 # d(mu) <= d(nu): the only candidate extension is nu = mu tail
                 head, tail = g.factorize(nu, mu.degree)
                 keys = [(g.compose(lam, tail), rho)] if head == mu else []

@@ -17,8 +17,8 @@ relation, or gives a certificate whose own relations hold. The checks a
 certificate gets when it is made are exactly those ``failing_checks``
 replays for its steps; without ``steps`` it replays the whole derivation,
 which is the audit. Only checks that cost no product stay in front: the
-certificate kind, the entrance of a generalized cycle (the one support of
-its step's note) and p != 0 for a strict copy.
+certificate kind and the entrance of a generalized cycle (the one
+support of its step's note).
 
 Transport and lifting first normalize the moving elements into the
 relevant corners (r -> p r q, x -> p x e, and so on), so the transported
@@ -331,47 +331,6 @@ def orthogonal_witness(
         (),
         steps,
         "orthogonal_witness",
-    )
-
-
-def properly_infinite_to_infinite(cert: WitnessCertificate) -> WitnessCertificate:
-    """Extract an Infinite witness for p from a ProperlyInfinite one.
-
-    The two rows of A p B = p (+) p give orthogonal copies f_1, f_2 of p
-    below p; if f_1 were all of p, the second copy would vanish, so the
-    first copy is strict whenever p != 0.
-    """
-    if cert.kind != "ProperlyInfinite":
-        raise WitnessError("need a ProperlyInfinite certificate")
-    p = cert.target
-    if p.is_zero():
-        raise WitnessError("zero idempotent has no strict subidempotent")
-    a, b = cert.part("A"), cert.part("B")
-    z = zero(p.graph, p.field)
-    c1 = p * a.entry(0, 0) * p
-    d1 = p * b.entry(0, 0) * p
-    c2 = p * a.entry(1, 0) * p
-    d2 = p * b.entry(0, 1) * p
-    f1, f2 = d1 * c1, d2 * c2
-    step = DerivationStep(
-        "split-off-copies",
-        "the two matrix rows give orthogonal copies of p below p",
-        (("c1", c1), ("d1", d1), ("c2", c2), ("d2", d2), ("f2", f2)),
-        (
-            ("c1 d1 = p", c1 * d1, p),
-            ("c2 d2 = p", c2 * d2, p),
-            ("c1 d2 = 0", c1 * d2, z),
-            ("c2 d1 = 0", c2 * d1, z),
-            ("f1 f2 = 0", f1 * f2, z),
-        ),
-    )
-    return _finish(
-        "Infinite",
-        p,
-        (("q", f1), ("r", c1), ("s", d1)),
-        cert.derivation,
-        (step,),
-        "properly_infinite_to_infinite",
     )
 
 

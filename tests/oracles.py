@@ -12,6 +12,7 @@ from kpalg import (
     QQ,
     AperiodicityVerdict,
     CylinderBisection,
+    DerivationStep,
     KGraph,
     NotFoundUpTo,
     Path,
@@ -31,10 +32,11 @@ from kpalg import (
     spanning_term,
     star_generator,
     vertex_unit,
+    zero as zero_element,
 )
 from kpalg.degrees import below, join, leq, total, zero
 from kpalg.kpelement import _make
-from kpalg.witness import IdealCase, _disjoint_cycle_pair
+from kpalg.witness import IdealCase, _disjoint_cycle_pair, _finish
 
 
 @lru_cache(maxsize=1 << 14)
@@ -504,6 +506,36 @@ def orthogonal_splitting(g, w, mu1, mu2, fld=QQ):
         generator(g, fld, mu1),
         star_generator(g, fld, mu2),
         generator(g, fld, mu2),
+    )
+
+
+def strict_copy(cert):
+    """The Infinite certificate for p split off a ProperlyInfinite one: the
+    two rows of A p B = p (+) p give orthogonal copies f_1, f_2 of p below
+    p, so f_1 is a strict copy whenever p != 0. The library's routes never
+    build it; it rebuilds the chains of tests that start from a splitting."""
+    p = cert.target
+    a, b = cert.part("A"), cert.part("B")
+    z = zero_element(p.graph, p.field)
+    c1 = p * a.entry(0, 0) * p
+    d1 = p * b.entry(0, 0) * p
+    c2 = p * a.entry(1, 0) * p
+    d2 = p * b.entry(0, 1) * p
+    f1, f2 = d1 * c1, d2 * c2
+    step = DerivationStep(
+        "split-off-copies",
+        "the two matrix rows give orthogonal copies of p below p",
+        (("c1", c1), ("d1", d1), ("c2", c2), ("d2", d2), ("f2", f2)),
+        (
+            ("c1 d1 = p", c1 * d1, p),
+            ("c2 d2 = p", c2 * d2, p),
+            ("c1 d2 = 0", c1 * d2, z),
+            ("c2 d1 = 0", c2 * d1, z),
+            ("f1 f2 = 0", f1 * f2, z),
+        ),
+    )
+    return _finish(
+        "Infinite", p, (("q", f1), ("r", c1), ("s", d1)), cert.derivation, (step,), "strict_copy"
     )
 
 

@@ -11,7 +11,7 @@ import random
 import time
 
 from corpus import CORPUS, NAMES, build
-from oracles import brute_mce, brute_sat_her, paths_upto
+from oracles import brute_mce, brute_sat_her, paths_upto, strict_copy
 from kpalg import (
     KP,
     QQ,
@@ -29,7 +29,6 @@ from kpalg import (
     matrix_equals,
     orthogonal_witness,
     parse_kgraph,
-    properly_infinite_to_infinite,
     prove_vertex_properly_infinite,
     quotient,
     row,
@@ -409,7 +408,7 @@ def test_randomized_transports_and_compositions(capsys):
         lam = [m1, m2][rng.randrange(2)]
         corner = spanning_term(g, QQ, lam, lam)
         moved = transport_infinite(
-            properly_infinite_to_infinite(proper),
+            strict_copy(proper),
             star_generator(g, QQ, lam),
             generator(g, QQ, lam),
         )

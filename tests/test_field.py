@@ -13,6 +13,9 @@ def test_rationals_are_exact():
     assert QQ.of(1, 3) + QQ.of(1, 6) == Fraction(1, 2)
     assert QQ.of(2, 4) == QQ.of(1, 2)
     assert QQ.zero == Fraction(0) and QQ.one == Fraction(1)
+    # an int until a real fraction appears
+    assert type(QQ.of(3)) is int and type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.of(1, 2)) is Fraction
     assert QQ.name == "Q"
 
 

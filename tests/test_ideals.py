@@ -115,6 +115,26 @@ def test_closure_is_least_sat_her_set_on_random_graphs(g):
     assert_closures_are_least_sat_her_sets(g)
 
 
+def assert_closures_grow_from_closed_sets(g):
+    # close(h + u) grown from a closed h, walking only what joins, is the
+    # closure of h + u walked from the empty set
+    for h in brute_sat_her(g):
+        for u in sorted(set(g.vertices) - h):
+            grown = ideals._close(g, h, (u,))
+            assert tuple(sorted(grown)) == sat_her_closure(g, tuple(h) + (u,)), (h, u)
+
+
+@pytest.mark.parametrize("mk", [pytest.param(mk, id=name) for name, mk in CORPUS])
+def test_closure_grows_from_a_closed_set_on_corpus(mk):
+    assert_closures_grow_from_closed_sets(mk())
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=RANDOM_GRAPHS)
+def test_closure_grows_from_a_closed_set_on_random_graphs(g):
+    assert_closures_grow_from_closed_sets(g)
+
+
 def test_lattice_on_entered_loop():
     lat = enumerate_sat_her(entered_loop())
     got = [tuple(h) for h in lat.sets]
@@ -271,9 +291,9 @@ def test_sweep_closes_no_lattice_set_again(monkeypatch):
     calls = []
     inner = ideals._close
 
-    def counted(gr, start):
-        calls.append(frozenset(start))
-        return inner(gr, start)
+    def counted(gr, closed, start):
+        calls.append(closed | frozenset(start))
+        return inner(gr, closed, start)
 
     monkeypatch.setattr(ideals, "_close", counted)
     enumerate_sat_her(g)
@@ -300,9 +320,9 @@ def test_classify_closes_once_per_vertex_on_a_ring(monkeypatch, tmp_path, capsys
     calls = []
     inner = ideals._close
 
-    def counted(gr, start):
-        calls.append(frozenset(start))
-        return inner(gr, start)
+    def counted(gr, closed, start):
+        calls.append(closed | frozenset(start))
+        return inner(gr, closed, start)
 
     monkeypatch.setattr(ideals, "_close", counted)
     assert main(["classify", str(path), "--depth", "2", "--json"]) == 0

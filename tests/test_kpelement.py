@@ -179,6 +179,11 @@ def _draw_element(data, g, paths):
 def test_kp_mul_matches_the_product_through_mce(g, data):
     paths = _paths_upto_total(g, 2)
     a, b = _draw_element(data, g, paths), _draw_element(data, g, paths)
+    # terms with a trivial inner leg on either side: s_lam and s_{rho*}
+    if data.draw(st.booleans()):
+        a = a + generator(g, QQ, data.draw(st.sampled_from(paths)))
+    if data.draw(st.booleans()):
+        b = b + star_generator(g, QQ, data.draw(st.sampled_from(paths)))
     assert kp_mul(a, b).terms == kp_mul_via_mce(a, b).terms
 
 

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -16,6 +17,8 @@ from kpalg import (
     GeneralizedCycle,
     KGraph,
     KGraphError,
+    KPElement,
+    KPMatrix,
     PrimeField,
     QQ,
     ReachingCycle,
@@ -33,7 +36,6 @@ from kpalg import (
     lift_infinite,
     matrix_equals,
     orthogonal_witness,
-    properly_infinite_to_infinite,
     prove_vertex_properly_infinite,
     reachable_to,
     row,
@@ -46,7 +48,7 @@ from kpalg import (
 from kpalg import kpelement, witness
 from kpalg.degrees import below, total
 from kpalg.witness import _disjoint_cycle_pair
-from oracles import orthogonal_splitting
+from oracles import orthogonal_splitting, strict_copy
 
 
 @pytest.fixture()
@@ -281,25 +283,6 @@ def test_orthogonal_witness_rejects_bad_factorization(e2):
         )
 
 
-def test_properly_infinite_yields_strict_subcopy(e2):
-    g, kp = e2
-    inf = properly_infinite_to_infinite(canonical_splitting(kp))
-    assert inf.kind == "Infinite"
-    assert equals(inf.target, kp.s("v"))
-    assert failing_checks(inf) == []
-    pa = kp.path("a")
-    assert equals(inf.part("q"), kp.term(pa, pa))
-
-
-def test_properly_infinite_rejects_zero_idempotent(e2):
-    g, kp = e2
-    z = kp.zero()
-    degenerate = orthogonal_witness(z, z, z, z, z, z, z)
-    assert failing_checks(degenerate) == []
-    with pytest.raises(WitnessError, match="zero idempotent"):
-        properly_infinite_to_infinite(degenerate)
-
-
 # each constructor that takes a certificate, with an input for it
 CONSTRUCTORS = [
     (
@@ -310,15 +293,10 @@ CONSTRUCTORS = [
         lambda g, kp: witness_from_gen_cycle(g, strict_cycle(kp)),
         lambda kp, c: lift_infinite(c, kp.s("v")),
     ),
-    (
-        lambda g, kp: canonical_splitting(kp),
-        lambda kp, c: properly_infinite_to_infinite(c),
-    ),
 ]
 CONSTRUCTOR_IDS = [
     "transport_infinite",
     "lift_infinite",
-    "properly_infinite_to_infinite",
 ]
 
 
@@ -451,11 +429,12 @@ def test_constructors_check_each_step_once(e2, monkeypatch):
 
 
 def test_transport_chain_round_trip(e2):
-    # proper at the vertex -> strict copy -> corner of a.a -> lift back up
+    # strict copy s_a s_a* of the vertex, b escaping -> corner of a.a ->
+    # lift back up
     g, kp = e2
-    proper = canonical_splitting(kp)
     lam = kp.path("a", "a")
-    inf = properly_infinite_to_infinite(proper)
+    inf = witness_from_gen_cycle(g, GeneralizedCycle(kp.path("a"), kp.vertex("v"), kp.path("b")))
+    assert equals(inf.target, kp.s("v"))
     at_corner = transport_infinite(inf, kp.star(lam), kp.s(lam))
     assert equals(at_corner.target, kp.term(lam, lam))
     back = lift_infinite(at_corner, kp.s("v"))
@@ -582,7 +561,6 @@ def test_each_certificate_is_checked_once_when_made(monkeypatch):
         "transport_infinite",
         "lift_infinite",
         "orthogonal_witness",
-        "properly_infinite_to_infinite",
     ):
         monkeypatch.setattr(witness, name, called(name))
     rep = classify_pure_infiniteness(g, 2)
@@ -592,7 +570,6 @@ def test_each_certificate_is_checked_once_when_made(monkeypatch):
     # one builder for both routes: the splitting is made only for the 8
     # proper certificates, and no case goes through it
     assert Counter(calls)["orthogonal_witness"] == certs - len(cases) == 8
-    assert "properly_infinite_to_infinite" not in calls
     made = {id(cert) for cert in checked}
     assert len(made) == len(checked)
     assert all(id(c.certificate) in made for c in cases)
@@ -684,7 +661,7 @@ def former_orthogonal_chain(cert, v):
     w = found["nu"].source
     gamma = reachable_to(g, v)[w]
     proper = orthogonal_splitting(g, w, found["mu"], found["entrance"])
-    inf_w = properly_infinite_to_infinite(proper)
+    inf_w = strict_copy(proper)
     at_v = transport_infinite(inf_w, kp.star(gamma), kp.s(gamma))
     return lift_infinite(at_v, kp.s(v))
 
@@ -712,6 +689,31 @@ def test_orthogonal_pair_certificates_match_the_former_chain():
     # some cases live in a proper quotient, some carry the pair to v
     # along a nontrivial path
     assert (compared, in_quotients, moved) == (38, 6, 2)
+
+
+def test_certificate_coefficients_are_exact_rationals():
+    # over Q a coefficient is an int until a real fraction appears, never
+    # a float: in the target, the parts, and each step's elements and checks
+    def coefficients(x):
+        if isinstance(x, KPMatrix):
+            return [c for r in x.rows for e in r for c in coefficients(e)]
+        if isinstance(x, KPElement):
+            return [c for _, c in x.terms]
+        return []  # a path
+
+    seen = set()
+    for g in [build(name) for name in NAMES] + [lattice8()]:
+        for w in classify_pure_infiniteness(g, 2).witnesses:
+            for cert in [c.certificate for c in w.cases] + [w.proper]:
+                if cert is None:
+                    continue
+                xs = [cert.target] + [x for _, x in cert.parts]
+                for step in cert.derivation:
+                    xs += [x for _, x in step.elements]
+                    xs += [x for _, lhs, rhs in step.checks for x in (lhs, rhs)]
+                for x in xs:
+                    seen.update(type(c) for c in coefficients(x))
+    assert int in seen and seen <= {int, Fraction}
 
 
 def test_certificate_term_outside_the_reach_of_its_vertex_raises(monkeypatch):
