@@ -55,11 +55,11 @@ head itself (``_head_word`` tests this first); otherwise it is cut at m.
 The words come from the canonical word of p and that of x's prefix x1
 (``KGraph.prefix_word``, ``KGraph.composite_word``, and ``prefix_word``
 again for the cut); no composite p x is built or split. The search reads
-heads at m = d(x) (residual pairs have meet 0), and ``separates`` its own
-two at m = d(x) + meet(d(alpha), d(beta)). Each reader of heads at d(x),
-the join of one candidate and the certificate scan of the first, makes
-that candidate's head table (``_head_table``), which splits x once per
-degree and sorts each head once.
+heads at m = d(x) (residual pairs have meet 0), and ``separates`` and the
+certificate scan at m = d(x) + meet(d(alpha), d(beta)). The join of one
+candidate and the certificate scan of the first read them from that
+candidate's head table (``_head_table``), kept by word and meet, which
+splits x once per degree.
 
 The machine probe: when the pair that defeated one candidate defeats the
 next as well, the search asks the closed machine about it
@@ -70,9 +70,14 @@ remaining candidate, and it stops there. The certificate is then the
 first pair, in ``_pairs_at`` order, whose residual pair the first
 candidate leaves unseparated (equal heads) and the machine certifies; the
 machine keeps the probe's answers, so verdict and certificate are those
-of the full walk. A pair the machine refuses is separated by a boundary
-path, perhaps outside the box; it costs only its states, and the walk
-goes on. The runs in one vertex search share their moves (``Moves``).
+of the full walk. The scan reads this off heads: with w = meet(d(a), d(b)),
+a = h t and b = h' t' with d(h) = d(h') = w, the head of a x at d(x) + w
+is h (t x)(0, d(x)), as d(t x) >= d(x). So by unique factorization the
+heads of a x and b x at d(x) + w agree exactly when h = h' and x leaves
+(t, t') unseparated, and only such a pair is stripped, to hand (t, t') to
+the machine. A pair the machine refuses is separated by a boundary path,
+perhaps outside the box; it costs only its states, and the walk goes on.
+The runs in one vertex search share their moves (``Moves``).
 
 Locality across quotients: the quotient by a hereditary saturated set H
 keeps the edges with source outside H, and by heredity an edge with range
@@ -205,17 +210,20 @@ def _head_word(
     return g.prefix_word(word, join(m, p.degree), m) if cut else word
 
 
-def _head_table(g: KGraph, x: Path) -> Callable[[Path], Word]:
-    """The heads of one candidate x: for a path p with s(p) = r(x), the
-    word of (p x)(0, d(x)), sorted once per path. A path with source r(x)
-    is fixed by its word, the trivial one included."""
+def _head_table(g: KGraph, x: Path) -> Callable[..., Word]:
+    """The heads of one candidate x: for a path p with s(p) = r(x) and a
+    degree w (0 unless given), the word of (p x)(0, d(x) + w), kept by
+    (word, w). A path with source r(x) is fixed by its word, the trivial
+    one included."""
     prefixes: Dict[Degree, Word] = {}
-    heads: Dict[Word, Word] = {}
+    heads: Dict[Tuple[Word, Degree], Word] = {}
 
-    def head(p: Path) -> Word:
-        h = heads.get(p.edges)
+    def head(p: Path, w: Degree = (0,) * g.k) -> Word:
+        key = (p.edges, w)
+        h = heads.get(key)
         if h is None:
-            h = heads[p.edges] = _head_word(g, p, x, x.degree, prefixes)
+            m = tuple(map(operator.add, x.degree, w))
+            h = heads[key] = _head_word(g, p, x, m, prefixes)
         return h
 
     return head
@@ -472,12 +480,14 @@ def _periodic_certificate(
     # would refuse. A maximal first candidate separates every residual
     # pair, so it has won and no scan runs. A presentation that validates
     # has a boundary path at every vertex, so a first candidate exists.
+    # A pair is kept when the heads of a x and b x agree at d(x) plus the
+    # meet w, and only then stripped at w (module docstring)
     head = _head_table(g, candidates[0])
     for a, b in _pairs_at(groups):
-        res = _strip(g, a, b)
-        if res is None or head(res[0]) != head(res[1]):
+        w = meet(a.degree, b.degree)
+        if head(a, w) != head(b, w):
             continue
-        states = machine.states(*res)
+        states = machine.states(g.factorize(a, w)[1], g.factorize(b, w)[1])
         if states is not None:
             return PeriodicCertificate(a, b, v, len(candidates), states)
     return None

@@ -25,11 +25,11 @@ def sub(m: Degree, n: Degree) -> Degree:
 
 
 def join(m: Degree, n: Degree) -> Degree:
-    return tuple(max(a, b) for a, b in zip(m, n))
+    return tuple(map(max, m, n))
 
 
 def meet(m: Degree, n: Degree) -> Degree:
-    return tuple(min(a, b) for a, b in zip(m, n))
+    return tuple(map(min, m, n))
 
 
 def leq(m: Degree, n: Degree) -> bool:

@@ -65,13 +65,12 @@ class Path:
         degree: Degree = None,
         source: str = None,
     ):
-        put = object.__setattr__
-        put(self, "graph", graph)
-        put(self, "range", range)
-        put(self, "edges", edges)
-        put(self, "degree", degree)
-        put(self, "source", source)
-        put(self, "split", None)
+        _set_graph(self, graph)
+        _set_range(self, range)
+        _set_edges(self, edges)
+        _set_degree(self, degree)
+        _set_source(self, source)
+        _set_split(self, None)
         self.__post_init__()
 
     def __post_init__(self):
@@ -80,14 +79,14 @@ class Path:
         g = self.graph
         if self.edges:
             d = list(zero(g.k))
+            color = g._color
             for eid in self.edges:
-                d[g.edges[eid].color - 1] += 1
-            src = g.edges[self.edges[-1]].source
-            object.__setattr__(self, "degree", tuple(d))
-            object.__setattr__(self, "source", src)
+                d[color[eid] - 1] += 1
+            _set_degree(self, tuple(d))
+            _set_source(self, g._source[self.edges[-1]])
         else:
-            object.__setattr__(self, "degree", zero(g.k))
-            object.__setattr__(self, "source", self.range)
+            _set_degree(self, zero(g.k))
+            _set_source(self, self.range)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError("cannot assign to field %r" % name)
@@ -125,7 +124,12 @@ class Path:
         return "Path(%s)" % self
 
 
-# the kernel's writer of the ``split`` slot, which ``__setattr__`` refuses
+# the kernel's writers of the slots, which ``__setattr__`` refuses
+_set_graph = Path.graph.__set__
+_set_range = Path.range.__set__
+_set_edges = Path.edges.__set__
+_set_degree = Path.degree.__set__
+_set_source = Path.source.__set__
 _set_split = Path.split.__set__
 
 
@@ -223,6 +227,9 @@ class KGraph:
                     "edge %r has color %d, expected 1..%d" % (e.id, e.color, k)
                 )
             self.edges[e.id] = e
+        # the color and source of each edge id, read by the word kernel
+        self._color: Dict[str, int] = {eid: e.color for eid, e in self.edges.items()}
+        self._source: Dict[str, str] = {eid: e.source for eid, e in self.edges.items()}
 
         # square e f ~ f' e'  encodes  ef = f'e'  with color(e) < color(f)
         self.square_fwd: Dict[Tuple[str, str], Tuple[str, str]] = {}
@@ -314,22 +321,26 @@ class KGraph:
     def _sort_word(self, word: List[str], start: int) -> List[str]:
         # insertion sort by color of word[start:] into word[:start], which
         # is already canonical; adjacent transpositions use the squares
-        edges = self.edges
+        color, sq = self._color, self.square_rev
         for i in range(start, len(word)):
-            c = edges[word[i]].color
+            c = color[word[i]]
             j = i
-            while j > 0 and edges[word[j - 1]].color > c:
-                word[j - 1], word[j] = self._swap(self.square_rev, word[j - 1], word[j])
+            while j > 0 and color[word[j - 1]] > c:
+                a, b = word[j - 1], word[j]
+                word[j - 1], word[j] = sq.get((a, b)) or self._swap(sq, a, b)
                 j -= 1
         return word
 
     def composite_word(self, p: Path, word: Tuple[str, ...]) -> Tuple[str, ...]:
         """The canonical edge word of p q, where q is the path with range
         s(p) and canonical word ``word`` (the caller checks the range); no
-        path is built."""
-        if not p.edges:
+        path is built. Words already in color order are joined as they are."""
+        edges = p.edges
+        if not edges:
             return word
-        return tuple(self._sort_word(list(p.edges + word), len(p.edges)))
+        if not word or self._color[edges[-1]] <= self._color[word[0]]:
+            return edges + word
+        return tuple(self._sort_word(list(edges + word), len(edges)))
 
     def trivial_path(self, v: str) -> Path:
         p = self._trivial.get(v)
@@ -427,26 +438,33 @@ class KGraph:
 
     def _split_word(
         self, word: Tuple[str, ...], d: Degree, m: Degree
-    ) -> Tuple[List[str], int]:
+    ) -> Tuple[Sequence[str], int]:
         # the canonical word of degree d reordered so that its first h edges
         # are the head at m: word[:h] is the head so far, word[h:] the
         # canonical rest; before color c joins the head, the rest starts
         # with the `skip` left-over edges of colors below c, so its next
-        # color-c edge sits after them
-        word = list(word)
+        # color-c edge sits after them. While m takes whole blocks of the
+        # lower colors nothing moves, and the word itself is returned
+        out: Sequence[str] = word
         sq = self.square_fwd
         h = 0
         skip = 0
         for c in range(self.k):
-            for _ in range(m[c]):
-                # bubble the color-c edge down to the head boundary; the
-                # square map returns the transposed pair directly
-                for pos in range(h + skip, h, -1):
-                    a, b = word[pos - 1], word[pos]
-                    word[pos - 1], word[pos] = sq.get((a, b)) or self._swap(sq, a, b)
-                h += 1
-            skip += d[c] - m[c]
-        return word, h
+            mc = m[c]
+            if not (mc and skip):
+                h += mc
+            else:
+                if out is word:
+                    out = list(word)
+                for _ in range(mc):
+                    # bubble the color-c edge down to the head boundary;
+                    # the square map returns the transposed pair directly
+                    for pos in range(h + skip, h, -1):
+                        a, b = out[pos - 1], out[pos]
+                        out[pos - 1], out[pos] = sq.get((a, b)) or self._swap(sq, a, b)
+                    h += 1
+            skip += d[c] - mc
+        return out, h
 
     # -- path enumeration -------------------------------------------------
 
@@ -493,12 +511,13 @@ class KGraph:
         if not self.has_vertex(v):
             raise KGraphError("unknown vertex %r" % v)
         n = self._degree(n)
+        by_range = self._by_range
         for m in sorted(below(n), key=lambda m: (total(m), m)):
             slack = [c for c in range(1, self.k + 1) if m[c - 1] < n[c - 1]]
             if any(self._immortal[c - 1] for c in slack):
                 continue
             for word, src in self._iter_words(v, m):
-                if not any(self._by_range.get((src, c)) for c in slack):
+                if not slack or not any((src, c) in by_range for c in slack):
                     yield Path(self, v, word, m, src)
 
     def _iter_words(self, v: str, m: Degree) -> Iterator[Tuple[Tuple[str, ...], str]]:
@@ -506,19 +525,31 @@ class KGraph:
 
         The one walk over canonical words: colors in nondecreasing order,
         edges depth first in sorted-id order, so the words come out sorted.
+        One mutable word is filled in place, with one edge iterator per
+        position; a tuple is built only for a whole word.
         """
         colors = [c for c in range(1, self.k + 1) for _ in range(m[c - 1])]
-        by_range, edges = self._by_range, self.edges
-        # a stack of (source, word) to extend; an edge list is pushed in
-        # reverse so the smallest id is popped first
-        stack = [(v, ())]
-        while stack:
-            at, word = stack.pop()
-            if len(word) == len(colors):
-                yield word, at
-                continue
-            for eid in reversed(by_range.get((at, colors[len(word)]), ())):
-                stack.append((edges[eid].source, word + (eid,)))
+        if not colors:
+            yield (), v
+            return
+        by_range, source = self._by_range, self._source
+        last = len(colors) - 1
+        word = [""] * len(colors)
+        # walks[i] runs over the edges at position i, into the source of
+        # word[:i]; positions 0..i are live
+        walks = [iter(by_range.get((v, colors[0]), ()))] * len(colors)
+        i = 0
+        while i >= 0:
+            for eid in walks[i]:
+                word[i] = eid
+                if i == last:
+                    yield tuple(word), source[eid]
+                else:
+                    i += 1
+                    walks[i] = iter(by_range.get((source[eid], colors[i]), ()))
+                    break
+            else:
+                i -= 1
 
     # -- common extensions -------------------------------------------------
 

@@ -423,6 +423,29 @@ def box_separator(g, a, b, n):
     return next((x for x in box if splits(g, a, b, x)), None)
 
 
+def strip_scan_certificate(g, v, depth):
+    """The periodic certificate at v by the strip-based scan, the reference
+    for ``aperiodicity._periodic_certificate``: the first pair (a, b) of
+    ``brute_comparable_pairs`` whose prefixes at the meet of their degrees
+    agree, whose tails there have equal heads at d(x) once composed with
+    the first path x of ``brute_boundary_paths``, and whose tails
+    ``certify_never_separated`` certifies; None if no pair is certified.
+    Every pair is stripped, and every head split off a built composite."""
+    box = brute_boundary_paths(g, v, (depth + 1,) * g.k)
+    x = box[0]
+    for a, b in brute_comparable_pairs(g, v, depth):
+        w = tuple(map(min, a.degree, b.degree))
+        (ha, ta), (hb, tb) = g.factorize(a, w), g.factorize(b, w)
+        if ha != hb:
+            continue
+        if g.factorize(g.compose(ta, x), x.degree)[0] != g.factorize(g.compose(tb, x), x.degree)[0]:
+            continue
+        states = certify_never_separated(g, ta, tb)
+        if states is not None:
+            return PeriodicCertificate(a, b, v, len(box), states)
+    return None
+
+
 def aperiodicity_exhaustive(g, depth):
     """Aperiodicity by exhaustive search, the verdict aperiodicity_check
     must reproduce exactly.

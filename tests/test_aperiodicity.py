@@ -29,6 +29,7 @@ from oracles import (
     brute_comparable_pairs,
     brute_path_words,
     splits,
+    strip_scan_certificate,
     word_to_path,
 )
 from kpalg import (
@@ -60,6 +61,7 @@ from kpalg.aperiodicity import (
     _groups_at,
     _head_word,
     _pairs_at,
+    _periodic_certificate,
     _residual_classes,
     _unseparated,
 )
@@ -564,7 +566,7 @@ def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch
         made["table"] += 1
         key = ("table", made["table"])
         head = head_table(g, x)
-        return lambda p: read(key, head, p)
+        return lambda *args: read(key, head, *args)
 
     def separating(*args):
         made["separates"] += 1
@@ -796,6 +798,84 @@ def test_each_defeating_pair_goes_to_the_machine_once(monkeypatch, mk):
     asked = _counting_machine(monkeypatch)
     assert aperiodicity_check(mk(), 3).status == "aperiodic"
     assert asked and max(asked.values()) == 1, asked
+
+
+def _scan_graphs():
+    # CORPUS, the bouquet x cycle products and the one-vertex 2-graphs
+    # random_square_graph(s, 2, 2)
+    graphs = [(name, mk()) for name, mk in CORPUS]
+    graphs += [
+        ("b%d_x_c%d" % (a, b), product(bouquet(a), cycle_graph(b)))
+        for a in (1, 2, 3)
+        for b in (1, 2, 3)
+    ]
+    graphs += [("rsq%d_2_2" % s, random_square_graph(s, 2, 2)) for s in range(25)]
+    return graphs
+
+
+def _scan(g, v, depth):
+    # the certificate scan at v, with the first candidate of v's box
+    box = g.boundary_paths(v, (depth + 1,) * g.k)
+    return _periodic_certificate(g, v, _groups_at(g, v, depth), box, aperiodicity._Machine(g))
+
+
+def test_periodic_certificate_matches_the_strip_scan():
+    # comparing the heads of a x and b x at d(x) + meet(d(a), d(b)) keeps
+    # the pairs the strip-based scan keeps, so the certificate is the same
+    # at every vertex, certified or not
+    answers = Counter()
+    for name, g in _scan_graphs():
+        for depth in (1, 2, 3):
+            for v in g.vertices:
+                want = strip_scan_certificate(g, v, depth)
+                assert _scan(g, v, depth) == want, (name, depth, v)
+                answers[want is None] += 1
+    assert answers[True] and answers[False], answers
+
+
+def test_periodic_certificate_splits_only_pairs_whose_heads_agree(monkeypatch):
+    # outside the closed machine the scan factorizes a and b once each, at
+    # the meet of their degrees, for exactly the pairs up to the
+    # certificate whose heads under the first candidate x agree at
+    # d(x) + meet (computed here from built composites), in pair order
+    split = []
+    in_machine = [0]
+    factorize, certify = KGraph.factorize, aperiodicity.certify_never_separated
+
+    def splitting(self, p, m):
+        if not in_machine[0]:
+            split.append((p, tuple(m)))
+        return factorize(self, p, m)
+
+    def certifying(*args):
+        in_machine[0] += 1
+        try:
+            return certify(*args)
+        finally:
+            in_machine[0] -= 1
+
+    kept = 0
+    for name, g in _scan_graphs():
+        for depth in (1, 2, 3):
+            for v in g.vertices:
+                x = g.boundary_paths(v, (depth + 1,) * g.k)[0]
+                cert = strip_scan_certificate(g, v, depth)
+                want = []
+                for a, b in brute_comparable_pairs(g, v, depth):
+                    w = meet(a.degree, b.degree)
+                    m = add(x.degree, w)
+                    if g.factorize(g.compose(a, x), m)[0] == g.factorize(g.compose(b, x), m)[0]:
+                        want += [(a, w), (b, w)]
+                    if cert is not None and (a, b) == (cert.alpha, cert.beta):
+                        break
+                del split[:]
+                with monkeypatch.context() as patched:
+                    patched.setattr(KGraph, "factorize", splitting)
+                    patched.setattr(aperiodicity, "certify_never_separated", certifying)
+                    _scan(g, v, depth)
+                assert split == want, (name, depth, v)
+                kept += len(want)
+    assert kept
 
 
 # -- locality across quotients ----------------------------------------------------

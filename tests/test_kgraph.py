@@ -3,6 +3,7 @@
 import sys
 import threading
 import weakref
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -114,15 +115,66 @@ def test_receives_reads_the_edges_into_each_vertex():
                 assert g.receives(v, c) == bool(g.edges_by_range(v, c)), (v, c)
 
 
+def _block_head(d, m):
+    # m takes whole blocks of the lower colors: m = d up to some color c,
+    # any m_c <= d_c, then 0
+    c = 0
+    while c < len(m) and m[c] == d[c]:
+        c += 1
+    return not any(m[c + 1 :])
+
+
+def _check_words(g, t, seen):
+    # composite_word and prefix_word against the oracles on the paths of
+    # total degree <= t, composites up to t + 1, and the words of
+    # ``paths`` in sorted order; ``seen`` counts the cases each shortcut
+    # answers: a joined word already in color order is not sorted, and a
+    # head taking whole blocks of the lower colors is the word's prefix
+    sorts = []
+    sort_word = g._sort_word
+    g._sort_word = lambda word, start: sorts.append(start) or sort_word(word, start)
+    try:
+        ps = _paths_upto_total(g, t)
+        for p in ps:
+            for q in ps:
+                if q.range != p.source or total(p.degree) + total(q.degree) > t + 1:
+                    continue
+                del sorts[:]
+                got = g.composite_word(p, q.edges)
+                assert got == canonical_word(g, p.edges + q.edges), (p, q)
+                if p.edges and q.edges:
+                    ordered = g.edges[p.edges[-1]].color <= g.edges[q.edges[0]].color
+                    assert len(sorts) == (not ordered), (p, q)
+                    seen["ordered" if ordered else "sorted"] += 1
+            for m in below(p.degree):
+                want = brute_factorize(g, p, m)[0].edges
+                assert g.prefix_word(p.edges, p.degree, m) == want, (p, m)
+                if any(m) and m != p.degree:
+                    block = _block_head(p.degree, m)
+                    assert (g._split_word(p.edges, p.degree, m)[0] is p.edges) == block
+                    seen["block" if block else "split"] += 1
+    finally:
+        del g._sort_word
+    for v in g.vertices:
+        for n in below((t,) * g.k):
+            if total(n) <= t:
+                got = [p.edges for p in g.paths(v, n)]
+                assert got == sorted(brute_path_words(g, v, n)), (v, n)
+
+
 def test_composite_and_prefix_words_are_those_of_the_paths():
-    for g in (grid((2, 1)), random_square_graph(3, 2, 2)):
-        for v in g.vertices:
-            for p in paths_upto(g, v, (2, 1)):
-                for q in paths_upto(g, p.source, (1, 1)):
-                    assert g.composite_word(p, q.edges) == canonical_word(g, p.edges + q.edges)
-                for m in below(p.degree):
-                    want = brute_factorize(g, p, m)[0].edges
-                    assert g.prefix_word(p.edges, p.degree, m) == want, (p, m)
+    seen = Counter()
+    graphs = [mk() for _, mk in CORPUS] + [grid((2, 1)), random_square_graph(3, 2, 2)]
+    for g in graphs:
+        _check_words(g, 3, seen)
+    # both shortcuts and both full routes are taken
+    assert set(seen) == {"ordered", "sorted", "block", "split"}, seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=RANDOM_GRAPHS)
+def test_composite_and_prefix_words_are_those_of_the_paths_on_random_graphs(g):
+    _check_words(g, 3, Counter())
 
 
 def test_noncomposable_word_rejected():
