@@ -90,8 +90,6 @@ from .paths import (
 from .steinberg import (
     ContractionWitness,
     CylinderBisection,
-    compose_bisections,
-    convolve,
     locally_contracting_on,
 )
 from .witness import (

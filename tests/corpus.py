@@ -117,6 +117,12 @@ def doubled_two_cycle() -> KGraph:
     return KGraph(1, ["v0", "v1"], edges)
 
 
+def fed_loop() -> KGraph:
+    """A loop at v fed from a source u by one edge e: a separator candidate
+    at u is the single edge e, shorter than the paths of degree 2 at v."""
+    return KGraph(1, ["u", "v"], [Edge("a", 1, "v", "v"), Edge("e", 1, "u", "v")])
+
+
 def ring(n=160, seed=1) -> KGraph:
     """A 1-graph: the n-cycle r0 -> r1 -> ... -> r0 plus n more edges, each
     between two vertices drawn by ``random.Random(seed)``. It is strongly

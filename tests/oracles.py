@@ -3,15 +3,21 @@
 Each oracle recomputes a quantity from the definitions, avoiding the
 library's search strategies and caches. They are exponential and only
 meant for the small corpus graphs.
+
+``regular_action`` multiplies elements as operators: the regular
+representation of the boundary-path groupoid at a point, which checks
+``kp_mul``. It works on edge words alone and makes no call into the path
+kernel (``mce``, ``factorize``, ``compose``, ``paths``,
+``boundary_paths``), so a fault there cannot hide in both routes.
 """
 
+import operator
 from functools import lru_cache
 from itertools import combinations, product
 
 from kpalg import (
     QQ,
     AperiodicityVerdict,
-    CylinderBisection,
     DerivationStep,
     KGraph,
     NotFoundUpTo,
@@ -34,7 +40,7 @@ from kpalg import (
     vertex_unit,
     zero as zero_element,
 )
-from kpalg.degrees import below, join, leq, total, zero
+from kpalg.degrees import below, join, total, zero
 from kpalg.kpelement import _make
 from kpalg.witness import IdealCase, _disjoint_cycle_pair, _finish
 
@@ -352,35 +358,135 @@ def brute_contraction(g, kappa, depth):
     return ("miss", depth, "checked %d candidate pairs inside Z(%s)" % (checked, kappa))
 
 
-def apply_bisection(g, b, x):
-    """Point action of Z(lam*mu) on a path x, or None off the source set.
+def _source(g, r, word):
+    # s(x) of the point with range r and word
+    return g.edges[word[-1]].source if word else r
 
-    x represents the cylinder point it truncates; when x = mu.tau the
-    image point is lam.tau.
+
+@lru_cache(maxsize=1 << 8)
+def _received(g):
+    # the (vertex, color) pairs that receive an edge
+    return frozenset((e.range, e.color) for e in g.edges.values())
+
+
+def _word_degree(g, word):
+    n = [0] * g.k
+    for eid in word:
+        n[g.edges[eid].color - 1] += 1
+    return tuple(n)
+
+
+@lru_cache(maxsize=1 << 16)
+def _canonical(g, word):
+    return canonical_word(g, word)
+
+
+@lru_cache(maxsize=1 << 12)
+def _tails(g, mu, v, n):
+    # {canonical_word(mu t): t} over the words t of degree n at s(mu), for
+    # the word mu with range v
+    return {_canonical(g, mu + t): t for t in brute_path_words(g, _source(g, v, mu), n)}
+
+
+def regular_action(g, elements, point):
+    """pi_x(e_1) ... pi_x(e_n) delta_x for the point x = (range, word), as
+    ``{(range, word, shift): coefficient}`` with the zero coefficients left
+    out: the regular representation of the boundary-path groupoid on the
+    arrows with source x, read on a truncation of x.
+
+    A basis vector is a point word and its accumulated shift. The term
+    (lam, mu), the indicator of Z(lam*mu), sends a point mu tau to lam tau
+    and adds d(lam) - d(mu) to the shift; tau is read off the table of
+    canonical_word(mu t) -> t over every word t of degree d(x) - d(mu). A
+    point shorter than mu in some color decides Z(mu) only when its source
+    receives no edge of that color, so that no boundary point it truncates
+    is longer there; any other short point is refused with ValueError.
+
+    Works on edge words alone, from ``brute_path_words``,
+    ``canonical_word``, ``g.edges`` and ``g.square_rev``: no ``mce``,
+    ``factorize``, ``compose``, ``paths`` or ``boundary_paths``. Since f(gamma)
+    is the coefficient of delta_gamma in pi_{s(gamma)}(f) delta_{s(gamma)},
+    two elements are equal exactly when they act alike at every point.
     """
-    if not leq(b.mu.degree, x.degree) or x.range != b.mu.range:
-        return None
-    head, tail = g.factorize(x, b.mu.degree)
-    if head != b.mu:
-        return None
-    return g.compose(b.lam, tail)
+    return _act(g, [_operator(el) for el in elements], point, elements[0].field)
 
 
-def apply_family(g, bisections, x):
-    """Action of a disjoint family; asserts at most one member moves x."""
-    hits = [y for b in bisections if (y := apply_bisection(g, b, x)) is not None]
-    assert len(hits) <= 1, "bisection family is not disjoint"
-    return hits[0] if hits else None
+def _operator(el):
+    # the terms (lam, mu) of el, keyed for the action as {r(mu): {d(mu):
+    # {word of mu: [(lam, d(lam) - d(mu), coefficient)]}}}
+    out = {}
+    for (lam, mu), c in el.terms:
+        moved = tuple(a - b for a, b in zip(lam.degree, mu.degree))
+        heads = out.setdefault(mu.range, {}).setdefault(mu.degree, {})
+        heads.setdefault(mu.edges, []).append((lam, moved, c))
+    return out
 
 
-def boundary_test_points(g, b, extra):
-    """Boundary truncations long enough to exercise the bisection b.
+def _act(g, operators, point, field):
+    # regular_action with each element's terms keyed by _operator
+    received = _received(g)
+    vec = {(point[0], tuple(point[1]), zero(g.k)): field.one}
+    for op in reversed(operators):
+        out = {}
+        for (r, word, shift), c in vec.items():
+            d = _word_degree(g, word)
+            for m, by_head in op.get(r, {}).items():
+                rest = tuple(map(operator.sub, d, m))
+                if min(rest) < 0:
+                    src = _source(g, r, word)
+                    if any((src, i + 1) in received for i, n in enumerate(rest) if n < 0):
+                        mu = next(iter(by_head))
+                        raise ValueError(
+                            "point %s too short to decide Z(%s)"
+                            % (".".join(word) or r, ".".join(mu) or r)
+                        )
+                    continue
+                for mu, terms in by_head.items():
+                    tail = _tails(g, mu, r, rest).get(word)
+                    if tail is None:
+                        continue
+                    for lam, moved, c2 in terms:
+                        key = (
+                            lam.range,
+                            _canonical(g, lam.edges + tail),
+                            tuple(map(operator.add, shift, moved)),
+                        )
+                        out[key] = out.get(key, field.zero) + c2 * c
+        vec = {key: c for key, c in out.items() if c}
+    return vec
 
-    Points are x = mu.tau with tau a boundary path of degree <= extra
-    from s(mu); dead-short truncations are genuine boundary points, so
-    the action on them is exact.
-    """
-    return [g.compose(b.mu, tau) for tau in g.boundary_paths(b.mu.source, extra)]
+
+@lru_cache(maxsize=1 << 12)
+def _extensions(g, mu, n):
+    # the points mu tau of boundary_points for one leg mu
+    received = _received(g)
+    out = []
+    for m in below(n):
+        slack = [i + 1 for i in range(g.k) if m[i] < n[i]]
+        for t in brute_path_words(g, mu.source, m):
+            src = _source(g, mu.source, t)
+            if not any((src, i) in received for i in slack):
+                out.append((mu.range, _canonical(g, mu.edges + t)))
+    return out
+
+
+def boundary_points(g, legs, n):
+    """The points mu tau, as (range, canonical word), for each path mu of
+    legs and each boundary path tau at s(mu) of degree <= n by definition:
+    a word of ``brute_path_words`` whose source receives no edge of a color
+    i with d(tau)_i < n_i. The points of one leg partition its cylinder."""
+    return sorted({x for mu in set(legs) for x in _extensions(g, mu, tuple(n))})
+
+
+def first_disagreement(g, lhs, rhs, points):
+    """The first of the points at which the products of the element lists
+    lhs and rhs act differently by ``regular_action``, or None."""
+    field = lhs[0].field
+    left, right = [_operator(el) for el in lhs], [_operator(el) for el in rhs]
+    for x in points:
+        if _act(g, left, x, field) != _act(g, right, x, field):
+            return x
+    return None
 
 
 def brute_comparable_pairs(g, v, depth):

@@ -18,6 +18,7 @@ from corpus import (
     build,
     doubled_two_cycle,
     entered_loop,
+    fed_loop,
     lattice8,
     three_components,
     torus_beside_cycles,
@@ -422,12 +423,6 @@ def test_pairs_checked_counts_every_comparable_pair():
 # -- heads within a candidate -------------------------------------------------
 
 
-def _fed_loop():
-    # a loop fed from a source: a candidate at the source is the single
-    # edge into the loop, shorter than the paths of degree 2 at the loop
-    return KGraph(1, ["u", "v"], [Edge("a", 1, "v", "v"), Edge("e", 1, "u", "v")])
-
-
 def _cuts(a, b, x):
     # whether separates cuts one of its heads at m: d(p) not <= m
     m = add(x.degree, meet(a.degree, b.degree))
@@ -452,7 +447,7 @@ def test_separates_matches_splits_and_composes_nothing(monkeypatch):
         return call
 
     cut = set()
-    for name, mk in CORPUS + [("fed_loop", _fed_loop)]:
+    for name, mk in CORPUS + [("fed_loop", fed_loop)]:
         g = mk()
         for v in g.vertices:
             pairs = _comparable_pairs(g, v, 2)
@@ -480,7 +475,7 @@ def test_aperiodicity_check_is_safe_across_threads():
     # switch interval; each answer equals a single-thread run on graphs of
     # its own
     def graphs():
-        return [flip_loop_pair(), _fed_loop(), random_square_graph(1, 2, 2)]
+        return [flip_loop_pair(), fed_loop(), random_square_graph(1, 2, 2)]
 
     depths = (1, 2, 3)
     want = [aperiodicity_json(aperiodicity_check(g, d)) for g in graphs() for d in depths]

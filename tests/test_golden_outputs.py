@@ -7,6 +7,9 @@ code, stdout and stderr of:
 - ``ideals`` (text and ``--json``);
 - ``closure --json`` and ``quotient`` for every vertex.
 
+A second table, CONTRACT, holds one digest per corpus graph over
+``contract v --json`` for every vertex v, at depths 2 and 3.
+
 A refactor that keeps the outputs byte-identical keeps these digests. When
 an output changes on purpose, the failure names each graph and prints its
 new digest to commit. The digests are computed in two subprocesses, under
@@ -17,16 +20,14 @@ print the digests as JSON.
 """
 
 import hashlib
-import io
 import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 
+from census import cli, record
 from corpus import CORPUS, lattice8
 from kpalg import format_kgraph
-from kpalg.cli import main
 
 DEPTHS = (2, 3)
 
@@ -57,6 +58,32 @@ GOLDEN = {
     "lattice8": "d57134002cce9356d9dd32deb9002264d974d9ffbec07bfd06452ac81b7f0429",
 }
 
+CONTRACT = {
+    "e1": "6fdb2adfec8c5ec974c06db9115e91b76197a1e1a52186b86fda5dd2b60c8cc5",
+    "e2": "ee580e1156b85fbdc279ab9c9d161a2b000125b62e0380c92323cb026db8ac17",
+    "b3": "ee580e1156b85fbdc279ab9c9d161a2b000125b62e0380c92323cb026db8ac17",
+    "cycle2": "3c7c5d2c95c51fb4bb4619be614573f89c939d6ad3a323b3d5de3e023662e6fb",
+    "cycle3": "a92fe5257c442b317d2ceb3ae82a08a092bdd94047b3fc0cd7c24993c6bb9ff0",
+    "single_edge": "48731dfcc08d9a995b50c05b332f213b01313aeaea70d84785a4ba60575bf5bb",
+    "chain3": "7c9b8b193505d0e0584cbde00d87382afb715a15f8647bdc1f2fa51fa8a64f38",
+    "chain5": "01ce87104d8eed239bbcd4dcebff7425b2527e67ba339dfcf46b54b2bef8f283",
+    "two_loops_plus_exit": "02e56809541de0cfd6de336056ebb5ad01d3ffeff7ecf92c1f429a3b34c144c8",
+    "loop_with_exit": "31f9affd5575bc0697d3282bca8b982ca0fca9f4597eb9a81c7f8a12dad5c8e1",
+    "entered_loop": "afa4432d9ff923ef5f1ea4d394c3512eb3b7657e3317ae7e9dcb36d98b543f2b",
+    "t2": "ea94e49fbc24528af188f9b0649baa8b38c46ae6960d2f35fc0490a661362e18",
+    "t3": "8d1e6543f43004617c1b190448cca272966a7ec95643af263df2c21ca076678e",
+    "omega11": "3792ed8da7f1f07893fd30650137db841d82fa6abce7bdfce712ea7af8ba6e3e",
+    "grid21": "92c7b347d882b2265eab974341fe7a54a172706caf60b3acfcc3c35f9564e023",
+    "prod_b2_b1": "437f022c7a9f2121318627a43d8f782360f95ddd9b54f478cf145f399f3b83cc",
+    "prod_b2_b2": "b59459dc7225a6e32907b0ecc16c4895dab32fb9c0a589c241edf79641637963",
+    "prod_c2_b2": "cb324a0b71b3ac0382906e9d14cd6f368379f52185c6d78364906b1d2bf71e18",
+    "prod_c2_t2": "1e5564da1756a89506181c1c48da2c5f06ae32611410611315180d7c5281429f",
+    "flip_loop_pair": "4206dc0c9e205074427d61d848e4bd851588a31302d09d660c85120a755ee1a8",
+    "rsq1": "cbd02194a694e2ee1c8e8eeb9910878625a93115ba21b6ba381bf23dafa8a065",
+    "rsq2": "cbd02194a694e2ee1c8e8eeb9910878625a93115ba21b6ba381bf23dafa8a065",
+    "rsq23": "bd5afe641b43f39f8aafa557ffa1b296736334c9686bf90b0d762fb44be3bdf8",
+}
+
 
 def _argvs(g):
     vs = list(g.vertices)
@@ -72,23 +99,30 @@ def _argvs(g):
     return out
 
 
+def _contract_argvs(g):
+    return [["contract", v, "--json", "--depth", str(d)] for d in DEPTHS for v in g.vertices]
+
+
+def _digest(path, argvs):
+    h = hashlib.sha256()
+    for argv in argvs:
+        h.update(record(argv, cli(path, argv)))
+    return h.hexdigest()
+
+
 def digests(workdir):
-    """{graph name: sha256 of its CLI outputs}, the graphs written to
-    workdir as presentation files."""
-    out = {}
+    """{"GOLDEN": {graph name: sha256 of its CLI outputs}, "CONTRACT":
+    {corpus graph name: sha256 of its contract outputs}}, the graphs
+    written to workdir as presentation files."""
+    out = {"GOLDEN": {}, "CONTRACT": {}}
     for name, mk in CORPUS + [("lattice8", lattice8)]:
         g = mk()
         path = os.path.join(workdir, name + ".kg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(format_kgraph(g))
-        h = hashlib.sha256()
-        for argv in _argvs(g):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with redirect_stdout(stdout), redirect_stderr(stderr):
-                code = main([argv[0], path] + argv[1:])
-            record = (" ".join(argv), code, stdout.getvalue(), stderr.getvalue())
-            h.update(("%s\n%d\n%s\n%s\n" % record).encode())
-        out[name] = h.hexdigest()
+        out["GOLDEN"][name] = _digest(path, _argvs(g))
+        if name in dict(CORPUS):
+            out["CONTRACT"][name] = _digest(path, _contract_argvs(g))
     return out
 
 
@@ -114,10 +148,18 @@ def test_cli_outputs_match_golden_digests(tmp_path):
         stdout, stderr = proc.communicate(timeout=300)
         assert proc.returncode == 0 and not stderr, stderr
         runs.append(json.loads(stdout))
-    seeded = [name for name in runs[0] if runs[0][name] != runs[1][name]]
+    seeded = [
+        "%s %s" % (table, name)
+        for table, got in runs[0].items()
+        for name in got
+        if got[name] != runs[1][table][name]
+    ]
     assert not seeded, "CLI output depends on the hash seed: %s" % seeded
     changed = [
-        "%s: %s" % (name, got) for name, got in runs[0].items() if GOLDEN.get(name) != got
+        "%s %s: %s" % (table, name, got)
+        for table, want in (("GOLDEN", GOLDEN), ("CONTRACT", CONTRACT))
+        for name, got in runs[0][table].items()
+        if want.get(name) != got
     ]
     assert not changed, "CLI outputs changed; new digests:\n" + "\n".join(changed)
 

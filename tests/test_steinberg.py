@@ -1,4 +1,5 @@
-"""Groupoid function model: bisections, convolution, contraction search."""
+"""Groupoid function model: bisections, the regular representation as the
+check on products, contraction search."""
 
 import random
 
@@ -10,25 +11,27 @@ from corpus import NAMES, RANDOM_GRAPHS, build
 from kpalg import (
     CylinderBisection,
     KP,
+    KGraph,
     KGraphError,
     NotFoundUpTo,
     QQ,
     bouquet,
-    compose_bisections,
-    convolve,
-    equals,
     grid,
     kp_mul,
     locally_contracting_on,
 )
 from oracles import (
-    apply_bisection,
-    apply_family,
-    boundary_test_points,
+    boundary_points,
     brute_contraction,
+    first_disagreement,
     paths_upto,
+    regular_action,
     vertex_relations,
 )
+
+
+def _legs(*elements):
+    return [mu for el in elements for (_, mu), _ in el.terms]
 
 
 def test_bisection_needs_common_source():
@@ -43,63 +46,28 @@ def test_bisection_str():
     assert str(b) == "Z(a*a.b)"
 
 
-def test_compose_bisections_matches_point_action():
-    graphs = ["e2", "flip_loop_pair", "t2", "omega11"]
-    cap = (2,) * 3
-    for name in graphs:
-        g = build(name)
-        pool = []
-        for v in g.vertices:
-            for lam in paths_upto(g, v, (1,) * g.k):
-                for mu in paths_upto(g, v, (1,) * g.k):
-                    if lam.source == mu.source:
-                        pool.append(CylinderBisection(g, lam, mu))
-        pool = pool[:12]
-        for b in pool:
-            for c in pool:
-                fam = compose_bisections(b, c)
-                for x in boundary_test_points(g, c, cap[: g.k]):
-                    via_def = apply_bisection(g, c, x)
-                    if via_def is not None:
-                        via_def = apply_bisection(g, b, via_def)
-                    assert apply_family(g, fam, x) == via_def, (name, b, c, x)
-
-
-def test_compose_with_inverse_is_range_projection():
-    g = bouquet(2)
-    lam = g.path_from_edges(["a"])
-    mu = g.path_from_edges(["b", "a"])
-    b = CylinderBisection(g, lam, mu)
-    out = compose_bisections(b, CylinderBisection(g, mu, lam))
-    assert len(out) == 1
-    assert out[0].lam == lam and out[0].mu == lam
-
-
-def test_disjoint_sources_compose_to_nothing():
-    g = bouquet(2)
-    a, b = g.path_from_edges(["a"]), g.path_from_edges(["b"])
-    assert compose_bisections(
-        CylinderBisection(g, a, a), CylinderBisection(g, b, b)
-    ) == []
-
-
 def test_function_model_identifies_reconstruction():
     # s_v and s_a s_a* + s_b s_b* are one function on the groupoid, so they
-    # convolve alike with every element; s_a s_a* alone does not
+    # act alike at every point, before or after any element; s_a s_a*
+    # alone does not
     g = build("e2")
     kp = KP(g, QQ)
     a, b = kp.path("a"), kp.path("b")
     unit, cover = kp.s("v"), kp.term(a, a) + kp.term(b, b)
+    points = boundary_points(g, [g.trivial_path("v")], (2,))
     for x in [kp.s(a), kp.star(b), kp.term(a, b) - 2 * kp.star(b)]:
-        assert equals(convolve(unit, x), convolve(cover, x))
-        assert equals(convolve(x, unit), convolve(x, cover))
-    assert not equals(convolve(kp.term(a, a), kp.s(b)), convolve(unit, kp.s(b)))
+        assert first_disagreement(g, [unit, x], [cover, x], points) is None
+        assert first_disagreement(g, [x, unit], [x, cover], points) is None
+    lone = first_disagreement(g, [kp.term(a, a), kp.s(b)], [unit, kp.s(b)], points)
+    assert lone is not None
 
 
 def test_convolution_agrees_with_algebra_product():
     # generators, then sums of spanning terms: random sums, their sums and
     # differences, and the vertex relations, zero by (KP4), whose products
-    # cancel coefficients
+    # cancel coefficients. The product acts on a point as its factors do;
+    # the points are the source legs of the right factor and of the
+    # product, extended by the boundary paths of degree <= (2,...,2)
     rng = random.Random(2014)
     coefs = [QQ.of(c) for c in (-2, -1, 1, 2)]
     for name in ["e2", "t2", "flip_loop_pair", "prod_b2_b2", "rsq2"]:
@@ -131,7 +99,85 @@ def test_convolution_agrees_with_algebra_product():
         for elements in (gens, sums):
             for x in elements:
                 for y in elements:
-                    assert equals(kp_mul(x, y), convolve(x, y)), (name, x, y)
+                    xy = kp_mul(x, y)
+                    points = boundary_points(g, _legs(y, xy), (2,) * g.k)
+                    assert first_disagreement(g, [xy], [x, y], points) is None, (name, x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=RANDOM_GRAPHS, data=st.data())
+def test_products_act_as_their_factors_on_random_graphs(g, data):
+    # random sums of spanning terms with legs of degree <= (1,...,1), and
+    # the (KP4) elements, on periodic graphs too, where one point meets
+    # itself at another shift. Every leg of a product of n such factors
+    # has degree <= (n,...,n), and n factors applied in turn shorten a
+    # point by at most that much, so the boundary paths of degree
+    # <= (n,...,n) decide every cylinder met
+    kp = KP(g, QQ)
+    terms = [
+        (lam, mu)
+        for v in g.vertices
+        for lam in paths_upto(g, v, (1,) * g.k)
+        for mu in paths_upto(g, v, (1,) * g.k)
+        if lam.source == mu.source
+    ]
+    coef = st.sampled_from([QQ.of(c) for c in (-2, -1, 1, 2)])
+    spanning = st.lists(st.tuples(st.sampled_from(terms), coef), min_size=1, max_size=3).map(
+        lambda ts: sum((kp.term(lam, mu, c) for (lam, mu), c in ts), kp.zero())
+    )
+    relations = vertex_relations(g)
+    elements = (spanning | st.sampled_from(relations)) if relations else spanning
+    a, b, c = (data.draw(elements) for _ in range(3))
+    vertices = [g.trivial_path(v) for v in g.vertices]
+    pair = boundary_points(g, vertices, (2,) * g.k)
+    assert first_disagreement(g, [kp_mul(a, b)], [a, b], pair) is None
+    triple = boundary_points(g, vertices, (3,) * g.k)
+    for abc in (kp_mul(kp_mul(a, b), c), kp_mul(a, kp_mul(b, c))):
+        assert first_disagreement(g, [abc], [a, b, c], triple) is None
+
+
+def test_regular_action_makes_no_kernel_call(monkeypatch):
+    # the products and the elements are built first; the points and the
+    # action then run with the path kernel patched to raise
+    for name in ["e2", "flip_loop_pair", "rsq2", "chain3"]:
+        g = build(name)
+        kp = KP(g, QQ)
+        terms = [
+            kp.term(lam, mu)
+            for v in g.vertices
+            for lam in paths_upto(g, v, (1,) * g.k)
+            for mu in paths_upto(g, v, (1,) * g.k)
+            if lam.source == mu.source
+        ]
+        a, b = sum(terms[::2], kp.zero()), sum(terms[1::2], kp.zero())
+        ab = kp_mul(a, b)
+        legs = _legs(b, ab)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the path kernel")
+
+        for f in ("mce", "factorize", "compose", "paths", "boundary_paths"):
+            monkeypatch.setattr(KGraph, f, refuse)
+        points = boundary_points(g, legs, (2,) * g.k)
+        acted = [regular_action(g, [a, b], x) for x in points]
+        bad = first_disagreement(g, [ab], [a, b], points)
+        monkeypatch.undo()
+        assert any(acted) and bad is None, name
+
+
+def test_regular_action_refuses_a_point_too_short():
+    # in e2 every vertex receives an edge, so the point v cannot tell
+    # whether it lies in Z(a); in single_edge the point w receives none,
+    # so every boundary point it truncates is w itself, outside Z(e)
+    g = build("e2")
+    kp = KP(g, QQ)
+    with pytest.raises(ValueError, match="too short"):
+        regular_action(g, [kp.star(kp.path("a"))], ("v", ()))
+    h = build("single_edge")
+    kh = KP(h, QQ)
+    e = kh.path("e")
+    assert regular_action(h, [kh.term(e, e)], ("w", ())) == {}
+    assert regular_action(h, [kh.star(e)], ("v", ("e",))) == {("w", (), (-1,)): QQ.one}
 
 
 def test_locally_contracting_on_free_loops():
