@@ -3,10 +3,11 @@
 Every positive verdict is backed by checkable artifacts: per-vertex
 receiving and cycle data computed by two independent routes, an
 aperiodicity verdict for the quotient by every hereditary saturated set,
-each saying whether it is certified or bounded by the search depth, and
-a verified infiniteness certificate for every vertex in every admissible
-quotient, one per trace H & D(v) of the ideals. Negative verdicts carry
-the obstruction.
+each saying whether it is certified or bounded by the search depth, the
+one-vertex answers those verdicts are combined from, one per vertex v and
+trace H & D(v), and a verified infiniteness certificate for every vertex
+in every admissible quotient, one per trace H & D(v) of the ideals.
+Negative verdicts carry the obstruction.
 """
 
 from __future__ import annotations
@@ -47,10 +48,23 @@ class VertexConditions:
 
 
 @dataclass(frozen=True)
+class TraceAnswer:
+    """The one-vertex aperiodicity verdict at a vertex for one trace
+    T = H & D(v), searched in the quotient by ``ideal`` = closure(T); it
+    holds in the quotient by every ideal H avoiding v of that trace."""
+
+    vertex: str
+    trace: Ideal
+    ideal: Ideal
+    verdict: AperiodicityVerdict
+
+
+@dataclass(frozen=True)
 class ClassificationReport:
     verdict: str  # ProperlyPurelyInfinite | NotPurelyInfinite | Inconclusive
     conditions: Tuple[VertexConditions, ...]
     sweep: Tuple[Tuple[Ideal, AperiodicityVerdict], ...]
+    answers: Tuple[TraceAnswer, ...]
     assumed_aperiodic: bool
     witnesses: Tuple[VertexInfinitenessReport, ...]
     depth: int
@@ -88,9 +102,10 @@ def _assert_consistent(conds: Tuple[VertexConditions, ...]) -> None:
 
 def strong_aperiodicity_sweep(
     g: KGraph, depth: int = 6
-) -> Tuple[Tuple[Ideal, AperiodicityVerdict], ...]:
+) -> Tuple[Tuple[Tuple[Ideal, AperiodicityVerdict], ...], Tuple[TraceAnswer, ...]]:
     """Aperiodicity verdict for the quotient by every hereditary
-    saturated set, the empty quotient included (vacuously aperiodic).
+    saturated set, the empty quotient included (vacuously aperiodic),
+    and the one-vertex answers they are combined from.
     A vertex's answer depends only on (v, H & D(v)), D(v) being the
     vertices v reaches (aperiodicity's locality across quotients, read
     from ``reachable_to``, which keeps D(v) on the graph). Each ideal's
@@ -102,7 +117,13 @@ def strong_aperiodicity_sweep(
     searched in the quotient by it, which ``quotient`` builds once and
     keeps on g, so the sweep builds only ideals of the witness cases,
     every one of them where no answer is periodic, and the witness search
-    reads the same quotients."""
+    reads the same quotients.
+
+    The answers come back as searched, each once: in vertex order, and per
+    vertex in lattice order of closure(T), which is the order of
+    ``ideals.traces``. Where no answer is periodic, every trace at every
+    vertex is searched, so a vertex lists the traces of its witness cases;
+    a trace whose answer no combine read is left out."""
     reach = {v: frozenset(reachable_to(g, v)) for v in g.vertices}
     # (v, H & D(v)) -> the first ideal of that trace, and the one-vertex
     # verdict at v once read
@@ -120,7 +141,13 @@ def strong_aperiodicity_sweep(
         keys = [(v, reach[v] & hs) for v in g.vertices if v not in hs]
         home.update({key: h for key in keys if key not in home})
         out.append((h, combine_verdicts(map(answer, keys), depth)))
-    return tuple(out)
+    # home lists each key at its first ideal, in lattice order, and the
+    # sort by vertex keeps that order within a vertex
+    position = {v: i for i, v in enumerate(g.vertices)}
+    read = sorted((key for key in home if key in answers), key=lambda key: position[key[0]])
+    return tuple(out), tuple(
+        TraceAnswer(v, tuple(sorted(t)), home[v, t], answers[v, t]) for v, t in read
+    )
 
 
 def _describe(h: Ideal) -> str:
@@ -163,7 +190,7 @@ def classify_pure_infiniteness(
     notes: List[str] = []
     conds = vertex_conditions(g)
     _assert_consistent(conds)
-    sweep = strong_aperiodicity_sweep(g, depth)
+    sweep, answers = strong_aperiodicity_sweep(g, depth)
 
     starved = [c.vertex for c in conds if not c.receives]
     if starved:
@@ -173,7 +200,7 @@ def classify_pure_infiniteness(
             "infinite" % starved[0]
         )
         return ClassificationReport(
-            "NotPurelyInfinite", conds, sweep, False, (), depth, fld.name, tuple(notes)
+            "NotPurelyInfinite", conds, sweep, answers, False, (), depth, fld.name, tuple(notes)
         )
 
     periodic = [(h, verd) for h, verd in sweep if verd.status == "periodic"]
@@ -193,7 +220,7 @@ def classify_pure_infiniteness(
             )
         notes.append(msg)
         return ClassificationReport(
-            "Inconclusive", conds, sweep, False, (), depth, fld.name, tuple(notes)
+            "Inconclusive", conds, sweep, answers, False, (), depth, fld.name, tuple(notes)
         )
 
     unsettled = [h for h, verd in sweep if verd.status == "unknown"]
@@ -206,7 +233,7 @@ def classify_pure_infiniteness(
                 % (_describe(unsettled[0]), depth)
             )
             return ClassificationReport(
-                "Inconclusive", conds, sweep, False, (), depth, fld.name, tuple(notes)
+                "Inconclusive", conds, sweep, answers, False, (), depth, fld.name, tuple(notes)
             )
         assumed = True
         notes.append(
@@ -244,7 +271,7 @@ def classify_pure_infiniteness(
         notes.append("vertex %s: %s" % (stuck.vertex, stuck.failure))
         verdict = "Inconclusive"
     return ClassificationReport(
-        verdict, conds, sweep, assumed, witnesses, depth, fld.name, tuple(notes)
+        verdict, conds, sweep, answers, assumed, witnesses, depth, fld.name, tuple(notes)
     )
 
 
@@ -286,9 +313,17 @@ def conditions_json(c: VertexConditions) -> Dict:
 
 
 def report_json(rep: ClassificationReport) -> Dict:
+    """Report format 4. ``aperiodicity`` lists each one-vertex answer the
+    sweep searched, once, as ``vertex``, its ``trace`` T = H & D(v), the
+    ``ideal`` closure(T) whose quotient it was searched in, and the
+    verdict; it holds for every ideal H avoiding the vertex with trace T,
+    and an ideal's verdict combines those of its vertices
+    (``combine_verdicts``). ``aperiodicity_basis`` reads the per-ideal
+    verdicts; ``witnesses`` lists each vertex's cases by the same traces
+    (``vertex_report_json``)."""
     certified = all(verd.basis == "certified" for _, verd in rep.sweep)
     return {
-        "format": 3,
+        "format": 4,
         "verdict": rep.verdict,
         "depth": rep.depth,
         "field": rep.field_name,
@@ -296,7 +331,13 @@ def report_json(rep: ClassificationReport) -> Dict:
         "aperiodicity_basis": "certified" if certified else "bounded",
         "conditions": [conditions_json(c) for c in rep.conditions],
         "aperiodicity": [
-            dict(ideal=list(h), **aperiodicity_json(verd)) for h, verd in rep.sweep
+            dict(
+                vertex=a.vertex,
+                trace=list(a.trace),
+                ideal=list(a.ideal),
+                **aperiodicity_json(a.verdict),
+            )
+            for a in rep.answers
         ],
         "witnesses": [vertex_report_json(w) for w in rep.witnesses],
         "notes": list(rep.notes),

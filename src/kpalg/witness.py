@@ -551,13 +551,16 @@ def certificate_json(cert: WitnessCertificate) -> Dict:
 
 
 def vertex_report_json(rep: VertexInfinitenessReport) -> Dict:
-    """Report format 3: ``reaches`` lists D(v), the vertices v reaches.
+    """A vertex's entry in report format 4, and the output of ``witness
+    --json``: ``reaches`` lists D(v), the vertices v reaches.
     ``certificates`` lists each distinct certificate text once, with the
     ideal of the first case that uses it (``[]`` for ``proper``). A case
     names its ``trace`` T = H & D(v), its least ideal closure(T) as
     ``ideal``, its route and its entry; read over the quotient by the
     case's ideal, the entry is the case's certificate, which serves every
-    ideal H avoiding v with trace T."""
+    ideal H avoiding v with trace T. A vertex certified in every case
+    lists the (trace, ideal) pairs of its answers in the report's
+    ``aperiodicity`` section, in the same order."""
     certs: List[Dict] = []
     index: Dict[str, int] = {}
     cases = []

@@ -599,8 +599,8 @@ def aperiodicity_exhaustive(g, depth):
     return AperiodicityVerdict("aperiodic", depth, tuple(evidence), basis=basis)
 
 
-def _reaching(g, v):
-    # D(v): the vertices with a path to v, as a fixpoint over the edges
+def reaching(g, v):
+    """D(v), the vertices with a path to v, as a fixpoint over the edges."""
     out = {v}
     while True:
         more = {e.source for e in g.edges.values() if e.range in out} - out
@@ -614,7 +614,7 @@ def brute_traces(g, v):
     lattice order; the lattice is ``brute_sat_her`` and the closure of T
     the meet of its sets containing T."""
     lattice = brute_sat_her(g)
-    reach = _reaching(g, v)
+    reach = reaching(g, v)
     out = set()
     for h in lattice:
         if v not in h:
@@ -678,7 +678,7 @@ def prove_vertex_from_scratch(g, v, depth, fld=QQ):
     H & D(v); expanding the library's per-trace cases to every ideal must
     give this report.
     """
-    reach = _reaching(g, v)
+    reach = reaching(g, v)
     reaches = tuple(sorted(reach))
     cases = []
     proper = None

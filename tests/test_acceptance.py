@@ -73,7 +73,7 @@ def _aperiodic_names():
     out = []
     for name in NAMES:
         g = build(name)
-        sweep = strong_aperiodicity_sweep(g, SWEEP_DEPTH)
+        sweep, _ = strong_aperiodicity_sweep(g, SWEEP_DEPTH)
         if all(verd.status == "aperiodic" for _, verd in sweep):
             out.append(name)
     return out
@@ -116,7 +116,7 @@ def test_receiving_and_cycle_conditions_agree(capsys):
     bad = []
     for name in NAMES:
         g = build(name)
-        sweep = strong_aperiodicity_sweep(g, SWEEP_DEPTH)
+        sweep, _ = strong_aperiodicity_sweep(g, SWEEP_DEPTH)
         if not all(verd.status == "aperiodic" for _, verd in sweep):
             continue
         receives = {v: len(g.edges_by_range(v)) > 0 for v in g.vertices}

@@ -29,6 +29,7 @@ from oracles import (
     box_separator,
     brute_comparable_pairs,
     brute_path_words,
+    reaching,
     splits,
     strip_scan_certificate,
     word_to_path,
@@ -776,7 +777,7 @@ def test_aperiodic_lattice_never_asks_the_machine(monkeypatch):
     # on every quotient a separator comes before any pair defeats two
     # candidates in a row, so the machine is never asked
     asked = _counting_machine(monkeypatch)
-    sweep = strong_aperiodicity_sweep(lattice8(), 2)
+    sweep, _ = strong_aperiodicity_sweep(lattice8(), 2)
     assert all(verd.status == "aperiodic" for _, verd in sweep)
     assert not asked
 
@@ -882,7 +883,7 @@ def assert_sweep_matches_fresh_checks(g, depth):
     # anew so that it shares no cache or report with the sweep's, must
     # give the same verdict, and each separator or pair at v must live in
     # the quotient by closure(H & D(v)) that g keeps
-    sweep = strong_aperiodicity_sweep(g, depth)
+    sweep, _ = strong_aperiodicity_sweep(g, depth)
     assert [h for h, _ in sweep] == list(enumerate_sat_her(g).sets)
     for h, verd in sweep:
         fresh = aperiodicity_check(parse_kgraph(format_kgraph(quotient(g, h))), depth)
@@ -894,7 +895,7 @@ def assert_sweep_matches_fresh_checks(g, depth):
             c = verd.certificate
             homes += [(c.vertex, c.alpha.graph), (c.vertex, c.beta.graph)]
         for v, q in homes:
-            least = sat_her_closure(g, _reaches(g, v) & set(h))
+            least = sat_her_closure(g, reaching(g, v) & set(h))
             assert q is quotient(g, least), (h, v)
 
 
@@ -908,20 +909,6 @@ def test_sweep_matches_fresh_checks_on_corpus():
 @given(g=st.one_of(_PRODUCTS, _one_graphs()), depth=st.integers(1, 2))
 def test_sweep_matches_fresh_checks_on_random_graphs(g, depth):
     assert_sweep_matches_fresh_checks(g, depth)
-
-
-def _reaches(g, v):
-    # D(v), the vertices w with a path from w to v: {v} closed under the
-    # sources of the edges into it
-    out = {v}
-    grown = True
-    while grown:
-        grown = False
-        for e in g.edges.values():
-            if e.range in out and e.source not in out:
-                out.add(e.source)
-                grown = True
-    return out
 
 
 @pytest.mark.parametrize(
@@ -941,16 +928,20 @@ def _reaches(g, v):
 def test_sweep_searches_each_vertex_once_per_trace_of_the_ideal(monkeypatch, mk):
     # whatever the answers, periodic and unknown ones included, a
     # (v, H & D(v)) is searched only when an ideal's combine reads it,
-    # that is up to the ideal's first periodic vertex, and never again
+    # that is up to the ideal's first periodic vertex, and never again;
+    # the sweep hands back each answer it searched, once, in vertex order
+    # and per vertex in lattice order of closure(T)
     g = mk()
-    searched, calls = [], []
+    searched, calls, found = [], [], {}
     vertex_verdict = aperiodicity._vertex_verdict
     first_separator = aperiodicity._first_separator
 
     def counting_vertex(gq, v, depth):
         # gq is the quotient by closure(T), whose trace at v is T itself
-        searched.append((v, frozenset(_reaches(g, v) - set(gq.vertices))))
-        return vertex_verdict(gq, v, depth)
+        key = (v, frozenset(reaching(g, v) - set(gq.vertices)))
+        searched.append(key)
+        found[key] = vertex_verdict(gq, v, depth)
+        return found[key]
 
     def counting(*args):
         calls.append(args)
@@ -960,16 +951,23 @@ def test_sweep_searches_each_vertex_once_per_trace_of_the_ideal(monkeypatch, mk)
     monkeypatch.setattr(aperiodicity, "_first_separator", counting)
     for depth in (1, 2, 3):
         del searched[:], calls[:]
-        sweep = strong_aperiodicity_sweep(g, depth)
+        sweep, answers = strong_aperiodicity_sweep(g, depth)
         keys, read = set(), set()
         for h, verd in sweep:
             outside = [v for v in g.vertices if v not in h]
-            keys |= {(v, frozenset(_reaches(g, v) & set(h))) for v in outside}
+            keys |= {(v, frozenset(reaching(g, v) & set(h))) for v in outside}
             if verd.status == "periodic":
                 outside = outside[: outside.index(verd.certificate.vertex) + 1]
-            read |= {(v, frozenset(_reaches(g, v) & set(h))) for v in outside}
+            read |= {(v, frozenset(reaching(g, v) & set(h))) for v in outside}
         assert len(searched) == len(set(searched)) == len(calls), depth
         assert set(searched) == read, depth
+        order = [(g.vertices.index(a.vertex), len(a.ideal), a.ideal) for a in answers]
+        assert order == sorted(order) and len(answers) == len(searched), depth
+        for a in answers:
+            want = found[a.vertex, frozenset(a.trace)]
+            assert a.ideal == sat_her_closure(g, a.trace), (depth, a)
+            got = (a.verdict.status, a.verdict.evidence, a.verdict.certificate)
+            assert got == (want.status, want.evidence, want.certificate), (depth, a)
         if mk is lattice8:
             searches = sum(len(g.vertices) - len(h) for h, _ in sweep)
             assert (searches, len(keys), len(read)) == (432, 11, 11)
@@ -987,7 +985,7 @@ def test_sweep_stops_a_periodic_cycle_at_its_first_vertex(monkeypatch, n):
         return first_separator(*args)
 
     monkeypatch.setattr(aperiodicity, "_first_separator", counting)
-    sweep = strong_aperiodicity_sweep(cycle_graph(n), n + 1)
+    sweep, _ = strong_aperiodicity_sweep(cycle_graph(n), n + 1)
     assert [verd.status for _, verd in sweep] == ["periodic", "aperiodic"]
     assert len(calls) == 1
 

@@ -13,8 +13,11 @@ from corpus import (
     CORPUS,
     RANDOM_GRAPHS,
     build,
+    doubled_two_cycle,
+    fed_loop,
     lattice8,
     three_components,
+    torus_beside_cycles,
     two_loop_lattice,
 )
 from kpalg import (
@@ -45,7 +48,7 @@ from kpalg import (
 from kpalg.classify import _assert_consistent, aperiodicity_json, conditions_json
 from kpalg.ideals import enumerate_sat_her, sat_her_closure
 from kpalg.witness import IdealCase
-from oracles import prove_vertex_from_scratch
+from oracles import prove_vertex_from_scratch, reaching
 
 
 def torus_with_deaf_cycle():
@@ -210,7 +213,7 @@ def test_consistency_guard_global_mismatch():
 
 
 def test_strong_sweep_covers_every_ideal():
-    sweep = strong_aperiodicity_sweep(build("entered_loop"), 3)
+    sweep, _ = strong_aperiodicity_sweep(build("entered_loop"), 3)
     assert [(tuple(h), v.status) for h, v in sweep] == [
         ((), "periodic"),
         (("w",), "periodic"),
@@ -513,11 +516,15 @@ def test_report_json_positive():
         "witnesses",
         "notes",
     }
-    assert data["format"] == 3
+    assert data["format"] == 4
     assert data["verdict"] == "ProperlyPurelyInfinite"
     assert data["aperiodicity_basis"] == "bounded"
-    assert data["aperiodicity"][0]["ideal"] == []
-    assert [a["basis"] for a in data["aperiodicity"]] == ["bounded", "certified"]
+    # one answer: v in g itself; the quotient by {v} has no vertex to search
+    (a,) = data["aperiodicity"]
+    assert list(a) == ["vertex", "trace", "ideal", "status", "basis", "depth", "evidence"]
+    assert (a["vertex"], a["trace"], a["ideal"]) == ("v", [], [])
+    assert (a["status"], a["basis"], a["depth"]) == ("aperiodic", "bounded", 3)
+    assert [e["vertex"] for e in a["evidence"]] == ["v"]
     w = data["witnesses"][0]
     assert w["status"] == "ProperlyInfinite"
     assert set(w) == {
@@ -555,9 +562,110 @@ def test_report_json_holds_each_certificate_once(lattice8_report):
     # per vertex one certificate text, which its cases share, and its
     # proper certificate
     assert sum(len(w["certificates"]) for w in witnesses) == 16
-    # one case per trace: 11 for the 432 (vertex, ideal) pairs
+    # one case per trace: 11 for the 432 (vertex, ideal) pairs, and one
+    # aperiodicity answer per trace for the 108 ideals
     assert sum(len(w["cases"]) for w in witnesses) == 11
-    assert len(json.dumps(data, indent=2)) < 110_000
+    assert len(data["aperiodicity"]) == 11
+    assert len(json.dumps(data, indent=2)) < 35_000
+
+
+def test_report_json_tracks_the_traces_not_the_ideals():
+    # 14 vertices and 6 matched feeders: 3 ** 6 * 2 ** 2 = 2,916 ideals,
+    # and one trace per vertex plus one more at each fed vertex
+    g = two_loop_lattice(14, tuple((2 * i, 2 * i + 1) for i in range(6)))
+    rep = classify_pure_infiniteness(g, 2)
+    assert rep.verdict == "ProperlyPurelyInfinite"
+    assert len(rep.sweep) == 2916
+    data = report_json(rep)
+    assert len(data["aperiodicity"]) == 20
+    assert len(json.dumps(data, indent=2)) < 100_000
+
+
+FIXTURES = (
+    three_components,
+    two_loop_lattice,
+    lattice8,
+    torus_beside_cycles,
+    doubled_two_cycle,
+    fed_loop,
+)
+GRAPHS = CORPUS + [(mk.__name__, mk) for mk in FIXTURES]
+
+
+def test_answers_list_the_traces_of_the_witness_cases():
+    # a ProperlyPurelyInfinite report searched every trace at every
+    # vertex, so each vertex's answers name the (trace, ideal) pairs of its
+    # witness cases, in the same order
+    checked = 0
+    for name, mk in GRAPHS:
+        g = mk()
+        for depth in (1, 2, 3):
+            data = report_json(classify_pure_infiniteness(g, depth))
+            if data["verdict"] != "ProperlyPurelyInfinite":
+                continue
+            for w in data["witnesses"]:
+                at_v = [a for a in data["aperiodicity"] if a["vertex"] == w["vertex"]]
+                got = [(a["trace"], a["ideal"]) for a in at_v]
+                assert got == [(c["trace"], c["ideal"]) for c in w["cases"]], (name, depth)
+                checked += 1
+    assert checked == 67
+
+
+def expand_answers(g, data):
+    """Each ideal's aperiodicity entry of the report, rebuilt from the
+    answers at (v, H & D(v)) for the vertices v outside H in vertex order:
+    the first periodic answer, else the first unknown one, else aperiodic
+    with the evidence of every answer. Returns the entries and the keys
+    read, for the ideals of ``enumerate_sat_her``."""
+    by_key = {(a["vertex"], tuple(a["trace"])): a for a in data["aperiodicity"]}
+    assert len(by_key) == len(data["aperiodicity"])
+    entries, read = [], set()
+    for h in enumerate_sat_her(g).sets:
+        got = []
+        for v in g.vertices:
+            if v in h:
+                continue
+            key = (v, tuple(sorted(reaching(g, v) & set(h))))
+            read.add(key)
+            a = by_key[key]
+            got.append({x: y for x, y in a.items() if x not in ("vertex", "trace", "ideal")})
+            if a["status"] == "periodic":
+                break
+        stuck = [a for a in got if a["status"] == "periodic"]
+        stuck = stuck or [a for a in got if a["status"] == "unknown"]
+        if stuck:
+            entries.append(dict(ideal=list(h), **stuck[0]))
+            continue
+        evidence = [e for a in got for e in a.get("evidence", [])]
+        basis = "bounded" if evidence else "certified"
+        entry = dict(ideal=list(h), status="aperiodic", basis=basis, depth=data["depth"])
+        if evidence:
+            entry["evidence"] = evidence
+        entries.append(entry)
+    return entries, read
+
+
+def assert_answers_expand_to_the_sweep(g, depth):
+    rep = classify_pure_infiniteness(g, depth)
+    data = json.loads(json.dumps(report_json(rep)))
+    entries, read = expand_answers(g, data)
+    assert entries == [dict(ideal=list(h), **aperiodicity_json(verd)) for h, verd in rep.sweep]
+    # every answer serves some ideal, and each names the closure of its trace
+    assert read == {(a["vertex"], tuple(a["trace"])) for a in data["aperiodicity"]}
+    for a in data["aperiodicity"]:
+        assert tuple(a["ideal"]) == sat_her_closure(g, a["trace"]), a
+
+
+@pytest.mark.parametrize("name, mk", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_answers_expand_to_the_sweep(name, mk):
+    for depth in (1, 2, 3):
+        assert_answers_expand_to_the_sweep(mk(), depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=RANDOM_GRAPHS, depth=st.integers(1, 2))
+def test_answers_expand_to_the_sweep_on_random_graphs(g, depth):
+    assert_answers_expand_to_the_sweep(g, depth)
 
 
 def assert_text_gives_images(g, witnesses):

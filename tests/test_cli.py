@@ -333,7 +333,7 @@ def test_classify_json_and_field(tmp_path, capsys):
     f = write_graph(tmp_path, "e2")
     assert main(["classify", f, "--depth", "3", "--field", "F5", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["format"] == 3
+    assert data["format"] == 4
     assert data["verdict"] == "ProperlyPurelyInfinite"
     assert data["field"] == "F5"
     assert data["aperiodicity_basis"] == "bounded"

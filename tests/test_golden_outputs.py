@@ -32,30 +32,30 @@ from kpalg import format_kgraph
 DEPTHS = (2, 3)
 
 GOLDEN = {
-    "e1": "f6430352da8e7203cdfc4ab6bca65967b7b9bed5b31a91f3c6be6552660dd8e7",
-    "e2": "8d9329de6a5aa6fee542d161fa6874016e2316bcbd0937741ae5cd8b67e0a30c",
-    "b3": "c02d97d806b400a0368452a31b6aaefebb958f6933eab45bf9841e62783b19c3",
-    "cycle2": "a514eb4bf573fc0d5f86a40d6a06b2c43ce05031b3ca36bd6e0f0cb698f8360b",
-    "cycle3": "612fcba12e4af7777e8ec13a7d48c52531e091bd8b09d454f6c8003c6e937828",
-    "single_edge": "4a1f5ed504d595b046dbe7752177d99ae26c368cf131bb5d13136e20e3cd3012",
-    "chain3": "8021218d98f14d099d87a400d741f7b5622281842f6ba7282e1de2bf0ecdee11",
-    "chain5": "9273c8318a5bc655544a621240b568afae369de8db3b011813de2f6f5b7ae8fe",
-    "two_loops_plus_exit": "a9ee66ef65441159512e8dce99d4f54ffced29fe13b4cd94d854a86247db4c0c",
-    "loop_with_exit": "a85c6a0f86c70cabc916fcda0f401b4233e1ad5eddfdeeb547265c5a8d9eef96",
-    "entered_loop": "fc623d1ff707802085bdf3db13ca0e34dfd31f138753068d6c77ea7737240bae",
-    "t2": "d7f609c4edb0b38949d8d88b0575bbd81da36fb58736d8cfff1106a326b04734",
-    "t3": "87bf158e1875c59854d5cb3d0be95ed28636a048b494aea84741a3174c5762f4",
-    "omega11": "16d2436270333053f2e7f6826d446be2a2b4d35ef6fb8567c56f698d22176eca",
-    "grid21": "49aed571c34e5d90d3f7af0d6747f90a73925a5bfd0eefe5030145fdb0f53201",
-    "prod_b2_b1": "97e4fb31697f3a662d14b4e2f7479a31db4d0b102e7c1ad4b709fb2fa31123ba",
-    "prod_b2_b2": "dfe76ac7b200d5f8d40ba2095d44862b6bf2721cffc0cf544282e91e28dc6731",
-    "prod_c2_b2": "0b6cfd0716ed8b1d7fb5c2bd3d25a372246e72708d75a94c75d4bddad90daf7f",
-    "prod_c2_t2": "9ab4eab2e4467faea69cba36f7482cf28e9e0bc2828b7aa65ebd6e0d2df80792",
-    "flip_loop_pair": "52a5b9cf5f3fb83e48bec157e68507155c84ae3e0bcc94d2b3d3f6a35d746c92",
-    "rsq1": "5cb3b334fa0df17cbd1420d7b06120f452f318aa86cab887bb30a939d614f280",
-    "rsq2": "e5d2e571dba699c4cd201aad66c2128cf2231cf7984a63f5372577e293f42b38",
-    "rsq23": "348b9a64795e894adeb9c270634b49e5e3048d9007a0fff0130975ddbe0cfc7f",
-    "lattice8": "d57134002cce9356d9dd32deb9002264d974d9ffbec07bfd06452ac81b7f0429",
+    "e1": "cf0c054095ed872b55f8ffaf6398256c1441b05eb9f5991ba21a2363ebb09b3a",
+    "e2": "36a2921883cb8cfba3c3303d7ebd4872b59061beb57d306b9fd2b936720673fd",
+    "b3": "4369600645b3547acafe440a83afcf9a27b4c5ba3e93785de5f48d7156da7555",
+    "cycle2": "4041fc329647050e56cc79a946064bb7804c6c7f2fa9d9636be14f0844d4a99a",
+    "cycle3": "b65ce7c289d1d0e9469d0f7dd7ac4c402fe0a107ba570efe6ee4a282dcf6354b",
+    "single_edge": "7a4f722e1d73e33ee62da638e533cc13c9a2dcf70d431d2da70d38b9301121ce",
+    "chain3": "38ffe775b79940a12711260c825ce2d8745c7c47e342d540eb87ea23c7e239b4",
+    "chain5": "81a1a5456643c0d240e0e8abe63b75b840b9df9e63befd9a36bcc16f86eeec67",
+    "two_loops_plus_exit": "00e9f9eac898dbe7f55a4d422a729d9b758c058e1ad504856b9c698a4b9bbf4c",
+    "loop_with_exit": "f9d2e9425157be230be22600ca81537125a3395bacf2ab58787e5f5ef0e9348c",
+    "entered_loop": "e0bde048fbd5cd600f7ea47eba3742b9b72bcfb74e59015ac28f8ad478aba09b",
+    "t2": "449c4f2001029e809237e07b6c6b3d7b6e1b7be3b633d9a207312f634135440a",
+    "t3": "ba041721d1ef2bd2b3cee5608a8953652d3b0ee8251807d7ac0af9a7b5f05220",
+    "omega11": "007dd0f001f29bc3fbfdaedab8057cf8296a8f6bbb7fb77f49606a546251b30f",
+    "grid21": "31c114e06787c09ac998815e1002d982347d3ff2e99d13a5918015f8a8379f5c",
+    "prod_b2_b1": "23af918706c8e375b998f94ed03e1393545f2ff1bad8cc56122cdf9bb53811fc",
+    "prod_b2_b2": "e63df6b9eb58bf2f9c9c0b6caf6bc53e3e009869581fa4b5ca4ea060bd3fe3ab",
+    "prod_c2_b2": "da80799a52ca28cac3d833e1e64aa4e515d8c1221abd8d02e8b7975e88dd5174",
+    "prod_c2_t2": "3251ac81c76fb64a2a9d3a76ae2e7c0e79de22b6082f24c827f19ea7d0038ead",
+    "flip_loop_pair": "1f4d85e2e56f28377fc1bdc1ab721b5678843238bf9d0c533294a21d8b3a612c",
+    "rsq1": "bf0555af266ea0a7abe7df85db5524670822d7a5c379a52bf3dc41ad7c70efc1",
+    "rsq2": "df97fc1548d0c7a385b14f82083afd9c88bce69b8e7de11dc0b946ceed8c1af7",
+    "rsq23": "681bceb12c91672aa6c8f422029d974613229a2c573a38b23c20897f19544a8d",
+    "lattice8": "702eb981822ccfaf789ec41bcf40060d804ee460b0e533e8a1d1fc0392bd2848",
 }
 
 CONTRACT = {

@@ -299,7 +299,7 @@ def test_sweep_closes_no_lattice_set_again(monkeypatch):
     enumerate_sat_her(g)
     enumerated = list(calls)
     del calls[:]
-    sweep = strong_aperiodicity_sweep(g, 1)
+    sweep, _ = strong_aperiodicity_sweep(g, 1)
     assert (len(sweep), len(calls)) == (108, 432)
     assert calls == enumerated
     del calls[:]
