@@ -44,7 +44,36 @@ the first pair x leaves unseparated is the first head collision in a
 bucket join of the two classes. The residual pairs are never listed.
 ``separates`` itself is called only where one pair meets one candidate:
 the pair that defeated the last candidate is tried first on the next (the
-first residual pair on the first).
+first residual pair on the first). It reads no head word: it steps the
+pair along the candidate's word (Stepping a pair).
+
+Stepping a pair: ``separates`` strips (alpha, beta) at
+w = meet(d(alpha), d(beta)) first. Different heads at w separate the pair
+under every x (Residual pairs); with w = 0 they are the ranges. Equal
+heads h leave the tails (t, t'), and the head of alpha x at d(x) + w is
+h (t x)(0, d(x)), as d(t x) >= d(x), and the same for beta. Let
+x = x1 ... xn be x's canonical word and t0 = t. Factor
+t(i-1) xi = hi ti with d(hi) = d(xi), a single edge, so d(ti) = d(t) for
+every i; likewise t'(i-1) xi = h'i t'i. Then t x = h1 ... hn tn with
+d(h1 ... hn) = d(x), so by unique factorization
+(t x)(0, d(x)) = h1 ... hn, and (t' x)(0, d(x)) = h'1 ... h'n. If
+hi = h'i for every i, the heads at d(x) + w agree, and x separates
+exactly when it is maximal and the degrees differ. If hi is the first
+that differs, the heads of t x and t' x at d(x1 ... xi) are h1 ... hi and
+h1 ... h(i-1) h'i, which differ by left cancellation; as
+d(x1 ... xi) <= d(x), the heads at d(x) differ too, and the walk stops at
+xi. A step depends only on the state (t(i-1), t'(i-1)) and the edge xi,
+and keeps the degrees (d(t), d(t')), so the states one pair reaches are
+pairs of tail words of its two degrees, finitely many. A vertex search
+keeps one table from (state, edge) to the next state, or -1 at an edge
+that separates (``Steps``), on its closed machine, and every
+``separates`` call of the search reads it. A call strips its pair unless
+the call before asked the same pair (``Steps.last``); a hit then costs
+one lookup per edge, and a miss sorts the two words t(i-1) xi and
+t'(i-1) xi (``KGraph._sort_word``) and splits off their one-edge heads
+(``KGraph._split_word``), building no path. On the ``sweep`` benchmark
+workload the one vertex search of bouquet3x3 computes 9 steps for its 245
+calls, and that of bouquet2x2x2 18 for 274.
 
 Heads off the prefix: for m <= d(p x), let n = (m v d(p)) - d(p), so
 n <= d(x). Then x factors as x1 x2 with d(x1) = n, and p x = (p x1) x2
@@ -54,12 +83,12 @@ the head at m of p x1. When d(p) <= m, n = m - d(p) and p x1 is that
 head itself (``_head_word`` tests this first); otherwise it is cut at m.
 The words come from the canonical word of p and that of x's prefix x1
 (``KGraph.prefix_word``, ``KGraph.composite_word``, and ``prefix_word``
-again for the cut); no composite p x is built or split. The search reads
-heads at m = d(x) (residual pairs have meet 0), and ``separates`` and the
-certificate scan at m = d(x) + meet(d(alpha), d(beta)). The join of one
-candidate and the certificate scan of the first read them from that
-candidate's head table (``_head_table``), kept by word and meet, which
-splits x once per degree.
+again for the cut); no composite p x is built or split. The join reads
+heads at m = d(x) (residual pairs have meet 0), and the certificate scan
+at m = d(x) + meet(d(alpha), d(beta)); ``separates`` reads none (Stepping
+a pair). The join of one candidate and the certificate scan of the first
+read them from that candidate's head table (``_head_table``), kept by word
+and meet, which splits x once per degree.
 
 The machine probe: when the pair that defeated one candidate defeats the
 next as well, the search asks the closed machine about it
@@ -229,20 +258,92 @@ def _head_table(g: KGraph, x: Path) -> Callable[..., Word]:
     return head
 
 
-def separates(g: KGraph, alpha: Path, beta: Path, x: Path) -> bool:
+class Steps:
+    """The step table of one vertex search (module docstring, "Stepping a
+    pair"). A state is a residual pair of tail words, interned as an int;
+    ``states`` lists each state's words and degrees, and ``next`` maps
+    (state, edge id) to the next state, or -1 where the pair is separated
+    on that edge. Only ``_step`` writes ``next``. ``last`` holds the last
+    pair a call stripped and its state, since the search asks one pair on
+    candidate after candidate."""
+
+    def __init__(self):
+        self.ids: Dict[Tuple[Word, Word], int] = {}
+        self.states: List[Tuple[Word, Word, Degree, Degree]] = []
+        self.next: Dict[Tuple[int, str], int] = {}
+        self.last: Tuple[Optional[Path], Optional[Path], int] = (None, None, -1)
+
+    def state(self, ta: Word, tb: Word, da: Degree, db: Degree) -> int:
+        s = self.ids.get((ta, tb))
+        if s is None:
+            s = self.ids[(ta, tb)] = len(self.states)
+            self.states.append((ta, tb, da, db))
+        return s
+
+
+def _step(g: KGraph, steps: Steps, s: int, e: str) -> int:
+    """The state after s on the edge e, from words only: each tail t is
+    extended to t e, sorted, and split at its one-edge head of color c(e);
+    -1 when the two heads differ."""
+    ta, tb, da, db = steps.states[s]
+    c = g._color[e] - 1
+    unit = tuple(int(i == c) for i in range(g.k))
+    cut = []
+    for t, d in ((ta, da), (tb, db)):
+        word, _ = g._split_word(
+            g._sort_word(list(t + (e,)), len(t)), tuple(map(operator.add, d, unit)), unit
+        )
+        cut.append((word[0], tuple(word[1:])))
+    (ha, ta), (hb, tb) = cut
+    nxt = steps.next[(s, e)] = steps.state(ta, tb, da, db) if ha == hb else -1
+    return nxt
+
+
+def _start(g: KGraph, steps: Steps, alpha: Path, beta: Path) -> int:
+    """The state of (alpha, beta) stripped at w = meet(d(alpha), d(beta)),
+    from words only, or -1 when the heads at w differ (with w = 0, the
+    ranges)."""
+    w = meet(alpha.degree, beta.degree)
+    if any(w):
+        # heads with equal words at a nonzero degree share their range
+        (a, h), (b, hb) = (g._split_word(p.edges, p.degree, w) for p in (alpha, beta))
+        if tuple(a[:h]) != tuple(b[:hb]):
+            return -1
+        ta, tb = tuple(a[h:]), tuple(b[hb:])
+    elif alpha.range != beta.range:
+        return -1
+    else:
+        ta, tb = alpha.edges, beta.edges
+    return steps.state(ta, tb, *(tuple(map(operator.sub, p.degree, w)) for p in (alpha, beta)))
+
+
+def separates(
+    g: KGraph, alpha: Path, beta: Path, x: Path, steps: Optional[Steps] = None
+) -> bool:
     """True when composing with x tells alpha and beta apart (truncated
-    comparison as described in the module docstring)."""
+    comparison as described in the module docstring). The pair is stripped
+    at the meet of its degrees and stepped along x's word (``Steps``);
+    ``steps`` lets the calls of one vertex search share their steps, and
+    the answer does not depend on it."""
     for p in (alpha, beta):
         if p.source != x.range:
             raise not_composable(p, x)
-    # the heads at m = meet(d(alpha x), d(beta x)) = d(x) + meet(d(alpha), d(beta))
-    m = tuple(map(operator.add, x.degree, meet(alpha.degree, beta.degree)))
-    prefixes: Dict[Degree, Word] = {}
-    ha = _head_word(g, alpha, x, m, prefixes)
-    hb = _head_word(g, beta, x, m, prefixes)
-    # heads with equal words differ when their ranges do (both trivial)
-    if ha != hb or alpha.range != beta.range:
-        return True
+    if steps is None:
+        steps = Steps()
+    last_alpha, last_beta, s = steps.last
+    if last_alpha is not alpha or last_beta is not beta:
+        s = _start(g, steps, alpha, beta)
+        if s < 0:
+            return True
+        steps.last = (alpha, beta, s)
+    table = steps.next
+    for e in x.edges:
+        nxt = table.get((s, e))
+        if nxt is None:
+            nxt = _step(g, steps, s, e)
+        if nxt < 0:
+            return True
+        s = nxt
     return alpha.degree != beta.degree and not g.receives(x.source)
 
 
@@ -359,7 +460,7 @@ def _first_separator(
         defeating = (classes[i][0], classes[later[0]][0])
     defeats = 0
     for x in candidates:
-        if defeating is not None and not separates(g, *defeating, x):
+        if defeating is not None and not separates(g, *defeating, x, machine.steps):
             defeats += 1
             if defeats == 2 and machine.states(*defeating) is not None:
                 return None
@@ -450,13 +551,15 @@ def certify_never_separated(
 
 class _Machine:
     """The closed machine for one vertex search: its answers by residual
-    pair, in either order (the answer depends on nothing else), and the
-    moves its runs share."""
+    pair, in either order (the answer depends on nothing else), the moves
+    its runs share, and the step table the search's ``separates`` calls
+    share."""
 
     def __init__(self, g: KGraph):
         self.g = g
         self.answers: Dict[FrozenSet[Path], Optional[int]] = {}
         self.moves: Moves = {}
+        self.steps = Steps()
 
     def states(self, a: Path, b: Path) -> Optional[int]:
         """``certify_never_separated`` of the residual pair (a, b), run once."""

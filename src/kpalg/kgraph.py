@@ -259,6 +259,8 @@ class KGraph:
         self._by_range: Dict[Tuple[str, int], Tuple[str, ...]] = {
             key: tuple(ids) for key, ids in by_r.items()
         }
+        # the vertices that receive an edge, of any color
+        self._receivers = frozenset(e.range for e in self.edges.values())
         # out-edge ids of each vertex, every color
         self._by_source: Dict[str, Tuple[str, ...]] = {
             v: tuple(ids) for v, ids in by_s.items()
@@ -298,11 +300,10 @@ class KGraph:
 
     def receives(self, v: str, color: Optional[int] = None) -> bool:
         """Whether some edge has range v (of the given color), read off the
-        index ``edges_by_range`` lists from, without listing the edges."""
-        by_range = self._by_range
+        indexes built with the graph, without listing the edges."""
         if color is not None:
-            return (v, color) in by_range
-        return any((v, c) in by_range for c in range(1, self.k + 1))
+            return (v, color) in self._by_range
+        return v in self._receivers
 
     # -- words and canonical form ----------------------------------------
 

@@ -131,8 +131,7 @@ def brute_mce(g, mu, nu):
         return set()
     m = join(mu.degree, nu.degree)
     found = set()
-    for word in brute_path_words(g, mu.range, m):
-        lam = word_to_path(g, mu.range, word)
+    for lam in brute_paths(g, mu.range, m):
         if g.factorize(lam, mu.degree)[0] != mu:
             continue
         if g.factorize(lam, nu.degree)[0] != nu:
@@ -228,9 +227,11 @@ def brute_boundary_paths(g, v, n):
     )
 
 
+@lru_cache(maxsize=1 << 12)
 def brute_paths(g, v, n):
-    """vLambda^n sorted by word, from ``brute_path_words``."""
-    return [word_to_path(g, v, w) for w in sorted(brute_path_words(g, v, n))]
+    """vLambda^n sorted by word, from ``brute_path_words``, as a tuple.
+    Memoized, since ``brute_mce`` walks the same boxes again and again."""
+    return tuple(word_to_path(g, v, w) for w in sorted(brute_path_words(g, v, n)))
 
 
 def brute_compose(g, p, q):
@@ -238,10 +239,12 @@ def brute_compose(g, p, q):
     return word_to_path(g, p.range, canonical_word(g, p.edges + q.edges))
 
 
+@lru_cache(maxsize=1 << 14)
 def brute_contains(g, outer, inner):
     """(holds, boundary paths tried) for Z(inner) inside Z(outer): every
     boundary path tau at s(inner) of the degree slack d(inner) v d(outer) -
-    d(inner) leaves inner tau a common extension with outer."""
+    d(inner) leaves inner tau a common extension with outer. Memoized,
+    since the searches below ask it again for each pair and region."""
     slack = tuple(max(a, b) - a for a, b in zip(inner.degree, outer.degree))
     taus = brute_boundary_paths(g, inner.source, slack)
     holds = all(brute_mce(g, brute_compose(g, inner, tau), outer) for tau in taus)
@@ -330,7 +333,9 @@ def brute_contraction(g, kappa, depth):
     pair and the words of nu and mu, and takes the first generalized cycle
     with an entrance: ``("hit", nu, mu, tau, kappa, boundary paths
     tried)``. Without one, ``("miss", depth, detail)`` counts the
-    candidates.
+    candidates. ``brute_contains`` is memoized, so whether Z(nu) lies
+    inside Z(kappa) is decided once per nu, not once per (mu, nu), and the
+    regions at one vertex share their tests of Z(mu) inside Z(nu).
     """
     v = kappa.range
     degs = _degrees_upto(g.k, 1, 2 * depth - 1)

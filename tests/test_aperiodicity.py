@@ -1,5 +1,6 @@
 """Aperiodicity verdicts on known graphs, plus certificate re-verification."""
 
+import random
 import sys
 import threading
 import tracemalloc
@@ -425,18 +426,29 @@ def test_pairs_checked_counts_every_comparable_pair():
 
 
 def _cuts(a, b, x):
-    # whether separates cuts one of its heads at m: d(p) not <= m
+    # whether the head of a x or b x at m = d(x) + meet(d(a), d(b)) is cut
+    # off a p x(0, n) longer than m: d(p) not <= m
     m = add(x.degree, meet(a.degree, b.degree))
     return any(n > i for p in (a, b) for n, i in zip(p.degree, m))
 
 
+def _walked(g, a, b):
+    # whether a pair of nonzero meet w keeps a common head at w, so that
+    # separates strips it and steps its tails
+    w = meet(a.degree, b.degree)
+    return any(w) and g.factorize(a, w)[0] == g.factorize(b, w)[0]
+
+
 def test_separates_matches_splits_and_composes_nothing(monkeypatch):
-    # every comparable pair, not only the residual ones, so heads at nonzero
-    # meet degrees are read as well. The expected answer composes and
-    # splits (oracles.splits) from an empty compose memo, sharing no code
-    # with separates, which neither composes nor factorizes. On
+    # every comparable pair, not only the residual ones, so pairs of nonzero
+    # meet are stripped and stepped as well. The expected answer composes
+    # and splits (oracles.splits) from an empty compose memo, sharing no
+    # code with separates, which neither composes nor factorizes. On
     # flip_loop_pair and fed_loop some candidate is shorter than a path in
-    # a color some vertex does not receive, so some heads are cut at m
+    # a color some vertex does not receive, so some heads at m are cut off
+    # a longer composite. Each vertex's pairs and candidates are asked a
+    # second time, in shuffled order and with the pair either way round,
+    # through one step table, which fills in that order
     inner = {f: getattr(KGraph, f) for f in ("compose", "factorize")}
     called = []
 
@@ -447,26 +459,77 @@ def test_separates_matches_splits_and_composes_nothing(monkeypatch):
 
         return call
 
-    cut = set()
+    def composing_nothing(f, *args):
+        for name in inner:
+            monkeypatch.setattr(KGraph, name, recording(name))
+        try:
+            return f(*args)
+        finally:
+            for name, method in inner.items():
+                monkeypatch.setattr(KGraph, name, method)
+
+    rng = random.Random(35)
+    cut, walked, shared = set(), set(), 0
     for name, mk in CORPUS + [("fed_loop", fed_loop)]:
         g = mk()
         for v in g.vertices:
             pairs = _comparable_pairs(g, v, 2)
+            expected = {}
             for x in g.boundary_paths(v, (3,) * g.k):
-                for f in inner:
-                    monkeypatch.setattr(KGraph, f, recording(f))
-                got = [separates(g, a, b, x) for a, b in pairs]
-                for f, method in inner.items():
-                    monkeypatch.setattr(KGraph, f, method)
+                got = composing_nothing(lambda: [separates(g, a, b, x) for a, b in pairs])
                 assert not called, (name, v, x, called[:1])
                 fresh = []
                 for a, b in pairs:
                     monkeypatch.setattr(kgraph, "_memo", (None, None, {}))
                     fresh.append(splits(g, a, b, x))
                 assert got == fresh, (name, v, x)
+                expected.update(((a, b, x), f) for (a, b), f in zip(pairs, fresh))
                 if any(_cuts(a, b, x) for a, b in pairs):
                     cut.add(name)
+            if any(_walked(g, a, b) for a, b in pairs):
+                walked.add(name)
+            asked = [(b, a, x) if rng.random() < 0.5 else (a, b, x) for a, b, x in expected]
+            rng.shuffle(asked)
+            steps = aperiodicity.Steps()
+            got = composing_nothing(lambda: [separates(g, *q, steps) for q in asked])
+            assert not called, (name, v, called[:1])
+            want = [expected.get(q, expected.get((q[1], q[0], q[2]))) for q in asked]
+            assert got == want, (name, v)
+            shared += len(steps.next)
     assert {"flip_loop_pair", "fed_loop"} <= cut, cut
+    assert {"prod_b2_b2", "t2", "rsq1"} <= walked, walked
+    assert shared, shared
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=RANDOM_GRAPHS, depth=st.integers(1, 2), rng=st.randoms(use_true_random=False))
+def test_a_shared_step_table_a_fresh_one_and_splits_agree(g, depth, rng):
+    # every ordered pair of paths with source v up to the depth, equal
+    # pairs, equal degrees and different ranges included, against the first
+    # candidates of v's box: asked pair by pair, as the search asks them,
+    # through one table, in a shuffled order through another, and each
+    # through a fresh table
+    for v in g.vertices:
+        ps = [
+            p
+            for u in g.vertices
+            for n in below((depth,) * g.k)
+            if total(n) <= depth
+            for p in g.paths(u, n)
+            if p.source == v
+        ]
+        box = g.boundary_paths(v, (depth + 1,) * g.k)[:12]
+        asked = [(a, b, x) for a in ps for b in ps for x in box]
+        want = [splits(g, a, b, x) for a, b, x in asked]
+        steps = aperiodicity.Steps()
+        by_pair = [separates(g, a, b, x, steps) for a, b, x in asked]
+        order = list(range(len(asked)))
+        rng.shuffle(order)
+        steps = aperiodicity.Steps()
+        shuffled = {i: separates(g, *asked[i], steps) for i in order}
+        fresh = [separates(g, a, b, x) for a, b, x in asked]
+        assert by_pair == fresh == want, v
+        assert [shuffled[i] for i in range(len(asked))] == want, v
 
 
 def test_aperiodicity_check_is_safe_across_threads():
@@ -529,11 +592,13 @@ def test_separates_refuses_paths_not_composable_with_the_candidate():
 
 def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch):
     # on every CORPUS graph and the 3x3 bouquet product: the join sorts
-    # each (candidate, path) head once, from its own head table, and each
-    # separates call sorts at most its own two heads, by the words the
-    # kernel sorts; no composite p x with a candidate x is built (the
-    # closed machine, probed on a pair that defeats two candidates, still
-    # composes its residual paths with single edges)
+    # each (candidate, path) head once, from its own head table. A
+    # separates call sorts only where its step table misses, two words per
+    # step it computes; each vertex search hands one table to all its
+    # calls, and computes each (state, edge) step at most once. No
+    # composite p x with a candidate x is built (the closed machine,
+    # probed on a pair that defeats two candidates, still composes its
+    # residual paths with single edges)
     graphs = [(name, mk()) for name, mk in CORPUS]
     graphs.append(("b3_x_b3", product(bouquet(3), bouquet(3, "u"))))
     composed = []
@@ -557,6 +622,7 @@ def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch
 
     made = Counter()
     head_table, separate = aperiodicity._head_table, aperiodicity.separates
+    vertex_verdict, step = aperiodicity._vertex_verdict, aperiodicity._step
 
     def tables(g, x):
         made["table"] += 1
@@ -564,14 +630,36 @@ def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch
         head = head_table(g, x)
         return lambda *args: read(key, head, *args)
 
-    def separating(*args):
+    # the steps each separates call adds to its table, the tables each
+    # vertex search passes, and the computed steps by table; the tables
+    # are kept so that no two share an id
+    grown, passed, computed, kept = Counter(), {}, Counter(), []
+
+    def separating(g, a, b, x, steps):
         made["separates"] += 1
-        return read(("separates", made["separates"]), separate, *args)
+        key = ("separates", made["separates"])
+        passed.setdefault(made["search"], set()).add(id(steps))
+        kept.append(steps)
+        before = len(steps.next)
+        try:
+            return read(key, separate, g, a, b, x, steps)
+        finally:
+            grown[key] = len(steps.next) - before
+
+    def searching(*args):
+        made["search"] += 1
+        return vertex_verdict(*args)
+
+    def stepping(g, steps, s, e):
+        computed[(id(steps), s, e)] += 1
+        return step(g, steps, s, e)
 
     kinds = set()
     monkeypatch.setattr(KGraph, "compose", composing)
     monkeypatch.setattr(aperiodicity, "_head_table", tables)
     monkeypatch.setattr(aperiodicity, "separates", separating)
+    monkeypatch.setattr(aperiodicity, "_vertex_verdict", searching)
+    monkeypatch.setattr(aperiodicity, "_step", stepping)
     for name, g in graphs:
         sorts = Counter()
         candidates = []
@@ -588,6 +676,7 @@ def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch
 
         g._sort_word, g.iter_boundary_paths = counting, tracking
         del composed[:]
+        grown.clear()
         aperiodicity_check(g, 3)
         by_reader = Counter()
         for (key, _, _), n in sorts.items():
@@ -595,11 +684,37 @@ def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch
                 kinds.add(key[0])
                 by_reader[key] += n
                 assert key[0] == "separates" or n == 1, (name, key)
-        calls = [n for key, n in by_reader.items() if key[0] == "separates"]
-        assert max(calls, default=0) <= 2, name
+        for key, n in grown.items():
+            assert by_reader[key] == 2 * n, (name, key)
         tried = {id(x) for x in candidates}
         assert not [q for q in composed if id(q) in tried], name
     assert kinds == {"table", "separates"}
+    assert all(len(ids) == 1 for ids in passed.values()), passed
+    assert computed and max(computed.values()) == 1
+
+
+def test_separator_search_steps_through_a_small_table(monkeypatch):
+    # counts, not times, on the 3x3 bouquet product at depth 4: the walk
+    # makes the 245 separates calls and 3 joins it made when each call
+    # sorted and split two head words, and its one vertex search computes
+    # 9 steps, over 2 states, for all 245 calls
+    g = product(bouquet(3), bouquet(3, "u"))
+    calls, tables = Counter(), []
+    for f in ("separates", "_unseparated", "_step"):
+        inner = getattr(aperiodicity, f)
+
+        def counting(*args, f=f, inner=inner):
+            calls[f] += 1
+            if f == "separates" and not any(args[4] is t for t in tables):
+                tables.append(args[4])
+            return inner(*args)
+
+        monkeypatch.setattr(aperiodicity, f, counting)
+    assert aperiodicity_check(g, 4).status == "aperiodic"
+    assert (calls["separates"], calls["_unseparated"]) == (245, 3)
+    assert len(tables) == 1
+    assert calls["_step"] == len(tables[0].next) <= 9
+    assert len(tables[0].states) <= 2
 
 
 # -- degree-class joins ----------------------------------------------------------
