@@ -43,7 +43,6 @@ from .kgraph import (
     validate,
 )
 from .kpelement import (
-    KP,
     AlgebraError,
     KPElement,
     KPMatrix,

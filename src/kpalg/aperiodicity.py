@@ -12,8 +12,20 @@ search, which a deeper search may overturn.
 
 Truncated comparison: alpha x = beta x "as truncated paths" means the two
 composites agree up to their common (meet) degree; when x is maximal
-(its source supports no further edges) the composites are genuine boundary
-paths and different degrees already separate them.
+(its source receives no edge) the composites are genuine boundary paths
+and different degrees already separate them. On a presentation that
+validates, they then differ at the meet already, by this lemma: let t
+and t' be paths with a common range, a common source u, and different
+degrees whose meet is 0; then u receives an edge. If one of them, say t, has
+degree 0, then t = u, and the first edge of t' has range u. Otherwise
+pick a color j of d(t'). It is not a color of d(t), and r(t) receives a
+color-j edge, the head of t' at e_j. Local convexity (``validate``: if
+r(e) receives a color j != c(e), so does s(e)) carries "receives color j"
+edge by edge along t, from r(t) to u. A pair whose composites with x
+agree at the meet leaves such tails at s(x) (Stepping a pair), so x is
+not maximal, and the search tests heads alone. Every entry point refuses
+input that does not validate (``check_input``); even there, a test of
+heads alone can only make a candidate lose, never win.
 
 Residual pairs: the pairs checked at v are the comparable pairs, distinct
 paths with source v and a common range, of different degrees and total
@@ -34,14 +46,15 @@ sizes of the degree classes.
 
 Degree-class joins: for a residual pair (a, b) and a candidate x,
 meet(d(a x), d(b x)) = d(x) + meet(d(a), d(b)) = d(x). So x separates
-(a, b) exactly when x is maximal or the heads of a x and b x, their
-prefixes at d(x), differ (``_head_table``; heads in one range group share
-range and degree, so their edge words tell them apart). The head of a x
-depends on a and x only, so the search computes it once per path and
-candidate rather than once per pair: within a range group, the paths of one degree
-form a degree class, and for each two classes whose degrees have meet 0
-the first pair x leaves unseparated is the first head collision in a
-bucket join of the two classes. The residual pairs are never listed.
+(a, b) exactly when the heads of a x and b x, their prefixes at d(x),
+differ (Truncated comparison; ``_head_table``; heads in one range group
+share range and degree, so their edge words tell them apart). The head
+of a x depends on a and x only, so the search computes it once per path
+and candidate rather than once per pair: within a range group, the paths
+of one degree form a degree class, and for each two classes whose
+degrees have meet 0 the first pair x leaves unseparated is the first
+head collision in a bucket join of the two classes. The residual pairs
+are never listed.
 ``separates`` itself is called only where one pair meets one candidate:
 the pair that defeated the last candidate is tried first on the next (the
 first residual pair on the first). It reads no head word: it steps the
@@ -57,9 +70,10 @@ t(i-1) xi = hi ti with d(hi) = d(xi), a single edge, so d(ti) = d(t) for
 every i; likewise t'(i-1) xi = h'i t'i. Then t x = h1 ... hn tn with
 d(h1 ... hn) = d(x), so by unique factorization
 (t x)(0, d(x)) = h1 ... hn, and (t' x)(0, d(x)) = h'1 ... h'n. If
-hi = h'i for every i, the heads at d(x) + w agree, and x separates
-exactly when it is maximal and the degrees differ. If hi is the first
-that differs, the heads of t x and t' x at d(x1 ... xi) are h1 ... hi and
+hi = h'i for every i, the heads at d(x) + w agree, and x does not
+separate: tn and t'n have source s(x), so x is not maximal when the
+degrees differ (Truncated comparison). If hi is the first that differs,
+the heads of t x and t' x at d(x1 ... xi) are h1 ... hi and
 h1 ... h(i-1) h'i, which differ by left cancellation; as
 d(x1 ... xi) <= d(x), the heads at d(x) differ too, and the walk stops at
 xi. A step depends only on the state (t(i-1), t'(i-1)) and the edge xi,
@@ -106,7 +120,6 @@ heads of a x and b x at d(x) + w agree exactly when h = h' and x leaves
 (t, t') unseparated, and only such a pair is stripped, to hand (t, t') to
 the machine. A pair the machine refuses is separated by a boundary path,
 perhaps outside the box; it costs only its states, and the walk goes on.
-The runs in one vertex search share their moves (``Moves``).
 
 Locality across quotients: the quotient by a hereditary saturated set H
 keeps the edges with source outside H, and by heredity an edge with range
@@ -344,7 +357,7 @@ def separates(
         if nxt < 0:
             return True
         s = nxt
-    return alpha.degree != beta.degree and not g.receives(x.source)
+    return False
 
 
 def _groups_at(g: KGraph, v: str, depth: int) -> List[List[Path]]:
@@ -419,8 +432,8 @@ def _unseparated(
     g: KGraph, classes: List[List[Path]], joins: List[Join], x: Path
 ) -> Optional[Tuple[Path, Path]]:
     """The first residual pair, in ``_pairs_at`` order, that x does not
-    separate, or None: x is not maximal and the heads of a x and b x agree.
-    Each a probes the later classes, keyed by head."""
+    separate, or None: the heads of a x and b x agree. Each a probes the
+    later classes, keyed by head."""
     head = _head_table(g, x)
     # per class, the first path of each head, on first use
     tables: Dict[int, Dict[Word, Path]] = {}
@@ -435,9 +448,7 @@ def _unseparated(
                         table.setdefault(head(b), b)
                 b = table.get(h)
                 if b is not None:
-                    # a maximal x separates every pair; asked at the first
-                    # collision only, so a candidate that wins never asks
-                    return (a, b) if g.receives(x.source) else None
+                    return a, b
     return None
 
 
@@ -483,33 +494,16 @@ def _strip(g: KGraph, p: Path, q: Path) -> Optional[Tuple[Path, Path]]:
     return tp, tq
 
 
-# The closed machine's moves, shared by its runs on one graph: each
-# residual path t maps to its composites t e with the edges e into its
-# source, in ``edges_by_range`` order, so no run composes t e again.
-Moves = Dict[Path, Tuple[Path, ...]]
+def _extensions(g: KGraph, t: Path) -> List[Path]:
+    # t e for the edges e into s(t), color by color in ``edges_by_range``
+    # order; a vertex extends to those edges themselves
+    units = [tuple(int(i == c) for i in range(g.k)) for c in range(g.k)]
+    return [g.compose(t, e) for n in units for e in g.paths(t.source, n)]
 
 
-def _extensions(g: KGraph, t: Path, moves: Moves) -> Tuple[Path, ...]:
-    out = moves.get(t)
-    if out is None:
-        if t.edges:
-            steps = _extensions(g, g.trivial_path(t.source), moves)
-            out = tuple(g.compose(t, step) for step in steps)
-        else:
-            # a vertex extends to the single edges into it, taken from the
-            # path cache so that no run builds them again
-            units = [tuple(int(i == c) for i in range(g.k)) for c in range(g.k)]
-            out = tuple(e for n in units for e in g.paths(t.range, n))
-        moves[t] = out
-    return out
-
-
-def certify_never_separated(
-    g: KGraph, alpha: Path, beta: Path, moves: Optional[Moves] = None
-) -> Optional[int]:
+def certify_never_separated(g: KGraph, alpha: Path, beta: Path) -> Optional[int]:
     """Decide whether some boundary path separates (alpha, beta): None if
-    one does, else the state count of the closed machine. ``moves`` lets
-    runs on one graph share their moves; the answer does not depend on it.
+    one does, else the state count of the closed machine.
 
     State: the residual pair after stripping the common prefix. Extending
     by a color-c edge and stripping the common head of degree e_c gives
@@ -531,15 +525,13 @@ def certify_never_separated(
     start = _strip(g, alpha, beta)
     if start is None:
         return None
-    if moves is None:
-        moves = {}
     seen = {start}
     stack = [start]
     while stack:
         t1, t2 = stack.pop()
         if not all(g.receives(t1.source, c) for c in gap):
             return None
-        for p, q in zip(_extensions(g, t1, moves), _extensions(g, t2, moves)):
+        for p, q in zip(_extensions(g, t1), _extensions(g, t2)):
             nxt = _strip(g, p, q)
             if nxt is None:
                 return None
@@ -551,21 +543,19 @@ def certify_never_separated(
 
 class _Machine:
     """The closed machine for one vertex search: its answers by residual
-    pair, in either order (the answer depends on nothing else), the moves
-    its runs share, and the step table the search's ``separates`` calls
-    share."""
+    pair, in either order (the answer depends on nothing else), and the
+    step table the search's ``separates`` calls share."""
 
     def __init__(self, g: KGraph):
         self.g = g
         self.answers: Dict[FrozenSet[Path], Optional[int]] = {}
-        self.moves: Moves = {}
         self.steps = Steps()
 
     def states(self, a: Path, b: Path) -> Optional[int]:
         """``certify_never_separated`` of the residual pair (a, b), run once."""
         key = frozenset((a, b))
         if key not in self.answers:
-            self.answers[key] = certify_never_separated(self.g, a, b, self.moves)
+            self.answers[key] = certify_never_separated(self.g, a, b)
         return self.answers[key]
 
 

@@ -595,9 +595,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def kinds(self) -> Tuple[str, ...]:
-        return tuple(sorted({v.kind for v in self.violations}))
-
     def __str__(self) -> str:
         if self.ok:
             return "ok"

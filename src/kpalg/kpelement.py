@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .degrees import Degree, join, sub
 from .field import Field, Scalar
@@ -115,16 +115,13 @@ def zero(g: KGraph, field: Field) -> KPElement:
     return KPElement(g, field, ())
 
 
-def spanning_term(
-    g: KGraph, field: Field, lam: Path, mu: Path, coef: Optional[Scalar] = None
-) -> KPElement:
+def spanning_term(g: KGraph, field: Field, lam: Path, mu: Path) -> KPElement:
     if lam.source != mu.source:
         raise AlgebraError(
             "spanning term needs s(lam) = s(mu), got %s and %s"
             % (lam.source, mu.source)
         )
-    c = field.one if coef is None else coef
-    return _make(g, field, {(lam, mu): c})
+    return _make(g, field, {(lam, mu): field.one})
 
 
 def generator(g: KGraph, field: Field, p: Path) -> KPElement:
@@ -140,34 +137,6 @@ def star_generator(g: KGraph, field: Field, p: Path) -> KPElement:
 def vertex_unit(g: KGraph, field: Field, v: str) -> KPElement:
     t = g.trivial_path(v)
     return spanning_term(g, field, t, t)
-
-
-@dataclass(frozen=True)
-class KP:
-    """Convenience handle pairing a graph with a coefficient field."""
-
-    graph: KGraph
-    field: Field
-
-    def zero(self) -> KPElement:
-        return zero(self.graph, self.field)
-
-    def s(self, p: Union[Path, str]) -> KPElement:
-        if isinstance(p, str):
-            return vertex_unit(self.graph, self.field, p)
-        return generator(self.graph, self.field, p)
-
-    def star(self, p: Path) -> KPElement:
-        return star_generator(self.graph, self.field, p)
-
-    def term(self, lam: Path, mu: Path, coef: Optional[Scalar] = None) -> KPElement:
-        return spanning_term(self.graph, self.field, lam, mu, coef)
-
-    def path(self, *edge_ids: str) -> Path:
-        return self.graph.path_from_edges(list(edge_ids))
-
-    def vertex(self, v: str) -> Path:
-        return self.graph.trivial_path(v)
 
 
 # -- multiplication ------------------------------------------------------------
@@ -288,16 +257,6 @@ class KPMatrix:
     def field(self) -> Field:
         return self.rows[0][0].field
 
-    def __add__(self, other: "KPMatrix") -> "KPMatrix":
-        if self.shape != other.shape:
-            raise AlgebraError("shape mismatch %r vs %r" % (self.shape, other.shape))
-        return KPMatrix(
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
     def __matmul__(self, other: "KPMatrix") -> "KPMatrix":
         m, n = self.shape
         n2, p = other.shape
@@ -314,9 +273,6 @@ class KPMatrix:
                 row.append(acc)
             out.append(tuple(row))
         return KPMatrix(tuple(out))
-
-    def entry(self, i: int, j: int) -> KPElement:
-        return self.rows[i][j]
 
 
 def as_matrix(x: Union[KPElement, KPMatrix]) -> KPMatrix:

@@ -515,16 +515,22 @@ def brute_comparable_pairs(g, v, depth):
     return pairs
 
 
+def heads_differ(g, a, b, x):
+    """Whether a x and b x differ in their prefixes at the meet of their
+    degrees: ``splits`` without its maximal clause."""
+    ax, bx = g.compose(a, x), g.compose(b, x)
+    m = tuple(min(i, j) for i, j in zip(ax.degree, bx.degree))
+    return g.factorize(ax, m)[0] != g.factorize(bx, m)[0]
+
+
 def splits(g, a, b, x):
     """Whether composing with x tells a and b apart, written out here
     rather than taken from ``kpalg.separates``: a x and b x differ in their
     prefixes at the meet of their degrees, or x is maximal (its source
     receives no edge) and their degrees differ."""
-    ax, bx = g.compose(a, x), g.compose(b, x)
-    m = tuple(min(i, j) for i, j in zip(ax.degree, bx.degree))
-    if g.factorize(ax, m)[0] != g.factorize(bx, m)[0]:
+    if heads_differ(g, a, b, x):
         return True
-    return ax.degree != bx.degree and not g.edges_by_range(x.source)
+    return a.degree != b.degree and not g.edges_by_range(x.source)
 
 
 def box_separator(g, a, b, n):
@@ -651,10 +657,10 @@ def strict_copy(cert):
     p = cert.target
     a, b = cert.part("A"), cert.part("B")
     z = zero_element(p.graph, p.field)
-    c1 = p * a.entry(0, 0) * p
-    d1 = p * b.entry(0, 0) * p
-    c2 = p * a.entry(1, 0) * p
-    d2 = p * b.entry(0, 1) * p
+    c1 = p * a.rows[0][0] * p
+    d1 = p * b.rows[0][0] * p
+    c2 = p * a.rows[1][0] * p
+    d2 = p * b.rows[0][1] * p
     f1, f2 = d1 * c1, d2 * c2
     step = DerivationStep(
         "split-off-copies",

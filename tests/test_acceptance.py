@@ -20,7 +20,6 @@ from oracles import (
     strict_copy,
 )
 from kpalg import (
-    KP,
     QQ,
     aperiodicity_check,
     classify_pure_infiniteness,
@@ -45,6 +44,7 @@ from kpalg import (
     validate,
     vertex_conditions,
     vertex_unit,
+    zero,
 )
 
 SWEEP_DEPTH = 2  # deep enough to settle every corpus graph that settles at all
@@ -177,12 +177,11 @@ def test_corpus_witness_certificates_reverify(capsys):
     # the canonical two-loop splitting comes out exactly as the star row
     # and generator column
     g = build("e2")
-    kp = KP(g, QQ)
     rep = prove_vertex_properly_infinite(g, "v", depth=3)
-    pa, pb = kp.path("a"), kp.path("b")
+    pa, pb = g.path_from_edges(["a"]), g.path_from_edges(["b"])
     canonical = rep.proper is not None and matrix_equals(
-        rep.proper.part("A"), column(kp.star(pa), kp.star(pb))
-    ) and matrix_equals(rep.proper.part("B"), row(kp.s(pa), kp.s(pb)))
+        rep.proper.part("A"), column(star_generator(g, QQ, pa), star_generator(g, QQ, pb))
+    ) and matrix_equals(rep.proper.part("B"), row(generator(g, QQ, pa), generator(g, QQ, pb)))
     total += 1
     if not canonical:
         failures.append(("e2", "v", "canonical splitting matrices"))
@@ -206,15 +205,14 @@ def test_multiplication_backends_agree(capsys):
     disagreements = []
     for name in _aperiodic_names():
         g = build(name)
-        kp = KP(g, QQ)
         by_source = {}
         for p in _paths_box(g, 2):
             by_source.setdefault(p.source, []).append(p)
         sources = sorted(by_source)
         for _ in range(per_graph):
             s1, s2 = rng.choice(sources), rng.choice(sources)
-            a = kp.term(rng.choice(by_source[s1]), rng.choice(by_source[s1]))
-            b = kp.term(rng.choice(by_source[s2]), rng.choice(by_source[s2]))
+            a = spanning_term(g, QQ, rng.choice(by_source[s1]), rng.choice(by_source[s1]))
+            b = spanning_term(g, QQ, rng.choice(by_source[s2]), rng.choice(by_source[s2]))
             products += 1
             # the product acts on a point as a then b do: the points are
             # the source legs of b and of the product, each extended by
@@ -243,13 +241,12 @@ def test_vertex_unit_reconstruction(capsys):
     bad = []
     for name in NAMES:
         g = build(name)
-        kp = KP(g, QQ)
         for v in g.vertices:
             unit = vertex_unit(g, QQ, v)
             for n in _degree_box(g.k, 2):
-                acc = kp.zero()
+                acc = zero(g, QQ)
                 for lam in g.boundary_paths(v, n):
-                    acc = acc + kp.term(lam, lam)
+                    acc = acc + spanning_term(g, QQ, lam, lam)
                 checked += 1
                 if not equals(unit, acc):
                     bad.append((name, v, n))

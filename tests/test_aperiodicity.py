@@ -28,8 +28,10 @@ from corpus import (
 from oracles import (
     aperiodicity_exhaustive,
     box_separator,
+    brute_boundary_paths,
     brute_comparable_pairs,
     brute_path_words,
+    heads_differ,
     reaching,
     splits,
     strip_scan_certificate,
@@ -51,6 +53,7 @@ from kpalg import (
     product,
     random_square_graph,
     separates,
+    single_edge,
     strong_aperiodicity_sweep,
     torus,
     two_loops_plus_exit,
@@ -203,6 +206,54 @@ def test_machine_refuses_a_source_missing_a_color_of_the_gap():
     e, f = g.path_from_edges(["e"]), g.path_from_edges(["f"])
     assert certify_never_separated(g, e, f) is None
     assert box_separator(g, e, f, (1, 1)) == g.trivial_path("v")
+
+
+def _check_maximal_candidates(g, depth):
+    # the lemma of "Truncated comparison": where a box candidate's source
+    # receives no edge, the heads alone separate every comparable pair;
+    # returns the number of (candidate, pair) checks
+    checked = 0
+    for v in g.vertices:
+        pairs = brute_comparable_pairs(g, v, depth)
+        for x in brute_boundary_paths(g, v, (depth + 1,) * g.k):
+            if not g.edges_by_range(x.source):
+                for a, b in pairs:
+                    assert heads_differ(g, a, b, x) == splits(g, a, b, x), (v, a, b, x)
+                checked += len(pairs)
+    return checked
+
+
+def test_maximal_clause_is_idle_on_corpus():
+    # no CORPUS graph has a maximal candidate at a vertex with a comparable
+    # pair; fed_loop has them, and so does its product with an edge (k = 2)
+    graphs = CORPUS + [
+        ("fed_loop", fed_loop),
+        ("fed_edge", lambda: product(fed_loop(), single_edge())),
+    ]
+    checked = {
+        name: sum(_check_maximal_candidates(mk(), d) for d in (1, 2, 3)) for name, mk in graphs
+    }
+    assert (checked["fed_loop"], checked["fed_edge"]) == (39, 94)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=RANDOM_GRAPHS, depth=st.integers(1, 2))
+def test_maximal_clause_is_idle_on_random_graphs(g, depth):
+    _check_maximal_candidates(g, depth)
+
+
+def test_maximal_clause_matters_only_without_local_convexity():
+    # the smallest graph outside the lemma's hypothesis: r receives a and
+    # b from v in two colors, and v receives nothing. Only the maximal
+    # clause separates (a, b) at the trivial path v, which separates
+    # therefore takes for a loss; every entry point refuses the graph
+    g = KGraph(2, ["r", "v"], [Edge("a", 1, "v", "r"), Edge("b", 2, "v", "r")])
+    assert {v.kind for v in validate(g).violations} == {"not-locally-convex"}
+    with pytest.raises(KGraphError, match="invalid presentation"):
+        aperiodicity_check(g, 1)
+    a, b, v = g.path_from_edges(["a"]), g.path_from_edges(["b"]), g.trivial_path("v")
+    assert splits(g, a, b, v) and not heads_differ(g, a, b, v)
+    assert not separates(g, a, b, v)
 
 
 def test_depth_is_recorded():

@@ -5,13 +5,17 @@ import pytest
 from corpus import build
 from kpalg import (
     ExprError,
-    KP,
     PrimeField,
     QQ,
     equals,
     format_element,
+    generator,
     normal_form,
     parse_expression,
+    spanning_term,
+    star_generator,
+    vertex_unit,
+    zero,
 )
 
 
@@ -22,38 +26,34 @@ def parse(text, name="e2"):
 
 def test_vertex_and_edge_atoms():
     g, el = parse("v")
-    kp = KP(g, QQ)
-    assert equals(el, kp.s("v"))
+    assert equals(el, vertex_unit(g, QQ, "v"))
     g, el = parse("a")
     assert el.terms[0][0][0].edges == ("a",)
 
 
 def test_dotted_path_and_star():
     g, el = parse("a.b^*")
-    kp = KP(g, QQ)
-    assert equals(el, kp.star(kp.path("a", "b")))
+    assert equals(el, star_generator(g, QQ, g.path_from_edges(["a", "b"])))
 
 
 def test_juxtaposition_is_product():
     g, el = parse("a^* a")
-    kp = KP(g, QQ)
-    assert equals(el, kp.s("v"))
+    assert equals(el, vertex_unit(g, QQ, "v"))
     g, el = parse("a b^*")
-    assert equals(el, KP(g, QQ).term(g.path_from_edges(["a"]), g.path_from_edges(["b"])))
+    assert equals(el, spanning_term(g, QQ, g.path_from_edges(["a"]), g.path_from_edges(["b"])))
 
 
 def test_scalars_and_signs():
     g, el = parse("2 * a - 1/2 * a")
-    kp = KP(g, QQ)
-    assert equals(el, kp.s(kp.path("a")).scale(QQ.of(3, 2)))
+    assert equals(el, generator(g, QQ, g.path_from_edges(["a"])).scale(QQ.of(3, 2)))
     g, el = parse("-a + a")
     assert el.is_zero()
 
 
 def test_parentheses_group_sums():
     g, el = parse("a (a^* + b^*)")
-    kp = KP(g, QQ)
-    want = kp.term(kp.path("a"), kp.path("a")) + kp.term(kp.path("a"), kp.path("b"))
+    a, b = g.path_from_edges(["a"]), g.path_from_edges(["b"])
+    want = spanning_term(g, QQ, a, a) + spanning_term(g, QQ, a, b)
     assert equals(el, want)
 
 
@@ -70,7 +70,7 @@ def test_all_digit_token_is_path_when_not_scaling():
 
     g0 = KGraph(1, ["0"], [])
     el = parse_expression("0", g0, QQ)
-    assert not el.is_zero() and equals(el, KP(g0, QQ).s("0"))
+    assert not el.is_zero() and equals(el, vertex_unit(g0, QQ, "0"))
     # and an all-digit token followed by '*' is still a scalar
     el2 = parse_expression("2 * 0", g0, QQ)
     assert list(el2.terms)[0][1] == QQ.of(2)
@@ -78,8 +78,8 @@ def test_all_digit_token_is_path_when_not_scaling():
 
 def test_comments_ignored():
     g, el = parse("a # trailing words\n + b")
-    kp = KP(g, QQ)
-    assert equals(el, kp.s(kp.path("a")) + kp.s(kp.path("b")))
+    a, b = g.path_from_edges(["a"]), g.path_from_edges(["b"])
+    assert equals(el, generator(g, QQ, a) + generator(g, QQ, b))
 
 
 def test_unknown_name_rejected():
@@ -115,16 +115,17 @@ def test_unexpected_character_rejected():
 
 def test_format_round_trip_on_samples():
     g = build("e2")
-    kp = KP(g, QQ)
-    a, b = kp.path("a"), kp.path("b")
+    a, b = g.path_from_edges(["a"]), g.path_from_edges(["b"])
     samples = [
-        kp.zero(),
-        kp.s("v"),
-        kp.s(a),
-        kp.star(b),
-        kp.term(a, b),
-        2 * kp.term(a, b) - kp.s("v").scale(QQ.of(1, 3)),
-        kp.s(kp.path("a", "a")) + kp.term(b, a) - kp.star(kp.path("b", "b")),
+        zero(g, QQ),
+        vertex_unit(g, QQ, "v"),
+        generator(g, QQ, a),
+        star_generator(g, QQ, b),
+        spanning_term(g, QQ, a, b),
+        2 * spanning_term(g, QQ, a, b) - vertex_unit(g, QQ, "v").scale(QQ.of(1, 3)),
+        generator(g, QQ, g.path_from_edges(["a", "a"]))
+        + spanning_term(g, QQ, b, a)
+        - star_generator(g, QQ, g.path_from_edges(["b", "b"])),
     ]
     for el in samples:
         text = format_element(el)
@@ -134,10 +135,11 @@ def test_format_round_trip_on_samples():
 
 def test_format_of_normal_form_round_trips():
     g = build("e2")
-    kp = KP(g, QQ)
-    aa, ab, b = kp.path("a", "a"), kp.path("a", "b"), kp.path("b")
+    aa, ab, b = (g.path_from_edges(w) for w in (["a", "a"], ["a", "b"], ["b"]))
     # normal_form expands s_b s_b* to the two terms of degree 2 below it
-    el = normal_form(kp.term(aa, aa) + kp.term(ab, ab) + kp.term(b, b))
+    el = normal_form(
+        spanning_term(g, QQ, aa, aa) + spanning_term(g, QQ, ab, ab) + spanning_term(g, QQ, b, b)
+    )
     assert len(el.terms) == 4
     back = parse_expression(format_element(el), g, QQ)
     assert back.terms == el.terms

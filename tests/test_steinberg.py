@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from corpus import NAMES, RANDOM_GRAPHS, build
 from kpalg import (
     CylinderBisection,
-    KP,
     KGraph,
     KGraphError,
     NotFoundUpTo,
     QQ,
     bouquet,
+    generator,
     grid,
     kp_mul,
     locally_contracting_on,
+    spanning_term,
+    star_generator,
+    vertex_unit,
+    zero,
 )
 from oracles import (
     boundary_points,
@@ -51,18 +55,19 @@ def test_function_model_identifies_reconstruction():
     # act alike at every point, before or after any element; s_a s_a*
     # alone does not
     g = build("e2")
-    kp = KP(g, QQ)
-    a, b = kp.path("a"), kp.path("b")
-    unit, cover = kp.s("v"), kp.term(a, a) + kp.term(b, b)
+    a, b = g.path_from_edges(["a"]), g.path_from_edges(["b"])
+    unit, cover = vertex_unit(g, QQ, "v"), spanning_term(g, QQ, a, a) + spanning_term(g, QQ, b, b)
     points = boundary_points(g, [g.trivial_path("v")], (2,))
-    for x in [kp.s(a), kp.star(b), kp.term(a, b) - 2 * kp.star(b)]:
+    sb_star = star_generator(g, QQ, b)
+    for x in [generator(g, QQ, a), sb_star, spanning_term(g, QQ, a, b) - 2 * sb_star]:
         assert first_disagreement(g, [unit, x], [cover, x], points) is None
         assert first_disagreement(g, [x, unit], [x, cover], points) is None
-    lone = first_disagreement(g, [kp.term(a, a), kp.s(b)], [unit, kp.s(b)], points)
+    sb = generator(g, QQ, b)
+    lone = first_disagreement(g, [spanning_term(g, QQ, a, a), sb], [unit, sb], points)
     assert lone is not None
 
 
-def test_convolution_agrees_with_algebra_product():
+def test_kp_mul_agrees_with_the_regular_action():
     # generators, then sums of spanning terms: random sums, their sums and
     # differences, and the vertex relations, zero by (KP4), whose products
     # cancel coefficients. The product acts on a point as its factors do;
@@ -72,12 +77,11 @@ def test_convolution_agrees_with_algebra_product():
     coefs = [QQ.of(c) for c in (-2, -1, 1, 2)]
     for name in ["e2", "t2", "flip_loop_pair", "prod_b2_b2", "rsq2"]:
         g = build(name)
-        kp = KP(g, QQ)
-        gens = [kp.s("v" if g.has_vertex("v") else list(g.vertices)[0])]
+        gens = [vertex_unit(g, QQ, "v" if g.has_vertex("v") else list(g.vertices)[0])]
         for eid in sorted(g.edges)[:3]:
             p = g.path_from_edges([eid])
-            gens.append(kp.s(p))
-            gens.append(kp.star(p))
+            gens.append(generator(g, QQ, p))
+            gens.append(star_generator(g, QQ, p))
         terms = [
             (lam, mu)
             for v in g.vertices
@@ -87,9 +91,9 @@ def test_convolution_agrees_with_algebra_product():
         ]
 
         def random_sum():
-            acc = kp.zero()
+            acc = zero(g, QQ)
             for lam, mu in rng.sample(terms, 3):
-                acc = acc + kp.term(lam, mu, rng.choice(coefs))
+                acc = acc + spanning_term(g, QQ, lam, mu).scale(rng.choice(coefs))
             return acc
 
         sums = vertex_relations(g)
@@ -113,7 +117,6 @@ def test_products_act_as_their_factors_on_random_graphs(g, data):
     # has degree <= (n,...,n), and n factors applied in turn shorten a
     # point by at most that much, so the boundary paths of degree
     # <= (n,...,n) decide every cylinder met
-    kp = KP(g, QQ)
     terms = [
         (lam, mu)
         for v in g.vertices
@@ -123,7 +126,9 @@ def test_products_act_as_their_factors_on_random_graphs(g, data):
     ]
     coef = st.sampled_from([QQ.of(c) for c in (-2, -1, 1, 2)])
     spanning = st.lists(st.tuples(st.sampled_from(terms), coef), min_size=1, max_size=3).map(
-        lambda ts: sum((kp.term(lam, mu, c) for (lam, mu), c in ts), kp.zero())
+        lambda ts: sum(
+            (spanning_term(g, QQ, lam, mu).scale(c) for (lam, mu), c in ts), zero(g, QQ)
+        )
     )
     relations = vertex_relations(g)
     elements = (spanning | st.sampled_from(relations)) if relations else spanning
@@ -141,15 +146,14 @@ def test_regular_action_makes_no_kernel_call(monkeypatch):
     # action then run with the path kernel patched to raise
     for name in ["e2", "flip_loop_pair", "rsq2", "chain3"]:
         g = build(name)
-        kp = KP(g, QQ)
         terms = [
-            kp.term(lam, mu)
+            spanning_term(g, QQ, lam, mu)
             for v in g.vertices
             for lam in paths_upto(g, v, (1,) * g.k)
             for mu in paths_upto(g, v, (1,) * g.k)
             if lam.source == mu.source
         ]
-        a, b = sum(terms[::2], kp.zero()), sum(terms[1::2], kp.zero())
+        a, b = sum(terms[::2], zero(g, QQ)), sum(terms[1::2], zero(g, QQ))
         ab = kp_mul(a, b)
         legs = _legs(b, ab)
 
@@ -170,14 +174,13 @@ def test_regular_action_refuses_a_point_too_short():
     # whether it lies in Z(a); in single_edge the point w receives none,
     # so every boundary point it truncates is w itself, outside Z(e)
     g = build("e2")
-    kp = KP(g, QQ)
     with pytest.raises(ValueError, match="too short"):
-        regular_action(g, [kp.star(kp.path("a"))], ("v", ()))
+        regular_action(g, [star_generator(g, QQ, g.path_from_edges(["a"]))], ("v", ()))
     h = build("single_edge")
-    kh = KP(h, QQ)
-    e = kh.path("e")
-    assert regular_action(h, [kh.term(e, e)], ("w", ())) == {}
-    assert regular_action(h, [kh.star(e)], ("v", ("e",))) == {("w", (), (-1,)): QQ.one}
+    e = h.path_from_edges(["e"])
+    assert regular_action(h, [spanning_term(h, QQ, e, e)], ("w", ())) == {}
+    got = regular_action(h, [star_generator(h, QQ, e)], ("v", ("e",)))
+    assert got == {("w", (), (-1,)): QQ.one}
 
 
 def test_locally_contracting_on_free_loops():

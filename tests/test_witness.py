@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from corpus import NAMES, build, lattice8, ring
 from kpalg import (
-    KP,
     DerivationStep,
     Edge,
     GeneralizedCycle,
@@ -32,6 +31,7 @@ from kpalg import (
     equals,
     failing_checks,
     find_reaching_gen_cycle,
+    generator,
     infinite_vertex_from_reaching_cycle,
     lift_infinite,
     matrix_equals,
@@ -40,8 +40,10 @@ from kpalg import (
     reachable_to,
     row,
     spanning_term,
+    star_generator,
     transport_infinite,
     vertex_report_json,
+    vertex_unit,
     witness_from_gen_cycle,
     zero,
 )
@@ -53,25 +55,24 @@ from oracles import orthogonal_splitting, strict_copy
 
 @pytest.fixture()
 def e2():
-    g = build("e2")
-    return g, KP(g, QQ)
+    return build("e2")
 
 
-def strict_cycle(kp):
+def strict_cycle(g):
     # Z(a.a) sits strictly inside Z(a); b escapes
-    return GeneralizedCycle(kp.path("a", "a"), kp.path("a"), kp.path("b"))
+    return GeneralizedCycle(*(g.path_from_edges(w) for w in (["a", "a"], ["a"], ["b"])))
 
 
-def canonical_splitting(kp):
-    pa, pb = kp.path("a"), kp.path("b")
+def canonical_splitting(g):
+    pa, pb = g.path_from_edges(["a"]), g.path_from_edges(["b"])
     return orthogonal_witness(
-        kp.s("v"),
-        kp.term(pa, pa),
-        kp.term(pb, pb),
-        kp.star(pa),
-        kp.s(pa),
-        kp.star(pb),
-        kp.s(pb),
+        vertex_unit(g, QQ, "v"),
+        spanning_term(g, QQ, pa, pa),
+        spanning_term(g, QQ, pb, pb),
+        star_generator(g, QQ, pa),
+        generator(g, QQ, pa),
+        star_generator(g, QQ, pb),
+        generator(g, QQ, pb),
     )
 
 
@@ -79,11 +80,11 @@ def canonical_splitting(kp):
 
 
 def test_gen_cycle_witness_verifies(e2):
-    g, kp = e2
-    cert = witness_from_gen_cycle(g, strict_cycle(kp))
+    g = e2
+    cert = witness_from_gen_cycle(g, strict_cycle(g))
     assert cert.kind == "Infinite"
-    pa = kp.path("a")
-    assert equals(cert.target, kp.term(pa, pa))
+    pa = g.path_from_edges(["a"])
+    assert equals(cert.target, spanning_term(g, QQ, pa, pa))
     assert failing_checks(cert) == []
     assert equals(cert.part("r") * cert.part("s"), cert.target)
     assert not equals(cert.part("q"), cert.target)
@@ -91,39 +92,38 @@ def test_gen_cycle_witness_verifies(e2):
 
 
 def test_gen_cycle_witness_over_prime_field(e2):
-    g, kp = e2
-    cert = witness_from_gen_cycle(g, strict_cycle(kp), PrimeField(5))
+    g = e2
+    cert = witness_from_gen_cycle(g, strict_cycle(g), PrimeField(5))
     assert cert.target.field.name == "F5"
     assert failing_checks(cert) == []
 
 
 def test_gen_cycle_requires_entrance(e2):
-    g, kp = e2
-    cyc = GeneralizedCycle(kp.path("a", "a"), kp.path("a"))
+    g = e2
+    cyc = GeneralizedCycle(g.path_from_edges(["a", "a"]), g.path_from_edges(["a"]))
     with pytest.raises(WitnessError, match="carries no entrance"):
         witness_from_gen_cycle(g, cyc)
 
 
 def test_gen_cycle_rejects_escaping_pair(e2):
-    g, kp = e2
+    g = e2
     # Z(a) is not contained in Z(b): the output's q p = q is that
     # containment, and it fails
-    cyc = GeneralizedCycle(kp.path("a"), kp.path("b"), kp.path("a"))
+    cyc = GeneralizedCycle(*(g.path_from_edges(w) for w in (["a"], ["b"], ["a"])))
     with pytest.raises(WitnessError, match="verification failed: q p = q"):
         witness_from_gen_cycle(g, cyc)
 
 
 def test_gen_cycle_entrance_must_extend_nu():
     g = build("entered_loop")
-    kp = KP(g, QQ)
-    cyc = GeneralizedCycle(kp.path("d", "d"), kp.path("d"), kp.path("a"))
+    cyc = GeneralizedCycle(*(g.path_from_edges(w) for w in (["d", "d"], ["d"], ["a"])))
     with pytest.raises(WitnessError, match="does not extend nu"):
         witness_from_gen_cycle(g, cyc)
 
 
 def test_gen_cycle_rejects_compatible_entrance(e2):
-    g, kp = e2
-    cyc = GeneralizedCycle(kp.path("a", "a"), kp.path("a"), kp.path("a"))
+    g = e2
+    cyc = GeneralizedCycle(*(g.path_from_edges(w) for w in (["a", "a"], ["a"], ["a"])))
     with pytest.raises(WitnessError, match="stays compatible with mu"):
         witness_from_gen_cycle(g, cyc)
 
@@ -132,8 +132,8 @@ def test_gen_cycle_rejects_compatible_entrance(e2):
 
 
 def test_failing_checks_flags_widened_subidempotent(e2):
-    g, kp = e2
-    cert = witness_from_gen_cycle(g, strict_cycle(kp))
+    g = e2
+    cert = witness_from_gen_cycle(g, strict_cycle(g))
     parts = (("q", cert.target), ("r", cert.part("r")), ("s", cert.part("s")))
     tampered = WitnessCertificate("Infinite", cert.target, parts, cert.derivation)
     fails = failing_checks(tampered)
@@ -142,31 +142,35 @@ def test_failing_checks_flags_widened_subidempotent(e2):
 
 
 def test_failing_checks_flags_bad_target(e2):
-    g, kp = e2
-    cert = witness_from_gen_cycle(g, strict_cycle(kp))
-    bad = WitnessCertificate("Infinite", kp.s(kp.path("a")), cert.parts, ())
+    g = e2
+    cert = witness_from_gen_cycle(g, strict_cycle(g))
+    sa = generator(g, QQ, g.path_from_edges(["a"]))
+    bad = WitnessCertificate("Infinite", sa, cert.parts, ())
     assert "target is not idempotent" in failing_checks(bad)
 
 
 def test_failing_checks_flags_unknown_kind(e2):
-    g, kp = e2
-    bogus = WitnessCertificate("Bogus", kp.s("v"), (), ())
+    g = e2
+    bogus = WitnessCertificate("Bogus", vertex_unit(g, QQ, "v"), (), ())
     assert failing_checks(bogus) == ["unknown certificate kind 'Bogus'"]
 
 
 def test_failing_checks_flags_swapped_matrices(e2):
-    g, kp = e2
-    cert = canonical_splitting(kp)
+    g = e2
+    cert = canonical_splitting(g)
     parts = (("A", cert.part("B")), ("B", cert.part("A")))
     tampered = WitnessCertificate("ProperlyInfinite", cert.target, parts, ())
     assert failing_checks(tampered) == ["A, B must be 2x1 and 1x2"]
 
 
 def test_failing_checks_replays_derivation_steps(e2):
-    g, kp = e2
-    cert = canonical_splitting(kp)
+    g = e2
+    cert = canonical_splitting(g)
     forged = DerivationStep(
-        "orthogonal-composition", "made up", (), (("fabricated", kp.s("v"), kp.zero()),)
+        "orthogonal-composition",
+        "made up",
+        (),
+        (("fabricated", vertex_unit(g, QQ, "v"), zero(g, QQ)),),
     )
     tampered = WitnessCertificate(
         cert.kind, cert.target, cert.parts, cert.derivation + (forged,)
@@ -178,64 +182,65 @@ def test_failing_checks_replays_derivation_steps(e2):
 
 
 def test_transport_infinite_into_vertex_corner(e2):
-    g, kp = e2
-    cert = witness_from_gen_cycle(g, strict_cycle(kp))
-    pa = kp.path("a")
-    moved = transport_infinite(cert, kp.s(pa), kp.star(pa))
+    g = e2
+    cert = witness_from_gen_cycle(g, strict_cycle(g))
+    pa = g.path_from_edges(["a"])
+    moved = transport_infinite(cert, generator(g, QQ, pa), star_generator(g, QQ, pa))
     assert moved.kind == "Infinite"
-    assert equals(moved.target, kp.s("v"))
+    assert equals(moved.target, vertex_unit(g, QQ, "v"))
     assert failing_checks(moved) == []
     assert moved.derivation[-1].rule == "equivalence-transport"
     assert len(moved.derivation) == len(cert.derivation) + 1
 
 
 def test_transport_infinite_rejects_wrong_kind(e2):
-    g, kp = e2
-    proper = canonical_splitting(kp)
+    g = e2
+    proper = canonical_splitting(g)
     with pytest.raises(WitnessError, match="needs an Infinite certificate"):
-        transport_infinite(proper, kp.s("v"), kp.s("v"))
+        transport_infinite(proper, vertex_unit(g, QQ, "v"), vertex_unit(g, QQ, "v"))
 
 
 def test_transport_infinite_needs_equivalence(e2):
-    g, kp = e2
-    cert = witness_from_gen_cycle(g, strict_cycle(kp))
+    g = e2
+    cert = witness_from_gen_cycle(g, strict_cycle(g))
     # x y = s_v is not p; corner-normalized, the witness lands on p, not on
     # the target s_v, and its r s = p fails
     with pytest.raises(WitnessError, match="verification failed: r s = p"):
-        transport_infinite(cert, kp.s("v"), kp.s("v"))
+        transport_infinite(cert, vertex_unit(g, QQ, "v"), vertex_unit(g, QQ, "v"))
 
 
 def test_lift_infinite_to_vertex_unit(e2):
-    g, kp = e2
-    cert = witness_from_gen_cycle(g, strict_cycle(kp))
-    lifted = lift_infinite(cert, kp.s("v"))
-    assert equals(lifted.target, kp.s("v"))
+    g = e2
+    cert = witness_from_gen_cycle(g, strict_cycle(g))
+    lifted = lift_infinite(cert, vertex_unit(g, QQ, "v"))
+    assert equals(lifted.target, vertex_unit(g, QQ, "v"))
     assert failing_checks(lifted) == []
     assert lifted.derivation[-1].rule == "subidempotent-lift"
 
 
 def test_lift_infinite_requires_containment(e2):
-    g, kp = e2
-    cert = witness_from_gen_cycle(g, strict_cycle(kp))
-    lifted = lift_infinite(cert, kp.s("v"))
-    pa = kp.path("a")
+    g = e2
+    cert = witness_from_gen_cycle(g, strict_cycle(g))
+    lifted = lift_infinite(cert, vertex_unit(g, QQ, "v"))
+    pa = g.path_from_edges(["a"])
     with pytest.raises(
         WitnessError, match="verification failed: step subidempotent-lift: e big = e"
     ):
-        lift_infinite(lifted, kp.term(pa, pa))
+        lift_infinite(lifted, spanning_term(g, QQ, pa, pa))
 
 
 # -- orthogonal pair splitting ------------------------------------------------------
 
 
 def test_orthogonal_witness_gives_canonical_splitting(e2):
-    g, kp = e2
-    cert = canonical_splitting(kp)
+    g = e2
+    cert = canonical_splitting(g)
     assert cert.kind == "ProperlyInfinite"
     assert failing_checks(cert) == []
-    pa, pb = kp.path("a"), kp.path("b")
-    assert matrix_equals(cert.part("A"), column(kp.star(pa), kp.star(pb)))
-    assert matrix_equals(cert.part("B"), row(kp.s(pa), kp.s(pb)))
+    pa, pb = g.path_from_edges(["a"]), g.path_from_edges(["b"])
+    stars = column(star_generator(g, QQ, pa), star_generator(g, QQ, pb))
+    assert matrix_equals(cert.part("A"), stars)
+    assert matrix_equals(cert.part("B"), row(generator(g, QQ, pa), generator(g, QQ, pb)))
     assert [st.rule for st in cert.derivation] == [
         "factor-through-orthogonal",
         "factor-through-orthogonal",
@@ -244,54 +249,59 @@ def test_orthogonal_witness_gives_canonical_splitting(e2):
 
 
 def test_orthogonal_witness_rejects_non_idempotent(e2):
-    g, kp = e2
-    pa, pb = kp.path("a"), kp.path("b")
+    g = e2
+    pa, pb = g.path_from_edges(["a"]), g.path_from_edges(["b"])
     with pytest.raises(WitnessError, match="verification failed: target is not idempotent"):
         orthogonal_witness(
-            kp.s(pa),
-            kp.term(pa, pa),
-            kp.term(pb, pb),
-            kp.star(pa),
-            kp.s(pa),
-            kp.star(pb),
-            kp.s(pb),
+            generator(g, QQ, pa),
+            spanning_term(g, QQ, pa, pa),
+            spanning_term(g, QQ, pb, pb),
+            star_generator(g, QQ, pa),
+            generator(g, QQ, pa),
+            star_generator(g, QQ, pb),
+            generator(g, QQ, pb),
         )
 
 
 def test_orthogonal_witness_rejects_overlapping_corners(e2):
-    g, kp = e2
-    pa = kp.path("a")
-    q = kp.term(pa, pa)
+    g = e2
+    pa = g.path_from_edges(["a"])
+    q = spanning_term(g, QQ, pa, pa)
+    x, y = star_generator(g, QQ, pa), generator(g, QQ, pa)
     # q1 = q2 overlap: the two copies of p collide in A p B
     with pytest.raises(WitnessError, match=r"verification failed: A p B = p \(\+\) p"):
-        orthogonal_witness(kp.s("v"), q, q, kp.star(pa), kp.s(pa), kp.star(pa), kp.s(pa))
+        orthogonal_witness(vertex_unit(g, QQ, "v"), q, q, x, y, x, y)
 
 
 def test_orthogonal_witness_rejects_bad_factorization(e2):
-    g, kp = e2
-    pa, pb = kp.path("a"), kp.path("b")
+    g = e2
+    pa, pb = g.path_from_edges(["a"]), g.path_from_edges(["b"])
     # a1 q1 b1 = 0, not p: the first copy of p is missing from A p B
     with pytest.raises(WitnessError, match=r"verification failed: A p B = p \(\+\) p"):
         orthogonal_witness(
-            kp.s("v"),
-            kp.term(pa, pa),
-            kp.term(pb, pb),
-            kp.star(pa),
-            kp.s(pb),
-            kp.star(pb),
-            kp.s(pb),
+            vertex_unit(g, QQ, "v"),
+            spanning_term(g, QQ, pa, pa),
+            spanning_term(g, QQ, pb, pb),
+            star_generator(g, QQ, pa),
+            generator(g, QQ, pb),
+            star_generator(g, QQ, pb),
+            generator(g, QQ, pb),
         )
 
 
 # each constructor that takes a certificate, with an input for it
 CONSTRUCTORS = [
     (
-        lambda g, kp: witness_from_gen_cycle(g, strict_cycle(kp)),
-        lambda kp, c: transport_infinite(c, kp.s(kp.path("a")), kp.star(kp.path("a"))),
+        lambda g: witness_from_gen_cycle(g, strict_cycle(g)),
+        lambda g, c: transport_infinite(
+            c,
+            generator(g, QQ, g.path_from_edges(["a"])),
+            star_generator(g, QQ, g.path_from_edges(["a"])),
+        ),
     ),
     (
-        lambda g, kp: witness_from_gen_cycle(g, strict_cycle(kp)),
-        lambda kp, c: lift_infinite(c, kp.s("v")),
+        lambda g: witness_from_gen_cycle(g, strict_cycle(g)),
+        lambda g, c: lift_infinite(c, vertex_unit(g, QQ, "v")),
     ),
 ]
 CONSTRUCTOR_IDS = [
@@ -302,15 +312,15 @@ CONSTRUCTOR_IDS = [
 
 @pytest.mark.parametrize("build_input, construct", CONSTRUCTORS, ids=CONSTRUCTOR_IDS)
 def test_constructors_refuse_unverified_input(e2, build_input, construct):
-    g, kp = e2
-    cert = build_input(g, kp)
+    g = e2
+    cert = build_input(g)
     (name, val), rest = cert.parts[0], cert.parts[1:]
     doubled = WitnessCertificate(
         cert.kind, cert.target, ((name, val + val),) + rest, cert.derivation
     )
     # the input is not re-checked: the output it gives fails its check
     with pytest.raises(WitnessError, match="verification failed"):
-        construct(kp, doubled)
+        construct(g, doubled)
 
 
 def _corruptions(cert):
@@ -331,10 +341,10 @@ def _corruptions(cert):
 def test_constructors_on_corrupted_input_raise_or_verify(e2, build_input, construct):
     # with no input re-check, a corrupted input is sound either way: the
     # constructor raises, or its output passes every check
-    g, kp = e2
-    for bad in _corruptions(build_input(g, kp)):
+    g = e2
+    for bad in _corruptions(build_input(g)):
         try:
-            out = construct(kp, bad)
+            out = construct(g, bad)
         except WitnessError:
             continue
         assert failing_checks(out) == []
@@ -381,8 +391,8 @@ def test_constructors_on_random_elements_raise_or_verify(name, construct, data):
             lam = data.draw(st.sampled_from(short))
             mu = data.draw(st.sampled_from([p for p in short if p.source == lam.source]))
             c = QQ.of(data.draw(st.sampled_from([1, -1, 2])))
-            x = x + spanning_term(g, QQ, lam, mu, c)
-            x_adj = x_adj + spanning_term(g, QQ, mu, lam, c)
+            x = x + spanning_term(g, QQ, lam, mu).scale(c)
+            x_adj = x_adj + spanning_term(g, QQ, mu, lam).scale(c)
         return x, x_adj
 
     def element():
@@ -416,7 +426,7 @@ def test_constructors_check_each_step_once(e2, monkeypatch):
         return orig(cert, steps)
 
     monkeypatch.setattr(witness_module, "failing_checks", spy)
-    g, kp = e2
+    g = e2
     rep = prove_vertex_properly_infinite(g, "v", depth=3)
     cert = rep.cases[0].certificate
     assert [st.rule for st in cert.derivation] == [
@@ -431,14 +441,15 @@ def test_constructors_check_each_step_once(e2, monkeypatch):
 def test_transport_chain_round_trip(e2):
     # strict copy s_a s_a* of the vertex, b escaping -> corner of a.a ->
     # lift back up
-    g, kp = e2
-    lam = kp.path("a", "a")
-    inf = witness_from_gen_cycle(g, GeneralizedCycle(kp.path("a"), kp.vertex("v"), kp.path("b")))
-    assert equals(inf.target, kp.s("v"))
-    at_corner = transport_infinite(inf, kp.star(lam), kp.s(lam))
-    assert equals(at_corner.target, kp.term(lam, lam))
-    back = lift_infinite(at_corner, kp.s("v"))
-    assert equals(back.target, kp.s("v"))
+    g = e2
+    lam = g.path_from_edges(["a", "a"])
+    a, b = g.path_from_edges(["a"]), g.path_from_edges(["b"])
+    inf = witness_from_gen_cycle(g, GeneralizedCycle(a, g.trivial_path("v"), b))
+    assert equals(inf.target, vertex_unit(g, QQ, "v"))
+    at_corner = transport_infinite(inf, star_generator(g, QQ, lam), generator(g, QQ, lam))
+    assert equals(at_corner.target, spanning_term(g, QQ, lam, lam))
+    back = lift_infinite(at_corner, vertex_unit(g, QQ, "v"))
+    assert equals(back.target, vertex_unit(g, QQ, "v"))
     assert failing_checks(back) == []
     rules = [st.rule for st in back.derivation]
     assert rules[-1] == "subidempotent-lift"
@@ -449,22 +460,21 @@ def test_transport_chain_round_trip(e2):
 
 
 def test_infinite_vertex_from_reaching_cycle(e2):
-    g, kp = e2
+    g = e2
     rc = find_reaching_gen_cycle(g, "v", 4)
     assert isinstance(rc, ReachingCycle)
     cert = infinite_vertex_from_reaching_cycle(g, rc)
-    assert equals(cert.target, kp.s("v"))
+    assert equals(cert.target, vertex_unit(g, QQ, "v"))
     assert failing_checks(cert) == []
 
 
 def test_reaching_cycle_route_across_connecting_path():
     g = build("two_loops_plus_exit")
-    kp = KP(g, QQ)
     rc = find_reaching_gen_cycle(g, "w", 4)
     assert isinstance(rc, ReachingCycle)
     assert rc.gamma.source != rc.gamma.range or rc.gamma.degree != (0,)
     cert = infinite_vertex_from_reaching_cycle(g, rc)
-    assert equals(cert.target, kp.s("w"))
+    assert equals(cert.target, vertex_unit(g, QQ, "w"))
     assert failing_checks(cert) == []
 
 
@@ -472,7 +482,7 @@ def test_reaching_cycle_route_across_connecting_path():
 
 
 def test_prove_vertex_on_bouquet(e2):
-    g, kp = e2
+    g = e2
     rep = prove_vertex_properly_infinite(g, "v", depth=3)
     assert rep.status == "ProperlyInfinite"
     assert bool(rep)
@@ -483,7 +493,7 @@ def test_prove_vertex_on_bouquet(e2):
     assert failing_checks(case.certificate) == []
     assert rep.proper is not None
     assert rep.proper.kind == "ProperlyInfinite"
-    assert equals(rep.proper.target, kp.s("v"))
+    assert equals(rep.proper.target, vertex_unit(g, QQ, "v"))
 
 
 def test_prove_vertex_reached_from_cycles():
@@ -518,14 +528,14 @@ def test_prove_vertex_negative_on_acyclic_graph():
 @pytest.mark.parametrize("depth", [0, -3])
 def test_prove_vertex_refuses_depth_below_one(e2, depth):
     # also when an aperiodicity verdict is supplied, so no check runs
-    g, kp = e2
+    g = e2
     ap = aperiodicity_check(g, 2)
     with pytest.raises(ValueError, match="depth must be >= 1"):
         prove_vertex_properly_infinite(g, "v", depth=depth, aperiodicity=ap)
 
 
 def test_prove_vertex_unknown_vertex(e2):
-    g, kp = e2
+    g = e2
     with pytest.raises(KGraphError, match="unknown vertex"):
         prove_vertex_properly_infinite(g, "nope")
 
@@ -656,14 +666,13 @@ def former_orthogonal_chain(cert, v):
     # infinite_vertex_from_reaching_cycle: split s_w by the pair, extract a
     # strict copy, carry it along gamma, lift it to s_v
     g = cert.graph
-    kp = KP(g, QQ)
     found = dict(cert.derivation[0].elements)
     w = found["nu"].source
     gamma = reachable_to(g, v)[w]
     proper = orthogonal_splitting(g, w, found["mu"], found["entrance"])
     inf_w = strict_copy(proper)
-    at_v = transport_infinite(inf_w, kp.star(gamma), kp.s(gamma))
-    return lift_infinite(at_v, kp.s(v))
+    at_v = transport_infinite(inf_w, star_generator(g, QQ, gamma), generator(g, QQ, gamma))
+    return lift_infinite(at_v, vertex_unit(g, QQ, v))
 
 
 def test_orthogonal_pair_certificates_match_the_former_chain():
@@ -722,7 +731,7 @@ def test_certificate_term_outside_the_reach_of_its_vertex_raises(monkeypatch):
     g = KGraph(1, ["v", "z"], [Edge(u + i, 1, u, u) for u in "vz" for i in "01"])
     rc = witness._disjoint_cycle_pair(g, "v", 2)
     cert = infinite_vertex_from_reaching_cycle(g, rc)
-    both = lift_infinite(cert, KP(g, QQ).s("v") + KP(g, QQ).s("z"))
+    both = lift_infinite(cert, vertex_unit(g, QQ, "v") + vertex_unit(g, QQ, "z"))
     monkeypatch.setattr(witness, "infinite_vertex_from_reaching_cycle", lambda *args: both)
     with pytest.raises(WitnessError, match="source z, which does not reach v"):
         prove_vertex_properly_infinite(g, "v", 2)
@@ -732,15 +741,15 @@ def test_certificate_term_outside_the_reach_of_its_vertex_raises(monkeypatch):
 
 
 def test_certificate_json_shapes(e2):
-    g, kp = e2
-    inf = witness_from_gen_cycle(g, strict_cycle(kp))
+    g = e2
+    inf = witness_from_gen_cycle(g, strict_cycle(g))
     data = certificate_json(inf)
     assert set(data) == {"kind", "target", "derivation", "q", "r", "s"}
     assert data["kind"] == "Infinite"
     assert isinstance(data["target"], str)
     step = data["derivation"][0]
     assert set(step) == {"rule", "note", "elements", "checks"}
-    proper = canonical_splitting(kp)
+    proper = canonical_splitting(g)
     pd = certificate_json(proper)
     assert set(pd) == {"kind", "target", "derivation", "A", "B"}
     assert len(pd["A"]) == 2 and len(pd["A"][0]) == 1
@@ -749,7 +758,7 @@ def test_certificate_json_shapes(e2):
 
 
 def test_vertex_report_json_shapes(e2):
-    g, kp = e2
+    g = e2
     rep = prove_vertex_properly_infinite(g, "v", depth=3)
     data = vertex_report_json(rep)
     assert data["vertex"] == "v"
