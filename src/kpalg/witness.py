@@ -25,9 +25,31 @@ relevant corners (r -> p r q, x -> p x e, and so on), so the transported
 relations follow from the input's relations by pure ring identities.
 
 One builder. ``infinite_vertex_from_reaching_cycle`` makes every case's
-certificate from a generalized cycle with an entrance reached from v, in
-three steps: the cycle-pair witness, a transport along the connecting
-path, a lift to s_v.
+certificate from a generalized cycle (mu, nu) with an entrance whose
+source reaches v along a path gamma. With p = s_nu s_nu*, x = s_nu s_gamma*,
+y = s_gamma s_nu* and e = y x = s_gamma s_gamma*, the full build has three
+steps: the cycle-pair witness q = s_mu s_mu*, r = s_nu s_mu*, s = s_mu s_nu*
+for p, a transport along (x, y) to e, and a lift to s_v by the complement
+s_v - e. The transport runs only when gamma != nu and the lift only when
+gamma is nontrivial, so a certificate has 1 + [gamma != nu] + [gamma
+nontrivial] steps. Both tests are path equalities, decided before any
+product. A skipped step is the identity on kind, target and parts, term
+for term, since an element has one normal form:
+
+- The cycle-pair certificate is corner-normal: p r = r = r q and
+  q s = s = s p, as s_lam* s_lam = s_{s(lam)} and mu, nu share a source.
+- With gamma = nu, x = y = p and e = p p = p. The transport's
+  normalization gives r, s back (p r q = r, q s p = s) and x, y as p; its
+  parts are p q p = q, p r p = r q p = r and p s p = p q s = s, by the
+  input's checked relations q p = q and p q = q.
+- With gamma trivial, gamma is the vertex v, so e = s_v is the lift's
+  target and the complement is zero. The lift's parts q, e r q and q s e
+  are then q, r and s, because its input is corner-normal at (e, q):
+  e r = r = r q and q s = s = s e. Untransported, it is the cycle-pair
+  certificate, with e = p. Transported, its r and s are y' r' x' and
+  y' s' x', with y' = e y p and x' = p x e, so e absorbs them on both
+  sides; and the transport's checked x' y' = p with q p = q = p q gives
+  (y' r' x')(y' q x') = y' r' q x' = y' r' x', and likewise for s.
 
 One case per trace. ``prove_vertex_properly_infinite`` builds one
 certificate for s_v per trace T = H & D(v) of the ideals H avoiding v,
@@ -392,15 +414,25 @@ def _disjoint_cycle_pair(g: KGraph, v: str, depth: int) -> Optional[ReachingCycl
 def infinite_vertex_from_reaching_cycle(
     g: KGraph, rc: ReachingCycle, fld: Field = QQ
 ) -> WitnessCertificate:
-    """Infinite witness for s_v from a generalized cycle with entrance
-    reached from v: build it at the cycle, carry it along the connecting
-    path, and fill up the rest of the vertex idempotent."""
-    cert0 = witness_from_gen_cycle(g, rc.cycle, fld)
+    """Infinite witness for s_v from a generalized cycle (mu, nu) with
+    entrance, reached from v along gamma: build it at the cycle for
+    p = s_nu s_nu*, carry it along x = s_nu s_gamma*, y = s_gamma s_nu* to
+    e = s_gamma s_gamma*, and lift it to s_v by the complement s_v - e.
+
+    The transport runs only when gamma != nu and the lift only when gamma
+    is nontrivial; both tests are path equalities, decided before any
+    product. A skipped step is the identity on kind, target and parts
+    (the "One builder" paragraph of the module docstring), so the
+    certificate has 1 + [gamma != nu] + [gamma nontrivial] steps."""
+    cert = witness_from_gen_cycle(g, rc.cycle, fld)
     nu, gamma = rc.cycle.nu, rc.gamma
-    x = spanning_term(g, fld, nu, gamma)
-    y = spanning_term(g, fld, gamma, nu)
-    cert_e = transport_infinite(cert0, x, y)
-    return lift_infinite(cert_e, vertex_unit(g, fld, gamma.range))
+    if gamma != nu:
+        x = spanning_term(g, fld, nu, gamma)
+        y = spanning_term(g, fld, gamma, nu)
+        cert = transport_infinite(cert, x, y)
+    if not gamma.is_trivial:
+        cert = lift_infinite(cert, vertex_unit(g, fld, gamma.range))
+    return cert
 
 
 def _require_local(cert: WitnessCertificate, v: str, reach: FrozenSet[str]) -> None:

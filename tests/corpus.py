@@ -172,12 +172,12 @@ def build(name: str) -> KGraph:
 
 
 @st.composite
-def _one_graphs(draw):
-    # any 1-graph on up to four vertices: loops, parallel edges, sources,
-    # sinks and isolated vertices allowed
-    n = draw(st.integers(1, 4))
+def _one_graphs(draw, vertices=4, edges=6):
+    # any 1-graph on up to the given numbers of vertices and edges: loops,
+    # parallel edges, sources, sinks and isolated vertices allowed
+    n = draw(st.integers(1, vertices))
     end = st.integers(0, n - 1)
-    ends = draw(st.lists(st.tuples(end, end), max_size=6))
+    ends = draw(st.lists(st.tuples(end, end), max_size=edges))
     edges = [Edge("e%d" % i, 1, "v%d" % s, "v%d" % r) for i, (s, r) in enumerate(ends)]
     return KGraph(1, ["v%d" % i for i in range(n)], edges)
 
@@ -189,3 +189,8 @@ RANDOM_GRAPHS = st.one_of(
     ),
     _one_graphs(),
 )
+
+# products of two small 1-graphs: 2-graphs on up to 9 vertices, some of
+# whose vertices receive no edge at all, where RANDOM_GRAPHS's 2-graphs
+# have one vertex receiving both colors
+RANDOM_PRODUCTS = st.builds(product, _one_graphs(3, 4), _one_graphs(3, 4))

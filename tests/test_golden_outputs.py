@@ -33,14 +33,14 @@ DEPTHS = (2, 3)
 
 GOLDEN = {
     "e1": "cf0c054095ed872b55f8ffaf6398256c1441b05eb9f5991ba21a2363ebb09b3a",
-    "e2": "36a2921883cb8cfba3c3303d7ebd4872b59061beb57d306b9fd2b936720673fd",
-    "b3": "4369600645b3547acafe440a83afcf9a27b4c5ba3e93785de5f48d7156da7555",
+    "e2": "c75350cd7f9138af4aea1b4249028bdb69e45ae7399e64511a7c3c142f9548e7",
+    "b3": "84f5e2633d4f5a0abbda990bb1b1186a76b1057a3722066901dbc9ad3b92a08e",
     "cycle2": "4041fc329647050e56cc79a946064bb7804c6c7f2fa9d9636be14f0844d4a99a",
     "cycle3": "b65ce7c289d1d0e9469d0f7dd7ac4c402fe0a107ba570efe6ee4a282dcf6354b",
     "single_edge": "7a4f722e1d73e33ee62da638e533cc13c9a2dcf70d431d2da70d38b9301121ce",
     "chain3": "38ffe775b79940a12711260c825ce2d8745c7c47e342d540eb87ea23c7e239b4",
     "chain5": "81a1a5456643c0d240e0e8abe63b75b840b9df9e63befd9a36bcc16f86eeec67",
-    "two_loops_plus_exit": "00e9f9eac898dbe7f55a4d422a729d9b758c058e1ad504856b9c698a4b9bbf4c",
+    "two_loops_plus_exit": "f3f1ea64bf12d871db5e30e7337d73a7bfec8c0b9d958f9e6f071bc412855438",
     "loop_with_exit": "f9d2e9425157be230be22600ca81537125a3395bacf2ab58787e5f5ef0e9348c",
     "entered_loop": "e0bde048fbd5cd600f7ea47eba3742b9b72bcfb74e59015ac28f8ad478aba09b",
     "t2": "449c4f2001029e809237e07b6c6b3d7b6e1b7be3b633d9a207312f634135440a",
@@ -48,14 +48,14 @@ GOLDEN = {
     "omega11": "007dd0f001f29bc3fbfdaedab8057cf8296a8f6bbb7fb77f49606a546251b30f",
     "grid21": "31c114e06787c09ac998815e1002d982347d3ff2e99d13a5918015f8a8379f5c",
     "prod_b2_b1": "23af918706c8e375b998f94ed03e1393545f2ff1bad8cc56122cdf9bb53811fc",
-    "prod_b2_b2": "e63df6b9eb58bf2f9c9c0b6caf6bc53e3e009869581fa4b5ca4ea060bd3fe3ab",
+    "prod_b2_b2": "f3acf6d7cd5e6a1b7f1ce2a6916921e786bb41bc4c03a1edbabf8e02d80ead18",
     "prod_c2_b2": "da80799a52ca28cac3d833e1e64aa4e515d8c1221abd8d02e8b7975e88dd5174",
     "prod_c2_t2": "3251ac81c76fb64a2a9d3a76ae2e7c0e79de22b6082f24c827f19ea7d0038ead",
     "flip_loop_pair": "1f4d85e2e56f28377fc1bdc1ab721b5678843238bf9d0c533294a21d8b3a612c",
-    "rsq1": "bf0555af266ea0a7abe7df85db5524670822d7a5c379a52bf3dc41ad7c70efc1",
-    "rsq2": "df97fc1548d0c7a385b14f82083afd9c88bce69b8e7de11dc0b946ceed8c1af7",
-    "rsq23": "681bceb12c91672aa6c8f422029d974613229a2c573a38b23c20897f19544a8d",
-    "lattice8": "702eb981822ccfaf789ec41bcf40060d804ee460b0e533e8a1d1fc0392bd2848",
+    "rsq1": "e447c59b8bc014cd055ca1cd7ede1d6e3540a67a735a45e3af20e367aa3be2bc",
+    "rsq2": "331050e6062adcb2971f77088c0ef3e9abd2cb72cf042e7c65591042a2504923",
+    "rsq23": "f9364853f3b9d6e4d4db7090b9c267d73e74d20b6d18088a897c2ac7ce9188b0",
+    "lattice8": "bfc2a8831da511c0da2a8941f2a95f45cba10c0c9612b0dde9eac342afb24d82",
 }
 
 CONTRACT = {

@@ -9,7 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import NAMES, build, lattice8, ring
+from corpus import (
+    NAMES,
+    RANDOM_GRAPHS,
+    build,
+    doubled_two_cycle,
+    fed_loop,
+    lattice8,
+    ring,
+    three_components,
+    torus_beside_cycles,
+    two_loop_lattice,
+)
 from kpalg import (
     DerivationStep,
     Edge,
@@ -426,16 +437,22 @@ def test_constructors_check_each_step_once(e2, monkeypatch):
         return orig(cert, steps)
 
     monkeypatch.setattr(witness_module, "failing_checks", spy)
-    g = e2
-    rep = prove_vertex_properly_infinite(g, "v", depth=3)
-    cert = rep.cases[0].certificate
-    assert [st.rule for st in cert.derivation] == [
-        "cycle-pair-witness",
-        "equivalence-transport",
-        "subidempotent-lift",
-    ]
-    made = cert.derivation + rep.proper.derivation
-    assert sorted(map(id, replayed)) == sorted(map(id, made))
+    # at v in e2 the pair sits at v, so no step moves the witness; at w in
+    # two_loops_plus_exit the pair at v is carried along c and lifted
+    for g, v, rules in (
+        (e2, "v", ["cycle-pair-witness"]),
+        (
+            build("two_loops_plus_exit"),
+            "w",
+            ["cycle-pair-witness", "equivalence-transport", "subidempotent-lift"],
+        ),
+    ):
+        del replayed[:]
+        rep = prove_vertex_properly_infinite(g, v, depth=3)
+        cert = rep.cases[0].certificate
+        assert [st.rule for st in cert.derivation] == rules
+        made = cert.derivation + (rep.proper.derivation if rep.proper else ())
+        assert sorted(map(id, replayed)) == sorted(map(id, made))
 
 
 def test_transport_chain_round_trip(e2):
@@ -545,7 +562,8 @@ def test_prove_vertex_unknown_vertex(e2):
 
 def test_each_certificate_is_checked_once_when_made(monkeypatch):
     # every constructor call checks its output once, and nothing else runs
-    # failing_checks: 11 cases on 3 constructor calls each and 8 proper
+    # failing_checks: 11 cases on one constructor call each, as every
+    # case's pair sits at its vertex (no transport, no lift), and 8 proper
     # splittings on one each, no input re-checked and no certificate
     # checked a second time
     g = lattice8()
@@ -576,7 +594,8 @@ def test_each_certificate_is_checked_once_when_made(monkeypatch):
     rep = classify_pure_infiniteness(g, 2)
     cases = [c for w in rep.witnesses for c in w.cases]
     certs = len(cases) + sum(w.proper is not None for w in rep.witnesses)
-    assert (len(checked), len(calls), len(cases), certs) == (41, 41, 11, 19)
+    assert (len(checked), len(calls), len(cases), certs) == (19, 19, 11, 19)
+    assert not {"transport_infinite", "lift_infinite"} & set(calls)
     # one builder for both routes: the splitting is made only for the 8
     # proper certificates, and no case goes through it
     assert Counter(calls)["orthogonal_witness"] == certs - len(cases) == 8
@@ -590,7 +609,8 @@ def test_each_certificate_is_checked_once_when_made(monkeypatch):
 def test_witness_search_decides_no_precondition_again(monkeypatch):
     # a constructor checks its output and its new step, nothing before:
     # the search at every vertex of lattice8 fits in the products and MCEs
-    # of those checks and of the searches themselves
+    # of those checks and of the searches themselves (632 products when
+    # every case also ran an identity transport and a zero lift)
     calls = Counter()
     mul, mce = kpelement.kp_mul, KGraph.mce
 
@@ -607,7 +627,7 @@ def test_witness_search_decides_no_precondition_again(monkeypatch):
     g = lattice8()
     for v in g.vertices:
         assert prove_vertex_properly_infinite(g, v, 3)
-    assert calls["kp_mul"] <= 632 and calls["mce"] <= 22, calls
+    assert calls["kp_mul"] <= 258 and calls["mce"] <= 22, calls
 
 
 def test_route_search_runs_once_per_trace_of_the_ideal(monkeypatch):
@@ -688,16 +708,109 @@ def test_orthogonal_pair_certificates_match_the_former_chain():
             for w in classify_pure_infiniteness(g, depth).witnesses:
                 for c in w.cases:
                     if c.route == "orthogonal-pair":
-                        assert len(c.certificate.derivation) == 3
+                        # nu is the trivial path at the pair's vertex, and
+                        # gamma runs from there to v
+                        nu = dict(c.certificate.derivation[0].elements)["nu"]
+                        gamma = reachable_to(c.certificate.graph, w.vertex)[nu.source]
+                        assert len(c.certificate.derivation) == 1 + sum(_shape(nu, gamma))
                         old = former_orthogonal_chain(c.certificate, w.vertex)
                         assert answer(old) == answer(c.certificate), (w.vertex, c.ideal)
-                        at = dict(c.certificate.derivation[0].elements)["nu"].source
+                        at = nu.source
                         compared += 1
                         in_quotients += bool(c.ideal)
                         moved += at != w.vertex
     # some cases live in a proper quotient, some carry the pair to v
     # along a nontrivial path
     assert (compared, in_quotients, moved) == (38, 6, 2)
+
+
+def _shape(nu, gamma):
+    # (transported, lifted): the builder makes the cycle-pair witness, a
+    # transport when gamma != nu and a lift when gamma is nontrivial
+    return gamma != nu, not gamma.is_trivial
+
+
+def full_chain(g, rc):
+    # every step of the builder made explicitly, skipped or not
+    nu, gamma = rc.cycle.nu, rc.gamma
+    cert = witness_from_gen_cycle(g, rc.cycle)
+    x, y = spanning_term(g, QQ, nu, gamma), spanning_term(g, QQ, gamma, nu)
+    moved = transport_infinite(cert, x, y)
+    return lift_infinite(moved, vertex_unit(g, QQ, gamma.range))
+
+
+def _terms(cert):
+    return cert.kind, cert.target.terms, tuple((nm, x.terms) for nm, x in cert.parts)
+
+
+def _check_against_full_chain(g, rc, cert):
+    # a skipped step is the identity: the same kind, target and parts,
+    # term for term, and one step fewer for each skip; returns the shape
+    shape = _shape(rc.cycle.nu, rc.gamma)
+    assert _terms(cert) == _terms(full_chain(g, rc)), (rc, shape)
+    assert len(cert.derivation) == 1 + sum(shape), (rc, shape)
+    return shape
+
+
+def _case_shapes(g, depth):
+    # every case certificate of the classification checked against the
+    # full chain; the shapes met, counted
+    made = []
+    inner = witness.infinite_vertex_from_reaching_cycle
+
+    def recording(gq, rc, fld=QQ):
+        cert = inner(gq, rc, fld)
+        made.append((gq, rc, cert))
+        return cert
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "infinite_vertex_from_reaching_cycle", recording)
+        rep = classify_pure_infiniteness(g, depth)
+    built = {id(cert) for _, _, cert in made}
+    assert all(id(c.certificate) in built for w in rep.witnesses for c in w.cases)
+    return Counter(_check_against_full_chain(*m) for m in made)
+
+
+FIXTURES = [
+    three_components,
+    two_loop_lattice,
+    lattice8,
+    torus_beside_cycles,
+    doubled_two_cycle,
+    fed_loop,
+]
+
+
+def test_case_certificates_match_the_full_chain():
+    # the corpus gives the one-step shape (the pair at v) and the
+    # three-step one (a pair reached along a nontrivial path)
+    shapes = Counter()
+    for g in [build(name) for name in NAMES] + [mk() for mk in FIXTURES]:
+        for depth in (1, 2, 3):
+            shapes += _case_shapes(g, depth)
+    assert shapes[False, False] and shapes[True, True]
+    # the two two-step shapes, by hand on e2: (a a, a) at v with gamma = v
+    # is transported and not lifted, with gamma = nu = a lifted and not
+    # transported
+    g = build("e2")
+    a, aa, b = (g.path_from_edges(w) for w in (["a"], ["a", "a"], ["b"]))
+    cycle = GeneralizedCycle(aa, a, b)
+    for gamma, shape, rule in (
+        (g.trivial_path("v"), (True, False), "equivalence-transport"),
+        (a, (False, True), "subidempotent-lift"),
+    ):
+        rc = ReachingCycle(cycle, gamma)
+        cert = infinite_vertex_from_reaching_cycle(g, rc)
+        assert _check_against_full_chain(g, rc, cert) == shape
+        assert [st.rule for st in cert.derivation] == ["cycle-pair-witness", rule]
+        assert equals(cert.target, vertex_unit(g, QQ, "v"))
+        assert failing_checks(cert) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=RANDOM_GRAPHS, depth=st.integers(1, 2))
+def test_case_certificates_match_the_full_chain_on_random_graphs(g, depth):
+    _case_shapes(g, depth)
 
 
 def test_certificate_coefficients_are_exact_rationals():
