@@ -16,33 +16,36 @@ composites agree up to their common (meet) degree; when x is maximal
 and different degrees already separate them. On a presentation that
 validates, they then differ at the meet already, by this lemma: let t
 and t' be paths with a common range, a common source u, and different
-degrees whose meet is 0; then u receives an edge. If one of them, say t, has
-degree 0, then t = u, and the first edge of t' has range u. Otherwise
-pick a color j of d(t'). It is not a color of d(t), and r(t) receives a
-color-j edge, the head of t' at e_j. Local convexity (``validate``: if
-r(e) receives a color j != c(e), so does s(e)) carries "receives color j"
-edge by edge along t, from r(t) to u. A pair whose composites with x
-agree at the meet leaves such tails at s(x) (Stepping a pair), so x is
-not maximal, and the search tests heads alone. Every entry point refuses
-input that does not validate (``check_input``); even there, a test of
-heads alone can only make a candidate lose, never win.
+degrees whose meet is 0; then u receives an edge of each color of d(t')
+(and of d(t), alike). Let j be a color of d(t'). If t has degree 0, then
+t = u, and the head of t' at e_j is a color-j edge with range u.
+Otherwise j is not a color of d(t), and r(t) receives a color-j edge,
+the head of t' at e_j. Local convexity (``validate``: if r(e) receives a
+color j != c(e), so does s(e)) carries "receives color j" edge by edge
+along t, from r(t) to u. A pair whose composites with x agree at the meet
+leaves such tails at s(x) (Stepping a pair), so x is not maximal, and the
+search tests heads alone. Every entry point refuses input that does not
+validate (``check_input``); even there, a test of heads alone can only
+make a candidate lose, never win.
 
 Residual pairs: the pairs checked at v are the comparable pairs, distinct
 paths with source v and a common range, of different degrees and total
-degree at most the depth. Write such a pair as alpha = h tau and
+degree at most the depth; pair order lists them range group by range
+group (the paths with one range, in vertex order), as (a, b) with a
+before b in path_sort_key order. Write such a pair as alpha = h tau and
 beta = h' tau' with d(h) = d(h') = meet(d(alpha), d(beta)). If h != h',
 the composites alpha x and beta x already differ at that degree, so every
 x separates the pair. If h = h', left cancellation in the unique
 factorization (h p = h q only when p = q) gives separates(alpha, beta, x)
 == separates(tau, tau', x) for every x, the degree difference being the
 same. The residual pair (tau, tau') is itself a comparable pair at v, one
-whose degrees have meet 0. So a path separates all comparable pairs
-exactly when it separates those of meet 0, and only these are tested: the
-finite-path form of aperiodicity (Lewin-Sims, Math. Proc. Camb. Phil. Soc.
-149, 2010). Separator candidates are generated lazily in path_sort_key
-order, so the first one found is the one a scan of the whole sorted box
-reports; ``pairs_checked`` still counts every comparable pair, from the
-sizes of the degree classes.
+whose degrees have meet 0, and it is its own residual. So a path
+separates all comparable pairs exactly when it separates those of meet 0,
+and only these are tested: the finite-path form of aperiodicity
+(Lewin-Sims, Math. Proc. Camb. Phil. Soc. 149, 2010). Separator
+candidates are generated lazily in path_sort_key order, so the first one
+found is the one a scan of the whole sorted box reports; ``pairs_checked``
+still counts every comparable pair, from the sizes of the degree classes.
 
 Degree-class joins: for a residual pair (a, b) and a candidate x,
 meet(d(a x), d(b x)) = d(x) + meet(d(a), d(b)) = d(x). So x separates
@@ -52,9 +55,30 @@ share range and degree, so their edge words tell them apart). The head
 of a x depends on a and x only, so the search computes it once per path
 and candidate rather than once per pair: within a range group, the paths
 of one degree form a degree class, and for each two classes whose
-degrees have meet 0 the first pair x leaves unseparated is the first
-head collision in a bucket join of the two classes. The residual pairs
-are never listed.
+degrees have meet 0 the pairs x leaves unseparated are the head
+collisions in a bucket join of the two classes (``_unseparated``), made
+lazily in pair order; the residual pairs are never listed. On a
+presentation that validates, a head that some a meets has one path in a
+class: if x leaves (a, b) unseparated, the tails that a x and b x leave
+at d(x) have source s(x) and degrees with meet 0, so s(x) receives every
+color c of d(b) (the lemma of Truncated comparison). As x is a boundary
+path of the box, d(x)_c = depth + 1 > d(b)_c; so d(b) <= d(x), and the
+head b x(0, d(x) - d(b)) gives back b.
+The join has two readers, and neither strips a pair, a residual pair
+being its own residual:
+- the separator walk takes the first collision, the pair that defeats x
+  (``_first_separator``);
+- the certificate scan takes the first candidate's collisions until the
+  closed machine certifies one, and reads no further
+  (``_periodic_certificate``). A scan that instead kept every comparable
+  pair whose heads under x agree at d(x) + meet, and handed the machine
+  its residual, certifies at the same vertices: the residuals of its kept
+  pairs are the collisions. On one vertex it names the same pair, as every
+  path lies in one range group: a pair of nonzero meet w has a residual
+  (t, t') with d(t) = d(a) - w, so t, and with it (t, t'), comes before
+  (a, b) in pair order, and that scan's first certified pair had meet 0.
+  With more vertices a residual can lie in a later range group, and the
+  pairs can differ.
 ``separates`` itself is called only where one pair meets one candidate:
 the pair that defeated the last candidate is tried first on the next (the
 first residual pair on the first). It reads no head word: it steps the
@@ -89,36 +113,24 @@ t'(i-1) xi (``KGraph._sort_word``) and splits off their one-edge heads
 workload the one vertex search of bouquet3x3 computes 9 steps for its 245
 calls, and that of bouquet2x2x2 18 for 274.
 
-Heads off the prefix: for m <= d(p x), let n = (m v d(p)) - d(p), so
-n <= d(x). Then x factors as x1 x2 with d(x1) = n, and p x = (p x1) x2
-with d(p x1) = m v d(p) >= m. Factoring p x1 = h t with d(h) = m gives
-p x = h (t x2), so by the uniqueness of factorization (p x)(0, m) = h,
-the head at m of p x1. When d(p) <= m, n = m - d(p) and p x1 is that
-head itself (``_head_word`` tests this first); otherwise it is cut at m.
-The words come from the canonical word of p and that of x's prefix x1
+Heads off the prefix: for p with s(p) = r(x), let
+n = (d(x) v d(p)) - d(p) <= d(x), and x = x1 x2 with d(x1) = n. Factoring
+p x1 = h t with d(h) = d(x) gives p x = h (t x2), so by unique
+factorization (p x)(0, d(x)) = h, the head at d(x) of p x1; when
+d(p) <= d(x), p x1 is that head itself (``_head_word`` tests this first),
+otherwise it is cut at d(x). The words come from those of p and x1
 (``KGraph.prefix_word``, ``KGraph.composite_word``, and ``prefix_word``
-again for the cut); no composite p x is built or split. The join reads
-heads at m = d(x) (residual pairs have meet 0), and the certificate scan
-at m = d(x) + meet(d(alpha), d(beta)); ``separates`` reads none (Stepping
-a pair). The join of one candidate and the certificate scan of the first
-read them from that candidate's head table (``_head_table``), kept by word
-and meet, which splits x once per degree.
+again for the cut); no composite p x is built or split. A candidate's
+head table (``_head_table``) keeps them by word, and splits x once per n.
 
 The machine probe: when the pair that defeated one candidate defeats the
 next as well, the search asks the closed machine about it
 (``certify_never_separated``), once per pair and vertex search. A pair
 the machine certifies is separated by no extension at all, so by no
 candidate of the box, later ones included: the walk would lose on every
-remaining candidate, and it stops there. The certificate is then the
-first pair, in ``_pairs_at`` order, whose residual pair the first
-candidate leaves unseparated (equal heads) and the machine certifies; the
-machine keeps the probe's answers, so verdict and certificate are those
-of the full walk. The scan reads this off heads: with w = meet(d(a), d(b)),
-a = h t and b = h' t' with d(h) = d(h') = w, the head of a x at d(x) + w
-is h (t x)(0, d(x)), as d(t x) >= d(x). So by unique factorization the
-heads of a x and b x at d(x) + w agree exactly when h = h' and x leaves
-(t, t') unseparated, and only such a pair is stripped, to hand (t, t') to
-the machine. A pair the machine refuses is separated by a boundary path,
+remaining candidate, and it stops there; the machine keeps the probe's
+answers, so the certificate scan gives the verdict and certificate of the
+full walk. A pair the machine refuses is separated by a boundary path,
 perhaps outside the box; it costs only its states, and the walk goes on.
 
 Locality across quotients: the quotient by a hereditary saturated set H
@@ -234,13 +246,11 @@ class AperiodicityVerdict:
 Word = Tuple[str, ...]
 
 
-def _head_word(
-    g: KGraph, p: Path, x: Path, m: Degree, prefixes: Dict[Degree, Word]
-) -> Word:
-    """The edge word of (p x)(0, m), for s(p) = r(x) and m <= d(p x): the
-    head at m of p x(0, n), n = (m v d(p)) - d(p) (module docstring).
-    ``prefixes`` keeps x's prefixes by degree, so x is split once per n."""
-    n = tuple(map(operator.sub, m, p.degree))
+def _head_word(g: KGraph, p: Path, x: Path, prefixes: Dict[Degree, Word]) -> Word:
+    """The edge word of (p x)(0, d(x)), for s(p) = r(x): the head at d(x)
+    of p x(0, n), n = (d(x) v d(p)) - d(p) (module docstring). ``prefixes``
+    keeps x's prefixes by degree, so x is split once per n."""
+    n = tuple(map(operator.sub, x.degree, p.degree))
     cut = min(n) < 0
     if cut:
         n = tuple(max(c, 0) for c in n)
@@ -248,24 +258,21 @@ def _head_word(
     if y is None:
         y = prefixes[n] = g.prefix_word(x.edges, x.degree, n)
     word = g.composite_word(p, y)
-    # p x(0, n) has degree d(p) + n = m v d(p)
-    return g.prefix_word(word, join(m, p.degree), m) if cut else word
+    # p x(0, n) has degree d(p) + n = d(x) v d(p)
+    return g.prefix_word(word, join(x.degree, p.degree), x.degree) if cut else word
 
 
-def _head_table(g: KGraph, x: Path) -> Callable[..., Word]:
-    """The heads of one candidate x: for a path p with s(p) = r(x) and a
-    degree w (0 unless given), the word of (p x)(0, d(x) + w), kept by
-    (word, w). A path with source r(x) is fixed by its word, the trivial
-    one included."""
+def _head_table(g: KGraph, x: Path) -> Callable[[Path], Word]:
+    """The heads of one candidate x: for a path p with s(p) = r(x), the
+    word of (p x)(0, d(x)), kept by p's word. A path with source r(x) is
+    fixed by its word, the trivial one included."""
     prefixes: Dict[Degree, Word] = {}
-    heads: Dict[Tuple[Word, Degree], Word] = {}
+    heads: Dict[Word, Word] = {}
 
-    def head(p: Path, w: Degree = (0,) * g.k) -> Word:
-        key = (p.edges, w)
-        h = heads.get(key)
+    def head(p: Path) -> Word:
+        h = heads.get(p.edges)
         if h is None:
-            m = tuple(map(operator.add, x.degree, w))
-            h = heads[key] = _head_word(g, p, x, m, prefixes)
+            h = heads[p.edges] = _head_word(g, p, x, prefixes)
         return h
 
     return head
@@ -377,17 +384,6 @@ def _groups_at(g: KGraph, v: str, depth: int) -> List[List[Path]]:
     return g._groups[depth].get(v, [])
 
 
-def _pairs_at(groups: List[List[Path]]) -> Iterator[Tuple[Path, Path]]:
-    # pairs of distinct paths with source v and a common range; pairs of
-    # equal degree are skipped since unique factorization separates them
-    # under any extension
-    for ps in groups:
-        for i, a in enumerate(ps):
-            for b in ps[i + 1 :]:
-                if a.degree != b.degree:
-                    yield a, b
-
-
 def _choose2(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -402,9 +398,9 @@ Join = Tuple[int, Tuple[int, ...]]
 def _residual_classes(
     groups: List[List[Path]],
 ) -> Tuple[int, List[List[Path]], List[Join]]:
-    """The number of pairs ``_pairs_at`` yields, the degree classes, and
-    the joins that hold the residual pairs (those of its pairs whose
-    degrees have meet 0)."""
+    """The number of comparable pairs in the groups, the degree classes,
+    and the joins that hold the residual pairs (those whose degrees have
+    meet 0)."""
     count = 0
     classes: List[List[Path]] = []
     joins: List[Join] = []
@@ -430,10 +426,11 @@ def _residual_classes(
 
 def _unseparated(
     g: KGraph, classes: List[List[Path]], joins: List[Join], x: Path
-) -> Optional[Tuple[Path, Path]]:
-    """The first residual pair, in ``_pairs_at`` order, that x does not
-    separate, or None: the heads of a x and b x agree. Each a probes the
-    later classes, keyed by head."""
+) -> Iterator[Tuple[Path, Path]]:
+    """The residual pairs that x does not separate, in pair order, made as
+    they are asked for: those where the heads of a x and b x agree. Each a
+    probes the later classes, keyed by head; a head that some a meets has
+    one path in a class (module docstring)."""
     head = _head_table(g, x)
     # per class, the first path of each head, on first use
     tables: Dict[int, Dict[Word, Path]] = {}
@@ -448,8 +445,7 @@ def _unseparated(
                         table.setdefault(head(b), b)
                 b = table.get(h)
                 if b is not None:
-                    return a, b
-    return None
+                    yield a, b
 
 
 def _first_separator(
@@ -476,7 +472,7 @@ def _first_separator(
             if defeats == 2 and machine.states(*defeating) is not None:
                 return None
             continue
-        defeating = _unseparated(g, classes, joins, x)
+        defeating = next(_unseparated(g, classes, joins, x), None)
         if defeating is None:
             return x
         defeats = 1
@@ -562,25 +558,20 @@ class _Machine:
 def _periodic_certificate(
     g: KGraph,
     v: str,
-    groups: List[List[Path]],
+    classes: List[List[Path]],
+    joins: List[Join],
     candidates: Tuple[Path, ...],
     machine: _Machine,
 ) -> Optional[PeriodicCertificate]:
-    """The first pair in ``_pairs_at`` order whose residual pair the first
-    candidate leaves unseparated and the machine certifies, or None."""
+    """The first residual pair, in pair order, that the first candidate
+    leaves unseparated and the machine certifies, or None."""
     # a pair the machine certifies is separated by no extension, so by no
-    # candidate: the first candidate's test only skips pairs the machine
+    # candidate: the first candidate's join only skips pairs the machine
     # would refuse. A maximal first candidate separates every residual
     # pair, so it has won and no scan runs. A presentation that validates
-    # has a boundary path at every vertex, so a first candidate exists.
-    # A pair is kept when the heads of a x and b x agree at d(x) plus the
-    # meet w, and only then stripped at w (module docstring)
-    head = _head_table(g, candidates[0])
-    for a, b in _pairs_at(groups):
-        w = meet(a.degree, b.degree)
-        if head(a, w) != head(b, w):
-            continue
-        states = machine.states(g.factorize(a, w)[1], g.factorize(b, w)[1])
+    # has a boundary path at every vertex, so a first candidate exists
+    for a, b in _unseparated(g, classes, joins, candidates[0]):
+        states = machine.states(a, b)
         if states is not None:
             return PeriodicCertificate(a, b, v, len(candidates), states)
     return None
@@ -607,14 +598,13 @@ def _vertex_verdict(g: KGraph, v: str, depth: int) -> AperiodicityVerdict:
     """The one-vertex verdict at v: aperiodic with v's separator, periodic
     with a certified pair at v, or unknown."""
     cap = (depth + 1,) * g.k
-    groups = _groups_at(g, v, depth)
-    pairs_checked, classes, joins = _residual_classes(groups)
+    pairs_checked, classes, joins = _residual_classes(_groups_at(g, v, depth))
     machine = _Machine(g)
     winner = _first_separator(g, classes, joins, g.iter_boundary_paths(v, cap), machine)
     if winner is not None:
         evidence = (SeparationEvidence(v, winner, pairs_checked),)
         return AperiodicityVerdict("aperiodic", depth, evidence)
-    cert = _periodic_certificate(g, v, groups, g.boundary_paths(v, cap), machine)
+    cert = _periodic_certificate(g, v, classes, joins, g.boundary_paths(v, cap), machine)
     if cert is not None:
         return AperiodicityVerdict("periodic", depth, (), cert, basis="certified")
     note = "vertex %s: no single separating boundary path within depth %d" % (v, depth)

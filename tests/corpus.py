@@ -190,7 +190,31 @@ RANDOM_GRAPHS = st.one_of(
     _one_graphs(),
 )
 
+
+@st.composite
+def _fed_chains(draw):
+    # w has two loops and feeds the chain c1 -> ... -> cn, n <= 3, with up
+    # to 2 more edges between any two vertices: a vertex down the chain
+    # reaches w's cycle pair along a nontrivial path
+    n = draw(st.integers(1, 3))
+    vs = ["w"] + ["c%d" % i for i in range(1, n + 1)]
+    edges = [Edge("a", 1, "w", "w"), Edge("b", 1, "w", "w")]
+    edges += [Edge("f%d" % i, 1, vs[i - 1], vs[i]) for i in range(1, n + 1)]
+    end = st.sampled_from(vs)
+    ends = draw(st.lists(st.tuples(end, end), max_size=2))
+    edges += [Edge("x%d" % i, 1, s, r) for i, (s, r) in enumerate(ends)]
+    return KGraph(1, vs, edges)
+
+
+# 1-graphs in which a two-loop vertex feeds a short chain, whose witness
+# certificates reach the cycle pair along a nontrivial path
+FED_CHAINS = _fed_chains()
+
 # products of two small 1-graphs: 2-graphs on up to 9 vertices, some of
 # whose vertices receive no edge at all, where RANDOM_GRAPHS's 2-graphs
 # have one vertex receiving both colors
 RANDOM_PRODUCTS = st.builds(product, _one_graphs(3, 4), _one_graphs(3, 4))
+
+# the same on at most 2 vertices and 3 edges per factor, for brute-force
+# checks at depth 2
+SMALL_PRODUCTS = st.builds(product, _one_graphs(2, 3), _one_graphs(2, 3))

@@ -112,6 +112,58 @@ MUTANTS = (
         ),
         ("tests/test_aperiodicity.py",),
     ),
+    Mutant(
+        "join-stops-at-the-first-collision",
+        "the degree-class join yields only its first collision, so the "
+        "certificate scan never meets a later unseparated pair",
+        (
+            Edit(
+                "kpalg/aperiodicity.py",
+                "                    yield a, b\n",
+                "                    yield a, b\n                    return\n",
+            ),
+        ),
+        ("tests/test_aperiodicity.py",),
+    ),
+    Mutant(
+        "step-without-sort",
+        "a step of the step table splits the one-edge head off the word "
+        "t e as written, without sorting it to put that head first",
+        (
+            Edit(
+                "kpalg/aperiodicity.py",
+                "g._sort_word(list(t + (e,)), len(t))",
+                "list(t + (e,))",
+            ),
+        ),
+        ("tests/test_aperiodicity.py",),
+    ),
+    Mutant(
+        "start-without-head-comparison",
+        "a pair stripped at a nonzero meet keeps its tails whatever its "
+        "heads there, so a pair separated at the meet is stepped on",
+        (
+            Edit(
+                "kpalg/aperiodicity.py",
+                "        if tuple(a[:h]) != tuple(b[:hb]):\n",
+                "        if False:\n",
+            ),
+        ),
+        ("tests/test_aperiodicity.py",),
+    ),
+    Mutant(
+        "steps-last-matched-on-alpha-alone",
+        "separates reuses the last stripped state whenever alpha is the "
+        "last call's alpha, though beta differs",
+        (
+            Edit(
+                "kpalg/aperiodicity.py",
+                "if last_alpha is not alpha or last_beta is not beta:",
+                "if last_alpha is not alpha:",
+            ),
+        ),
+        ("tests/test_aperiodicity.py",),
+    ),
 )
 
 

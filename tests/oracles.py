@@ -541,8 +541,10 @@ def box_separator(g, a, b, n):
 
 
 def strip_scan_certificate(g, v, depth):
-    """The periodic certificate at v by the strip-based scan, the reference
-    for ``aperiodicity._periodic_certificate``: the first pair (a, b) of
+    """The periodic certificate at v by the strip-based scan, the rule of
+    ``aperiodicity._periodic_certificate`` before it read the degree-class
+    join: both must certify at the same vertices, and on one vertex name
+    the same pair. It is the first pair (a, b) of
     ``brute_comparable_pairs`` whose prefixes at the meet of their degrees
     agree, whose tails there have equal heads at d(x) once composed with
     the first path x of ``brute_boundary_paths``, and whose tails
@@ -571,10 +573,10 @@ def aperiodicity_exhaustive(g, depth):
     ``brute_boundary_paths``, in order, and tries each by ``splits``
     against every comparable pair: distinct paths with source v, a common
     range and different degrees, of total degree <= depth. With no
-    separator, the
-    pairs no candidate separates are offered to certify_never_separated
-    in pair order. ``unknown`` comes only after every vertex has been
-    tried, and names the first vertex left unsettled.
+    separator, the pairs whose degrees meet in 0 and that no candidate
+    separates are offered to certify_never_separated in pair order.
+    ``unknown`` comes only after every vertex has been tried, and names
+    the first vertex left unsettled.
     """
     cap = (depth + 1,) * g.k
     evidence = []
@@ -590,6 +592,8 @@ def aperiodicity_exhaustive(g, depth):
             evidence.append(SeparationEvidence(v, winner, len(pairs)))
             continue
         for a, b in pairs:
+            if any(map(min, a.degree, b.degree)):
+                continue
             if any(splits(g, a, b, x) for x in candidates):
                 continue
             states = certify_never_separated(g, a, b)

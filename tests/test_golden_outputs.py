@@ -42,7 +42,7 @@ GOLDEN = {
     "chain5": "81a1a5456643c0d240e0e8abe63b75b840b9df9e63befd9a36bcc16f86eeec67",
     "two_loops_plus_exit": "f3f1ea64bf12d871db5e30e7337d73a7bfec8c0b9d958f9e6f071bc412855438",
     "loop_with_exit": "f9d2e9425157be230be22600ca81537125a3395bacf2ab58787e5f5ef0e9348c",
-    "entered_loop": "e0bde048fbd5cd600f7ea47eba3742b9b72bcfb74e59015ac28f8ad478aba09b",
+    "entered_loop": "948fd76816e528a75db45cea40c7b78a9061a2ea69063fa698f97a5f60dbd88b",
     "t2": "449c4f2001029e809237e07b6c6b3d7b6e1b7be3b633d9a207312f634135440a",
     "t3": "ba041721d1ef2bd2b3cee5608a8953652d3b0ee8251807d7ac0af9a7b5f05220",
     "omega11": "007dd0f001f29bc3fbfdaedab8057cf8296a8f6bbb7fb77f49606a546251b30f",

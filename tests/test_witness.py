@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (
+    FED_CHAINS,
     NAMES,
     RANDOM_GRAPHS,
     build,
@@ -808,8 +809,9 @@ def test_case_certificates_match_the_full_chain():
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=RANDOM_GRAPHS, depth=st.integers(1, 2))
+@given(g=st.one_of(RANDOM_GRAPHS, FED_CHAINS), depth=st.integers(1, 2))
 def test_case_certificates_match_the_full_chain_on_random_graphs(g, depth):
+    # FED_CHAINS gives cases whose pair is reached along a nontrivial path
     _case_shapes(g, depth)
 
 
