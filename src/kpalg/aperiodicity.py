@@ -25,8 +25,8 @@ color j != c(e), so does s(e)) carries "receives color j" edge by edge
 along t, from r(t) to u. A pair whose composites with x agree at the meet
 leaves such tails at s(x) (Stepping a pair), so x is not maximal, and the
 search tests heads alone. Every entry point refuses input that does not
-validate (``check_input``); even there, a test of heads alone can only
-make a candidate lose, never win.
+validate (``check_input``), and the degree-class join relies on it: it
+leaves out the classes this lemma rules out (Degree-class joins).
 
 Residual pairs: the pairs checked at v are the comparable pairs, distinct
 paths with source v and a common range, of different degrees and total
@@ -50,20 +50,31 @@ still counts every comparable pair, from the sizes of the degree classes.
 Degree-class joins: for a residual pair (a, b) and a candidate x,
 meet(d(a x), d(b x)) = d(x) + meet(d(a), d(b)) = d(x). So x separates
 (a, b) exactly when the heads of a x and b x, their prefixes at d(x),
-differ (Truncated comparison; ``_head_table``; heads in one range group
-share range and degree, so their edge words tell them apart). The head
-of a x depends on a and x only, so the search computes it once per path
-and candidate rather than once per pair: within a range group, the paths
-of one degree form a degree class, and for each two classes whose
-degrees have meet 0 the pairs x leaves unseparated are the head
-collisions in a bucket join of the two classes (``_unseparated``), made
-lazily in pair order; the residual pairs are never listed. On a
-presentation that validates, a head that some a meets has one path in a
-class: if x leaves (a, b) unseparated, the tails that a x and b x leave
-at d(x) have source s(x) and degrees with meet 0, so s(x) receives every
-color c of d(b) (the lemma of Truncated comparison). As x is a boundary
-path of the box, d(x)_c = depth + 1 > d(b)_c; so d(b) <= d(x), and the
-head b x(0, d(x) - d(b)) gives back b.
+differ (Truncated comparison; heads in one range group share range and
+degree, so their edge words tell them apart). The head of a x depends on
+a and x only, so the search computes it once per path and candidate
+rather than once per pair: within a range group, the paths of one degree
+form a degree class, and for each two classes whose degrees have meet 0
+the pairs x leaves unseparated are the head collisions in a bucket join
+of the two classes (``_unseparated``), made lazily in pair order; the
+residual pairs are never listed. Per candidate, each class gets one table
+from head to path, and a later class is probed with each head of an
+earlier one:
+- Injective heads. For a class of degree d <= d(x), let n = d(x) - d and
+  x = x1 x2 with d(x1) = n. For p in the class, p x = (p x1) x2 with
+  d(p x1) = d(x), so by unique factorization the head of p x at d(x) is
+  p x1. Its word comes from those of p and x1 (``KGraph.prefix_word``,
+  once per class, and ``KGraph.composite_word``); no composite p x is
+  built or split. The head of p x1 at d(p) is p, so the paths of the
+  class have distinct heads, and the table keeps every one.
+- Skipped classes lose nothing. A class of degree d not <= d(x) gets an
+  empty table. If x leaves (a, b) unseparated, the tails that a x and
+  b x leave at d(x) have source s(x) and the degrees d(a) and d(b), whose
+  meet is 0, so s(x) receives every color of d(a) and of d(b) (the lemma
+  of Truncated comparison, on a presentation that validates). A boundary
+  path of the box has d(x)_c = depth + 1 in each color c that s(x)
+  receives, and depth + 1 exceeds every color of d(a) and d(b); so
+  d(a), d(b) <= d(x), and no such pair has a path in a skipped class.
 The join has two readers, and neither strips a pair, a residual pair
 being its own residual:
 - the separator walk takes the first collision, the pair that defeats x
@@ -112,16 +123,6 @@ t'(i-1) xi (``KGraph._sort_word``) and splits off their one-edge heads
 (``KGraph._split_word``), building no path. On the ``sweep`` benchmark
 workload the one vertex search of bouquet3x3 computes 9 steps for its 245
 calls, and that of bouquet2x2x2 18 for 274.
-
-Heads off the prefix: for p with s(p) = r(x), let
-n = (d(x) v d(p)) - d(p) <= d(x), and x = x1 x2 with d(x1) = n. Factoring
-p x1 = h t with d(h) = d(x) gives p x = h (t x2), so by unique
-factorization (p x)(0, d(x)) = h, the head at d(x) of p x1; when
-d(p) <= d(x), p x1 is that head itself (``_head_word`` tests this first),
-otherwise it is cut at d(x). The words come from those of p and x1
-(``KGraph.prefix_word``, ``KGraph.composite_word``, and ``prefix_word``
-again for the cut); no composite p x is built or split. A candidate's
-head table (``_head_table``) keeps them by word, and splits x once per n.
 
 The machine probe: when the pair that defeated one candidate defeats the
 next as well, the search asks the closed machine about it
@@ -197,9 +198,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .degrees import Degree, join, meet
+from .degrees import Degree, meet
 from .kgraph import KGraph, KGraphError, Path, not_composable, path_sort_key, validate
 from .paths import _degrees_with_total
 
@@ -244,38 +245,6 @@ class AperiodicityVerdict:
 
 
 Word = Tuple[str, ...]
-
-
-def _head_word(g: KGraph, p: Path, x: Path, prefixes: Dict[Degree, Word]) -> Word:
-    """The edge word of (p x)(0, d(x)), for s(p) = r(x): the head at d(x)
-    of p x(0, n), n = (d(x) v d(p)) - d(p) (module docstring). ``prefixes``
-    keeps x's prefixes by degree, so x is split once per n."""
-    n = tuple(map(operator.sub, x.degree, p.degree))
-    cut = min(n) < 0
-    if cut:
-        n = tuple(max(c, 0) for c in n)
-    y = prefixes.get(n)
-    if y is None:
-        y = prefixes[n] = g.prefix_word(x.edges, x.degree, n)
-    word = g.composite_word(p, y)
-    # p x(0, n) has degree d(p) + n = d(x) v d(p)
-    return g.prefix_word(word, join(x.degree, p.degree), x.degree) if cut else word
-
-
-def _head_table(g: KGraph, x: Path) -> Callable[[Path], Word]:
-    """The heads of one candidate x: for a path p with s(p) = r(x), the
-    word of (p x)(0, d(x)), kept by p's word. A path with source r(x) is
-    fixed by its word, the trivial one included."""
-    prefixes: Dict[Degree, Word] = {}
-    heads: Dict[Word, Word] = {}
-
-    def head(p: Path) -> Word:
-        h = heads.get(p.edges)
-        if h is None:
-            h = heads[p.edges] = _head_word(g, p, x, prefixes)
-        return h
-
-    return head
 
 
 class Steps:
@@ -428,22 +397,27 @@ def _unseparated(
     g: KGraph, classes: List[List[Path]], joins: List[Join], x: Path
 ) -> Iterator[Tuple[Path, Path]]:
     """The residual pairs that x does not separate, in pair order, made as
-    they are asked for: those where the heads of a x and b x agree. Each a
-    probes the later classes, keyed by head; a head that some a meets has
-    one path in a class (module docstring)."""
-    head = _head_table(g, x)
-    # per class, the first path of each head, on first use
+    they are asked for: those where the heads of a x and b x agree. Each
+    class gets one table from head to path on first use, empty for a
+    degree not <= d(x); each a probes the later classes' tables (module
+    docstring, "Degree-class joins")."""
     tables: Dict[int, Dict[Word, Path]] = {}
+
+    def table(i: int) -> Dict[Word, Path]:
+        heads = tables.get(i)
+        if heads is None:
+            heads = tables[i] = {}
+            n = tuple(map(operator.sub, x.degree, classes[i][0].degree))
+            if min(n) >= 0:
+                y = g.prefix_word(x.edges, x.degree, n)
+                for p in classes[i]:
+                    heads[g.composite_word(p, y)] = p
+        return heads
+
     for i, later in joins:
-        for a in classes[i]:
-            h = head(a)
+        for h, a in table(i).items():
             for j in later:
-                table = tables.get(j)
-                if table is None:
-                    table = tables[j] = {}
-                    for b in classes[j]:
-                        table.setdefault(head(b), b)
-                b = table.get(h)
+                b = table(j).get(h)
                 if b is not None:
                     yield a, b
 
@@ -539,17 +513,18 @@ def certify_never_separated(g: KGraph, alpha: Path, beta: Path) -> Optional[int]
 
 class _Machine:
     """The closed machine for one vertex search: its answers by residual
-    pair, in either order (the answer depends on nothing else), and the
-    step table the search's ``separates`` calls share."""
+    pair (the answer depends on nothing else), and the step table the
+    search's ``separates`` calls share. Both callers hand it pairs in pair
+    order, so one key per pair is enough."""
 
     def __init__(self, g: KGraph):
         self.g = g
-        self.answers: Dict[FrozenSet[Path], Optional[int]] = {}
+        self.answers: Dict[Tuple[Path, Path], Optional[int]] = {}
         self.steps = Steps()
 
     def states(self, a: Path, b: Path) -> Optional[int]:
         """``certify_never_separated`` of the residual pair (a, b), run once."""
-        key = frozenset((a, b))
+        key = (a, b)
         if key not in self.answers:
             self.answers[key] = certify_never_separated(self.g, a, b)
         return self.answers[key]

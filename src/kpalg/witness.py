@@ -30,18 +30,23 @@ source reaches v along a path gamma. With p = s_nu s_nu*, x = s_nu s_gamma*,
 y = s_gamma s_nu* and e = y x = s_gamma s_gamma*, the full build has three
 steps: the cycle-pair witness q = s_mu s_mu*, r = s_nu s_mu*, s = s_mu s_nu*
 for p, a transport along (x, y) to e, and a lift to s_v by the complement
-s_v - e. The transport runs only when gamma != nu and the lift only when
-gamma is nontrivial, so a certificate has 1 + [gamma != nu] + [gamma
-nontrivial] steps. Both tests are path equalities, decided before any
-product. A skipped step is the identity on kind, target and parts, term
-for term, since an element has one normal form:
+s_v - e. The transport runs only when gamma != nu or d(nu) is not
+<= d(mu), and the lift only when gamma is nontrivial, so a certificate
+has 1 + [transported] + [gamma nontrivial] steps. Both tests compare
+paths and degrees, before any product. A skipped step is the identity on
+kind, target and parts, term for term:
 
 - The cycle-pair certificate is corner-normal: p r = r = r q and
   q s = s = s p, as s_lam* s_lam = s_{s(lam)} and mu, nu share a source.
 - With gamma = nu, x = y = p and e = p p = p. The transport's
   normalization gives r, s back (p r q = r, q s p = s) and x, y as p; its
   parts are p q p = q, p r p = r q p = r and p s p = p q s = s, by the
-  input's checked relations q p = q and p q = q.
+  input's checked relations q p = q and p q = q. These are equalities of
+  elements. When d(nu) <= d(mu), mu = nu mu' (mu and nu have a common
+  extension, so the head of mu at d(nu) is nu), s_nu* s_mu = s_mu' is one
+  term, and every product gives the input's terms back. Otherwise the
+  products refine them to degree d(mu) v d(nu), and the transport, though
+  it fixes q, r and s as elements, is made.
 - With gamma trivial, gamma is the vertex v, so e = s_v is the lift's
   target and the complement is zero. The lift's parts q, e r q and q s e
   are then q, r and s, because its input is corner-normal at (e, q):
@@ -67,7 +72,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_input
-from .degrees import total
+from .degrees import leq, total
 from .field import Field, QQ
 from .ideals import Ideal, quotient, traces
 from .kgraph import KGraph, KGraphError, Path
@@ -419,17 +424,23 @@ def infinite_vertex_from_reaching_cycle(
     p = s_nu s_nu*, carry it along x = s_nu s_gamma*, y = s_gamma s_nu* to
     e = s_gamma s_gamma*, and lift it to s_v by the complement s_v - e.
 
-    The transport runs only when gamma != nu and the lift only when gamma
-    is nontrivial; both tests are path equalities, decided before any
-    product. A skipped step is the identity on kind, target and parts
-    (the "One builder" paragraph of the module docstring), so the
-    certificate has 1 + [gamma != nu] + [gamma nontrivial] steps."""
+    The transport runs only when gamma != nu or d(nu) is not <= d(mu),
+    and the lift only when gamma is nontrivial; both tests compare paths
+    and degrees, before any product. A skipped step is the identity on
+    kind, target and parts, term for term (the "One builder" paragraph of
+    the module docstring), so the certificate has
+    1 + [transported] + [gamma nontrivial] steps."""
     cert = witness_from_gen_cycle(g, rc.cycle, fld)
     nu, gamma = rc.cycle.nu, rc.gamma
     if gamma != nu:
         x = spanning_term(g, fld, nu, gamma)
         y = spanning_term(g, fld, gamma, nu)
         cert = transport_infinite(cert, x, y)
+    elif not leq(nu.degree, rc.cycle.mu.degree):
+        # along nu itself x = y = p, which keeps q, r and s as elements but
+        # refines their terms to degree d(mu) v d(nu)
+        p = spanning_term(g, fld, nu, nu)
+        cert = transport_infinite(cert, p, p)
     if not gamma.is_trivial:
         cert = lift_infinite(cert, vertex_unit(g, fld, gamma.range))
     return cert

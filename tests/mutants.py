@@ -126,6 +126,32 @@ MUTANTS = (
         ("tests/test_aperiodicity.py",),
     ),
     Mutant(
+        "class-skip-at-equal-degree",
+        "the degree-class join leaves empty the table of a class whose "
+        "degree reaches d(x) in some color, so it misses the pairs there",
+        (
+            Edit(
+                "kpalg/aperiodicity.py",
+                "min(n) >= 0",
+                "min(n) > 0",
+            ),
+        ),
+        ("tests/test_aperiodicity.py",),
+    ),
+    Mutant(
+        "class-head-off-the-whole-candidate",
+        "the degree-class join reads each head off p x instead of "
+        "p x(0, d(x) - d(p)), so heads of different degrees are compared",
+        (
+            Edit(
+                "kpalg/aperiodicity.py",
+                "y = g.prefix_word(x.edges, x.degree, n)",
+                "y = x.edges",
+            ),
+        ),
+        ("tests/test_aperiodicity.py",),
+    ),
+    Mutant(
         "step-without-sort",
         "a step of the step table splits the one-edge head off the word "
         "t e as written, without sorting it to put that head first",

@@ -67,13 +67,12 @@ from kpalg import (
 from kpalg import aperiodicity, kgraph
 from kpalg.aperiodicity import (
     _groups_at,
-    _head_word,
     _periodic_certificate,
     _residual_classes,
     _unseparated,
 )
 from kpalg.classify import aperiodicity_json
-from kpalg.degrees import below, meet, total
+from kpalg.degrees import below, leq, meet, sub, total
 from kpalg.ideals import enumerate_sat_her, sat_her_closure
 
 
@@ -646,7 +645,7 @@ def test_separates_refuses_paths_not_composable_with_the_candidate():
 
 def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch):
     # on every CORPUS graph and the 3x3 bouquet product: the join sorts
-    # each (candidate, path) head once, from its own head table. A
+    # each (candidate, path) head at most once, into its class's table. A
     # separates call sorts only where its step table misses, two words per
     # step it computes; each vertex search hands one table to all its
     # calls, and computes each (state, edge) step at most once. No
@@ -662,9 +661,9 @@ def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch
         composed.append(q)
         return compose(self, p, q)
 
-    # the reader whose sorts are counted: ("table", n) for the n-th head
-    # table made, ("separates", n) for the n-th separates call, None
-    # between reads
+    # the reader whose sorts are counted: ("join", n) for the n-th join,
+    # one per candidate, ("separates", n) for the n-th separates call,
+    # None between reads
     reader = [None]
 
     def read(key, f, *args):
@@ -675,14 +674,20 @@ def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch
             reader[0] = None
 
     made = Counter()
-    head_table, separate = aperiodicity._head_table, aperiodicity.separates
+    join, separate = aperiodicity._unseparated, aperiodicity.separates
     vertex_verdict, step = aperiodicity._vertex_verdict, aperiodicity._step
 
-    def tables(g, x):
-        made["table"] += 1
-        key = ("table", made["table"])
-        head = head_table(g, x)
-        return lambda *args: read(key, head, *args)
+    def joining(g, classes, joins, x):
+        # the join runs lazily, so the reader is set around each next()
+        made["join"] += 1
+        key = ("join", made["join"])
+        pairs = join(g, classes, joins, x)
+        while True:
+            try:
+                pair = read(key, next, pairs)
+            except StopIteration:
+                return
+            yield pair
 
     # the steps each separates call adds to its table, the tables each
     # vertex search passes, and the computed steps by table; the tables
@@ -710,7 +715,7 @@ def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch
 
     kinds = set()
     monkeypatch.setattr(KGraph, "compose", composing)
-    monkeypatch.setattr(aperiodicity, "_head_table", tables)
+    monkeypatch.setattr(aperiodicity, "_unseparated", joining)
     monkeypatch.setattr(aperiodicity, "separates", separating)
     monkeypatch.setattr(aperiodicity, "_vertex_verdict", searching)
     monkeypatch.setattr(aperiodicity, "_step", stepping)
@@ -742,7 +747,7 @@ def test_each_head_is_sorted_once_per_candidate_and_nothing_composed(monkeypatch
             assert by_reader[key] == 2 * n, (name, key)
         tried = {id(x) for x in candidates}
         assert not [q for q in composed if id(q) in tried], name
-    assert kinds == {"table", "separates"}
+    assert kinds == {"join", "separates"}
     assert all(len(ids) == 1 for ids in passed.values()), passed
     assert computed and max(computed.values()) == 1
 
@@ -782,10 +787,10 @@ _SQUARES = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(g=st.one_of(_SQUARES, _one_graphs()), depth=st.integers(1, 2))
 def test_head_is_the_path_followed_by_the_prefix_of_the_candidate(g, depth):
-    # (p x)(0, d(x)) is the head at d(x) of p x(0, n),
-    # n = (d(x) v d(p)) - d(p), d(p) <= d(x) or not: the word the search
-    # reads, composing and factorizing nothing, is that of the composite's
-    # head; x is split once per degree n
+    # for d(p) <= d(x), (p x)(0, d(x)) is p x(0, n), n = d(x) - d(p): the
+    # word the join reads, composing and factorizing nothing, is that of
+    # the composite's head. The heads of one degree class, one range and
+    # one degree, are pairwise distinct, as the head at d(p) gives p back
     for v in g.vertices:
         ps = [
             p
@@ -796,23 +801,21 @@ def test_head_is_the_path_followed_by_the_prefix_of_the_candidate(g, depth):
             if p.source == v
         ]
         for x in g.boundary_paths(v, (depth + 1,) * g.k):
-            prefixes = {}
-            split = []
-            prefix_word = g.prefix_word
-
-            def splitting(word, d, m):
-                if word is x.edges:
-                    split.append(m)
-                return prefix_word(word, d, m)
-
-            g.prefix_word = splitting
             with mock.patch.object(KGraph, "compose", side_effect=AssertionError("composed")), \
                     mock.patch.object(KGraph, "factorize", side_effect=AssertionError("split")):
-                got = {p: _head_word(g, p, x, prefixes) for p in ps}
-            del g.prefix_word
-            assert sorted(split) == sorted(set(split)) and len(split) <= len(list(below(x.degree)))
+                got = {
+                    p: g.composite_word(
+                        p, g.prefix_word(x.edges, x.degree, sub(x.degree, p.degree))
+                    )
+                    for p in ps
+                    if leq(p.degree, x.degree)
+                }
+            classes = {}
             for p, word in got.items():
                 assert word == g.factorize(g.compose(p, x), x.degree)[0].edges, (p, x)
+                classes.setdefault((p.range, p.degree), []).append(word)
+            for words in classes.values():
+                assert len(set(words)) == len(words), (x, words)
 
 
 @settings(max_examples=100, deadline=None)

@@ -60,7 +60,7 @@ from kpalg import (
     zero,
 )
 from kpalg import kpelement, witness
-from kpalg.degrees import below, total
+from kpalg.degrees import below, leq, total
 from kpalg.witness import _disjoint_cycle_pair
 from oracles import orthogonal_splitting, strict_copy
 
@@ -711,9 +711,10 @@ def test_orthogonal_pair_certificates_match_the_former_chain():
                     if c.route == "orthogonal-pair":
                         # nu is the trivial path at the pair's vertex, and
                         # gamma runs from there to v
-                        nu = dict(c.certificate.derivation[0].elements)["nu"]
+                        found = dict(c.certificate.derivation[0].elements)
+                        mu, nu = found["mu"], found["nu"]
                         gamma = reachable_to(c.certificate.graph, w.vertex)[nu.source]
-                        assert len(c.certificate.derivation) == 1 + sum(_shape(nu, gamma))
+                        assert len(c.certificate.derivation) == 1 + sum(_shape(mu, nu, gamma))
                         old = former_orthogonal_chain(c.certificate, w.vertex)
                         assert answer(old) == answer(c.certificate), (w.vertex, c.ideal)
                         at = nu.source
@@ -725,10 +726,11 @@ def test_orthogonal_pair_certificates_match_the_former_chain():
     assert (compared, in_quotients, moved) == (38, 6, 2)
 
 
-def _shape(nu, gamma):
+def _shape(mu, nu, gamma):
     # (transported, lifted): the builder makes the cycle-pair witness, a
-    # transport when gamma != nu and a lift when gamma is nontrivial
-    return gamma != nu, not gamma.is_trivial
+    # transport when gamma != nu or d(nu) is not <= d(mu), and a lift when
+    # gamma is nontrivial
+    return gamma != nu or not leq(nu.degree, mu.degree), not gamma.is_trivial
 
 
 def full_chain(g, rc):
@@ -747,7 +749,7 @@ def _terms(cert):
 def _check_against_full_chain(g, rc, cert):
     # a skipped step is the identity: the same kind, target and parts,
     # term for term, and one step fewer for each skip; returns the shape
-    shape = _shape(rc.cycle.nu, rc.gamma)
+    shape = _shape(rc.cycle.mu, rc.cycle.nu, rc.gamma)
     assert _terms(cert) == _terms(full_chain(g, rc)), (rc, shape)
     assert len(cert.derivation) == 1 + sum(shape), (rc, shape)
     return shape
@@ -813,6 +815,28 @@ def test_case_certificates_match_the_full_chain():
 def test_case_certificates_match_the_full_chain_on_random_graphs(g, depth):
     # FED_CHAINS gives cases whose pair is reached along a nontrivial path
     _case_shapes(g, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(RANDOM_GRAPHS, FED_CHAINS), depth=st.integers(1, 2))
+def test_two_step_certificates_match_the_full_chain_on_random_graphs(g, depth):
+    # the classification builds no two-step case on these graphs, so both
+    # are made off each reaching cycle with nontrivial nu: gamma = s(nu) is
+    # transported alone, and gamma = nu is lifted alone where d(nu) <= d(mu)
+    # (else the transport along p refines the terms, and is made)
+    for v in g.vertices:
+        rc = find_reaching_gen_cycle(g, v, depth)
+        if not isinstance(rc, ReachingCycle) or rc.cycle.nu.is_trivial:
+            continue
+        mu, nu = rc.cycle.mu, rc.cycle.nu
+        for gamma, shape in (
+            (nu, (not leq(nu.degree, mu.degree), True)),
+            (g.trivial_path(nu.source), (True, False)),
+        ):
+            case = ReachingCycle(rc.cycle, gamma)
+            cert = infinite_vertex_from_reaching_cycle(g, case)
+            assert _check_against_full_chain(g, case, cert) == shape
+            assert failing_checks(cert) == []
 
 
 def test_certificate_coefficients_are_exact_rationals():
