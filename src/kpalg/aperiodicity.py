@@ -64,7 +64,7 @@ earlier one:
   x = x1 x2 with d(x1) = n. For p in the class, p x = (p x1) x2 with
   d(p x1) = d(x), so by unique factorization the head of p x at d(x) is
   p x1. Its word comes from those of p and x1 (``KGraph.prefix_word``,
-  once per class, and ``KGraph.composite_word``); no composite p x is
+  once per degree n, and ``KGraph.composite_word``); no composite p x is
   built or split. The head of p x1 at d(p) is p, so the paths of the
   class have distinct heads, and the table keeps every one.
 - Skipped classes lose nothing. A class of degree d not <= d(x) gets an
@@ -399,9 +399,10 @@ def _unseparated(
     """The residual pairs that x does not separate, in pair order, made as
     they are asked for: those where the heads of a x and b x agree. Each
     class gets one table from head to path on first use, empty for a
-    degree not <= d(x); each a probes the later classes' tables (module
-    docstring, "Degree-class joins")."""
+    degree not <= d(x), and x is split once per degree n; each a probes
+    the later classes' tables (module docstring, "Degree-class joins")."""
     tables: Dict[int, Dict[Word, Path]] = {}
+    prefixes: Dict[Degree, Word] = {}
 
     def table(i: int) -> Dict[Word, Path]:
         heads = tables.get(i)
@@ -409,9 +410,10 @@ def _unseparated(
             heads = tables[i] = {}
             n = tuple(map(operator.sub, x.degree, classes[i][0].degree))
             if min(n) >= 0:
-                y = g.prefix_word(x.edges, x.degree, n)
+                if n not in prefixes:
+                    prefixes[n] = g.prefix_word(x.edges, x.degree, n)
                 for p in classes[i]:
-                    heads[g.composite_word(p, y)] = p
+                    heads[g.composite_word(p, prefixes[n])] = p
         return heads
 
     for i, later in joins:

@@ -432,15 +432,12 @@ def infinite_vertex_from_reaching_cycle(
     1 + [transported] + [gamma nontrivial] steps."""
     cert = witness_from_gen_cycle(g, rc.cycle, fld)
     nu, gamma = rc.cycle.nu, rc.gamma
-    if gamma != nu:
+    if gamma != nu or not leq(nu.degree, rc.cycle.mu.degree):
+        # along nu itself x = y = p keeps q, r and s as elements, but still
+        # refines their terms to degree d(mu) v d(nu) when d(nu) is not <= d(mu)
         x = spanning_term(g, fld, nu, gamma)
         y = spanning_term(g, fld, gamma, nu)
         cert = transport_infinite(cert, x, y)
-    elif not leq(nu.degree, rc.cycle.mu.degree):
-        # along nu itself x = y = p, which keeps q, r and s as elements but
-        # refines their terms to degree d(mu) v d(nu)
-        p = spanning_term(g, fld, nu, nu)
-        cert = transport_infinite(cert, p, p)
     if not gamma.is_trivial:
         cert = lift_infinite(cert, vertex_unit(g, fld, gamma.range))
     return cert

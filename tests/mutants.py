@@ -51,8 +51,9 @@ MUTANTS = (
         (
             Edit(
                 "kpalg/witness.py",
-                "    if gamma != nu:\n",
-                "    if gamma != nu and not gamma.is_trivial:\n",
+                "    if gamma != nu or not leq(nu.degree, rc.cycle.mu.degree):\n",
+                "    if (gamma != nu or not leq(nu.degree, rc.cycle.mu.degree))"
+                " and not gamma.is_trivial:\n",
             ),
         ),
         ("tests/test_witness.py",),
@@ -145,8 +146,8 @@ MUTANTS = (
         (
             Edit(
                 "kpalg/aperiodicity.py",
-                "y = g.prefix_word(x.edges, x.degree, n)",
-                "y = x.edges",
+                "prefixes[n] = g.prefix_word(x.edges, x.degree, n)",
+                "prefixes[n] = x.edges",
             ),
         ),
         ("tests/test_aperiodicity.py",),

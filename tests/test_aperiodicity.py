@@ -818,6 +818,42 @@ def test_head_is_the_path_followed_by_the_prefix_of_the_candidate(g, depth):
                 assert len(set(words)) == len(words), (x, words)
 
 
+def test_the_join_splits_the_candidate_once_per_degree():
+    # a torus a, b at v with a red edge e and a blue edge f from v to u,
+    # e b = f a: the range groups u and v both hold joined classes of
+    # degrees (0, 1), (1, 0), ..., so a split per class would split x at
+    # some n twice. No census graph meets this: on every one, splitting
+    # per class never splits a candidate twice at one n
+    edges = [
+        Edge("a", 1, "v", "v"),
+        Edge("b", 2, "v", "v"),
+        Edge("e", 1, "v", "u"),
+        Edge("f", 2, "v", "u"),
+    ]
+    g = KGraph(2, ["u", "v"], edges, [("a", "b", "b", "a"), ("e", "b", "f", "a")])
+    assert validate(g).ok
+    for depth in (1, 2, 3):
+        _, classes, joins = _residual_classes(_groups_at(g, "v", depth))
+        joined = {i for i, _ in joins} | {j for _, later in joins for j in later}
+        degrees = {
+            u: {classes[i][0].degree for i in joined if classes[i][0].range == u} for u in "uv"
+        }
+        assert degrees["u"] and degrees["u"] <= degrees["v"], degrees
+        (x,) = g.boundary_paths("v", (depth + 1,) * 2)
+        split = []
+        prefix_word = g.prefix_word
+
+        def splitting(word, d, m):
+            split.append(m)
+            return prefix_word(word, d, m)
+
+        g.prefix_word = splitting
+        list(_unseparated(g, classes, joins, x))
+        del g.prefix_word
+        assert sorted(split) == sorted(set(split)), (depth, split)
+        assert {sub(x.degree, d) for d in degrees["u"]} <= set(split), (depth, split)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     case=st.one_of(
