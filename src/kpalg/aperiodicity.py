@@ -148,10 +148,10 @@ of the gap there alone (``certify_never_separated``). So does an unknown
 answer, which is the miss of both. The unit of work is therefore the
 one-vertex search (``_vertex_verdict``), whose answer is a one-vertex
 verdict, and a graph's verdict is combined from those of its vertices
-(``combine_verdicts``): ``strong_aperiodicity_sweep`` combines every
-ideal's verdict from stored answers, and searches each (v, H & D(v))
-only when a combine first reads it, so at most once, in the quotient by
-the least ideal of that trace.
+(``combine_verdicts``): ``strong_aperiodicity_sweep`` keys the answers
+at v by the traces ``ideals.traces`` lists, combines every ideal's
+verdict from them, and searches each only when a combine first reads
+it, so at most once, in the quotient by the least ideal of its trace.
 
 Locality of the witness search: ``prove_vertex_properly_infinite`` makes
 one case per trace T = H & D(v) of the ideals H avoiding v, at the ideal

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_input, combine_verdicts
 from .field import Field, QQ
-from .ideals import Ideal, enumerate_sat_her, quotient
+from .ideals import Ideal, enumerate_sat_her, quotient, traces
 from .kgraph import KGraph, KGraphError, Path
 from .paths import find_cycle_reaching, reachable_to
 from .witness import (
@@ -106,28 +106,19 @@ def strong_aperiodicity_sweep(
     """Aperiodicity verdict for the quotient by every hereditary
     saturated set, the empty quotient included (vacuously aperiodic),
     and the one-vertex answers they are combined from.
-    A vertex's answer depends only on (v, H & D(v)), D(v) being the
-    vertices v reaches (aperiodicity's locality across quotients, read
-    from ``reachable_to``, which keeps D(v) on the graph). Each ideal's
-    verdict is combined from the answers of its vertices, and an answer
-    is searched when the combine first reads it, whatever it turns out
-    to be, and kept: each pair at most once, and none past the first
-    periodic vertex of an ideal. The first ideal of a trace T in lattice
-    order is closure(T), the least ideal of that trace; an answer is
-    searched in the quotient by it, which ``quotient`` builds once and
-    keeps on g, so the sweep builds only ideals of the witness cases,
-    every one of them where no answer is periodic, and the witness search
-    reads the same quotients.
-
-    The answers come back as searched, each once: in vertex order, and per
-    vertex in lattice order of closure(T), which is the order of
-    ``ideals.traces``. Where no answer is periodic, every trace at every
-    vertex is searched, so a vertex lists the traces of its witness cases;
-    a trace whose answer no combine read is left out."""
+    A vertex's answer depends only on (v, T), T = H & D(v) its trace and
+    D(v) the vertices v reaches (aperiodicity's locality across
+    quotients). ``ideals.traces`` lists the keys, each with closure(T),
+    the least ideal of its trace, and an answer is searched in the
+    quotient by it (built once and kept on g by ``quotient``, where the
+    witness search reads it) when a combine first reads it, and kept:
+    each key at most once, none past the first periodic vertex of an
+    ideal. A key a combine reads that is not listed raises KeyError. The
+    answers come back in the order of the keys, by vertex and then as
+    ``traces`` lists them; a trace whose answer no combine read is left out."""
     reach = {v: frozenset(reachable_to(g, v)) for v in g.vertices}
-    # (v, H & D(v)) -> the first ideal of that trace, and the one-vertex
-    # verdict at v once read
-    home: Dict = {}
+    # (v, H & D(v)) -> closure(H & D(v)); answers keeps the answer at v once read
+    home = {(v, reach[v].intersection(h)): h for v in g.vertices for h in traces(g, v)}
     answers: Dict = {}
 
     def answer(key: Tuple[str, frozenset]) -> AperiodicityVerdict:
@@ -139,14 +130,11 @@ def strong_aperiodicity_sweep(
     for h in enumerate_sat_her(g).sets:
         hs = frozenset(h)
         keys = [(v, reach[v] & hs) for v in g.vertices if v not in hs]
-        home.update({key: h for key in keys if key not in home})
         out.append((h, combine_verdicts(map(answer, keys), depth)))
-    # home lists each key at its first ideal, in lattice order, and the
-    # sort by vertex keeps that order within a vertex
-    position = {v: i for i, v in enumerate(g.vertices)}
-    read = sorted((key for key in home if key in answers), key=lambda key: position[key[0]])
     return tuple(out), tuple(
-        TraceAnswer(v, tuple(sorted(t)), home[v, t], answers[v, t]) for v, t in read
+        TraceAnswer(v, tuple(sorted(t)), h, answers[v, t])
+        for (v, t), h in home.items()
+        if (v, t) in answers
     )
 
 
@@ -193,18 +181,19 @@ def classify_pure_infiniteness(
     sweep, answers = strong_aperiodicity_sweep(g, depth)
 
     starved = [c.vertex for c in conds if not c.receives]
+    periodic = [(h, verd) for h, verd in sweep if verd.status == "periodic"]
+    unsettled = [h for h, verd in sweep if verd.status == "unknown"]
+    assumed = False
+    witnesses: Tuple[VertexInfinitenessReport, ...] = ()
     if starved:
+        verdict = "NotPurelyInfinite"
         notes.append(
             "vertex %s receives no nontrivial path, so it generates a "
             "finite dimensional ideal; the algebra cannot be purely "
             "infinite" % starved[0]
         )
-        return ClassificationReport(
-            "NotPurelyInfinite", conds, sweep, answers, False, (), depth, fld.name, tuple(notes)
-        )
-
-    periodic = [(h, verd) for h, verd in sweep if verd.status == "periodic"]
-    if periodic:
+    elif periodic:
+        verdict = "Inconclusive"
         h, verd = periodic[0]
         msg = "%s is certified periodic" % _describe(h)
         if verd.certificate is not None:
@@ -219,57 +208,47 @@ def classify_pure_infiniteness(
                 "contradicts this certificate"
             )
         notes.append(msg)
-        return ClassificationReport(
-            "Inconclusive", conds, sweep, answers, False, (), depth, fld.name, tuple(notes)
-        )
-
-    unsettled = [h for h, verd in sweep if verd.status == "unknown"]
-    assumed = False
-    if unsettled:
-        if not assume_aperiodic:
-            notes.append(
-                "aperiodicity of %s is unknown at depth %d; raise the depth "
-                "or assert aperiodicity to proceed"
-                % (_describe(unsettled[0]), depth)
-            )
-            return ClassificationReport(
-                "Inconclusive", conds, sweep, answers, False, (), depth, fld.name, tuple(notes)
-            )
-        assumed = True
-        notes.append(
-            "aperiodicity accepted by assertion for %d quotient(s) the "
-            "check could not settle at depth %d" % (len(unsettled), depth)
-        )
-
-    gate = next(verd for h, verd in sweep if len(h) == 0)
-    witnesses = tuple(
-        prove_vertex_properly_infinite(g, c.vertex, depth, fld, aperiodicity=gate)
-        for c in conds
-    )
-
-    # no witness is Negative: a vertex outside a saturated hereditary H
-    # keeps, for each color it receives, an edge of that color from
-    # outside H, so with no vertex starved every vertex of every quotient
-    # receives an edge, and a cycle reaches it
-    if all(w.status == "ProperlyInfinite" for w in witnesses):
-        bounded = sum(
-            verd.status == "aperiodic" and verd.basis == "bounded" for _, verd in sweep
-        )
-        if bounded:
-            notes.append(
-                "aperiodicity of %d of the %d quotient(s) rests on a separator "
-                "search bounded at depth %d, not on a certificate"
-                % (bounded, len(sweep), depth)
-            )
-        notes.append(
-            "every vertex carries a verified infiniteness certificate in "
-            "every admissible quotient"
-        )
-        verdict = "ProperlyPurelyInfinite"
-    else:
-        stuck = next(w for w in witnesses if w.status != "ProperlyInfinite")
-        notes.append("vertex %s: %s" % (stuck.vertex, stuck.failure))
+    elif unsettled and not assume_aperiodic:
         verdict = "Inconclusive"
+        notes.append(
+            "aperiodicity of %s is unknown at depth %d; raise the depth "
+            "or assert aperiodicity to proceed" % (_describe(unsettled[0]), depth)
+        )
+    else:
+        if unsettled:
+            assumed = True
+            notes.append(
+                "aperiodicity accepted by assertion for %d quotient(s) the "
+                "check could not settle at depth %d" % (len(unsettled), depth)
+            )
+        gate = next(verd for h, verd in sweep if len(h) == 0)
+        witnesses = tuple(
+            prove_vertex_properly_infinite(g, c.vertex, depth, fld, aperiodicity=gate)
+            for c in conds
+        )
+        # no witness is Negative: a vertex outside a saturated hereditary H
+        # keeps, for each color it receives, an edge of that color from
+        # outside H, so with no vertex starved every vertex of every quotient
+        # receives an edge, and a cycle reaches it
+        if all(w.status == "ProperlyInfinite" for w in witnesses):
+            bounded = sum(
+                verd.status == "aperiodic" and verd.basis == "bounded" for _, verd in sweep
+            )
+            if bounded:
+                notes.append(
+                    "aperiodicity of %d of the %d quotient(s) rests on a separator "
+                    "search bounded at depth %d, not on a certificate"
+                    % (bounded, len(sweep), depth)
+                )
+            notes.append(
+                "every vertex carries a verified infiniteness certificate in "
+                "every admissible quotient"
+            )
+            verdict = "ProperlyPurelyInfinite"
+        else:
+            stuck = next(w for w in witnesses if w.status != "ProperlyInfinite")
+            notes.append("vertex %s: %s" % (stuck.vertex, stuck.failure))
+            verdict = "Inconclusive"
     return ClassificationReport(
         verdict, conds, sweep, answers, assumed, witnesses, depth, fld.name, tuple(notes)
     )

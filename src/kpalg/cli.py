@@ -269,13 +269,16 @@ def cmd_contract(g: KGraph, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each command takes only the options it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("graph", help="presentation file in kgraph v1 format")
     common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument(
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument(
         "--depth", type=_depth, default=6, help="search depth bound, >= 1 (default 6)"
     )
-    common.add_argument(
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument(
         "--field", default="Q", help="coefficient field, Q or F<prime> (default Q)"
     )
 
@@ -318,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vertices", help="comma-separated vertex ids")
     p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("aperiodic", parents=[common], help="aperiodicity check")
+    p = sub.add_parser("aperiodic", parents=[common, depth], help="aperiodicity check")
     p.set_defaults(func=cmd_aperiodic)
 
     p = sub.add_parser(
-        "classify", parents=[common], help="decide proper pure infiniteness"
+        "classify", parents=[common, depth, field], help="decide proper pure infiniteness"
     )
     p.add_argument(
         "--assert-aperiodic",
@@ -333,19 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
-        "witness", parents=[common], help="per-vertex infiniteness certificates"
+        "witness", parents=[common, depth, field], help="per-vertex infiniteness certificates"
     )
     p.add_argument("vertex")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser(
-        "eval", parents=[common], help="evaluate an algebra expression file"
+        "eval", parents=[common, field], help="evaluate an algebra expression file"
     )
     p.add_argument("exprfile", help="expression file, or - for stdin")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
-        "contract", parents=[common], help="contracting bisection inside a cylinder"
+        "contract", parents=[common, depth], help="contracting bisection inside a cylinder"
     )
     p.add_argument("path", help="cylinder base path: vertex id or dotted edge ids")
     p.set_defaults(func=cmd_contract)
@@ -359,8 +362,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         g = load_kgraph(args.graph)
         if args.func is not cmd_validate:
-            # every other command answers only about a valid presentation
-            check_input(g, args.depth)
+            # every other command answers only about a valid presentation;
+            # argparse has refused a depth below 1 where a command reads it
+            check_input(g, getattr(args, "depth", 1))
         return args.func(g, args)
     except (OSError, KGraphError, FieldError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

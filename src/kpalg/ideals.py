@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .kgraph import KGraph, KGraphError
+from .paths import reachable_to
 
 # a saturated hereditary set: its vertex ids, sorted
 Ideal = Tuple[str, ...]
@@ -111,17 +112,18 @@ def enumerate_sat_her(g: KGraph) -> IdealLattice:
     return IdealLattice(tuple(tuple(sorted(h)) for h in above), tuple(covers))
 
 
-def traces(g: KGraph, v: str, reach: Collection[str]) -> Tuple[Ideal, ...]:
+def traces(g: KGraph, v: str) -> Tuple[Ideal, ...]:
     """closure(T) for each trace T = H & D(v) of the ideals H avoiding v,
     in lattice order: the fixed points avoiding v of closure(T) & D(v)
-    (``aperiodicity.py`` docstring), found by ``_walk`` inside D(v).
-    ``reach`` is D(v), the key set of ``paths.reachable_to(g, v)``.
+    (``aperiodicity.py`` docstring), found by ``_walk`` inside D(v), the
+    key set of ``paths.reachable_to(g, v)``, kept on g.
 
     An ideal holding u holds D(u), so the walk skips every u with v in
     D(u): the u that v reaches along edges, from source to range. Each
     vertex on such a way reaches v too, so the search stays inside D(v).
     """
     _known(g, [v])
+    reach = reachable_to(g, v)
     ahead = {v}
     work = [v]
     while work:

@@ -513,7 +513,7 @@ def prove_vertex_properly_infinite(
         )
     cases: List[IdealCase] = []
     proper: Optional[WitnessCertificate] = None
-    for h in traces(g, v, reach):
+    for h in traces(g, v):
         gq = quotient(g, h)
         route = "orthogonal-pair"
         rc = _disjoint_cycle_pair(gq, v, depth)

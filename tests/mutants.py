@@ -191,6 +191,97 @@ MUTANTS = (
         ),
         ("tests/test_aperiodicity.py",),
     ),
+    Mutant(
+        "probe-at-the-first-defeat",
+        "the separator walk hands a pair to the closed machine at every "
+        "defeat, also the first, not only when it defeats a second candidate",
+        (
+            Edit(
+                "kpalg/aperiodicity.py",
+                "if defeats == 2 and machine.states(*defeating) is not None:",
+                "if defeats >= 1 and machine.states(*defeating) is not None:",
+            ),
+        ),
+        ("tests/test_aperiodicity.py",),
+    ),
+    Mutant(
+        "machine-without-its-memo",
+        "_Machine.states runs the closed machine on every call, so a pair "
+        "the walk and the certificate scan both ask about runs twice",
+        (
+            Edit(
+                "kpalg/aperiodicity.py",
+                "        if key not in self.answers:\n",
+                "        if True:\n",
+            ),
+        ),
+        ("tests/test_aperiodicity.py",),
+    ),
+    Mutant(
+        "walk-goes-on-past-a-certified-probe",
+        "the separator walk tries every later candidate after the machine "
+        "has certified the defeating pair, though none can separate it",
+        (
+            Edit(
+                "kpalg/aperiodicity.py",
+                "is not None:\n                return None\n",
+                "is not None:\n                pass\n",
+            ),
+        ),
+        ("tests/test_aperiodicity.py",),
+    ),
+    Mutant(
+        "composite-join-against-color-order",
+        "composite_word joins p's word and the word after it as they are "
+        "when they are out of color order, and sorts them when they are not",
+        (
+            Edit(
+                "kpalg/kgraph.py",
+                "self._color[edges[-1]] <= self._color[word[0]]",
+                "self._color[edges[-1]] >= self._color[word[0]]",
+            ),
+        ),
+        ("tests/test_kgraph.py",),
+    ),
+    Mutant(
+        "split-word-never-moves",
+        "_split_word takes the literal prefix as the head at every m, also "
+        "where an edge of a higher color must move past left-over edges",
+        (
+            Edit(
+                "kpalg/kgraph.py",
+                "            if not (mc and skip):\n",
+                "            if True:\n",
+            ),
+        ),
+        ("tests/test_kgraph.py",),
+    ),
+    Mutant(
+        "sweep-answers-out-of-trace-order",
+        "the sweep keys each vertex's traces in reverse order of "
+        "ideals.traces, so its answers come out of report order",
+        (
+            Edit(
+                "kpalg/classify.py",
+                "for h in traces(g, v)}",
+                "for h in reversed(traces(g, v))}",
+            ),
+        ),
+        ("tests/test_classify.py",),
+    ),
+    Mutant(
+        "traces-walk-ignores-avoid",
+        "_walk keeps a closure that holds the vertex it must avoid, so "
+        "ideals.traces lists closures of ideals that contain v",
+        (
+            Edit(
+                "kpalg/ideals.py",
+                "above[h] = {b for b in bigger if avoid not in b}",
+                "above[h] = set(bigger)",
+            ),
+        ),
+        ("tests/test_ideals.py",),
+    ),
 )
 
 

@@ -46,7 +46,7 @@ from kpalg import (
     vertex_report_json,
 )
 from kpalg.classify import _assert_consistent, aperiodicity_json, conditions_json
-from kpalg.ideals import enumerate_sat_her, sat_her_closure
+from kpalg.ideals import enumerate_sat_her, sat_her_closure, traces
 from kpalg.witness import IdealCase
 from oracles import prove_vertex_from_scratch, reaching
 
@@ -468,6 +468,17 @@ def test_standalone_witness_does_not_enumerate_the_lattice(monkeypatch):
     assert len(quotients) == 17
 
 
+def test_classify_lists_the_traces_twice_per_vertex(monkeypatch):
+    # once in the sweep and once in the witness search, and the lattice once
+    g = lattice8()
+    enumerated = _count_calls(monkeypatch, "enumerate_sat_her")
+    listed = _count_calls(monkeypatch, "traces")
+    rep = classify_pure_infiniteness(g, depth=2)
+    assert rep.verdict == "ProperlyPurelyInfinite"
+    assert len(enumerated) == 1
+    assert ["".join(v) for v in listed] == list(g.vertices) * 2
+
+
 def test_classify_computes_each_reach_set_once(monkeypatch):
     # D(v) is kept on the graph: the cycle search, the sweep and both
     # witness routes read one answer per (graph, vertex)
@@ -657,6 +668,10 @@ def assert_answers_expand_to_the_sweep(g, depth):
     assert read == {(a["vertex"], tuple(a["trace"])) for a in data["aperiodicity"]}
     for a in data["aperiodicity"]:
         assert tuple(a["ideal"]) == sat_her_closure(g, a["trace"]), a
+    # the answers follow the vertices, and at each vertex the order of traces
+    listed = [(v, h) for v in g.vertices for h in traces(g, v)]
+    got = [listed.index((a["vertex"], tuple(a["ideal"]))) for a in data["aperiodicity"]]
+    assert got == sorted(got)
 
 
 @pytest.mark.parametrize("name, mk", GRAPHS, ids=[name for name, _ in GRAPHS])

@@ -65,9 +65,15 @@ edge f color=2 from=u to=v
     "command",
     [
         ["paths", "v", "2,2", "--boundary"],
-        ["aperiodic"],
-        ["witness", "v"],
+        ["mce", "f", "b"],
+        ["closure", "v"],
         ["ideals"],
+        ["quotient", "v"],
+        ["aperiodic"],
+        ["classify"],
+        ["witness", "v"],
+        ["eval", "absent.expr"],
+        ["contract", "v"],
     ],
     ids=lambda c: c[0],
 )
@@ -497,6 +503,40 @@ def test_classify_json_is_the_same_under_every_hash_seed(tmp_path, make, verdict
 
 
 # -- usage -------------------------------------------------------------------------
+
+
+# each command's positional arguments, and the options among --depth and
+# --field that it reads
+COMMANDS = {
+    "validate": ([], ()),
+    "paths": (["v", "1"], ()),
+    "mce": (["v", "v"], ()),
+    "closure": (["v"], ()),
+    "ideals": ([], ()),
+    "quotient": (["v"], ()),
+    "aperiodic": ([], ("--depth",)),
+    "classify": ([], ("--depth", "--field")),
+    "witness": (["v"], ("--depth", "--field")),
+    "eval": (["x.expr"], ("--field",)),
+    "contract": (["v"], ("--depth",)),
+}
+IGNORED = [
+    (command, option, value)
+    for command, (_, reads) in COMMANDS.items()
+    for option, value in (("--depth", "2"), ("--field", "F7"))
+    if option not in reads
+]
+
+
+@pytest.mark.parametrize("command, option, value", IGNORED)
+def test_an_option_a_command_does_not_read_is_a_usage_error(capsys, command, option, value):
+    # aperiodic --field F7 used to run and ignore the field; the usage error
+    # comes before the graph file is read
+    argv = [command, "g.kg"] + COMMANDS[command][0] + [option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s %s" % (option, value) in capsys.readouterr().err
 
 
 def test_no_command_is_usage_error():
