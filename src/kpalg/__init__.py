@@ -79,17 +79,11 @@ from .paths import (
     GeneralizedCycle,
     NotFoundUpTo,
     ReachingCycle,
-    cylinder_contains,
     find_cycle_reaching,
     find_entrance,
     find_reaching_gen_cycle,
     is_generalized_cycle,
     reachable_to,
-)
-from .steinberg import (
-    ContractionWitness,
-    CylinderBisection,
-    locally_contracting_on,
 )
 from .witness import (
     DerivationStep,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_input, combine_verdicts
-from .field import Field, QQ
 from .ideals import Ideal, enumerate_sat_her, quotient, traces
 from .kgraph import KGraph, KGraphError, Path
 from .paths import find_cycle_reaching, reachable_to
@@ -68,7 +67,6 @@ class ClassificationReport:
     assumed_aperiodic: bool
     witnesses: Tuple[VertexInfinitenessReport, ...]
     depth: int
-    field_name: str
     notes: Tuple[str, ...]
 
 
@@ -156,11 +154,12 @@ def check_vertices(g: KGraph) -> None:
 def classify_pure_infiniteness(
     g: KGraph,
     depth: int = 6,
-    fld: Field = QQ,
     assume_aperiodic: bool = False,
 ) -> ClassificationReport:
-    """Decide whether the graph algebra over fld is properly purely
-    infinite.
+    """Decide whether the graph algebra is properly purely infinite. The
+    certificates are checked with integer coefficients and hold over every
+    field (the ``witness.py`` docstring), so the verdict is the same for
+    every field.
 
     ProperlyPurelyInfinite needs a verified certificate for every vertex
     in every admissible quotient. A vertex receiving no nontrivial path
@@ -223,7 +222,7 @@ def classify_pure_infiniteness(
             )
         gate = next(verd for h, verd in sweep if len(h) == 0)
         witnesses = tuple(
-            prove_vertex_properly_infinite(g, c.vertex, depth, fld, aperiodicity=gate)
+            prove_vertex_properly_infinite(g, c.vertex, depth, aperiodicity=gate)
             for c in conds
         )
         # no witness is Negative: a vertex outside a saturated hereditary H
@@ -250,7 +249,7 @@ def classify_pure_infiniteness(
             notes.append("vertex %s: %s" % (stuck.vertex, stuck.failure))
             verdict = "Inconclusive"
     return ClassificationReport(
-        verdict, conds, sweep, answers, assumed, witnesses, depth, fld.name, tuple(notes)
+        verdict, conds, sweep, answers, assumed, witnesses, depth, tuple(notes)
     )
 
 
@@ -305,7 +304,7 @@ def report_json(rep: ClassificationReport) -> Dict:
         "format": 4,
         "verdict": rep.verdict,
         "depth": rep.depth,
-        "field": rep.field_name,
+        "field": "Q",
         "assumed_aperiodic": rep.assumed_aperiodic,
         "aperiodicity_basis": "certified" if certified else "bounded",
         "conditions": [conditions_json(c) for c in rep.conditions],

@@ -30,7 +30,6 @@ from .kgraph import (
     validate,
 )
 from .kpelement import normal_form
-from .steinberg import locally_contracting_on
 from .witness import prove_vertex_properly_infinite, vertex_report_json
 
 
@@ -171,13 +170,12 @@ def cmd_aperiodic(g: KGraph, args) -> int:
 
 
 def cmd_classify(g: KGraph, args) -> int:
-    fld = parse_field(args.field)
-    rep = classify_pure_infiniteness(g, args.depth, fld, args.assert_aperiodic)
+    rep = classify_pure_infiniteness(g, args.depth, args.assert_aperiodic)
     if args.json:
         _print_json(report_json(rep))
     else:
         print("verdict: %s" % rep.verdict)
-        print("field: %s  depth: %d" % (rep.field_name, rep.depth))
+        print("field: Q  depth: %d" % rep.depth)
         if rep.assumed_aperiodic:
             print("aperiodicity assumed where the check was unsettled")
         for c in rep.conditions:
@@ -196,8 +194,7 @@ def cmd_classify(g: KGraph, args) -> int:
 
 
 def cmd_witness(g: KGraph, args) -> int:
-    fld = parse_field(args.field)
-    rep = prove_vertex_properly_infinite(g, args.vertex, args.depth, fld)
+    rep = prove_vertex_properly_infinite(g, args.vertex, args.depth)
     if args.json:
         _print_json(vertex_report_json(rep))
     else:
@@ -236,38 +233,6 @@ def cmd_eval(g: KGraph, args) -> int:
     return 0
 
 
-def cmd_contract(g: KGraph, args) -> int:
-    kappa = _parse_path(g, args.path)
-    res = locally_contracting_on(g, kappa, args.depth)
-    if res:
-        cyc = res.cycle
-        if args.json:
-            _print_json(
-                {
-                    "found": True,
-                    "bisection": str(res.bisection),
-                    "mu": str(cyc.mu),
-                    "nu": str(cyc.nu),
-                    "entrance": str(cyc.entrance),
-                    "region": str(res.region),
-                    "containment_checked": res.containment.checked,
-                }
-            )
-        else:
-            print("contracting bisection: %s" % res.bisection)
-            print("cycle pair: (%s, %s) with entrance %s" % (cyc.mu, cyc.nu, cyc.entrance))
-            print("region: Z(%s)" % res.region)
-        return 0
-    if args.json:
-        _print_json({"found": False, "depth": res.depth, "detail": res.detail})
-    else:
-        print(
-            "no contracting bisection found up to depth %d%s"
-            % (res.depth, "; " + res.detail if res.detail else "")
-        )
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     # each command takes only the options it reads
     common = argparse.ArgumentParser(add_help=False)
@@ -276,10 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     depth = argparse.ArgumentParser(add_help=False)
     depth.add_argument(
         "--depth", type=_depth, default=6, help="search depth bound, >= 1 (default 6)"
-    )
-    field = argparse.ArgumentParser(add_help=False)
-    field.add_argument(
-        "--field", default="Q", help="coefficient field, Q or F<prime> (default Q)"
     )
 
     parser = argparse.ArgumentParser(
@@ -325,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aperiodic)
 
     p = sub.add_parser(
-        "classify", parents=[common, depth, field], help="decide proper pure infiniteness"
+        "classify", parents=[common, depth], help="decide proper pure infiniteness"
     )
     p.add_argument(
         "--assert-aperiodic",
@@ -336,22 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
-        "witness", parents=[common, depth, field], help="per-vertex infiniteness certificates"
+        "witness", parents=[common, depth], help="per-vertex infiniteness certificates"
     )
     p.add_argument("vertex")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser(
-        "eval", parents=[common, field], help="evaluate an algebra expression file"
-    )
+    p = sub.add_parser("eval", parents=[common], help="evaluate an algebra expression file")
     p.add_argument("exprfile", help="expression file, or - for stdin")
+    p.add_argument("--field", default="Q", help="coefficient field, Q or F<prime> (default Q)")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser(
-        "contract", parents=[common, depth], help="contracting bisection inside a cylinder"
-    )
-    p.add_argument("path", help="cylinder base path: vertex id or dotted edge ids")
-    p.set_defaults(func=cmd_contract)
 
     return parser
 

@@ -19,6 +19,15 @@ Structural equality (==) compares term maps; algebraic equality is
 ``equals``. Identical term tuples denote the same sum, so ``equals``
 accepts them without normalizing; any other pair is compared by
 normalizing the difference by boundary expansion.
+
+The Steinberg model. In the boundary-path groupoid, s_lam s_{mu*} is the
+indicator of the compact open bisection Z(lam*mu): its range is the
+cylinder Z(lam), its source Z(mu), and it shifts by d(lam) - d(mu). The
+groupoid's Steinberg algebra is the Kumjian-Pask algebra
+(Clark-Farthing-Sims-Tomforde, Semigroup Forum 89, 2014); the tests check
+``kp_mul`` against its regular representation. The terms of a normal form
+in one grading share one degree of lam, so they are indicators of disjoint
+nonempty bisections, and its coefficients are the values of the element.
 """
 
 from __future__ import annotations

@@ -65,28 +65,6 @@ class ReachingCycle:
     gamma: Path
 
 
-def _containment_failures(
-    g: KGraph, inner: Path, outer: Path
-) -> Tuple[Tuple[Path, ...], int]:
-    # Z(inner) subset of Z(outer) iff every boundary extension of inner up
-    # to the degree slack stays compatible with outer
-    n0 = sub(join(inner.degree, outer.degree), inner.degree)
-    failing: List[Path] = []
-    taus = g.boundary_paths(inner.source, n0)
-    for tau in taus:
-        if not g.mce(g.compose(inner, tau), outer):
-            failing.append(tau)
-    return tuple(failing), len(taus)
-
-
-def cylinder_contains(g: KGraph, outer: Path, inner: Path) -> ContainmentEvidence:
-    """Check Z(inner) subset of Z(outer)."""
-    if inner.range != outer.range:
-        return ContainmentEvidence(False, (inner.graph.trivial_path(inner.source),), 0)
-    failing, checked = _containment_failures(g, inner, outer)
-    return ContainmentEvidence(not failing, failing, checked)
-
-
 def is_generalized_cycle(g: KGraph, mu: Path, nu: Path) -> ContainmentEvidence:
     """Decide whether (mu, nu) is a generalized cycle; evidence lists any
     boundary extension of mu that escapes nu."""
@@ -97,8 +75,11 @@ def is_generalized_cycle(g: KGraph, mu: Path, nu: Path) -> ContainmentEvidence:
             "generalized cycle needs common source and range, got "
             "s=%s/%s r=%s/%s" % (mu.source, nu.source, mu.range, nu.range)
         )
-    failing, checked = _containment_failures(g, mu, nu)
-    return ContainmentEvidence(not failing, failing, checked)
+    # Z(mu) lies in Z(nu) iff every boundary extension of mu up to the
+    # degree slack stays compatible with nu
+    taus = g.boundary_paths(mu.source, sub(join(mu.degree, nu.degree), mu.degree))
+    failing = tuple(tau for tau in taus if not g.mce(g.compose(mu, tau), nu))
+    return ContainmentEvidence(not failing, failing, len(taus))
 
 
 def _degrees_with_total(k: int, t: int) -> Iterator[Degree]:
@@ -196,28 +177,6 @@ def find_cycle_reaching(
     return None
 
 
-def _leg_degrees(k: int, s_total: int, most: int) -> List[Tuple[Degree, Degree]]:
-    # the sorted degree pairs (d(mu), d(nu)) of total s_total, each leg's
-    # total in [1, most]
-    return sorted(
-        (dm, dn)
-        for t1 in range(max(1, s_total - most), min(most, s_total - 1) + 1)
-        for dm in _degrees_with_total(k, t1)
-        for dn in _degrees_with_total(k, s_total - t1)
-    )
-
-
-def _entered_cycle(
-    g: KGraph, mu: Path, nu: Path, depth: int
-) -> Optional[GeneralizedCycle]:
-    # None unless (mu, nu) is a generalized cycle; then the cycle, with its
-    # entrance within depth or None
-    if not is_generalized_cycle(g, mu, nu):
-        return None
-    tau = find_entrance(g, GeneralizedCycle(mu, nu), depth)
-    return GeneralizedCycle(mu, nu, None if isinstance(tau, NotFoundUpTo) else tau)
-
-
 def find_reaching_gen_cycle(
     g: KGraph, v: str, depth: int
 ) -> Union[ReachingCycle, NotFoundUpTo]:
@@ -230,7 +189,15 @@ def find_reaching_gen_cycle(
     reach = reachable_to(g, v)
     cycles_without_entrance = 0
     for s_total in range(2, 2 * depth + 1):
-        for dm, dn in _leg_degrees(g.k, s_total, depth):
+        # the sorted degree pairs (d(mu), d(nu)) of total s_total, each
+        # leg's total in [1, depth]
+        legs = sorted(
+            (dm, dn)
+            for t1 in range(max(1, s_total - depth), min(depth, s_total - 1) + 1)
+            for dm in _degrees_with_total(g.k, t1)
+            for dn in _degrees_with_total(g.k, s_total - t1)
+        )
+        for dm, dn in legs:
             for u in g.vertices:
                 for mu in g.paths(u, dm):
                     if mu.source not in reach:
@@ -238,13 +205,13 @@ def find_reaching_gen_cycle(
                     for nu in g.paths(u, dn):
                         if nu.source != mu.source or nu == mu:
                             continue
-                        cycle = _entered_cycle(g, mu, nu, depth)
-                        if cycle is None:
+                        if not is_generalized_cycle(g, mu, nu):
                             continue
-                        if cycle.entrance is None:
+                        tau = find_entrance(g, GeneralizedCycle(mu, nu), depth)
+                        if isinstance(tau, NotFoundUpTo):
                             cycles_without_entrance += 1
                             continue
-                        return ReachingCycle(cycle, reach[mu.source])
+                        return ReachingCycle(GeneralizedCycle(mu, nu, tau), reach[mu.source])
     detail = ""
     if cycles_without_entrance:
         detail = (

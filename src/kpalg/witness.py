@@ -63,6 +63,27 @@ least ideal of that trace. Every term starts in D(v), which the builder
 checks, so the certificate serves every ideal of trace T; the proof,
 strictness included, is the witness search paragraph of the
 ``aperiodicity.py`` docstring.
+
+Every field. The builder works over QQ and makes only int scalars: its
+spanning terms have coefficient 1, and it adds, subtracts and multiplies.
+Its certificates hold in KP_K(Lambda) for every field K, which contains
+Q or some F_l:
+
+- Every relation is checked on integer elements. +, -, ``kp_mul`` and
+  ``normal_form`` have structure constants 0/1: a product term gets
+  c1 c2, a refined term c. So they commute with reduction mod a prime
+  l, and, refinement being one to one on terms, whether a normal form is
+  zero does not depend on its depth: a zero normal form over Z stays
+  zero mod l. Every relation lhs = rhs, the steps' checks and
+  A p B = p (+) p included, holds over F_l as it does over Q.
+- Strictness, q != p, asserts a nonzero. f = p - q is an idempotent, by
+  the checked relations (p p = p, q q = q, q p = p q = q). At a fixed
+  expansion depth the terms of a normal form are indicators of disjoint
+  nonempty bisections (the ``kpelement.py`` docstring), so its
+  coefficients are the values of f. If every coefficient of
+  normal_form(f) were divisible by l, f = l h with h integral, and
+  f = f^(2^n) = l^(2^n) h^(2^n) would make them divisible by l^(2^n) for
+  every n, so normal_form(f) would be 0, which contradicts q != p over Z.
 """
 
 from __future__ import annotations
@@ -73,7 +94,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .aperiodicity import AperiodicityVerdict, aperiodicity_check, check_input
 from .degrees import leq, total
-from .field import Field, QQ
+from .field import QQ
 from .ideals import Ideal, quotient, traces
 from .kgraph import KGraph, KGraphError, Path
 from .kpelement import (
@@ -205,9 +226,7 @@ def _finish(
 # -- constructions ---------------------------------------------------------------
 
 
-def witness_from_gen_cycle(
-    g: KGraph, c: GeneralizedCycle, fld: Field = QQ
-) -> WitnessCertificate:
+def witness_from_gen_cycle(g: KGraph, c: GeneralizedCycle) -> WitnessCertificate:
     """Infinite witness for p = s_nu s_{nu*} from a generalized cycle with
     an entrance.
 
@@ -228,10 +247,10 @@ def witness_from_gen_cycle(
         raise WitnessError(
             "claimed entrance %s stays compatible with mu = %s" % (tau, c.mu)
         )
-    p = spanning_term(g, fld, c.nu, c.nu)
-    q = spanning_term(g, fld, c.mu, c.mu)
-    r = spanning_term(g, fld, c.nu, c.mu)
-    s = spanning_term(g, fld, c.mu, c.nu)
+    p = spanning_term(g, QQ, c.nu, c.nu)
+    q = spanning_term(g, QQ, c.mu, c.mu)
+    r = spanning_term(g, QQ, c.nu, c.mu)
+    s = spanning_term(g, QQ, c.mu, c.nu)
     step = DerivationStep(
         "cycle-pair-witness",
         "entrance %s escapes Z(%s), so the subidempotent is strict" % (tau, c.mu),
@@ -416,9 +435,7 @@ def _disjoint_cycle_pair(g: KGraph, v: str, depth: int) -> Optional[ReachingCycl
     return None
 
 
-def infinite_vertex_from_reaching_cycle(
-    g: KGraph, rc: ReachingCycle, fld: Field = QQ
-) -> WitnessCertificate:
+def infinite_vertex_from_reaching_cycle(g: KGraph, rc: ReachingCycle) -> WitnessCertificate:
     """Infinite witness for s_v from a generalized cycle (mu, nu) with
     entrance, reached from v along gamma: build it at the cycle for
     p = s_nu s_nu*, carry it along x = s_nu s_gamma*, y = s_gamma s_nu* to
@@ -430,16 +447,16 @@ def infinite_vertex_from_reaching_cycle(
     kind, target and parts, term for term (the "One builder" paragraph of
     the module docstring), so the certificate has
     1 + [transported] + [gamma nontrivial] steps."""
-    cert = witness_from_gen_cycle(g, rc.cycle, fld)
+    cert = witness_from_gen_cycle(g, rc.cycle)
     nu, gamma = rc.cycle.nu, rc.gamma
     if gamma != nu or not leq(nu.degree, rc.cycle.mu.degree):
         # along nu itself x = y = p keeps q, r and s as elements, but still
         # refines their terms to degree d(mu) v d(nu) when d(nu) is not <= d(mu)
-        x = spanning_term(g, fld, nu, gamma)
-        y = spanning_term(g, fld, gamma, nu)
+        x = spanning_term(g, QQ, nu, gamma)
+        y = spanning_term(g, QQ, gamma, nu)
         cert = transport_infinite(cert, x, y)
     if not gamma.is_trivial:
-        cert = lift_infinite(cert, vertex_unit(g, fld, gamma.range))
+        cert = lift_infinite(cert, vertex_unit(g, QQ, gamma.range))
     return cert
 
 
@@ -461,7 +478,6 @@ def prove_vertex_properly_infinite(
     g: KGraph,
     v: str,
     depth: int = 6,
-    fld: Field = QQ,
     aperiodicity: Optional[AperiodicityVerdict] = None,
 ) -> VertexInfinitenessReport:
     """Certify the image of s_v infinite in the quotient by every ideal
@@ -526,10 +542,10 @@ def prove_vertex_properly_infinite(
         elif not h and rc.gamma.is_trivial:
             # h = () is the first trace, g itself: the pair at v splits s_v
             pair = (rc.cycle.mu, rc.cycle.entrance)
-            corners = [spanning_term(gq, fld, mu, mu) for mu in pair]
-            moves = [f(gq, fld, mu) for mu in pair for f in (star_generator, generator)]
-            proper = orthogonal_witness(vertex_unit(gq, fld, v), *corners, *moves)
-        cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
+            corners = [spanning_term(gq, QQ, mu, mu) for mu in pair]
+            moves = [f(gq, QQ, mu) for mu in pair for f in (star_generator, generator)]
+            proper = orthogonal_witness(vertex_unit(gq, QQ, v), *corners, *moves)
+        cert_v = infinite_vertex_from_reaching_cycle(gq, rc)
         _require_local(cert_v, v, reach)
         trace = tuple(sorted(reach.intersection(h)))
         cases.append(IdealCase(h, route, cert_v, trace))

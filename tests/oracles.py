@@ -241,14 +241,13 @@ def brute_compose(g, p, q):
 
 @lru_cache(maxsize=1 << 14)
 def brute_contains(g, outer, inner):
-    """(holds, boundary paths tried) for Z(inner) inside Z(outer): every
-    boundary path tau at s(inner) of the degree slack d(inner) v d(outer) -
-    d(inner) leaves inner tau a common extension with outer. Memoized,
-    since the searches below ask it again for each pair and region."""
+    """Whether Z(inner) lies inside Z(outer): every boundary path tau at
+    s(inner) of the degree slack d(inner) v d(outer) - d(inner) leaves
+    inner tau a common extension with outer. Memoized, since the search
+    below asks it again at each depth."""
     slack = tuple(max(a, b) - a for a, b in zip(inner.degree, outer.degree))
     taus = brute_boundary_paths(g, inner.source, slack)
-    holds = all(brute_mce(g, brute_compose(g, inner, tau), outer) for tau in taus)
-    return holds, len(taus)
+    return all(brute_mce(g, brute_compose(g, inner, tau), outer) for tau in taus)
 
 
 def _degrees_upto(k, least, most):
@@ -260,7 +259,7 @@ def brute_entrance(g, mu, nu, depth):
     """The entrance of (mu, nu) that comes first in ``path_sort_key``
     order among the paths tau at s(nu) of total degree 1 to depth, or
     None: the first tau for which mu and nu tau have no common extension.
-    Memoized, since the regions of one vertex share their candidates."""
+    Memoized, since the search below asks it again at each depth."""
     taus = sorted(
         (
             tau
@@ -311,7 +310,7 @@ def brute_reaching_gen_cycle(g, v, depth):
             if nu.source == mu.source and nu != mu
         )
         for *_, mu, nu in cands:
-            if not brute_contains(g, nu, mu)[0]:
+            if not brute_contains(g, nu, mu):
                 continue
             tau = brute_entrance(g, mu, nu, depth)
             if tau is None:
@@ -322,45 +321,6 @@ def brute_reaching_gen_cycle(g, v, depth):
     if without:
         detail = "found %d generalized cycle(s) but none with an entrance" % without
     return ("miss", depth, detail)
-
-
-def brute_contraction(g, kappa, depth):
-    """What ``locally_contracting_on`` must report, as a tuple.
-
-    Lists the candidates (mu, nu) of each total degree s up to 2 depth in
-    turn: distinct paths with range r(kappa), a common source and total
-    degrees at least 1, with Z(nu) inside Z(kappa). Sorts them by degree
-    pair and the words of nu and mu, and takes the first generalized cycle
-    with an entrance: ``("hit", nu, mu, tau, kappa, boundary paths
-    tried)``. Without one, ``("miss", depth, detail)`` counts the
-    candidates. ``brute_contains`` is memoized, so whether Z(nu) lies
-    inside Z(kappa) is decided once per nu, not once per (mu, nu), and the
-    regions at one vertex share their tests of Z(mu) inside Z(nu).
-    """
-    v = kappa.range
-    degs = _degrees_upto(g.k, 1, 2 * depth - 1)
-    checked = 0
-    for s in range(2, 2 * depth + 1):
-        cands = sorted(
-            (dm, dn, nu.edges, mu.edges, mu, nu)
-            for dm in degs
-            for dn in degs
-            if sum(dm) + sum(dn) == s
-            for nu in brute_paths(g, v, dn)
-            for mu in brute_paths(g, v, dm)
-            if mu.source == nu.source and mu != nu
-        )
-        for *_, mu, nu in cands:
-            inside, tried = brute_contains(g, kappa, nu)
-            if not inside:
-                continue
-            checked += 1
-            if not brute_contains(g, nu, mu)[0]:
-                continue
-            tau = brute_entrance(g, mu, nu, depth)
-            if tau is not None:
-                return ("hit", nu, mu, tau, kappa, tried)
-    return ("miss", depth, "checked %d candidate pairs inside Z(%s)" % (checked, kappa))
 
 
 def _source(g, r, word):
@@ -638,18 +598,18 @@ def brute_traces(g, v):
     return sorted((tuple(sorted(h)) for h in out), key=lambda h: (len(h), h))
 
 
-def orthogonal_splitting(g, w, mu1, mu2, fld=QQ):
+def orthogonal_splitting(g, w, mu1, mu2):
     """The ProperlyInfinite certificate for s_w from two cycles mu1, mu2 at
     w with no common extension: s_w = s_mu_i* (s_mu_i s_mu_i*) s_mu_i for
     two orthogonal corners."""
     return orthogonal_witness(
-        vertex_unit(g, fld, w),
-        spanning_term(g, fld, mu1, mu1),
-        spanning_term(g, fld, mu2, mu2),
-        star_generator(g, fld, mu1),
-        generator(g, fld, mu1),
-        star_generator(g, fld, mu2),
-        generator(g, fld, mu2),
+        vertex_unit(g, QQ, w),
+        spanning_term(g, QQ, mu1, mu1),
+        spanning_term(g, QQ, mu2, mu2),
+        star_generator(g, QQ, mu1),
+        generator(g, QQ, mu1),
+        star_generator(g, QQ, mu2),
+        generator(g, QQ, mu2),
     )
 
 
@@ -683,7 +643,7 @@ def strict_copy(cert):
     )
 
 
-def prove_vertex_from_scratch(g, v, depth, fld=QQ):
+def prove_vertex_from_scratch(g, v, depth):
     """``prove_vertex_properly_infinite`` per ideal rather than per trace,
     for a graph not certified periodic.
 
@@ -704,14 +664,14 @@ def prove_vertex_from_scratch(g, v, depth, fld=QQ):
         gq = quotient(g, h)
         pair = _disjoint_cycle_pair(gq, v, depth)
         if pair is not None:
-            cert_v = infinite_vertex_from_reaching_cycle(gq, pair, fld)
+            cert_v = infinite_vertex_from_reaching_cycle(gq, pair)
             cases.append(IdealCase(h, "orthogonal-pair", cert_v, trace))
             if len(h) == 0 and pair.gamma.is_trivial:
-                proper = orthogonal_splitting(gq, v, pair.cycle.mu, pair.cycle.entrance, fld)
+                proper = orthogonal_splitting(gq, v, pair.cycle.mu, pair.cycle.entrance)
             continue
         rc = find_reaching_gen_cycle(gq, v, depth)
         if isinstance(rc, ReachingCycle):
-            cert_v = infinite_vertex_from_reaching_cycle(gq, rc, fld)
+            cert_v = infinite_vertex_from_reaching_cycle(gq, rc)
             cases.append(IdealCase(h, "generalized-cycle", cert_v, trace))
             continue
         if find_cycle_reaching(gq, v) is None:

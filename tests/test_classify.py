@@ -26,6 +26,7 @@ from kpalg import (
     InternalConsistencyError,
     KGraph,
     KGraphError,
+    KPMatrix,
     PrimeField,
     QQ,
     VertexConditions,
@@ -44,6 +45,7 @@ from kpalg import (
     vertex_conditions,
     prove_vertex_properly_infinite,
     vertex_report_json,
+    WitnessCertificate,
 )
 from kpalg.classify import _assert_consistent, aperiodicity_json, conditions_json
 from kpalg.ideals import enumerate_sat_her, sat_her_closure, traces
@@ -70,7 +72,7 @@ def test_bouquet_is_properly_purely_infinite():
     rep = classify_pure_infiniteness(build("e2"), depth=6)
     assert rep.verdict == "ProperlyPurelyInfinite"
     assert not rep.assumed_aperiodic
-    assert rep.depth == 6 and rep.field_name == "Q"
+    assert rep.depth == 6
     assert all(bool(w) for w in rep.witnesses)
     certs = [c.certificate for w in rep.witnesses for c in w.cases]
     assert [f for cert in certs for f in failing_checks(cert)] == []
@@ -96,12 +98,6 @@ def test_three_factor_product_classifies():
     assert len(g.square_fwd) == 12
     rep = classify_pure_infiniteness(g, depth=2)
     assert rep.verdict == "ProperlyPurelyInfinite"
-
-
-def test_properly_purely_infinite_over_prime_field():
-    rep = classify_pure_infiniteness(build("e2"), depth=3, fld=PrimeField(3))
-    assert rep.verdict == "ProperlyPurelyInfinite"
-    assert rep.field_name == "F3"
 
 
 def test_grid_is_not_purely_infinite():
@@ -719,6 +715,35 @@ def test_report_text_determines_every_image(lattice8_report):
     g, rep = lattice8_report
     # 11 cases, 8 distinct certificate texts
     assert assert_text_gives_images(g, rep.witnesses) == 11 - 8
+
+
+def _read(x, g, fld):
+    # an element from its report text, or a matrix from nested lists of them
+    if isinstance(x, list):
+        return KPMatrix(tuple(tuple(_read(y, g, fld) for y in r) for r in x))
+    return parse_expression(x, g, fld)
+
+
+def test_report_certificates_hold_over_prime_fields(lattice8_report):
+    # every certificate of the report, read from its text over F2, F3 and
+    # F7 in the quotient by its ideal, passes its final relations, q != p
+    # included: the integer certificates hold over every field (the
+    # witness.py docstring)
+    reports = [(build(name), None) for name, _ in CORPUS] + [lattice8_report]
+    checked = 0
+    for g, rep in reports:
+        data = report_json(rep or classify_pure_infiniteness(g, 2))
+        for entry in [e for w in data["witnesses"] for e in w["certificates"]]:
+            gq = quotient(g, tuple(entry["ideal"]))
+            names = ("q", "r", "s") if entry["kind"] == "Infinite" else ("A", "B")
+            for fld in (PrimeField(2), PrimeField(3), PrimeField(7)):
+                parts = tuple((n, _read(entry[n], gq, fld)) for n in names)
+                target = _read(entry["target"], gq, fld)
+                cert = WitnessCertificate(entry["kind"], target, parts, ())
+                assert failing_checks(cert) == [], (entry, fld.name)
+                checked += 1
+    # 15 certificates on the corpus and 16 on lattice8, over 3 fields
+    assert checked == 3 * (15 + 16)
 
 
 def test_aperiodicity_json_carries_certificate():

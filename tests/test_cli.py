@@ -73,7 +73,6 @@ edge f color=2 from=u to=v
         ["classify"],
         ["witness", "v"],
         ["eval", "absent.expr"],
-        ["contract", "v"],
     ],
     ids=lambda c: c[0],
 )
@@ -337,21 +336,16 @@ def test_classify_assert_aperiodic_accepted_where_unsettled(tmp_path, capsys):
 
 def test_classify_json_and_field(tmp_path, capsys):
     f = write_graph(tmp_path, "e2")
-    assert main(["classify", f, "--depth", "3", "--field", "F5", "--json"]) == 0
+    assert main(["classify", f, "--depth", "3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["format"] == 4
     assert data["verdict"] == "ProperlyPurelyInfinite"
-    assert data["field"] == "F5"
+    assert data["field"] == "Q"
     assert data["aperiodicity_basis"] == "bounded"
     w = data["witnesses"][0]
     assert w["status"] == "ProperlyInfinite"
     assert w["cases"][0]["certificate"] == 0
     assert w["certificates"][w["properly_infinite"]]["kind"] == "ProperlyInfinite"
-
-
-def test_classify_bad_field(tmp_path, capsys):
-    assert main(["classify", write_graph(tmp_path, "e2"), "--field", "R"]) == 1
-    assert "error:" in capsys.readouterr().err
 
 
 # -- witness -----------------------------------------------------------------------
@@ -387,7 +381,7 @@ def test_witness_unknown_vertex(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# -- eval and contract --------------------------------------------------------------
+# -- eval --------------------------------------------------------------------------
 
 
 def test_eval_file(tmp_path, capsys):
@@ -415,11 +409,18 @@ def test_eval_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_classify_over_a_large_prime_field(tmp_path, capsys):
-    # 2^61 - 1 is decided prime without trial division
+def test_eval_bad_field(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("v"))
+    assert main(["eval", write_graph(tmp_path, "e2"), "-", "--field", "R"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_eval_over_a_large_prime_field(tmp_path, capsys, monkeypatch):
+    # 2^61 - 1 is decided prime without trial division; 2^61 is 1 there
     g = write_graph(tmp_path, "e2")
-    assert main(["classify", g, "--field", "F2305843009213693951", "--depth", "1"]) == 0
-    assert "field: F2305843009213693951" in capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO("2305843009213693952 * v"))
+    assert main(["eval", g, "-", "--field", "F2305843009213693951"]) == 0
+    assert capsys.readouterr().out == "v\n"
 
 
 @pytest.mark.parametrize("text, field", [("1/0 * v", "Q"), ("3/7 * a", "F7")])
@@ -439,40 +440,6 @@ def test_eval_unreadable_file(tmp_path, capsys, name):
     g = write_graph(tmp_path, "e2")
     assert main(["eval", g, str(tmp_path / name)]) == 1
     assert capsys.readouterr().err.startswith("error:")
-
-
-def test_contract_finds_bisection(tmp_path, capsys):
-    g = write_graph(tmp_path, "e2")
-    assert main(["contract", g, "v", "--depth", "3", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["found"] is True
-    assert data["bisection"] == "Z(a*a.a)"
-    assert data["entrance"] == "b"
-
-
-def test_contract_not_found_exits_one(tmp_path, capsys):
-    g = write_graph(tmp_path, "omega11")
-    assert main(["contract", g, "p00", "--depth", "2"]) == 1
-    assert "no contracting bisection found" in capsys.readouterr().out
-
-
-def test_contract_text_on_success(tmp_path, capsys):
-    g = write_graph(tmp_path, "e2")
-    assert main(["contract", g, "v", "--depth", "3"]) == 0
-    assert capsys.readouterr().out == (
-        "contracting bisection: Z(a*a.a)\n"
-        "cycle pair: (a.a, a) with entrance b\n"
-        "region: Z(v)\n"
-    )
-
-
-def test_contract_json_on_failure(tmp_path, capsys):
-    g = write_graph(tmp_path, "omega11")
-    assert main(["contract", g, "p00", "--depth", "2", "--json"]) == 1
-    assert capsys.readouterr().out == (
-        '{\n  "found": false,\n  "depth": 2,\n'
-        '  "detail": "checked 0 candidate pairs inside Z(p00)"\n}\n'
-    )
 
 
 @pytest.mark.parametrize(
@@ -515,10 +482,9 @@ COMMANDS = {
     "ideals": ([], ()),
     "quotient": (["v"], ()),
     "aperiodic": ([], ("--depth",)),
-    "classify": ([], ("--depth", "--field")),
-    "witness": (["v"], ("--depth", "--field")),
+    "classify": ([], ("--depth",)),
+    "witness": (["v"], ("--depth",)),
     "eval": (["x.expr"], ("--field",)),
-    "contract": (["v"], ("--depth",)),
 }
 IGNORED = [
     (command, option, value)
@@ -549,3 +515,10 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x.kg"])
     assert exc.value.code == 2
+
+
+def test_contract_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["contract", "g.kg", "v"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'contract'" in capsys.readouterr().err

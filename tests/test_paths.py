@@ -12,7 +12,6 @@ from kpalg import (
     ReachingCycle,
     bouquet,
     chain,
-    cylinder_contains,
     find_cycle_reaching,
     find_entrance,
     find_reaching_gen_cycle,
@@ -48,17 +47,6 @@ def test_not_found_is_falsy():
     assert NotFoundUpTo(6, "nothing").depth == 6
 
 
-def test_cylinder_contains_on_bouquet():
-    g = bouquet(2)
-    a = g.path_from_edges(["a"])
-    aa = g.path_from_edges(["a", "a"])
-    ab = g.path_from_edges(["a", "b"])
-    assert cylinder_contains(g, a, aa)
-    assert cylinder_contains(g, a, ab)
-    ev = cylinder_contains(g, aa, a)
-    assert not ev and ev.failing
-
-
 def test_generalized_cycle_requires_distinct_matching_paths():
     g = bouquet(2)
     a = g.path_from_edges(["a"])
@@ -82,6 +70,8 @@ def test_entrance_found_on_bouquet():
     assert is_generalized_cycle(g, aa, a)
     tau = find_entrance(g, GeneralizedCycle(aa, a), depth=4)
     assert str(tau) == "b"
+    # Z(a) does not lie in Z(a.a): the extension a.b escapes
+    assert not is_generalized_cycle(g, a, aa)
 
 
 def test_reachable_to_gives_shortest_connectors():

@@ -1,5 +1,5 @@
-"""Groupoid function model: bisections, the regular representation as the
-check on products, contraction search."""
+"""Groupoid function model: the regular representation as the check on
+products."""
 
 import random
 
@@ -7,18 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import NAMES, RANDOM_GRAPHS, build
+from corpus import RANDOM_GRAPHS, build
 from kpalg import (
-    CylinderBisection,
     KGraph,
-    KGraphError,
-    NotFoundUpTo,
     QQ,
-    bouquet,
     generator,
-    grid,
     kp_mul,
-    locally_contracting_on,
     spanning_term,
     star_generator,
     vertex_unit,
@@ -26,7 +20,6 @@ from kpalg import (
 )
 from oracles import (
     boundary_points,
-    brute_contraction,
     first_disagreement,
     paths_upto,
     regular_action,
@@ -36,18 +29,6 @@ from oracles import (
 
 def _legs(*elements):
     return [mu for el in elements for (_, mu), _ in el.terms]
-
-
-def test_bisection_needs_common_source():
-    g = build("single_edge")
-    with pytest.raises(KGraphError):
-        CylinderBisection(g, g.path_from_edges(["e"]), g.trivial_path("v"))
-
-
-def test_bisection_str():
-    g = bouquet(2)
-    b = CylinderBisection(g, g.path_from_edges(["a"]), g.path_from_edges(["a", "b"]))
-    assert str(b) == "Z(a*a.b)"
 
 
 def test_function_model_identifies_reconstruction():
@@ -181,67 +162,3 @@ def test_regular_action_refuses_a_point_too_short():
     assert regular_action(h, [spanning_term(h, QQ, e, e)], ("w", ())) == {}
     got = regular_action(h, [star_generator(h, QQ, e)], ("v", ("e",)))
     assert got == {("w", (), (-1,)): QQ.one}
-
-
-def test_locally_contracting_on_free_loops():
-    g = bouquet(2)
-    w = locally_contracting_on(g, g.trivial_path("v"), depth=3)
-    assert w
-    assert str(w.bisection) == "Z(a*a.a)"
-    assert w.cycle.entrance is not None
-    assert w.containment.holds
-
-
-def test_locally_contracting_inside_subcylinder():
-    g = bouquet(2)
-    w = locally_contracting_on(g, g.path_from_edges(["b"]), depth=3)
-    assert w
-    assert str(w.bisection) == "Z(b*b.a)"
-    # the witness region really sits inside Z(b)
-    assert w.region.edges == ("b",)
-
-
-def test_no_contraction_on_single_loop_or_acyclic():
-    g1 = bouquet(1)
-    out = locally_contracting_on(g1, g1.trivial_path("v"), depth=3)
-    assert isinstance(out, NotFoundUpTo)
-    g2 = grid((1, 1))
-    out = locally_contracting_on(g2, g2.trivial_path("p00"), depth=3)
-    assert isinstance(out, NotFoundUpTo)
-
-
-def test_contraction_region_must_belong_to_graph():
-    g1, g2 = bouquet(2), bouquet(2)
-    with pytest.raises(KGraphError, match="different graph"):
-        locally_contracting_on(g1, g2.trivial_path("v"), depth=2)
-
-
-def _contractions(g, depth):
-    # locally_contracting_on in the shape of brute_contraction, for every
-    # region Z(v) and Z(e), each paired with the oracle's answer
-    for v in g.vertices:
-        edges = [g.path_from_edges([e.id]) for e in g.edges_by_range(v)]
-        for kappa in [g.trivial_path(v)] + edges:
-            w = locally_contracting_on(g, kappa, depth)
-            if isinstance(w, NotFoundUpTo):
-                got = ("miss", w.depth, w.detail)
-            else:
-                b, c, ev = w.bisection, w.cycle, w.containment
-                assert (c.mu, c.nu, ev.holds, ev.failing) == (b.mu, b.lam, True, ())
-                got = ("hit", b.lam, b.mu, c.entrance, w.region, ev.checked)
-            yield kappa, got, brute_contraction(g, kappa, depth)
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_locally_contracting_on_matches_oracle_on_corpus(name):
-    g = build(name)
-    for depth in (1, 2, 3):
-        for kappa, got, want in _contractions(g, depth):
-            assert got == want, (kappa, depth)
-
-
-@settings(max_examples=40, deadline=None)
-@given(g=RANDOM_GRAPHS, depth=st.integers(1, 3))
-def test_locally_contracting_on_matches_oracle_on_random_graphs(g, depth):
-    for kappa, got, want in _contractions(g, depth):
-        assert got == want, kappa

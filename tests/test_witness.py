@@ -30,7 +30,6 @@ from kpalg import (
     KGraphError,
     KPElement,
     KPMatrix,
-    PrimeField,
     QQ,
     ReachingCycle,
     WitnessCertificate,
@@ -101,13 +100,6 @@ def test_gen_cycle_witness_verifies(e2):
     assert equals(cert.part("r") * cert.part("s"), cert.target)
     assert not equals(cert.part("q"), cert.target)
     assert [st.rule for st in cert.derivation] == ["cycle-pair-witness"]
-
-
-def test_gen_cycle_witness_over_prime_field(e2):
-    g = e2
-    cert = witness_from_gen_cycle(g, strict_cycle(g), PrimeField(5))
-    assert cert.target.field.name == "F5"
-    assert failing_checks(cert) == []
 
 
 def test_gen_cycle_requires_entrance(e2):
@@ -761,8 +753,8 @@ def _case_shapes(g, depth):
     made = []
     inner = witness.infinite_vertex_from_reaching_cycle
 
-    def recording(gq, rc, fld=QQ):
-        cert = inner(gq, rc, fld)
+    def recording(gq, rc):
+        cert = inner(gq, rc)
         made.append((gq, rc, cert))
         return cert
 
