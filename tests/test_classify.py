@@ -724,24 +724,43 @@ def _read(x, g, fld):
     return parse_expression(x, g, fld)
 
 
+def _checked_over(g, rep, fields):
+    # every certificate of the report, read from its text over each field
+    # in the quotient by its ideal, passes its final relations; returns
+    # how many were checked
+    data = report_json(rep)
+    checked = 0
+    for entry in [e for w in data["witnesses"] for e in w["certificates"]]:
+        gq = quotient(g, tuple(entry["ideal"]))
+        names = ("q", "r", "s") if entry["kind"] == "Infinite" else ("A", "B")
+        for fld in fields:
+            parts = tuple((n, _read(entry[n], gq, fld)) for n in names)
+            target = _read(entry["target"], gq, fld)
+            cert = WitnessCertificate(entry["kind"], target, parts, ())
+            assert failing_checks(cert) == [], (entry, fld.name)
+            checked += 1
+    return checked
+
+
+def test_properly_purely_infinite_over_prime_field():
+    # the builders take no field: the verdict's integer certificates,
+    # read over F3, pass their final relations there too
+    g = build("e2")
+    rep = classify_pure_infiniteness(g, depth=3)
+    assert rep.verdict == "ProperlyPurelyInfinite"
+    assert _checked_over(g, rep, (PrimeField(3),)) > 0
+
+
 def test_report_certificates_hold_over_prime_fields(lattice8_report):
-    # every certificate of the report, read from its text over F2, F3 and
-    # F7 in the quotient by its ideal, passes its final relations, q != p
+    # every certificate of the report passes over F2, F3 and F7, q != p
     # included: the integer certificates hold over every field (the
     # witness.py docstring)
     reports = [(build(name), None) for name, _ in CORPUS] + [lattice8_report]
-    checked = 0
-    for g, rep in reports:
-        data = report_json(rep or classify_pure_infiniteness(g, 2))
-        for entry in [e for w in data["witnesses"] for e in w["certificates"]]:
-            gq = quotient(g, tuple(entry["ideal"]))
-            names = ("q", "r", "s") if entry["kind"] == "Infinite" else ("A", "B")
-            for fld in (PrimeField(2), PrimeField(3), PrimeField(7)):
-                parts = tuple((n, _read(entry[n], gq, fld)) for n in names)
-                target = _read(entry["target"], gq, fld)
-                cert = WitnessCertificate(entry["kind"], target, parts, ())
-                assert failing_checks(cert) == [], (entry, fld.name)
-                checked += 1
+    fields = (PrimeField(2), PrimeField(3), PrimeField(7))
+    checked = sum(
+        _checked_over(g, rep or classify_pure_infiniteness(g, 2), fields)
+        for g, rep in reports
+    )
     # 15 certificates on the corpus and 16 on lattice8, over 3 fields
     assert checked == 3 * (15 + 16)
 

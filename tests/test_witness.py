@@ -30,6 +30,7 @@ from kpalg import (
     KGraphError,
     KPElement,
     KPMatrix,
+    PrimeField,
     QQ,
     ReachingCycle,
     WitnessCertificate,
@@ -47,6 +48,7 @@ from kpalg import (
     lift_infinite,
     matrix_equals,
     orthogonal_witness,
+    parse_expression,
     prove_vertex_properly_infinite,
     reachable_to,
     row,
@@ -100,6 +102,19 @@ def test_gen_cycle_witness_verifies(e2):
     assert equals(cert.part("r") * cert.part("s"), cert.target)
     assert not equals(cert.part("q"), cert.target)
     assert [st.rule for st in cert.derivation] == ["cycle-pair-witness"]
+
+
+def test_gen_cycle_witness_over_prime_field(e2):
+    # the certificate is integral: its text, read over F5, passes the
+    # same checks
+    g = e2
+    data = certificate_json(witness_from_gen_cycle(g, strict_cycle(g)))
+    fld = PrimeField(5)
+    parts = tuple((n, parse_expression(data[n], g, fld)) for n in ("q", "r", "s"))
+    target = parse_expression(data["target"], g, fld)
+    cert = WitnessCertificate("Infinite", target, parts, ())
+    assert cert.target.field.name == "F5"
+    assert failing_checks(cert) == []
 
 
 def test_gen_cycle_requires_entrance(e2):
