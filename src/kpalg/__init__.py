@@ -75,12 +75,10 @@ from .library import (
     two_loops_plus_exit,
 )
 from .paths import (
-    ContainmentEvidence,
     GeneralizedCycle,
     NotFoundUpTo,
     ReachingCycle,
     find_cycle_reaching,
-    find_entrance,
     find_reaching_gen_cycle,
     is_generalized_cycle,
     reachable_to,

@@ -313,13 +313,6 @@ def oplus(a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]) -> KPMat
     return KPMatrix(tuple(out))
 
 
-def _product(a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]):
-    # two elements multiply as elements; anything else as matrices
-    if isinstance(a, KPElement) and isinstance(b, KPElement):
-        return kp_mul(a, b)
-    return as_matrix(a) @ as_matrix(b)
-
-
 def matrix_equals(a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]) -> bool:
     """Entrywise ``equals``; an element counts as a 1x1 matrix."""
     if isinstance(a, KPElement) and isinstance(b, KPElement):
@@ -337,5 +330,5 @@ def matrix_equals(a: Union[KPElement, KPMatrix], b: Union[KPElement, KPMatrix]) 
 # -- relation verifiers ----------------------------------------------------------
 
 
-def is_idempotent(a: Union[KPElement, KPMatrix]) -> bool:
-    return matrix_equals(_product(a, a), a)
+def is_idempotent(a: KPElement) -> bool:
+    return equals(kp_mul(a, a), a)

@@ -4,7 +4,7 @@ A generalized cycle is a pair (mu, nu) of distinct paths with common source
 and range such that every extension of mu stays compatible with nu; an
 entrance is an extension of nu incompatible with mu. These pairs drive the
 infiniteness witnesses: the contained cylinder is strictly smaller exactly
-when an entrance exists.
+when an entrance exists, so a ``GeneralizedCycle`` always carries one.
 """
 
 from __future__ import annotations
@@ -32,28 +32,16 @@ class NotFoundUpTo:
 
 
 @dataclass(frozen=True)
-class ContainmentEvidence:
-    """Outcome of a bounded cylinder-containment check."""
-
-    holds: bool
-    failing: Tuple[Path, ...]
-    checked: int
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-@dataclass(frozen=True)
 class GeneralizedCycle:
-    """Pair (mu, nu) with Z(mu) contained in Z(nu); optional entrance.
+    """Pair (mu, nu) with Z(mu) contained in Z(nu), and its entrance.
 
-    An entrance tau extends nu with MCE(mu, nu tau) empty, so the
+    The entrance tau extends nu with MCE(mu, nu tau) empty, so the
     containment is strict.
     """
 
     mu: Path
     nu: Path
-    entrance: Optional[Path] = None
+    entrance: Path
 
 
 @dataclass(frozen=True)
@@ -65,9 +53,9 @@ class ReachingCycle:
     gamma: Path
 
 
-def is_generalized_cycle(g: KGraph, mu: Path, nu: Path) -> ContainmentEvidence:
-    """Decide whether (mu, nu) is a generalized cycle; evidence lists any
-    boundary extension of mu that escapes nu."""
+def is_generalized_cycle(g: KGraph, mu: Path, nu: Path) -> bool:
+    """Decide whether (mu, nu) is a generalized cycle, stopping at the
+    first boundary extension of mu that escapes nu."""
     if mu == nu:
         raise KGraphError("generalized cycle needs distinct paths")
     if mu.source != nu.source or mu.range != nu.range:
@@ -77,9 +65,8 @@ def is_generalized_cycle(g: KGraph, mu: Path, nu: Path) -> ContainmentEvidence:
         )
     # Z(mu) lies in Z(nu) iff every boundary extension of mu up to the
     # degree slack stays compatible with nu
-    taus = g.boundary_paths(mu.source, sub(join(mu.degree, nu.degree), mu.degree))
-    failing = tuple(tau for tau in taus if not g.mce(g.compose(mu, tau), nu))
-    return ContainmentEvidence(not failing, failing, len(taus))
+    taus = g.iter_boundary_paths(mu.source, sub(join(mu.degree, nu.degree), mu.degree))
+    return all(g.mce(g.compose(mu, tau), nu) for tau in taus)
 
 
 def _degrees_with_total(k: int, t: int) -> Iterator[Degree]:
@@ -87,23 +74,6 @@ def _degrees_with_total(k: int, t: int) -> Iterator[Degree]:
     for vec in itertools.product(range(t + 1), repeat=k):
         if sum(vec) == t:
             yield vec
-
-
-def find_entrance(
-    g: KGraph, cycle: GeneralizedCycle, depth: int
-) -> Union[Path, NotFoundUpTo]:
-    """Search for tau extending nu with MCE(mu, nu tau) empty.
-
-    Degree-lexicographic then path-lexicographic order, bounded by total
-    degree; returns NotFoundUpTo when the budget is exhausted.
-    """
-    mu, nu = cycle.mu, cycle.nu
-    for t in range(1, depth + 1):
-        for n in _degrees_with_total(g.k, t):
-            for tau in g.paths(nu.source, n):
-                if not g.mce(mu, g.compose(nu, tau)):
-                    return tau
-    return NotFoundUpTo(depth)
 
 
 def reachable_to(g: KGraph, v: str) -> Dict[str, Path]:
@@ -183,10 +153,14 @@ def find_reaching_gen_cycle(
     """Find a generalized cycle with an entrance whose source reaches v.
 
     Candidate pairs have both legs nontrivial and are enumerated by total
-    degree, then degree pair, then range vertex, then edge words, so the
-    certificate for a fixed graph and depth is reproducible.
+    degree, then degree pair, then range vertex, then edge words; the
+    entrance of a generalized cycle is the first tau extending nu with
+    MCE(mu, nu tau) empty, by total degree (at most the depth), then
+    degree, then word. So the certificate for a fixed graph and depth is
+    reproducible.
     """
     reach = reachable_to(g, v)
+    tau_degrees = [n for t in range(1, depth + 1) for n in _degrees_with_total(g.k, t)]
     cycles_without_entrance = 0
     for s_total in range(2, 2 * depth + 1):
         # the sorted degree pairs (d(mu), d(nu)) of total s_total, each
@@ -207,8 +181,16 @@ def find_reaching_gen_cycle(
                             continue
                         if not is_generalized_cycle(g, mu, nu):
                             continue
-                        tau = find_entrance(g, GeneralizedCycle(mu, nu), depth)
-                        if isinstance(tau, NotFoundUpTo):
+                        tau = next(
+                            (
+                                tau
+                                for n in tau_degrees
+                                for tau in g.paths(nu.source, n)
+                                if not g.mce(mu, g.compose(nu, tau))
+                            ),
+                            None,
+                        )
+                        if tau is None:
                             cycles_without_entrance += 1
                             continue
                         return ReachingCycle(GeneralizedCycle(mu, nu, tau), reach[mu.source])

@@ -235,11 +235,6 @@ def witness_from_gen_cycle(g: KGraph, c: GeneralizedCycle) -> WitnessCertificate
     entrance forces q != p. The containment Z(mu) <= Z(nu) itself is the
     output's relation q p = q, checked there and nowhere before.
     """
-    if c.entrance is None:
-        raise WitnessError(
-            "generalized cycle (%s, %s) carries no entrance; the contained "
-            "cylinder may be all of Z(nu) and no strict witness exists" % (c.mu, c.nu)
-        )
     tau = c.entrance
     if tau.range != c.nu.source:
         raise WitnessError("entrance %s does not extend nu = %s" % (tau, c.nu))

@@ -270,6 +270,34 @@ MUTANTS = (
         ("tests/test_classify.py",),
     ),
     Mutant(
+        "containment-any-extension",
+        "is_generalized_cycle holds when some boundary extension of mu "
+        "stays compatible with nu, not every one, so (a, a.a) on a bouquet "
+        "passes",
+        (
+            Edit(
+                "kpalg/paths.py",
+                "    return all(g.mce(g.compose(mu, tau), nu) for tau in taus)\n",
+                "    return any(g.mce(g.compose(mu, tau), nu) for tau in taus)\n",
+            ),
+        ),
+        ("tests/test_paths.py",),
+    ),
+    Mutant(
+        "entrance-stays-compatible",
+        "the entrance search of find_reaching_gen_cycle takes the first tau "
+        "whose extension nu tau stays compatible with mu, which is no "
+        "entrance",
+        (
+            Edit(
+                "kpalg/paths.py",
+                "if not g.mce(mu, g.compose(nu, tau))",
+                "if g.mce(mu, g.compose(nu, tau))",
+            ),
+        ),
+        ("tests/test_paths.py",),
+    ),
+    Mutant(
         "traces-walk-ignores-avoid",
         "_walk keeps a closure that holds the vertex it must avoid, so "
         "ideals.traces lists closures of ideals that contain v",

@@ -16,6 +16,7 @@ from corpus import (
     doubled_two_cycle,
     fed_loop,
     lattice8,
+    ring,
     three_components,
     torus_beside_cycles,
     two_loop_lattice,
@@ -98,6 +99,39 @@ def test_three_factor_product_classifies():
     assert len(g.square_fwd) == 12
     rep = classify_pure_infiniteness(g, depth=2)
     assert rep.verdict == "ProperlyPurelyInfinite"
+
+
+def test_ring_product_is_certified_by_route_two(monkeypatch):
+    # no census graph takes route two inside classify; on this product of
+    # two rings route one finds no orthogonal pair at any vertex, so every
+    # vertex is certified by a generalized cycle (0.4 s). Each
+    # containment test stops at the first boundary extension of mu that
+    # escapes nu, here always the first: one mce call per test
+    from kpalg import paths
+
+    g = product(ring(7, 1), ring(7, 2))
+    contains, mce = paths.is_generalized_cycle, KGraph.mce
+    calls = {"tests": 0, "mce": 0, "inside": False}
+
+    def counted_contains(*args):
+        calls["tests"] += 1
+        calls["inside"] = True
+        try:
+            return contains(*args)
+        finally:
+            calls["inside"] = False
+
+    def counted_mce(self, *args):
+        calls["mce"] += calls["inside"]
+        return mce(self, *args)
+
+    monkeypatch.setattr(paths, "is_generalized_cycle", counted_contains)
+    monkeypatch.setattr(KGraph, "mce", counted_mce)
+    rep = classify_pure_infiniteness(g, depth=2)
+    assert rep.verdict == "ProperlyPurelyInfinite"
+    assert len(rep.witnesses) == 49
+    assert [[c.route for c in w.cases] for w in rep.witnesses] == [["generalized-cycle"]] * 49
+    assert (calls["tests"], calls["mce"]) == (13181, 13181)
 
 
 def test_grid_is_not_purely_infinite():
