@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 import re
+import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -47,14 +48,23 @@ class Path:
 
     ``edges`` is a tuple of edge ids; the trivial path at a vertex has an
     empty word and carries the vertex in ``range``. Two paths are equal
-    when they have the same graph object, range and word. ``trivial_path``
-    hands out one trivial path per vertex and graph. Paths are immutable:
-    assigning an attribute raises ``FrozenInstanceError``. ``split`` is
-    the kernel's own: a composite made by ``KGraph.compose`` keeps its last
-    factorization there (see ``_memo``), every other path None.
+    when they come from the same graph and have the same range and word.
+    ``trivial_path`` hands out one trivial path per vertex and graph. Paths
+    are immutable: assigning an attribute raises ``FrozenInstanceError``.
+    ``split`` is the kernel's own: a composite made by ``KGraph.compose``
+    keeps its last factorization there (see ``_memo``), every other path
+    None.
+
+    A path does not keep its graph alive: it holds the graph's home, one
+    ``weakref.ref`` shared by every path of that graph, and ``graph`` is
+    None once the graph has been freed. Equality compares homes by
+    identity. A home lives as long as any of its paths, so its identity is
+    never reused: paths of one graph stay equal after the graph is gone,
+    and unequal to the paths of every other graph. Whatever must keep a
+    graph alive holds it itself, as ``KPElement.graph`` does.
     """
 
-    __slots__ = ("graph", "range", "edges", "degree", "source", "split", "__weakref__")
+    __slots__ = ("_home", "range", "edges", "degree", "source", "split", "__weakref__")
 
     def __init__(
         self,
@@ -65,7 +75,7 @@ class Path:
         degree: Degree = None,
         source: str = None,
     ):
-        _set_graph(self, graph)
+        _set_home(self, graph._home)
         _set_range(self, range)
         _set_edges(self, edges)
         _set_degree(self, degree)
@@ -76,7 +86,7 @@ class Path:
     def __post_init__(self):
         if self.degree is not None:
             return
-        g = self.graph
+        g = self._home()
         if self.edges:
             d = list(zero(g.k))
             color = g._color
@@ -87,6 +97,10 @@ class Path:
         else:
             _set_degree(self, zero(g.k))
             _set_source(self, self.range)
+
+    @property
+    def graph(self) -> Optional["KGraph"]:
+        return self._home()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError("cannot assign to field %r" % name)
@@ -100,7 +114,7 @@ class Path:
         if not isinstance(other, Path):
             return NotImplemented
         same = self.edges == other.edges and self.range == other.range
-        return same and self.graph is other.graph
+        return same and self._home is other._home
 
     def __ne__(self, other):
         if self is other:
@@ -108,7 +122,7 @@ class Path:
         if not isinstance(other, Path):
             return NotImplemented
         same = self.edges == other.edges and self.range == other.range
-        return not (same and self.graph is other.graph)
+        return not (same and self._home is other._home)
 
     def __hash__(self):
         return hash((self.range, self.edges))
@@ -125,7 +139,7 @@ class Path:
 
 
 # the kernel's writers of the slots, which ``__setattr__`` refuses
-_set_graph = Path.graph.__set__
+_set_home = Path._home.__set__
 _set_range = Path.range.__set__
 _set_edges = Path.edges.__set__
 _set_degree = Path.degree.__set__
@@ -145,8 +159,9 @@ def path_sort_key(p: Path):
     return (total(p.degree), p.degree, p.edges)
 
 
-# The compose memo, one for the process: the tuple (graph, right factor q,
-# composites) of the last ``compose``.
+# The compose memo, one for the process: the tuple (home, right factor q,
+# composites) of the last ``compose``, where home is the graph's weak home
+# (see ``Path``), so the memo keeps no graph alive.
 #
 # It serves a checker that composes many paths with one separator q in a
 # row and meets the same paths again, such as the benchmark's audit of a
@@ -154,21 +169,24 @@ def path_sort_key(p: Path):
 # callers (``kp_mul``, ``normal_form``, the closed machine) got none there,
 # and the separator search composes nothing. ``composites`` maps the word
 # ``p.edges`` of each left path to p q, for the graph and q of the memo,
-# both checked by identity. Each composite keeps its last ``factorize`` in
-# its own ``split`` slot, as ``(m, (head, tail))``, the shortcut splits at
-# m = 0 and m = d(p q) included; ``factorize`` reads the slot only when
-# the composite is a path of the graph it is called on. A hit returns only
-# what was validated when it was stored.
+# both checked by identity; the graph's through its home, which the memo
+# keeps alive, so that identity is never reused. Each composite keeps its
+# last ``factorize`` in its own ``split`` slot, as ``(m, (head, tail))``,
+# the shortcut splits at m = 0 and m = d(p q) included; ``factorize``
+# reads the slot only when the composite is a path of the graph it is
+# called on. A hit returns only what was validated when it was stored.
 #
 # A ``compose`` with another graph or right factor replaces the whole
 # tuple, so at most one right factor's composites are kept by the memo,
-# and a split goes with its composite (a shortcut split holds the
-# composite itself, so the cycle collector frees the two). Each call reads
-# the tuple once, so a thread never mixes up two right factors, and each
-# composite belongs to one right factor. The memo is one for the process,
-# not one per graph: reports keep their graphs alive, and a memo per graph
-# would keep each graph's last composites with it (``peak_rss_mb`` +7.7%
-# on the ``sweep`` benchmark workload and +3.1% on ``lattice``).
+# and a split goes with its composite. Reference counting frees the two,
+# except a shortcut split, which holds the composite itself, so the cycle
+# collector frees that one with its composite. Each call reads the tuple
+# once, so a thread never mixes up two right factors, and each composite
+# belongs to one right factor. The memo is one for the process, not one
+# per graph: a report keeps its graphs alive through its certificates'
+# elements, and a memo per graph would keep each graph's last composites
+# with it (``peak_rss_mb`` +7.7% on the ``sweep`` benchmark workload and
+# +3.1% on ``lattice``).
 _memo = (None, None, {})
 # the split slot of a composite not yet split; other paths hold None
 _UNSPLIT = (None, None)
@@ -193,6 +211,8 @@ class KGraph:
     ``paths.reachable_to`` answer once asked for, the paths up to each
     depth the aperiodicity search has listed by source, the ``validate``
     report, and the quotient by each ideal ``ideals.quotient`` has built.
+    No path holds its graph (see ``Path``), so a graph that is dropped is
+    freed at once, with these caches and quotients.
     """
 
     def __init__(
@@ -275,6 +295,8 @@ class KGraph:
         self._groups: Dict[int, Dict[str, List[List[Path]]]] = {}
         self._validation: Optional[ValidationReport] = None
         self._quotients: Dict[FrozenSet[str], KGraph] = {}
+        # the home every path of this graph holds in place of the graph
+        self._home = weakref.ref(self)
 
     def __repr__(self) -> str:
         return "<KGraph k=%d |V|=%d |E|=%d>" % (
@@ -372,8 +394,8 @@ class KGraph:
         """The composite p q, memoized for the last right factor q (see
         ``_memo``)."""
         global _memo
-        graph, right, composites = _memo
-        same = q is right and self is graph
+        home, right, composites = _memo
+        same = q is right and self._home is home
         if same:
             pq = composites.get(p.edges)
             if pq is not None:
@@ -387,7 +409,7 @@ class KGraph:
         if not same:
             # a new right factor: forget the old one's composites
             composites = {}
-            _memo = (self, q, composites)
+            _memo = (self._home, q, composites)
         word = self.composite_word(p, q.edges)
         degree = tuple(map(operator.add, p.degree, q.degree))
         pq = composites[p.edges] = Path(self, p.range, word, degree, q.source)
@@ -399,7 +421,7 @@ class KGraph:
 
         A composite of ``compose`` keeps its last split (see ``_memo``)."""
         last = p.split
-        if last is not None and last[0] == m and p.graph is self:
+        if last is not None and last[0] == m and p._home is self._home:
             return last[1]
         m = self._degree(m)
         d = p.degree
@@ -413,7 +435,7 @@ class KGraph:
             out = self.trivial_path(p.range), p
         else:
             out = self._split(p, m)
-        if last is not None and p.graph is self:
+        if last is not None and p._home is self._home:
             _set_split(p, (m, out))
         return out
 

@@ -310,6 +310,20 @@ MUTANTS = (
         ),
         ("tests/test_ideals.py",),
     ),
+    Mutant(
+        "path-keeps-its-graph",
+        "a graph's home is a strong closure over the graph, so its paths "
+        "and caches form a cycle with it and a dropped graph waits for the "
+        "cycle collector",
+        (
+            Edit(
+                "kpalg/kgraph.py",
+                "        self._home = weakref.ref(self)\n",
+                "        self._home = lambda: self\n",
+            ),
+        ),
+        ("tests/test_kgraph.py",),
+    ),
 )
 
 

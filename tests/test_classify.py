@@ -1,8 +1,10 @@
 """End-to-end classification: verdicts, consistency guards, serialization."""
 
+import gc
 import json
 import random
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -36,7 +38,9 @@ from kpalg import (
     classify_pure_infiniteness,
     failing_checks,
     format_element,
+    format_kgraph,
     parse_expression,
+    parse_kgraph,
     product,
     quotient,
     random_square_graph,
@@ -458,6 +462,29 @@ def test_standalone_witness_builds_only_quotients_avoiding_the_vertex(monkeypatc
         "x3": [(), ("x2",)],
         "x4": [()],
     }
+
+
+def test_a_dropped_graph_is_freed_with_its_quotients_once_its_report_goes():
+    # no path holds its graph, so nothing but the report's certificates
+    # keeps the graph and its quotients alive, and dropping the report
+    # frees them by reference counting, with the collector off
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = parse_kgraph(format_kgraph(two_loop_lattice()))
+        rep = classify_pure_infiniteness(g, depth=2)
+        text = json.dumps(report_json(rep), indent=2)
+        cases = _distinct(c.ideal for w in rep.witnesses for c in w.cases)
+        # the quotients of the case ideals, the one by () being g itself
+        assert len(cases) == 3
+        refs = [weakref.ref(g)] + [weakref.ref(quotient(g, h)) for h in cases]
+        del g
+        assert json.dumps(report_json(rep), indent=2) == text
+        del rep
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _lattice_972():

@@ -1,5 +1,6 @@
 """Presentation core: construction, canonical words, validation, file format."""
 
+import gc
 import sys
 import threading
 import weakref
@@ -309,6 +310,24 @@ def test_memo_frees_the_composites_of_the_old_right_factor():
     assert g.factorize(ab(), (1,))[0] is head()
     g.compose(b, a)
     assert ab() is None and head() is None
+
+
+def test_memo_keeps_no_graph_alive():
+    # the memo holds the graph's weak home, so the last graph composed on
+    # is freed, the collector off, though the memo still keeps its right
+    # factor and composite
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = bouquet(2)
+        a, b = g.path_from_edges(["a"]), g.path_from_edges(["b"])
+        ab = g.compose(a, b)
+        home = weakref.ref(g)
+        del g, a, b, ab
+        assert home() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_memo_is_safe_across_threads():
@@ -751,6 +770,39 @@ def test_path_equality_is_graph_range_and_word():
     p = ps[-1]
     assert (p == "x") is False and p != "x"
     assert p.__eq__("x") is NotImplemented
+
+
+def test_paths_of_two_parses_stay_apart_after_one_graph_is_freed():
+    # a path holds its graph weakly: once the graph is freed its paths
+    # read no graph, and still equal each other and no path of the other
+    # parse, the collector off
+    text = format_kgraph(lattice8())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g, h = parse_kgraph(text), parse_kgraph(text)
+        # from the kernel, not the oracles, whose caches hold the graph
+        ps, qs = (
+            [p for v in x.vertices for n in range(3) for p in x.paths(v, (n,))] for x in (g, h)
+        )
+        copies = [Path(g, p.range, p.edges) for p in ps]
+        assert [(p.range, p.edges) for p in ps] == [(q.range, q.edges) for q in qs]
+
+        def assert_apart():
+            for p, c, q in zip(ps, copies, qs):
+                assert p == c and not p != c
+                assert p != q and not p == q and q != p
+
+        assert_apart()
+        home = weakref.ref(g)
+        del g
+        assert home() is None
+        assert all(p.graph is None and c.graph is None for p, c in zip(ps, copies))
+        assert all(q.graph is h for q in qs)
+        assert_apart()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_paths_are_frozen_and_have_no_dict():
